@@ -5,10 +5,6 @@ class TimedataError(Exception):
     """Base class for all toolkit errors."""
 
 
-class DimensionError(TimedataError):
-    """Arithmetic or conversion attempted across incompatible units."""
-
-
 class DomainError(TimedataError):
     """Input outside an operation's declared domain."""
 

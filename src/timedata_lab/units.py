@@ -1,87 +1,7 @@
-"""Unit-tagged scalar quantities and the conversions the toolkit needs.
-
-Deliberately not a general unit-algebra system: only light-minutes,
-kilometers, meters, time and the electrical units used elsewhere.
-"""
-
-from __future__ import annotations
-
-import math
-from dataclasses import dataclass
-from enum import Enum
-
-from .errors import DimensionError, DomainError
+"""Physical constants shared by the toolkit's modules."""
 
 # Round speed of light used throughout; downstream numbers were computed
 # with 300000 km/s, not the CODATA value.
 C_KM_PER_S = 300000.0
 # Kilometers per light-minute, 60 * c exactly.
 LM_KM = 60.0 * C_KM_PER_S
-
-
-class Unit(Enum):
-    LIGHT_MINUTE = "Lm"
-    KILOMETER = "km"
-    METER = "m"
-    HERTZ = "Hz"
-    SECOND = "s"
-    MINUTE = "min"
-    PERCENT = "%"
-    RADIAN = "rad"
-    TESLA = "T"
-    SIEMENS = "S"
-    VOLT = "V"
-    AMPERE = "A"
-    OHM = "Ohm"
-    COULOMB = "C"
-    DIMENSIONLESS = ""
-
-
-# Conversion factors within a dimension, expressed relative to a base unit.
-_DIMENSIONS = {
-    Unit.LIGHT_MINUTE: ("length", LM_KM * 1000.0),
-    Unit.KILOMETER: ("length", 1000.0),
-    Unit.METER: ("length", 1.0),
-    Unit.SECOND: ("time", 1.0),
-    Unit.MINUTE: ("time", 60.0),
-}
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A finite real value tagged with a unit."""
-
-    value: float
-    unit: Unit
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError(f"quantity value must be finite, got {self.value}")
-
-    def __str__(self):
-        return f"{self.value:g} {self.unit.value}".rstrip()
-
-    def as_fraction(self) -> float:
-        """Percent value as a plain fraction. The single /100 point."""
-        if self.unit is not Unit.PERCENT:
-            raise DimensionError(f"as_fraction needs a percent, got {self.unit}")
-        return self.value / 100.0
-
-
-def convert(q: Quantity, target: Unit) -> Quantity:
-    """Convert ``q`` to ``target``; raises DimensionError if no path exists."""
-    if q.unit is target:
-        return q
-    src = _DIMENSIONS.get(q.unit)
-    dst = _DIMENSIONS.get(target)
-    if src is None or dst is None or src[0] != dst[0]:
-        raise DimensionError(f"no conversion from {q.unit} to {target}")
-    return Quantity(q.value * src[1] / dst[1], target)
-
-
-def lm_to_km(lm: float) -> float:
-    return lm * LM_KM
-
-
-def km_to_lm(km: float) -> float:
-    return km / LM_KM
