@@ -5,11 +5,9 @@ with typed error sentinels, and renders the radar chart as standalone SVG.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import linkmodel
 from .errors import (ChartError, CsvParseError, DivergenceSignal,
@@ -41,14 +39,6 @@ class LinkRecord:
 @dataclass
 class Sheet:
     records: list[LinkRecord]
-    source_digest: str = ""
-    generated_at: float = field(default=0.0, compare=False)
-
-
-def _digest(targets, progress_list, base_time) -> str:
-    text = repr([(t.name, t.distance_km, t.range_lm) for t in targets]) + \
-        repr(list(progress_list)) + str(base_time)
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def build_sheet(targets: list[Target], progress_list: list[float],
@@ -85,9 +75,7 @@ def build_sheet(targets: list[Target], progress_list: list[float],
                 nu_delta_omega_hz=nu,
                 nu_displaced_hz=nu_x,
             ))
-    return Sheet(records=records,
-                 source_digest=_digest(targets, progress_list, base_time),
-                 generated_at=time.time())
+    return Sheet(records=records)
 
 
 def _cell(value) -> str:

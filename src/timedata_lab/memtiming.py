@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import CapacityError, DivisionByZeroSignal, DomainError
 
@@ -25,33 +24,10 @@ class QubitState:
         return (abs(self.a) ** 2 + abs(self.b) ** 2) ** 0.5
 
 
-class Level(Enum):
-    LOW = 0
-    HIGH = 1
-
-
-@dataclass(frozen=True)
-class LogicSignal:
-    """Classical logic level with its signed voltage representation."""
-
-    level: Level
-    voltage: float
-
-    @property
-    def bit(self) -> int:
-        return self.level.value
-
-
-class ChargeSign(Enum):
-    ELECTRON = "electron"
-    HOLE = "hole"
-
-
 @dataclass(frozen=True)
 class Carrier:
     id: int
     arrival_time_s: float
-    charge_sign: ChargeSign = ChargeSign.ELECTRON
 
     def __post_init__(self):
         if self.arrival_time_s < 0:

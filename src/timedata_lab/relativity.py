@@ -81,8 +81,6 @@ def proper_time_delta_simultaneity(dt_s: float, v: Velocity) -> float:
 
 def stored_proper_time(t_dot_0: float) -> float:
     """Stored proper time |t_dot_0| * cos(pi/4)."""
-    # cos and sin coincide at pi/4; both branches give the same factor.
-    assert math.isclose(STORAGE_FACTOR, math.sin(math.pi / 4.0))
     return abs(t_dot_0) * STORAGE_FACTOR
 
 
