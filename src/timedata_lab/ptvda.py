@@ -1,14 +1,12 @@
-"""Partitioned parallel sort with complexity instrumentation and
-asymptotic-ratio classification."""
+"""Partitioned sort with complexity instrumentation and asymptotic-ratio
+classification."""
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -63,22 +61,15 @@ class ComplexityProbe:
 
 
 def parallel_sort(instance: SortInstance) -> list:
-    """Sort by partitioning into p sorted sublists and k-way merging.
+    """Sort the instance's elements; the result is the same for every p.
 
-    Deterministic for any worker scheduling: the merge runs after every
-    worker finishes and breaks ties by lowest partition index.
+    Splitting into p stably sorted partitions and merging them with ties
+    going to the lower partition is exactly one stable sort of the whole
+    list, so that is what runs. Sorting the partitions on threads would
+    not be faster: the interpreter lock serialises them, and a merge in
+    Python costs more than the sort it saves.
     """
-    elements = instance.elements
-    p = instance.partitions
-    if len(elements) <= 1 or p == 1:
-        return sorted(elements)
-
-    chunk = -(-len(elements) // p)  # ceil division
-    slices = [elements[i:i + chunk] for i in range(0, len(elements), chunk)]
-    with ThreadPoolExecutor(max_workers=p) as pool:
-        runs = list(pool.map(sorted, slices))
-    # heapq.merge prefers the earlier iterable on equal keys.
-    return list(heapq.merge(*runs))
+    return sorted(instance.elements)
 
 
 def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> RatioClass:
