@@ -129,7 +129,7 @@ def parse_csv(path) -> Sheet:
             raise CsvParseError(f"expected 8 columns, got {len(parts)}", i)
         try:
             stamp = Timestamp.parse(parts[3])
-        except (DomainError, ValueError):
+        except DomainError:
             raise CsvParseError(f"bad timestamp {parts[3]!r}", i) from None
         records.append(LinkRecord(
             target_name=parts[0],

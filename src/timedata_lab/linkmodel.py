@@ -39,10 +39,11 @@ class Timestamp:
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"expected HH:MM:SS, got {text!r}")
-        return cls(int(parts[0]), int(parts[1]), int(parts[2]))
+        try:
+            hours, minutes, seconds = map(int, text.split(":"))
+        except ValueError:
+            raise DomainError(f"expected HH:MM:SS, got {text!r}") from None
+        return cls(hours, minutes, seconds)
 
     def total_seconds(self) -> int:
         return self.hours * 3600 + self.minutes * 60 + self.seconds

@@ -93,6 +93,14 @@ class TestCsv:
             analysis.parse_csv(path)
         assert exc.value.line_number == 2
 
+    def test_bad_timestamp_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(analysis.CSV_HEADER +
+                        "\nSun,1,f,ab:cd:ef,1,60,0.1,0.1\n")
+        with pytest.raises(CsvParseError) as exc:
+            analysis.parse_csv(path)
+        assert exc.value.line_number == 2
+
     def test_unknown_sentinel(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(analysis.CSV_HEADER +

@@ -42,6 +42,12 @@ class TestTimestamp:
         assert (t.hours, t.minutes, t.seconds) == (13, 35, 0)
         assert str(t) == "13:35:00"
 
+    @pytest.mark.parametrize("text", ["ab:cd:ef", "13:35", "13:35:00:00", "",
+                                      "13:35:0.5"])
+    def test_parse_rejects_malformed(self, text):
+        with pytest.raises(DomainError, match="expected HH:MM:SS"):
+            Timestamp.parse(text)
+
     def test_field_ranges(self):
         with pytest.raises(DomainError):
             Timestamp(24, 0, 0)
