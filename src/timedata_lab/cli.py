@@ -1,4 +1,9 @@
-"""Command-line front end exposing every toolkit module as a subcommand."""
+"""Command-line front end exposing every toolkit module as a subcommand.
+
+The whole command line is declared in ``COMMANDS``: ``build_parser``
+turns it into the argparse tree and ``main`` calls the chosen leaf's
+runner.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +16,15 @@ from .errors import TimedataError
 from .linkmodel import Target, Timestamp
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part != ""]
+def _csv_of(convert):
+    """argparse type for a comma-separated list; empty items are skipped."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(part) for part in text.split(",") if part != ""]
+        except ValueError:
+            message = f"expected comma-separated {convert.__name__}s, got {text!r}"
+            raise argparse.ArgumentTypeError(message) from None
+    return parse
 
 
 def load_config(path: str) -> tuple[list[Target], Timestamp]:
@@ -41,142 +53,155 @@ def load_config(path: str) -> tuple[list[Target], Timestamp]:
     return targets, base_time
 
 
-def _cmd_link(args) -> int:
-    if args.action == "eps":
-        eps = linkmodel.epsilon_from_progress(args.progress, args.range)
-        print(f"{eps:.6f} Lm")
-    elif args.action == "shift":
-        stamp = linkmodel.shift_timestamp(
-            Timestamp.parse(args.time), args.epsilon)
-        print(stamp)
-    elif args.action == "fres":
-        nu = linkmodel.frequency_resolution(args.distance, args.progress)
-        print(f"{nu:.6g} Hz")
-    elif args.action == "fdisp":
-        nu = linkmodel.displaced_frequency_resolution(args.distance, args.progress)
-        print(f"{nu:.6g} Hz")
-    elif args.action == "unc":
-        ok = linkmodel.uncertainty_satisfied(args.domega, args.dt)
-        print("satisfied" if ok else "violated")
-    return 0
+def _vnum(a) -> str:
+    v = optics.v_number(optics.FiberSpec(a.radius, a.wavelength, a.n1, a.n2))
+    mode = "single-mode" if optics.is_single_mode(v) else "multi-mode"
+    return f"V = {v:.6g} ({mode})"
 
 
-def _cmd_optics(args) -> int:
-    if args.action == "vnum":
-        spec = optics.FiberSpec(args.radius, args.wavelength, args.n1, args.n2)
-        v = optics.v_number(spec)
-        mode = "single-mode" if optics.is_single_mode(v) else "multi-mode"
-        print(f"V = {v:.6g} ({mode})")
-    elif args.action == "snell":
-        theta2 = optics.snell_refracted_angle(args.theta1, args.n1, args.n2)
-        print(f"{theta2:.6g} rad")
-    elif args.action == "faraday":
-        zeta = optics.faraday_rotation(
-            optics.FaradayCell(args.verdet, args.bfield, args.path))
-        print(f"{zeta:.6g} rad")
-    elif args.action == "shell":
-        area, volume = optics.isolation_geometry(optics.IsolationShell(
-            args.thickness, args.length, args.mean_radius, args.circ_radius))
-        print(f"A = {area:.6g} m^2, V = {volume:.6g} m^3")
-    return 0
+def _sheetres(a) -> str:
+    g = memtiming.ElectrodeGeometry(a.length, a.width, a.resistivity, a.thickness)
+    return (f"R_s = {memtiming.sheet_resistance(g):.6g} Ohm/sq, "
+            f"R = {memtiming.resistance(g):.6g} Ohm")
 
 
-def _cmd_mem(args) -> int:
-    if args.action == "bitfreq":
-        nu = memtiming.bit_frequency(args.bits, args.qbits, args.time)
-        print(f"{nu:.6g} Hz")
-    elif args.action == "sheetres":
-        g = memtiming.ElectrodeGeometry(args.length, args.width,
-                                        args.resistivity, args.thickness)
-        print(f"R_s = {memtiming.sheet_resistance(g):.6g} Ohm/sq, "
-              f"R = {memtiming.resistance(g):.6g} Ohm")
-    elif args.action == "gm":
-        gm = memtiming.transconductance_baseline(args.di, args.dv)
-        print(f"{gm:.6g} S")
-    elif args.action == "eta":
-        eta = memtiming.quantum_efficiency(args.collected, args.storable)
-        print(f"{eta:.6g}")
-    elif args.action == "waterfall":
-        arrivals = _csv_floats(args.arrivals)
-        carriers = [memtiming.Carrier(i, t) for i, t in enumerate(arrivals)]
-        cells = memtiming.CellMap(
-            cells=[(addr, addr) for addr in range(len(carriers))])
-        alloc = memtiming.waterfall_allocate(carriers, cells)
-        for carrier_id in sorted(alloc):
-            print(f"carrier {carrier_id} -> cell {alloc[carrier_id]}")
-    return 0
+def _waterfall(a) -> str:
+    carriers = [memtiming.Carrier(i, t) for i, t in enumerate(a.arrivals)]
+    cells = memtiming.CellMap(
+        cells=[(addr, addr) for addr in range(len(carriers))])
+    alloc = memtiming.waterfall_allocate(carriers, cells)
+    return "\n".join(f"carrier {carrier_id} -> cell {alloc[carrier_id]}"
+                     for carrier_id in sorted(alloc))
 
 
-def _cmd_rel(args) -> int:
-    if args.action == "gamma":
-        print(f"{relativity.time_factor(relativity.Velocity(args.beta)):.6g}")
-    elif args.action == "tau":
-        print(f"{relativity.stored_proper_time(args.tdot):.6g}")
-    elif args.action == "proper":
-        dt = relativity.proper_time_delta_general(
-            args.dt, args.vx, args.vy, args.vz)
-        print(f"{dt:.6g} s")
-    elif args.action == "polar":
-        p = relativity.polar_from_cartesian(args.x, args.y)
-        print(f"r = {p.r:.6g}, phi = {p.phi:.6g} rad, "
-              f"J = {relativity.jacobian_polar(p):.6g}")
-    elif args.action == "charge":
-        ledger = relativity.ChargeLedger(args.q1, args.qin, args.qout)
-        print(f"{float(relativity.charge_balance(ledger)):.6g} C")
-    return 0
+def _polar(a) -> str:
+    p = relativity.polar_from_cartesian(a.x, a.y)
+    return (f"r = {p.r:.6g}, phi = {p.phi:.6g} rad, "
+            f"J = {relativity.jacobian_polar(p):.6g}")
 
 
-def _cmd_sort(args) -> int:
-    if args.action == "run":
-        values = _csv_floats(args.values)
-        out = ptvda.parallel_sort(ptvda.SortInstance(values, args.partitions))
-        print(",".join(f"{v:g}" for v in out))
-    elif args.action == "classify":
-        n = float("inf") if args.n == "inf" else float(args.n)
-        n_prime = float("inf") if args.nprime == "inf" else float(args.nprime)
-        print(ptvda.classify_ratio(n, n_prime, args.bound).value)
-    elif args.action == "probe":
-        sizes = [int(s) for s in args.sizes.split(",")]
-        probe = ptvda.scaling_probe(sizes, trials=args.trials, seed=args.seed)
-        for n in probe.sizes:
-            print(f"n = {n}: {probe.measured[n]:.6g} s")
-        if probe.loglog_slope is not None:
-            print(f"log-log slope: {probe.loglog_slope:.4f}")
-        for message in probe.warnings:
-            print(f"warning: {message}", file=sys.stderr)
-    return 0
+def _probe(a) -> str:
+    probe = ptvda.scaling_probe(a.sizes, trials=a.trials, seed=a.seed)
+    for message in probe.warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    lines = [f"n = {n}: {probe.measured[n]:.6g} s" for n in probe.sizes]
+    if probe.loglog_slope is not None:
+        lines.append(f"log-log slope: {probe.loglog_slope:.4f}")
+    return "\n".join(lines)
 
 
-def _cmd_geom(args) -> int:
-    if args.action == "slope":
-        p1 = geomlink.Point2(args.x1, args.y1)
-        p2 = geomlink.Point2(args.x2, args.y2)
-        print(f"slope = {geomlink.slope(p1, p2):.6g}, "
-              f"length = {geomlink.segment_length(p1, p2):.6g}")
-    elif args.action == "split":
-        value, is_fold = geomlink.time_split_check(args.t, args.tpar)
-        print(f"{value:.6g} ({'fold' if is_fold else 'no fold'})")
-    elif args.action == "kin":
-        motion = geomlink.PlanarMotion((args.dx, args.dy), args.t, args.tpar)
-        v, a, v_sync = geomlink.planar_kinematics(motion)
-        print(f"v = {v:.6g}, a = {a:.6g}, v_sync = {v_sync:.6g}")
-    return 0
+def _slope(a) -> str:
+    p1, p2 = geomlink.Point2(a.x1, a.y1), geomlink.Point2(a.x2, a.y2)
+    return (f"slope = {geomlink.slope(p1, p2):.6g}, "
+            f"length = {geomlink.segment_length(p1, p2):.6g}")
 
 
-def _cmd_sheet(args) -> int:
-    targets, base_time = load_config(args.config)
-    progress = _csv_floats(args.progress)
-    sheet = analysis.build_sheet(targets, progress, base_time)
-    analysis.emit_csv(sheet, args.out)
-    print(f"wrote {len(sheet.records)} records to {args.out}")
-    return 0
+def _split(a) -> str:
+    value, is_fold = geomlink.time_split_check(a.t, a.tpar)
+    return f"{value:.6g} ({'fold' if is_fold else 'no fold'})"
 
 
-def _cmd_chart(args) -> int:
-    sheet = analysis.parse_csv(args.infile)
-    analysis.render_radar_chart(sheet, args.out)
-    print(f"wrote radar chart to {args.out}")
-    return 0
+def _sheet(a) -> str:
+    targets, base_time = load_config(a.config)
+    sheet = analysis.build_sheet(targets, a.progress, base_time)
+    analysis.emit_csv(sheet, a.out)
+    return f"wrote {len(sheet.records)} records to {a.out}"
+
+
+def _chart(a) -> str:
+    analysis.render_radar_chart(analysis.parse_csv(getattr(a, "in")), a.out)
+    return f"wrote radar chart to {a.out}"
+
+
+_REQUIRED = ...
+
+
+def _floats(*names):
+    return [(name, float, _REQUIRED) for name in names]
+
+
+# command -> (help, {action -> (flags, runner)}); the action None puts the
+# flags on the command itself. A flag is (name, type, default) and a
+# _REQUIRED default makes it mandatory. A runner takes the parsed
+# arguments and returns the text to print. --time stays a string so that
+# the DomainError of Timestamp.parse reaches main instead of argparse.
+COMMANDS = {
+    "link": ("comlink time-data model", {
+        "eps": (_floats("progress", "range"), lambda a: (
+            f"{linkmodel.epsilon_from_progress(a.progress, a.range):.6f} Lm")),
+        "shift": ([("time", str, _REQUIRED)] + _floats("epsilon"), lambda a: str(
+            linkmodel.shift_timestamp(Timestamp.parse(a.time), a.epsilon))),
+        "fres": (_floats("distance", "progress"), lambda a: (
+            f"{linkmodel.frequency_resolution(a.distance, a.progress):.6g} Hz")),
+        "fdisp": (_floats("distance", "progress"), lambda a: "{:.6g} Hz".format(
+            linkmodel.displaced_frequency_resolution(a.distance, a.progress))),
+        "unc": (_floats("domega", "dt"), lambda a: (
+            "satisfied" if linkmodel.uncertainty_satisfied(a.domega, a.dt)
+            else "violated")),
+    }),
+    "optics": ("fiber and Faraday optics", {
+        "vnum": (_floats("radius", "wavelength", "n1", "n2"), _vnum),
+        "snell": (_floats("theta1", "n1", "n2"), lambda a: (
+            f"{optics.snell_refracted_angle(a.theta1, a.n1, a.n2):.6g} rad")),
+        "faraday": (_floats("verdet", "bfield", "path"), lambda a: "{:.6g} rad".format(
+            optics.faraday_rotation(
+                optics.FaradayCell(a.verdet, a.bfield, a.path)))),
+        "shell": (_floats("thickness", "length", "mean-radius", "circ-radius"),
+                  lambda a: "A = {:.6g} m^2, V = {:.6g} m^3".format(
+                      *optics.isolation_geometry(optics.IsolationShell(
+                          a.thickness, a.length, a.mean_radius, a.circ_radius)))),
+    }),
+    "mem": ("memory timing and electrical model", {
+        "bitfreq": (_floats("bits", "qbits", "time"), lambda a: (
+            f"{memtiming.bit_frequency(a.bits, a.qbits, a.time):.6g} Hz")),
+        "sheetres": (_floats("length", "width", "resistivity", "thickness"),
+                     _sheetres),
+        "gm": (_floats("di", "dv"), lambda a: (
+            f"{memtiming.transconductance_baseline(a.di, a.dv):.6g} S")),
+        "eta": ([("collected", int, _REQUIRED), ("storable", int, _REQUIRED)],
+                lambda a: "{:.6g}".format(
+                    memtiming.quantum_efficiency(a.collected, a.storable))),
+        "waterfall": ([("arrivals", _csv_of(float), _REQUIRED)], _waterfall),
+    }),
+    "rel": ("relativistic timing", {
+        "gamma": (_floats("beta"), lambda a: (
+            f"{relativity.time_factor(relativity.Velocity(a.beta)):.6g}")),
+        "tau": (_floats("tdot"), lambda a: (
+            f"{relativity.stored_proper_time(a.tdot):.6g}")),
+        "proper": (_floats("dt") + [(v, float, 0.0) for v in ("vx", "vy", "vz")],
+                   lambda a: "{:.6g} s".format(relativity.proper_time_delta_general(
+                       a.dt, a.vx, a.vy, a.vz))),
+        "polar": (_floats("x", "y"), _polar),
+        "charge": (_floats("q1") + [("qin", float, 0.0), ("qout", float, 0.0)],
+                   lambda a: "{:.6g} C".format(float(relativity.charge_balance(
+                       relativity.ChargeLedger(a.q1, a.qin, a.qout))))),
+    }),
+    "sort": ("partitioned parallel sort harness", {
+        "run": ([("values", _csv_of(float), _REQUIRED), ("partitions", int, 4)],
+                lambda a: ",".join(f"{v:g}" for v in ptvda.parallel_sort(
+                    ptvda.SortInstance(a.values, a.partitions)))),
+        "classify": (_floats("n", "nprime")
+                     + [("bound", float, ptvda.DEFAULT_RATIO_BOUND)],
+                     lambda a: ptvda.classify_ratio(a.n, a.nprime, a.bound).value),
+        "probe": ([("sizes", _csv_of(int), _REQUIRED), ("trials", int, 3),
+                   ("seed", int, None)], _probe),
+    }),
+    "geom": ("comlink plane geometry", {
+        "slope": (_floats("x1", "y1", "x2", "y2"), _slope),
+        "split": (_floats("t", "tpar"), _split),
+        "kin": (_floats("dx", "dy", "t", "tpar"),
+                lambda a: "v = {:.6g}, a = {:.6g}, v_sync = {:.6g}".format(
+                    *geomlink.planar_kinematics(
+                        geomlink.PlanarMotion((a.dx, a.dy), a.t, a.tpar)))),
+    }),
+    "sheet": ("build the link spreadsheet CSV", {
+        None: ([("config", str, _REQUIRED), ("progress", _csv_of(float), _REQUIRED),
+                ("out", str, _REQUIRED)], _sheet),
+    }),
+    "chart": ("render the radar chart SVG", {
+        None: ([("in", str, _REQUIRED), ("out", str, _REQUIRED)], _chart),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,132 +210,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Comlink latency, optics, memory-timing, relativity, "
                     "sorting and spreadsheet toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    link = sub.add_parser("link", help="comlink time-data model")
-    link_sub = link.add_subparsers(dest="action", required=True)
-    p = link_sub.add_parser("eps")
-    p.add_argument("--progress", type=float, required=True)
-    p.add_argument("--range", type=float, required=True)
-    p = link_sub.add_parser("shift")
-    p.add_argument("--time", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p = link_sub.add_parser("fres")
-    p.add_argument("--distance", type=float, required=True)
-    p.add_argument("--progress", type=float, required=True)
-    p = link_sub.add_parser("fdisp")
-    p.add_argument("--distance", type=float, required=True)
-    p.add_argument("--progress", type=float, required=True)
-    p = link_sub.add_parser("unc")
-    p.add_argument("--domega", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    link.set_defaults(func=_cmd_link)
-
-    opt = sub.add_parser("optics", help="fiber and Faraday optics")
-    opt_sub = opt.add_subparsers(dest="action", required=True)
-    p = opt_sub.add_parser("vnum")
-    p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--wavelength", type=float, required=True)
-    p.add_argument("--n1", type=float, required=True)
-    p.add_argument("--n2", type=float, required=True)
-    p = opt_sub.add_parser("snell")
-    p.add_argument("--theta1", type=float, required=True)
-    p.add_argument("--n1", type=float, required=True)
-    p.add_argument("--n2", type=float, required=True)
-    p = opt_sub.add_parser("faraday")
-    p.add_argument("--verdet", type=float, required=True)
-    p.add_argument("--bfield", type=float, required=True)
-    p.add_argument("--path", type=float, required=True)
-    p = opt_sub.add_parser("shell")
-    p.add_argument("--thickness", type=float, required=True)
-    p.add_argument("--length", type=float, required=True)
-    p.add_argument("--mean-radius", dest="mean_radius", type=float, required=True)
-    p.add_argument("--circ-radius", dest="circ_radius", type=float, required=True)
-    opt.set_defaults(func=_cmd_optics)
-
-    mem = sub.add_parser("mem", help="memory timing and electrical model")
-    mem_sub = mem.add_subparsers(dest="action", required=True)
-    p = mem_sub.add_parser("bitfreq")
-    p.add_argument("--bits", type=float, required=True)
-    p.add_argument("--qbits", type=float, required=True)
-    p.add_argument("--time", type=float, required=True)
-    p = mem_sub.add_parser("sheetres")
-    p.add_argument("--length", type=float, required=True)
-    p.add_argument("--width", type=float, required=True)
-    p.add_argument("--resistivity", type=float, required=True)
-    p.add_argument("--thickness", type=float, required=True)
-    p = mem_sub.add_parser("gm")
-    p.add_argument("--di", type=float, required=True)
-    p.add_argument("--dv", type=float, required=True)
-    p = mem_sub.add_parser("eta")
-    p.add_argument("--collected", type=int, required=True)
-    p.add_argument("--storable", type=int, required=True)
-    p = mem_sub.add_parser("waterfall")
-    p.add_argument("--arrivals", required=True,
-                   help="comma-separated arrival times")
-    mem.set_defaults(func=_cmd_mem)
-
-    rel = sub.add_parser("rel", help="relativistic timing")
-    rel_sub = rel.add_subparsers(dest="action", required=True)
-    p = rel_sub.add_parser("gamma")
-    p.add_argument("--beta", type=float, required=True)
-    p = rel_sub.add_parser("tau")
-    p.add_argument("--tdot", type=float, required=True)
-    p = rel_sub.add_parser("proper")
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--vx", type=float, default=0.0)
-    p.add_argument("--vy", type=float, default=0.0)
-    p.add_argument("--vz", type=float, default=0.0)
-    p = rel_sub.add_parser("polar")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p = rel_sub.add_parser("charge")
-    p.add_argument("--q1", type=float, required=True)
-    p.add_argument("--qin", type=float, default=0.0)
-    p.add_argument("--qout", type=float, default=0.0)
-    rel.set_defaults(func=_cmd_rel)
-
-    srt = sub.add_parser("sort", help="partitioned parallel sort harness")
-    srt_sub = srt.add_subparsers(dest="action", required=True)
-    p = srt_sub.add_parser("run")
-    p.add_argument("--values", required=True)
-    p.add_argument("--partitions", type=int, default=4)
-    p = srt_sub.add_parser("classify")
-    p.add_argument("--n", required=True, help="size or 'inf'")
-    p.add_argument("--nprime", required=True, help="size or 'inf'")
-    p.add_argument("--bound", type=float, default=ptvda.DEFAULT_RATIO_BOUND)
-    p = srt_sub.add_parser("probe")
-    p.add_argument("--sizes", required=True)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
-    srt.set_defaults(func=_cmd_sort)
-
-    geo = sub.add_parser("geom", help="comlink plane geometry")
-    geo_sub = geo.add_subparsers(dest="action", required=True)
-    p = geo_sub.add_parser("slope")
-    for flag in ("--x1", "--y1", "--x2", "--y2"):
-        p.add_argument(flag, type=float, required=True)
-    p = geo_sub.add_parser("split")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tpar", type=float, required=True)
-    p = geo_sub.add_parser("kin")
-    p.add_argument("--dx", type=float, required=True)
-    p.add_argument("--dy", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--tpar", type=float, required=True)
-    geo.set_defaults(func=_cmd_geom)
-
-    sheet = sub.add_parser("sheet", help="build the link spreadsheet CSV")
-    sheet.add_argument("--config", required=True)
-    sheet.add_argument("--progress", required=True,
-                       help="comma-separated progress percentages")
-    sheet.add_argument("--out", required=True)
-    sheet.set_defaults(func=_cmd_sheet)
-
-    chart = sub.add_parser("chart", help="render the radar chart SVG")
-    chart.add_argument("--in", dest="infile", required=True)
-    chart.add_argument("--out", required=True)
-    chart.set_defaults(func=_cmd_chart)
-
+    for command, (help_text, actions) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        if None in actions:
+            leaves = [(command_parser, actions[None])]
+        else:
+            action_sub = command_parser.add_subparsers(dest="action", required=True)
+            leaves = [(action_sub.add_parser(action), spec)
+                      for action, spec in actions.items()]
+        for leaf, (flags, runner) in leaves:
+            for name, type_, default in flags:
+                leaf.add_argument("--" + name, type=type_, default=default,
+                                  required=default is _REQUIRED)
+            leaf.set_defaults(run=runner)
     return parser
 
 
@@ -321,13 +233,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        text = args.run(args)
     except TimedataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
+    if text:
+        print(text)
+    return 0
 
 
 if __name__ == "__main__":

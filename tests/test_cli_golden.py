@@ -72,6 +72,11 @@ USAGE_ERRORS = [
     ["frobnicate"],
     ["link"],
     ["rel", "gamma", "--beta", "abc"],
+    ["sort", "run", "--values", "1,x"],
+    ["sort", "classify", "--n", "abc", "--nprime", "1"],
+    ["sort", "probe", "--sizes", "1000,x"],
+    ["mem", "waterfall", "--arrivals", "1,x"],
+    ["sheet", "--config", "targets.ini", "--progress", "16,x", "--out", "t.csv"],
 ]
 
 # (argv, stderr) of typed errors: exit 1, nothing on stdout.
@@ -82,6 +87,8 @@ TYPED_ERRORS = [
     (["sort", "classify", "--n", "inf", "--nprime", "inf"],
      "error: both sizes infinite: ratio ambiguous\n"),
     (["sort", "probe", "--sizes", "2,3"], "error: more partitions than elements\n"),
+    (["link", "shift", "--time", "ab:cd:ef", "--epsilon", "1"],
+     "error: expected HH:MM:SS, got 'ab:cd:ef'\n"),
 ]
 
 SUN_MOON_INI = """\
