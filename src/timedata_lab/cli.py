@@ -117,6 +117,7 @@ _REQUIRED = ...
 
 
 def _floats(*names):
+    """Required float flags with the given names."""
     return [(name, float, _REQUIRED) for name in names]
 
 
