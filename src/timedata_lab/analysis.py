@@ -5,6 +5,7 @@ with typed error sentinels, and renders the radar chart as standalone SVG.
 from __future__ import annotations
 
 import csv
+import html
 import math
 import warnings
 from dataclasses import dataclass
@@ -131,13 +132,17 @@ def parse_csv(path) -> Sheet:
             stamp = Timestamp.parse(parts[3])
         except DomainError:
             raise CsvParseError(f"bad timestamp {parts[3]!r}", i) from None
+        try:
+            progress, eps, delta_t = float(parts[1]), float(parts[4]), float(parts[5])
+        except ValueError as exc:  # its message quotes the bad cell
+            raise CsvParseError(str(exc), i) from None
         records.append(LinkRecord(
             target_name=parts[0],
-            progress_pct=float(parts[1]),
+            progress_pct=progress,
             f_xy_label=parts[2],
             t_stamp=stamp,
-            epsilon_lm=float(parts[4]),
-            delta_t_s=float(parts[5]),
+            epsilon_lm=eps,
+            delta_t_s=delta_t,
             nu_delta_omega_hz=_parse_cell(parts[6], i),
             nu_displaced_hz=_parse_cell(parts[7], i),
         ))
@@ -205,7 +210,7 @@ def render_radar_chart(sheet: Sheet, path) -> None:
         lx, ly = spoke_xy(i, 1.08)
         parts.append(
             f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="11" '
-            f'text-anchor="middle">{record.target_name} '
+            f'text-anchor="middle">{html.escape(record.target_name, quote=False)} '
             f'{_cell(record.progress_pct)}%</text>')
 
     legend_y = 20

@@ -9,11 +9,22 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 
 from . import analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity
 from .errors import TimedataError
 from .linkmodel import Target, Timestamp
+
+
+def _finite(text: str) -> float:
+    """argparse type for a float that is neither nan nor infinite."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
+_finite.__name__ = "finite float"  # argparse names the type in its messages
 
 
 def _csv_of(convert):
@@ -34,18 +45,22 @@ def load_config(path: str) -> tuple[list[Target], Timestamp]:
     an optional [defaults] section with base_time (HH:MM:SS).
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:  # joined: its message spans lines
+        raise TimedataError(" ".join(str(exc).split())) from None
     if not read:
         raise TimedataError(f"cannot read config file {path!r}")
-    targets = []
-    for section in cp.sections():
-        if section.startswith("target."):
-            name = section[len("target."):]
-            targets.append(Target(
-                name=name,
-                distance_km=cp.getfloat(section, "distance_km"),
-                range_lm=cp.getfloat(section, "range_lm"),
-            ))
+
+    def number(section, key):
+        try:
+            return _finite(cp.get(section, key))
+        except (ValueError, configparser.Error) as exc:  # bad or missing value
+            raise TimedataError(f"[{section}] {key} in {path!r}: {exc}") from None
+
+    targets = [Target(section[len("target."):], number(section, "distance_km"),
+                      number(section, "range_lm"))
+               for section in cp.sections() if section.startswith("target.")]
     if not targets:
         raise TimedataError(f"no [target.<name>] sections in {path!r}")
     base_time = Timestamp.parse(
@@ -117,15 +132,16 @@ _REQUIRED = ...
 
 
 def _floats(*names):
-    """Required float flags with the given names."""
-    return [(name, float, _REQUIRED) for name in names]
+    """Required finite float flags with the given names."""
+    return [(name, _finite, _REQUIRED) for name in names]
 
 
 # command -> (help, {action -> (flags, runner)}); the action None puts the
 # flags on the command itself. A flag is (name, type, default) and a
 # _REQUIRED default makes it mandatory. A runner takes the parsed
 # arguments and returns the text to print. --time stays a string so that
-# the DomainError of Timestamp.parse reaches main instead of argparse.
+# the DomainError of Timestamp.parse reaches main instead of argparse, and
+# sort classify takes plain floats because inf is its infinity marker.
 COMMANDS = {
     "link": ("comlink time-data model", {
         "eps": (_floats("progress", "range"), lambda a: (
@@ -162,27 +178,27 @@ COMMANDS = {
         "eta": ([("collected", int, _REQUIRED), ("storable", int, _REQUIRED)],
                 lambda a: "{:.6g}".format(
                     memtiming.quantum_efficiency(a.collected, a.storable))),
-        "waterfall": ([("arrivals", _csv_of(float), _REQUIRED)], _waterfall),
+        "waterfall": ([("arrivals", _csv_of(_finite), _REQUIRED)], _waterfall),
     }),
     "rel": ("relativistic timing", {
         "gamma": (_floats("beta"), lambda a: (
             f"{relativity.time_factor(relativity.Velocity(a.beta)):.6g}")),
         "tau": (_floats("tdot"), lambda a: (
             f"{relativity.stored_proper_time(a.tdot):.6g}")),
-        "proper": (_floats("dt") + [(v, float, 0.0) for v in ("vx", "vy", "vz")],
+        "proper": (_floats("dt") + [(v, _finite, 0.0) for v in ("vx", "vy", "vz")],
                    lambda a: "{:.6g} s".format(relativity.proper_time_delta_general(
                        a.dt, a.vx, a.vy, a.vz))),
         "polar": (_floats("x", "y"), _polar),
-        "charge": (_floats("q1") + [("qin", float, 0.0), ("qout", float, 0.0)],
+        "charge": (_floats("q1") + [("qin", _finite, 0.0), ("qout", _finite, 0.0)],
                    lambda a: "{:.6g} C".format(float(relativity.charge_balance(
                        relativity.ChargeLedger(a.q1, a.qin, a.qout))))),
     }),
     "sort": ("partitioned parallel sort harness", {
-        "run": ([("values", _csv_of(float), _REQUIRED), ("partitions", int, 4)],
+        "run": ([("values", _csv_of(_finite), _REQUIRED), ("partitions", int, 4)],
                 lambda a: ",".join(f"{v:g}" for v in ptvda.parallel_sort(
                     ptvda.SortInstance(a.values, a.partitions)))),
-        "classify": (_floats("n", "nprime")
-                     + [("bound", float, ptvda.DEFAULT_RATIO_BOUND)],
+        "classify": ([("n", float, _REQUIRED), ("nprime", float, _REQUIRED),
+                      ("bound", float, ptvda.DEFAULT_RATIO_BOUND)],
                      lambda a: ptvda.classify_ratio(a.n, a.nprime, a.bound).value),
         "probe": ([("sizes", _csv_of(int), _REQUIRED), ("trials", int, 3),
                    ("seed", int, None)], _probe),
@@ -196,7 +212,7 @@ COMMANDS = {
                         geomlink.PlanarMotion((a.dx, a.dy), a.t, a.tpar)))),
     }),
     "sheet": ("build the link spreadsheet CSV", {
-        None: ([("config", str, _REQUIRED), ("progress", _csv_of(float), _REQUIRED),
+        None: ([("config", str, _REQUIRED), ("progress", _csv_of(_finite), _REQUIRED),
                 ("out", str, _REQUIRED)], _sheet),
     }),
     "chart": ("render the radar chart SVG", {

@@ -68,10 +68,14 @@ class AmplitudeOverlap:
             raise DomainError(f"overlap modulus squared {m2} exceeds 1")
 
 
-def epsilon_from_progress(progress_pct: float, range_lm: float) -> float:
-    """Light-minutes already covered at a given progress percentage."""
+def _check_progress(progress_pct: float) -> None:
     if not 0.0 <= progress_pct <= 100.0:
         raise DomainError(f"progress must be in [0, 100], got {progress_pct}")
+
+
+def epsilon_from_progress(progress_pct: float, range_lm: float) -> float:
+    """Light-minutes already covered at a given progress percentage."""
+    _check_progress(progress_pct)
     if range_lm <= 0:
         raise DomainError("range must be positive")
     return (progress_pct / 100.0) * range_lm
@@ -96,8 +100,7 @@ def frequency_resolution(distance_km: float, progress_pct: float) -> float:
     """Effective frequency c / (distance * progress fraction), in Hz."""
     if distance_km <= 0:
         raise DomainError("distance must be positive")
-    if progress_pct < 0:
-        raise DomainError("progress must be nonnegative")
+    _check_progress(progress_pct)
     if progress_pct == 0:
         raise DivisionByZeroSignal("frequency resolution undefined at 0% progress")
     return C_KM_PER_S / (distance_km * progress_pct / 100.0)
@@ -111,8 +114,7 @@ def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> f
     """
     if distance_km <= 0:
         raise DomainError("distance must be positive")
-    if not 0.0 <= progress_pct <= 100.0:
-        raise DomainError(f"progress must be in [0, 100], got {progress_pct}")
+    _check_progress(progress_pct)
     if progress_pct == 100.0:
         raise DivergenceSignal("displaced resolution diverges at 100% progress")
     return C_KM_PER_S / (distance_km * (1.0 - progress_pct / 100.0))

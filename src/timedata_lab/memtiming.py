@@ -40,17 +40,18 @@ class CellMap:
 
     cells: list[tuple[int, int]]  # (address, distance_rank)
     occupancy: dict[int, int] = field(default_factory=dict)
+    _address_by_rank: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ranks = sorted(rank for _, rank in self.cells)
-        if ranks != list(range(len(self.cells))):
+        self._address_by_rank = {rank: address for address, rank in self.cells}
+        if sorted(self._address_by_rank) != list(range(len(self.cells))):
             raise DomainError("distance ranks must be a permutation 0..N-1")
 
     def address_at_rank(self, rank: int) -> int:
-        for address, r in self.cells:
-            if r == rank:
-                return address
-        raise DomainError(f"no cell with distance rank {rank}")
+        try:
+            return self._address_by_rank[rank]
+        except KeyError:
+            raise DomainError(f"no cell with distance rank {rank}") from None
 
 
 @dataclass(frozen=True)

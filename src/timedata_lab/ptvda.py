@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 import time
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -126,15 +124,13 @@ def scaling_probe(sizes: list[int], trials: int = 3, partitions: int = 4,
 
     if any(t < MIN_TIMABLE_S for t in probe.measured.values()):
         probe.warnings.append("timing below clock resolution; fit skipped")
-        warnings.warn(probe.warnings[-1], stacklevel=2)
         return probe
 
-    ns = np.array(sizes, dtype=float)
-    ts = np.array([probe.measured[n] for n in sizes])
-    design = np.column_stack([ns * np.log(ns), np.ones_like(ns)])
-    coeffs, *_ = np.linalg.lstsq(design, ts, rcond=None)
-    probe.fit_a, probe.fit_b = float(coeffs[0]), float(coeffs[1])
-    probe.fit_residual = float(np.sqrt(np.mean((design @ coeffs - ts) ** 2)))
-    slope, _ = np.polyfit(np.log(ns), np.log(ts), 1)
-    probe.loglog_slope = float(slope)
+    xs = [n * math.log(n) for n in sizes]
+    ts = [probe.measured[n] for n in sizes]
+    probe.fit_a, probe.fit_b = statistics.linear_regression(xs, ts)
+    probe.fit_residual = math.sqrt(statistics.fmean(
+        (probe.fit_a * x + probe.fit_b - t) ** 2 for x, t in zip(xs, ts)))
+    probe.loglog_slope = statistics.linear_regression(
+        [math.log(n) for n in sizes], [math.log(t) for t in ts]).slope
     return probe

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import pytest
 
-from timedata_lab import analysis
+import timedata_lab
+from timedata_lab import analysis, ptvda
 from timedata_lab.cli import load_config, main
 
 SUN_INI = """\
@@ -110,3 +117,25 @@ def test_sheet_and_chart_end_to_end(sun_config, tmp_path, capsys):
     svg_path = tmp_path / "t31.svg"
     assert main(["chart", "--in", str(csv_path), "--out", str(svg_path)]) == 0
     assert svg_path.read_text().startswith("<?xml")
+
+
+def test_sort_probe_warns_once(capsys, monkeypatch):
+    monkeypatch.setattr(ptvda.time, "perf_counter", lambda: 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a Python warning would be a second copy
+        assert main(["sort", "probe", "--sizes", "1000,2000"]) == 0
+    out, err = capsys.readouterr()
+    assert err.count("timing below clock resolution; fit skipped") == 1
+    assert "log-log slope" not in out
+
+
+def test_sort_probe_runs_without_numpy():
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from timedata_lab.cli import main\n"
+            "sys.exit(main(['sort', 'probe', '--sizes', '1000,10000', '--seed', '0']))")
+    src = str(Path(timedata_lab.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n = 1000: ")

@@ -7,9 +7,11 @@ prints wall-clock timings; only its exit code and line shapes are pinned.
 
 import hashlib
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
+from timedata_lab.analysis import CSV_HEADER
 from timedata_lab.cli import main
 
 # (argv, stdout) of commands that exit 0.
@@ -77,6 +79,11 @@ USAGE_ERRORS = [
     ["sort", "probe", "--sizes", "1000,x"],
     ["mem", "waterfall", "--arrivals", "1,x"],
     ["sheet", "--config", "targets.ini", "--progress", "16,x", "--out", "t.csv"],
+    ["link", "shift", "--time", "13:35:00", "--epsilon", "nan"],
+    ["rel", "proper", "--dt", "1", "--vx", "nan"],
+    ["optics", "faraday", "--verdet", "nan", "--bfield", "1", "--path", "1"],
+    ["link", "fres", "--distance", "inf", "--progress", "16"],
+    ["sort", "run", "--values", "1,nan"],
 ]
 
 # (argv, stderr) of typed errors: exit 1, nothing on stdout.
@@ -89,6 +96,8 @@ TYPED_ERRORS = [
     (["sort", "probe", "--sizes", "2,3"], "error: more partitions than elements\n"),
     (["link", "shift", "--time", "ab:cd:ef", "--epsilon", "1"],
      "error: expected HH:MM:SS, got 'ab:cd:ef'\n"),
+    (["link", "fres", "--distance", "1.46e8", "--progress", "150"],
+     "error: progress must be in [0, 100], got 150.0\n"),
 ]
 
 SUN_MOON_INI = """\
@@ -174,3 +183,60 @@ def test_sheet_and_chart_typed_errors(capsys, tmp_path):
     assert _run(capsys, ["chart", "--in", str(csv_path),
                          "--out", str(tmp_path / "small.svg")]) == (
         1, "", "error: radar chart needs >= 3 records, got 2\n")
+
+
+# (config text, stderr with {path} for the config's path) of configs that
+# `sheet` rejects.
+BAD_CONFIGS = [
+    ("[target.Sun]\ndistance_km = abc\nrange_lm = 8.3\n",
+     "error: [target.Sun] distance_km in {path!r}: "
+     "could not convert string to float: 'abc'\n"),
+    ("[target.Sun]\ndistance_km = 1.46e8\n",
+     "error: [target.Sun] range_lm in {path!r}: "
+     "No option 'range_lm' in section: 'target.Sun'\n"),
+    ("distance_km = 1.46e8\n",
+     "error: File contains no section headers. file: {path!r}, line: 1 "
+     "'distance_km = 1.46e8\\n'\n"),
+]
+
+
+@pytest.mark.parametrize("text,stderr", BAD_CONFIGS,
+                         ids=["bad number", "missing key", "no section"])
+def test_bad_config_transcript(capsys, tmp_path, text, stderr):
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    csv_path = tmp_path / "t.csv"
+    assert _run(capsys, ["sheet", "--config", str(config), "--progress", "16",
+                         "--out", str(csv_path)]) == (
+        1, "", stderr.format(path=str(config)))
+    assert not csv_path.exists()
+
+
+GOOD_ROW = ["Sun", "16", '"f(x,y)|Sun"', "13:33:40", "1.328", "80", "0.0128425",
+            "0.00244618"]
+
+
+# (column, cell) of non-numeric cells in the plain numeric columns.
+@pytest.mark.parametrize("column,cell", [(1, "abc"), (4, "#Div/0!"), (5, "")],
+                         ids=["progress_pct", "epsilon_lm", "delta_t_s"])
+def test_bad_csv_cell_transcript(capsys, tmp_path, column, cell):
+    bad_row = GOOD_ROW[:column] + [cell] + GOOD_ROW[column + 1:]
+    csv_path, svg_path = tmp_path / "bad.csv", tmp_path / "bad.svg"
+    csv_path.write_text("\n".join([CSV_HEADER] + [",".join(GOOD_ROW)] * 2
+                                  + [",".join(bad_row)]) + "\n")
+    assert _run(capsys, ["chart", "--in", str(csv_path), "--out", str(svg_path)]) == (
+        1, "", f"error: line 4: could not convert string to float: {cell!r}\n")
+    assert not svg_path.exists()
+
+
+def test_chart_escapes_target_names(capsys, tmp_path):
+    config = tmp_path / "targets.ini"
+    config.write_text("[target.A<&B]\ndistance_km = 1e8\nrange_lm = 1\n")
+    csv_path, svg_path = tmp_path / "t.csv", tmp_path / "t.svg"
+    assert _run(capsys, ["sheet", "--config", str(config), "--progress", "8,16,24",
+                         "--out", str(csv_path)])[0] == 0
+    assert _run(capsys, ["chart", "--in", str(csv_path), "--out", str(svg_path)]) == (
+        0, f"wrote radar chart to {svg_path}\n", "")
+    labels = [e.text for e in ET.parse(svg_path).getroot()
+              if e.tag == "{http://www.w3.org/2000/svg}text"]
+    assert labels[:3] == ["A<&B 8%", "A<&B 16%", "A<&B 24%"]

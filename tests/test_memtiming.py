@@ -234,3 +234,12 @@ class TestWaterfall:
     def test_rank_permutation_invariant(self):
         with pytest.raises(DomainError):
             CellMap(cells=[(0, 0), (1, 0)])
+
+    def test_address_at_rank_matches_cells(self):
+        cells = make_cells(50, shuffle_seed=4)
+        for address, rank in cells.cells:
+            assert cells.address_at_rank(rank) == address
+        with pytest.raises(DomainError, match="no cell with distance rank 50"):
+            cells.address_at_rank(50)
+        assert cells == make_cells(50, shuffle_seed=4)
+        assert "_address_by_rank" not in repr(cells)

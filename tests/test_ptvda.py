@@ -80,6 +80,27 @@ class TestScalingProbe:
         assert probe.fit_a is not None
         assert probe.fit_residual >= 0.0
 
+    def test_fit_recovers_exact_model(self, monkeypatch):
+        # Each timed sort takes exactly a*n*ln(n) + b on a fake clock.
+        a, b, sizes, trials = 2e-8, 1e-4, [100, 1000, 10000], 3
+        model = {n: a * n * math.log(n) + b for n in sizes}
+        ticks = iter([tick for n in sizes for _ in range(trials)
+                      for tick in (0.0, model[n])])
+        monkeypatch.setattr(ptvda.time, "perf_counter", lambda: next(ticks))
+        probe = ptvda.scaling_probe(sizes, trials=trials, seed=0)
+        assert probe.measured == model
+        assert probe.fit_a == pytest.approx(a, rel=1e-9)
+        assert probe.fit_b == pytest.approx(b, rel=1e-9)
+        assert probe.fit_residual == pytest.approx(0.0, abs=1e-12)
+        # Least-squares slope of ln t on ln n, in closed form.
+        xs = [math.log(n) for n in sizes]
+        ys = [math.log(model[n]) for n in sizes]
+        x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = (sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+                 / sum((x - x_bar) ** 2 for x in xs))
+        assert probe.loglog_slope == pytest.approx(slope, rel=1e-9)
+        assert probe.warnings == []
+
     def test_single_size_rejected(self):
         with pytest.raises(DomainError):
             ptvda.scaling_probe([1000], trials=3)
