@@ -25,6 +25,17 @@ CSV_HEADER = "target,progress_pct,f_xy,t,epsilon_lm,delta_t_s,nu_dw_hz,nu_dw_x_h
 _FMT = "{:.6g}"
 
 
+def finite_float(text: str) -> float:
+    """The one parser of numbers read from outside (CLI flags, config
+    values, CSV cells): a float that is neither nan nor infinite."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
+finite_float.__name__ = "finite float"  # argparse names the type in its messages
+
+
 @dataclass(frozen=True)
 class LinkRecord:
     target_name: str
@@ -107,17 +118,6 @@ def emit_csv(sheet: Sheet, path) -> None:
             ])
 
 
-def _parse_cell(text: str, line_number: int) -> float | str:
-    if text in _SENTINELS:
-        return text
-    if text.startswith("#"):
-        raise CsvParseError(f"unknown sentinel {text!r}", line_number)
-    try:
-        return float(text)
-    except ValueError:
-        raise CsvParseError(f"bad numeric cell {text!r}", line_number) from None
-
-
 def parse_csv(path) -> Sheet:
     """Inverse of emit_csv, up to 6-significant-digit rounding."""
     with open(path, encoding="utf-8", newline="") as fh:
@@ -128,24 +128,20 @@ def parse_csv(path) -> Sheet:
     for i, parts in enumerate(rows[1:], start=2):
         if len(parts) != 8:
             raise CsvParseError(f"expected 8 columns, got {len(parts)}", i)
+        name, progress, label, stamp, eps, delta_t, nu, nu_x = parts
         try:
-            stamp = Timestamp.parse(parts[3])
-        except DomainError:
-            raise CsvParseError(f"bad timestamp {parts[3]!r}", i) from None
-        try:
-            progress, eps, delta_t = float(parts[1]), float(parts[4]), float(parts[5])
-        except ValueError as exc:  # its message quotes the bad cell
+            records.append(LinkRecord(
+                target_name=name,
+                progress_pct=finite_float(progress),
+                f_xy_label=label,
+                t_stamp=Timestamp.parse(stamp),
+                epsilon_lm=finite_float(eps),
+                delta_t_s=finite_float(delta_t),
+                nu_delta_omega_hz=nu if nu in _SENTINELS else finite_float(nu),
+                nu_displaced_hz=nu_x if nu_x in _SENTINELS else finite_float(nu_x),
+            ))
+        except (ValueError, DomainError) as exc:  # their messages quote the cell
             raise CsvParseError(str(exc), i) from None
-        records.append(LinkRecord(
-            target_name=parts[0],
-            progress_pct=progress,
-            f_xy_label=parts[2],
-            t_stamp=stamp,
-            epsilon_lm=eps,
-            delta_t_s=delta_t,
-            nu_delta_omega_hz=_parse_cell(parts[6], i),
-            nu_displaced_hz=_parse_cell(parts[7], i),
-        ))
     return Sheet(records=records)
 
 

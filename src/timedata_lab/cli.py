@@ -9,22 +9,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import sys
 
 from . import analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity
+from .analysis import finite_float
 from .errors import TimedataError
 from .linkmodel import Target, Timestamp
-
-
-def _finite(text: str) -> float:
-    """argparse type for a float that is neither nan nor infinite."""
-    if not math.isfinite(value := float(text)):
-        raise ValueError(f"not finite: {text!r}")
-    return value
-
-
-_finite.__name__ = "finite float"  # argparse names the type in its messages
 
 
 def _csv_of(convert):
@@ -46,7 +36,7 @@ def load_config(path: str) -> tuple[list[Target], Timestamp]:
     """
     cp = configparser.ConfigParser()
     try:
-        read = cp.read(path)
+        read = cp.read(path, encoding="utf-8")
     except configparser.Error as exc:  # joined: its message spans lines
         raise TimedataError(" ".join(str(exc).split())) from None
     if not read:
@@ -54,7 +44,7 @@ def load_config(path: str) -> tuple[list[Target], Timestamp]:
 
     def number(section, key):
         try:
-            return _finite(cp.get(section, key))
+            return finite_float(cp.get(section, key))
         except (ValueError, configparser.Error) as exc:  # bad or missing value
             raise TimedataError(f"[{section}] {key} in {path!r}: {exc}") from None
 
@@ -133,7 +123,7 @@ _REQUIRED = ...
 
 def _floats(*names):
     """Required finite float flags with the given names."""
-    return [(name, _finite, _REQUIRED) for name in names]
+    return [(name, finite_float, _REQUIRED) for name in names]
 
 
 # command -> (help, {action -> (flags, runner)}); the action None puts the
@@ -178,23 +168,23 @@ COMMANDS = {
         "eta": ([("collected", int, _REQUIRED), ("storable", int, _REQUIRED)],
                 lambda a: "{:.6g}".format(
                     memtiming.quantum_efficiency(a.collected, a.storable))),
-        "waterfall": ([("arrivals", _csv_of(_finite), _REQUIRED)], _waterfall),
+        "waterfall": ([("arrivals", _csv_of(finite_float), _REQUIRED)], _waterfall),
     }),
     "rel": ("relativistic timing", {
         "gamma": (_floats("beta"), lambda a: (
             f"{relativity.time_factor(relativity.Velocity(a.beta)):.6g}")),
         "tau": (_floats("tdot"), lambda a: (
             f"{relativity.stored_proper_time(a.tdot):.6g}")),
-        "proper": (_floats("dt") + [(v, _finite, 0.0) for v in ("vx", "vy", "vz")],
+        "proper": (_floats("dt") + [(v, finite_float, 0.0) for v in ("vx", "vy", "vz")],
                    lambda a: "{:.6g} s".format(relativity.proper_time_delta_general(
                        a.dt, a.vx, a.vy, a.vz))),
         "polar": (_floats("x", "y"), _polar),
-        "charge": (_floats("q1") + [("qin", _finite, 0.0), ("qout", _finite, 0.0)],
+        "charge": (_floats("q1") + [(q, finite_float, 0.0) for q in ("qin", "qout")],
                    lambda a: "{:.6g} C".format(float(relativity.charge_balance(
                        relativity.ChargeLedger(a.q1, a.qin, a.qout))))),
     }),
     "sort": ("partitioned parallel sort harness", {
-        "run": ([("values", _csv_of(_finite), _REQUIRED), ("partitions", int, 4)],
+        "run": ([("values", _csv_of(finite_float), _REQUIRED), ("partitions", int, 4)],
                 lambda a: ",".join(f"{v:g}" for v in ptvda.parallel_sort(
                     ptvda.SortInstance(a.values, a.partitions)))),
         "classify": ([("n", float, _REQUIRED), ("nprime", float, _REQUIRED),
@@ -212,7 +202,8 @@ COMMANDS = {
                         geomlink.PlanarMotion((a.dx, a.dy), a.t, a.tpar)))),
     }),
     "sheet": ("build the link spreadsheet CSV", {
-        None: ([("config", str, _REQUIRED), ("progress", _csv_of(_finite), _REQUIRED),
+        None: ([("config", str, _REQUIRED),
+                ("progress", _csv_of(finite_float), _REQUIRED),
                 ("out", str, _REQUIRED)], _sheet),
     }),
     "chart": ("render the radar chart SVG", {
@@ -254,7 +245,7 @@ def main(argv=None) -> int:
     except TimedataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
     if text:

@@ -89,21 +89,34 @@ def shift_timestamp(local: Timestamp, epsilon_lm: float) -> Timestamp:
     """
     if epsilon_lm < 0:
         raise DomainError("epsilon must be nonnegative")
-    shift_s = round(epsilon_lm * 60.0)
-    total = local.total_seconds() - shift_s
-    if total < 0:
+    # More than a day (1440 Lm) always rolls back, and round() overflows on inf.
+    if (epsilon_lm > 1440.0
+            or (total := local.total_seconds() - round(epsilon_lm * 60.0)) < 0):
         raise DomainError("timestamp shift rolls back past midnight")
     return Timestamp(total // 3600, (total % 3600) // 60, total % 60)
 
 
-def frequency_resolution(distance_km: float, progress_pct: float) -> float:
-    """Effective frequency c / (distance * progress fraction), in Hz."""
+def _check_link(distance_km: float, progress_pct: float) -> None:
     if distance_km <= 0:
         raise DomainError("distance must be positive")
     _check_progress(progress_pct)
+
+
+def _resolution(denominator_km: float) -> float:
+    """c / denominator in Hz; a denominator that underflowed to 0, or one
+    so small that the quotient overflows, is out of the domain."""
+    if denominator_km == 0 or math.isinf(hz := C_KM_PER_S / denominator_km):
+        raise DomainError(
+            f"frequency resolution overflows: c / {denominator_km:.6g} km")
+    return hz
+
+
+def frequency_resolution(distance_km: float, progress_pct: float) -> float:
+    """Effective frequency c / (distance * progress fraction), in Hz."""
+    _check_link(distance_km, progress_pct)
     if progress_pct == 0:
         raise DivisionByZeroSignal("frequency resolution undefined at 0% progress")
-    return C_KM_PER_S / (distance_km * progress_pct / 100.0)
+    return _resolution(distance_km * progress_pct / 100.0)
 
 
 def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> float:
@@ -112,12 +125,10 @@ def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> f
     Strictly increasing in progress; progress = 100 is a declared
     divergent limit, not a plain division error.
     """
-    if distance_km <= 0:
-        raise DomainError("distance must be positive")
-    _check_progress(progress_pct)
+    _check_link(distance_km, progress_pct)
     if progress_pct == 100.0:
         raise DivergenceSignal("displaced resolution diverges at 100% progress")
-    return C_KM_PER_S / (distance_km * (1.0 - progress_pct / 100.0))
+    return _resolution(distance_km * (1.0 - progress_pct / 100.0))
 
 
 def uncertainty_satisfied(delta_omega: float, delta_t: float) -> bool:

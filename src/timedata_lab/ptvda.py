@@ -99,7 +99,7 @@ def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> RatioCla
     return RatioClass.UNIT
 
 
-def scaling_probe(sizes: list[int], trials: int = 3, partitions: int = 4,
+def scaling_probe(sizes: list[int], trials: int = 3,
                   seed: int | None = None) -> ComplexityProbe:
     """Time parallel_sort on random instances and fit the growth model.
 
@@ -118,7 +118,7 @@ def scaling_probe(sizes: list[int], trials: int = 3, partitions: int = 4,
         for _ in range(trials):
             data = [rng.random() for _ in range(n)]
             start = time.perf_counter()
-            parallel_sort(SortInstance(data, partitions))
+            parallel_sort(SortInstance(data))
             best = min(best, time.perf_counter() - start)
         probe.measured[n] = best
 

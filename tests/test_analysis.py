@@ -101,6 +101,17 @@ class TestCsv:
             analysis.parse_csv(path)
         assert exc.value.line_number == 2
 
+    @pytest.mark.parametrize("row", ["Sun,1,f,13:00:00,inf,60,0.1,0.1",
+                                     "Sun,1,f,13:00:00,1,60,nan,0.1"],
+                             ids=["epsilon_lm inf", "nu_dw_hz nan"])
+    def test_non_finite_cell_reports_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(analysis.CSV_HEADER + "\nSun,1,f,13:00:00,1,60,0.1,0.1\n"
+                        + row + "\n")
+        with pytest.raises(CsvParseError, match="not finite") as exc:
+            analysis.parse_csv(path)
+        assert exc.value.line_number == 3
+
     def test_unknown_sentinel(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(analysis.CSV_HEADER +

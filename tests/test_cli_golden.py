@@ -93,11 +93,16 @@ TYPED_ERRORS = [
     (["rel", "gamma", "--beta", "1.5"], "error: beta must be in [0, 1), got 1.5\n"),
     (["sort", "classify", "--n", "inf", "--nprime", "inf"],
      "error: both sizes infinite: ratio ambiguous\n"),
-    (["sort", "probe", "--sizes", "2,3"], "error: more partitions than elements\n"),
     (["link", "shift", "--time", "ab:cd:ef", "--epsilon", "1"],
      "error: expected HH:MM:SS, got 'ab:cd:ef'\n"),
     (["link", "fres", "--distance", "1.46e8", "--progress", "150"],
      "error: progress must be in [0, 100], got 150.0\n"),
+    (["link", "fres", "--distance", "1e-300", "--progress", "1e-300"],
+     "error: frequency resolution overflows: c / 0 km\n"),
+    (["link", "fdisp", "--distance", "1e-320", "--progress", "16"],
+     "error: frequency resolution overflows: c / 8.39912e-321 km\n"),
+    (["link", "shift", "--time", "13:35:00", "--epsilon", "1e308"],
+     "error: timestamp shift rolls back past midnight\n"),
 ]
 
 SUN_MOON_INI = """\
@@ -145,15 +150,16 @@ def test_typed_error_transcript(capsys, argv, stderr):
 
 
 def test_sort_probe_shape(capsys):
-    code, out, _ = _run(capsys, ["sort", "probe", "--sizes", "2000,4000",
-                                 "--seed", "0"])
-    assert code == 0
-    lines = out.splitlines()
-    for n, line in zip((2000, 4000), lines):
-        assert re.fullmatch(rf"n = {n}: \S+ s", line), line
-    assert len(lines) in (2, 3)
-    if len(lines) == 3:
-        assert re.fullmatch(r"log-log slope: -?\d+\.\d{4}", lines[2]), lines[2]
+    for sizes in ((2000, 4000), (2, 3)):
+        code, out, _ = _run(capsys, ["sort", "probe", "--sizes",
+                                     ",".join(map(str, sizes)), "--seed", "0"])
+        assert code == 0
+        lines = out.splitlines()
+        for n, line in zip(sizes, lines):
+            assert re.fullmatch(rf"n = {n}: \S+ s", line), line
+        assert len(lines) in (2, 3)
+        if len(lines) == 3:
+            assert re.fullmatch(r"log-log slope: -?\d+\.\d{4}", lines[2]), lines[2]
 
 
 def test_sheet_and_chart_transcript(capsys, tmp_path):
@@ -197,11 +203,14 @@ BAD_CONFIGS = [
     ("distance_km = 1.46e8\n",
      "error: File contains no section headers. file: {path!r}, line: 1 "
      "'distance_km = 1.46e8\\n'\n"),
+    ("[target.Sun]\ndistance_km = 1e-320\nrange_lm = 8.3\n",
+     "error: frequency resolution overflows: c / 1.60077e-321 km\n"),
 ]
 
 
 @pytest.mark.parametrize("text,stderr", BAD_CONFIGS,
-                         ids=["bad number", "missing key", "no section"])
+                         ids=["bad number", "missing key", "no section",
+                              "tiny distance"])
 def test_bad_config_transcript(capsys, tmp_path, text, stderr):
     config = tmp_path / "bad.ini"
     config.write_text(text)
@@ -216,16 +225,27 @@ GOOD_ROW = ["Sun", "16", '"f(x,y)|Sun"', "13:33:40", "1.328", "80", "0.0128425",
             "0.00244618"]
 
 
-# (column, cell) of non-numeric cells in the plain numeric columns.
-@pytest.mark.parametrize("column,cell", [(1, "abc"), (4, "#Div/0!"), (5, "")],
-                         ids=["progress_pct", "epsilon_lm", "delta_t_s"])
-def test_bad_csv_cell_transcript(capsys, tmp_path, column, cell):
+# (column, cell, message): non-numeric cells in the plain numeric columns
+# get float's own message, nan and inf cells in any numeric column another.
+BAD_CELLS = [
+    (1, "abc", "could not convert string to float: 'abc'"),
+    (4, "#Div/0!", "could not convert string to float: '#Div/0!'"),
+    (5, "", "could not convert string to float: ''"),
+    (4, "inf", "not finite: 'inf'"),
+    (6, "nan", "not finite: 'nan'"),
+]
+
+
+@pytest.mark.parametrize("column,cell,message", BAD_CELLS,
+                         ids=["progress_pct", "epsilon_lm", "delta_t_s",
+                              "epsilon_lm inf", "nu_dw_hz nan"])
+def test_bad_csv_cell_transcript(capsys, tmp_path, column, cell, message):
     bad_row = GOOD_ROW[:column] + [cell] + GOOD_ROW[column + 1:]
     csv_path, svg_path = tmp_path / "bad.csv", tmp_path / "bad.svg"
     csv_path.write_text("\n".join([CSV_HEADER] + [",".join(GOOD_ROW)] * 2
                                   + [",".join(bad_row)]) + "\n")
     assert _run(capsys, ["chart", "--in", str(csv_path), "--out", str(svg_path)]) == (
-        1, "", f"error: line 4: could not convert string to float: {cell!r}\n")
+        1, "", f"error: line 4: {message}\n")
     assert not svg_path.exists()
 
 
@@ -240,3 +260,25 @@ def test_chart_escapes_target_names(capsys, tmp_path):
     labels = [e.text for e in ET.parse(svg_path).getroot()
               if e.tag == "{http://www.w3.org/2000/svg}text"]
     assert labels[:3] == ["A<&B 8%", "A<&B 16%", "A<&B 24%"]
+
+
+def test_file_error_transcript(capsys, tmp_path):
+    config, csv_path, svg_path = (tmp_path / n for n in ("t.ini", "t.csv", "t.svg"))
+    config.write_text(SUN_MOON_INI)
+    missing = tmp_path / "nope.csv"
+    assert _run(capsys, ["chart", "--in", str(missing), "--out", str(svg_path)]) == (
+        1, "", f"file error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    missing = tmp_path / "no" / "t.csv"
+    assert _run(capsys, ["sheet", "--config", str(config), "--progress", "16",
+                         "--out", str(missing)]) == (
+        1, "", f"file error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    not_utf8 = ("file error: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte\n")
+    config.write_bytes(b"\xff\xfe" + SUN_MOON_INI.encode("utf-16-le"))
+    assert _run(capsys, ["sheet", "--config", str(config), "--progress", "16",
+                         "--out", str(csv_path)]) == (1, "", not_utf8)
+    assert not csv_path.exists()
+    csv_path.write_bytes(b"\xff\xfe" + CSV_HEADER.encode("utf-16-le"))
+    assert _run(capsys, ["chart", "--in", str(csv_path), "--out", str(svg_path)]) == (
+        1, "", not_utf8)
+    assert not svg_path.exists()
