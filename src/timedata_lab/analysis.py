@@ -21,9 +21,6 @@ _SENTINELS = (DIV0, DIVERGES)
 
 CSV_HEADER = "target,progress_pct,f_xy,t,epsilon_lm,delta_t_s,nu_dw_hz,nu_dw_x_hz"
 
-# Numeric CSV cells carry 6 significant digits.
-_FMT = "{:.6g}"
-
 
 def finite_float(text: str) -> float:
     """The one parser of numbers read from outside (CLI flags, config
@@ -34,6 +31,16 @@ def finite_float(text: str) -> float:
 
 
 finite_float.__name__ = "finite float"  # argparse names the type in its messages
+
+
+def finite_text(value) -> str:
+    """The one formatter of result numbers (CLI output, CSV cells, chart
+    labels): 6 significant digits, never nan or inf; sentinels pass through."""
+    if isinstance(value, str):
+        return value
+    if not math.isfinite(value):
+        raise DomainError(f"result not finite: {value}")
+    return f"{value:.6g}"
 
 
 @dataclass(frozen=True)
@@ -90,12 +97,6 @@ def build_sheet(targets: list[Target], progress_list: list[float],
     return Sheet(records=records)
 
 
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return _FMT.format(value)
-
-
 def emit_csv(sheet: Sheet, path) -> None:
     """Write the sheet as UTF-8 CSV with LF line endings.
 
@@ -108,13 +109,13 @@ def emit_csv(sheet: Sheet, path) -> None:
         for r in sheet.records:
             writer.writerow([
                 r.target_name,
-                _cell(r.progress_pct),
+                finite_text(r.progress_pct),
                 r.f_xy_label,
                 str(r.t_stamp),
-                _cell(r.epsilon_lm),
-                _cell(r.delta_t_s),
-                _cell(r.nu_delta_omega_hz),
-                _cell(r.nu_displaced_hz),
+                finite_text(r.epsilon_lm),
+                finite_text(r.delta_t_s),
+                finite_text(r.nu_delta_omega_hz),
+                finite_text(r.nu_displaced_hz),
             ])
 
 
@@ -164,16 +165,13 @@ def _normalize(values):
     if not numeric:
         return None
     lo, hi = min(numeric), max(numeric)
-    span = hi - lo
-    out = []
-    for v in values:
-        if isinstance(v, str):
-            out.append((0.0, True))
-        elif span == 0:
-            out.append((1.0, False))
-        else:
-            out.append(((v - lo) / span, False))
-    return out
+    # Halving keeps a span wider than a float finite; it would round
+    # subnormal cells, so only such spans are halved.
+    k = 0.5 if math.isinf(hi - lo) else 1.0
+    span = k * hi - k * lo
+    return [(0.0, True) if isinstance(v, str)
+            else ((k * v - k * lo) / span if span else 1.0, False)
+            for v in values]
 
 
 def render_radar_chart(sheet: Sheet, path) -> None:
@@ -207,7 +205,7 @@ def render_radar_chart(sheet: Sheet, path) -> None:
         parts.append(
             f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="11" '
             f'text-anchor="middle">{html.escape(record.target_name, quote=False)} '
-            f'{_cell(record.progress_pct)}%</text>')
+            f'{finite_text(record.progress_pct)}%</text>')
 
     legend_y = 20
     for color_index, (attr, label) in enumerate(_ATTRIBUTES):

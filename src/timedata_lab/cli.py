@@ -12,7 +12,7 @@ import configparser
 import sys
 
 from . import analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity
-from .analysis import finite_float
+from .analysis import finite_float, finite_text
 from .errors import TimedataError
 from .linkmodel import Target, Timestamp
 
@@ -61,13 +61,13 @@ def load_config(path: str) -> tuple[list[Target], Timestamp]:
 def _vnum(a) -> str:
     v = optics.v_number(optics.FiberSpec(a.radius, a.wavelength, a.n1, a.n2))
     mode = "single-mode" if optics.is_single_mode(v) else "multi-mode"
-    return f"V = {v:.6g} ({mode})"
+    return f"V = {finite_text(v)} ({mode})"
 
 
 def _sheetres(a) -> str:
     g = memtiming.ElectrodeGeometry(a.length, a.width, a.resistivity, a.thickness)
-    return (f"R_s = {memtiming.sheet_resistance(g):.6g} Ohm/sq, "
-            f"R = {memtiming.resistance(g):.6g} Ohm")
+    return (f"R_s = {finite_text(memtiming.sheet_resistance(g))} Ohm/sq, "
+            f"R = {finite_text(memtiming.resistance(g))} Ohm")
 
 
 def _waterfall(a) -> str:
@@ -81,15 +81,15 @@ def _waterfall(a) -> str:
 
 def _polar(a) -> str:
     p = relativity.polar_from_cartesian(a.x, a.y)
-    return (f"r = {p.r:.6g}, phi = {p.phi:.6g} rad, "
-            f"J = {relativity.jacobian_polar(p):.6g}")
+    return (f"r = {finite_text(p.r)}, phi = {finite_text(p.phi)} rad, "
+            f"J = {finite_text(relativity.jacobian_polar(p))}")
 
 
 def _probe(a) -> str:
     probe = ptvda.scaling_probe(a.sizes, trials=a.trials, seed=a.seed)
     for message in probe.warnings:
         print(f"warning: {message}", file=sys.stderr)
-    lines = [f"n = {n}: {probe.measured[n]:.6g} s" for n in probe.sizes]
+    lines = [f"n = {n}: {finite_text(probe.measured[n])} s" for n in probe.sizes]
     if probe.loglog_slope is not None:
         lines.append(f"log-log slope: {probe.loglog_slope:.4f}")
     return "\n".join(lines)
@@ -97,13 +97,13 @@ def _probe(a) -> str:
 
 def _slope(a) -> str:
     p1, p2 = geomlink.Point2(a.x1, a.y1), geomlink.Point2(a.x2, a.y2)
-    return (f"slope = {geomlink.slope(p1, p2):.6g}, "
-            f"length = {geomlink.segment_length(p1, p2):.6g}")
+    return (f"slope = {finite_text(geomlink.slope(p1, p2))}, "
+            f"length = {finite_text(geomlink.segment_length(p1, p2))}")
 
 
 def _split(a) -> str:
     value, is_fold = geomlink.time_split_check(a.t, a.tpar)
-    return f"{value:.6g} ({'fold' if is_fold else 'no fold'})"
+    return f"{finite_text(value)} ({'fold' if is_fold else 'no fold'})"
 
 
 def _sheet(a) -> str:
@@ -126,62 +126,62 @@ def _floats(*names):
     return [(name, finite_float, _REQUIRED) for name in names]
 
 
-# command -> (help, {action -> (flags, runner)}); the action None puts the
-# flags on the command itself. A flag is (name, type, default) and a
-# _REQUIRED default makes it mandatory. A runner takes the parsed
-# arguments and returns the text to print. --time stays a string so that
-# the DomainError of Timestamp.parse reaches main instead of argparse, and
-# sort classify takes plain floats because inf is its infinity marker.
+# command -> (help, {action -> (flags, runner)}); the action None puts the flags
+# on the command itself. A flag is (name, type, default) and a _REQUIRED default
+# makes it mandatory. A runner takes the parsed arguments and returns the text to
+# print, writing each result number with finite_text. --time stays a string so
+# the DomainError of Timestamp.parse reaches main instead of argparse, and sort
+# classify takes plain floats because inf is its infinity marker.
 COMMANDS = {
     "link": ("comlink time-data model", {
         "eps": (_floats("progress", "range"), lambda a: (
             f"{linkmodel.epsilon_from_progress(a.progress, a.range):.6f} Lm")),
         "shift": ([("time", str, _REQUIRED)] + _floats("epsilon"), lambda a: str(
             linkmodel.shift_timestamp(Timestamp.parse(a.time), a.epsilon))),
-        "fres": (_floats("distance", "progress"), lambda a: (
-            f"{linkmodel.frequency_resolution(a.distance, a.progress):.6g} Hz")),
-        "fdisp": (_floats("distance", "progress"), lambda a: "{:.6g} Hz".format(
-            linkmodel.displaced_frequency_resolution(a.distance, a.progress))),
+        "fres": (_floats("distance", "progress"), lambda a: finite_text(
+            linkmodel.frequency_resolution(a.distance, a.progress)) + " Hz"),
+        "fdisp": (_floats("distance", "progress"), lambda a: finite_text(
+            linkmodel.displaced_frequency_resolution(a.distance, a.progress)) + " Hz"),
         "unc": (_floats("domega", "dt"), lambda a: (
             "satisfied" if linkmodel.uncertainty_satisfied(a.domega, a.dt)
             else "violated")),
     }),
     "optics": ("fiber and Faraday optics", {
         "vnum": (_floats("radius", "wavelength", "n1", "n2"), _vnum),
-        "snell": (_floats("theta1", "n1", "n2"), lambda a: (
-            f"{optics.snell_refracted_angle(a.theta1, a.n1, a.n2):.6g} rad")),
-        "faraday": (_floats("verdet", "bfield", "path"), lambda a: "{:.6g} rad".format(
+        "snell": (_floats("theta1", "n1", "n2"), lambda a: finite_text(
+            optics.snell_refracted_angle(a.theta1, a.n1, a.n2)) + " rad"),
+        "faraday": (_floats("verdet", "bfield", "path"), lambda a: finite_text(
             optics.faraday_rotation(
-                optics.FaradayCell(a.verdet, a.bfield, a.path)))),
+                optics.FaradayCell(a.verdet, a.bfield, a.path))) + " rad"),
         "shell": (_floats("thickness", "length", "mean-radius", "circ-radius"),
-                  lambda a: "A = {:.6g} m^2, V = {:.6g} m^3".format(
-                      *optics.isolation_geometry(optics.IsolationShell(
-                          a.thickness, a.length, a.mean_radius, a.circ_radius)))),
+                  lambda a: "A = {} m^2, V = {} m^3".format(*map(
+                      finite_text, optics.isolation_geometry(optics.IsolationShell(
+                          a.thickness, a.length, a.mean_radius, a.circ_radius))))),
     }),
     "mem": ("memory timing and electrical model", {
-        "bitfreq": (_floats("bits", "qbits", "time"), lambda a: (
-            f"{memtiming.bit_frequency(a.bits, a.qbits, a.time):.6g} Hz")),
+        "bitfreq": (_floats("bits", "qbits", "time"), lambda a: finite_text(
+            memtiming.bit_frequency(a.bits, a.qbits, a.time)) + " Hz"),
         "sheetres": (_floats("length", "width", "resistivity", "thickness"),
                      _sheetres),
-        "gm": (_floats("di", "dv"), lambda a: (
-            f"{memtiming.transconductance_baseline(a.di, a.dv):.6g} S")),
+        "gm": (_floats("di", "dv"), lambda a: finite_text(
+            memtiming.transconductance_baseline(a.di, a.dv)) + " S"),
         "eta": ([("collected", int, _REQUIRED), ("storable", int, _REQUIRED)],
-                lambda a: "{:.6g}".format(
+                lambda a: finite_text(
                     memtiming.quantum_efficiency(a.collected, a.storable))),
         "waterfall": ([("arrivals", _csv_of(finite_float), _REQUIRED)], _waterfall),
     }),
     "rel": ("relativistic timing", {
-        "gamma": (_floats("beta"), lambda a: (
-            f"{relativity.time_factor(relativity.Velocity(a.beta)):.6g}")),
-        "tau": (_floats("tdot"), lambda a: (
-            f"{relativity.stored_proper_time(a.tdot):.6g}")),
+        "gamma": (_floats("beta"), lambda a: finite_text(
+            relativity.time_factor(relativity.Velocity(a.beta)))),
+        "tau": (_floats("tdot"), lambda a: finite_text(
+            relativity.stored_proper_time(a.tdot))),
         "proper": (_floats("dt") + [(v, finite_float, 0.0) for v in ("vx", "vy", "vz")],
-                   lambda a: "{:.6g} s".format(relativity.proper_time_delta_general(
-                       a.dt, a.vx, a.vy, a.vz))),
+                   lambda a: finite_text(relativity.proper_time_delta_general(
+                       a.dt, a.vx, a.vy, a.vz)) + " s"),
         "polar": (_floats("x", "y"), _polar),
         "charge": (_floats("q1") + [(q, finite_float, 0.0) for q in ("qin", "qout")],
-                   lambda a: "{:.6g} C".format(float(relativity.charge_balance(
-                       relativity.ChargeLedger(a.q1, a.qin, a.qout))))),
+                   lambda a: finite_text(float(relativity.charge_balance(
+                       relativity.ChargeLedger(a.q1, a.qin, a.qout)))) + " C"),
     }),
     "sort": ("partitioned parallel sort harness", {
         "run": ([("values", _csv_of(finite_float), _REQUIRED), ("partitions", int, 4)],
@@ -197,9 +197,9 @@ COMMANDS = {
         "slope": (_floats("x1", "y1", "x2", "y2"), _slope),
         "split": (_floats("t", "tpar"), _split),
         "kin": (_floats("dx", "dy", "t", "tpar"),
-                lambda a: "v = {:.6g}, a = {:.6g}, v_sync = {:.6g}".format(
-                    *geomlink.planar_kinematics(
-                        geomlink.PlanarMotion((a.dx, a.dy), a.t, a.tpar)))),
+                lambda a: "v = {}, a = {}, v_sync = {}".format(*map(
+                    finite_text, geomlink.planar_kinematics(
+                        geomlink.PlanarMotion((a.dx, a.dy), a.t, a.tpar))))),
     }),
     "sheet": ("build the link spreadsheet CSV", {
         None: ([("config", str, _REQUIRED),
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         text = args.run(args)
-    except TimedataError as exc:
+    except (TimedataError, ArithmeticError) as exc:  # kernel overflow, x / 0
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, UnicodeDecodeError) as exc:

@@ -125,7 +125,8 @@ def time_split_check(t_s: float, t_parallel_s: float) -> tuple[float, bool]:
         raise DomainError("log base must be positive and != 1")
     if t_parallel_s <= 0:
         raise DomainError("parallel time must be positive")
-    value = math.log(t_s * t_parallel_s) / math.log(t_s)
+    # A sum of logs, as the product t * t_parallel can underflow or overflow.
+    value = (math.log(t_s) + math.log(t_parallel_s)) / math.log(t_s)
     return (value, abs(value - 2.0) <= FOLD_TOL)
 
 

@@ -76,15 +76,16 @@ def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> RatioCla
     math.inf is the explicit infinity marker; finite ratios beyond m_bound
     (or below 1/m_bound) collapse to the corresponding limit class.
     """
-    if m_bound <= 0:
+    # Each range check is written so that nan fails it.
+    if not m_bound > 0:
         raise DomainError("ratio bound must be positive")
     n_inf = n == INFINITE
     np_inf = n_prime == INFINITE
     if n_inf and np_inf:
         raise DomainError("both sizes infinite: ratio ambiguous")
-    if not n_inf and n < 1:
+    if not n_inf and not n >= 1:
         raise DomainError("n must be >= 1")
-    if not np_inf and n_prime < 1:
+    if not np_inf and not n_prime >= 1:
         raise DomainError("n' must be >= 1")
     if n_inf:
         return RatioClass.DIVERGING

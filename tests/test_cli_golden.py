@@ -3,16 +3,20 @@
 The expected strings are fixed text, not recomputed from the toolkit, so
 any change to what a command prints or returns fails here. ``sort probe``
 prints wall-clock timings; only its exit code and line shapes are pinned.
+A property test runs generated flag values through the other scalar leaves.
 """
 
+import contextlib
 import hashlib
+import io
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from timedata_lab.analysis import CSV_HEADER
-from timedata_lab.cli import main
+from timedata_lab.analysis import CSV_HEADER, finite_float
+from timedata_lab.cli import COMMANDS, main
 
 # (argv, stdout) of commands that exit 0.
 SUCCESS = [
@@ -64,6 +68,7 @@ SUCCESS = [
      "slope = 1.33333, length = 5\n"),
     (["geom", "split", "--t", "2", "--tpar", "2"], "2 (fold)\n"),
     (["geom", "split", "--t", "3", "--tpar", "2"], "1.63093 (no fold)\n"),
+    (["geom", "split", "--t", "1e-200", "--tpar", "1e-200"], "2 (fold)\n"),
     (["geom", "kin", "--dx", "3", "--dy", "4", "--t", "2", "--tpar", "1"],
      "v = 2.5, a = 2.5, v_sync = 2.5\n"),
 ]
@@ -103,6 +108,32 @@ TYPED_ERRORS = [
      "error: frequency resolution overflows: c / 8.39912e-321 km\n"),
     (["link", "shift", "--time", "13:35:00", "--epsilon", "1e308"],
      "error: timestamp shift rolls back past midnight\n"),
+    (["mem", "bitfreq", "--bits", "1e308", "--qbits", "1e-10", "--time", "1e-10"],
+     "error: result not finite: inf\n"),
+    (["mem", "gm", "--di", "1e308", "--dv", "1e-10"],
+     "error: result not finite: inf\n"),
+    (["mem", "sheetres", "--length", "1e308", "--width", "1e-10",
+      "--resistivity", "1", "--thickness", "1"], "error: result not finite: inf\n"),
+    (["optics", "faraday", "--verdet", "1e200", "--bfield", "1e200", "--path", "1"],
+     "error: result not finite: inf\n"),
+    (["optics", "vnum", "--radius", "1e308", "--wavelength", "1e-10",
+      "--n1", "1.5", "--n2", "1.4"], "error: result not finite: inf\n"),
+    (["optics", "shell", "--thickness", "1", "--length", "1e308",
+      "--mean-radius", "1e308", "--circ-radius", "1e308"],
+     "error: result not finite: inf\n"),
+    (["geom", "slope", "--x1=-1e308", "--y1=-1e308", "--x2=1e308", "--y2=1e308"],
+     "error: result not finite: nan\n"),
+    (["mem", "eta", "--collected", "1" + "0" * 400, "--storable", "1"],
+     "error: integer division result too large for a float\n"),
+    (["rel", "charge", "--q1", "1e308", "--qin", "1e308"],
+     "error: integer division result too large for a float\n"),
+    (["mem", "bitfreq", "--bits", "1", "--qbits", "1e-200", "--time", "1e-200"],
+     "error: float division by zero\n"),
+    (["geom", "kin", "--dx", "3", "--dy", "4", "--t", "1e-200", "--tpar", "1e-200"],
+     "error: float division by zero\n"),
+    (["sort", "classify", "--n", "nan", "--nprime", "1"], "error: n must be >= 1\n"),
+    (["sort", "classify", "--n", "5", "--nprime", "7", "--bound", "nan"],
+     "error: ratio bound must be positive\n"),
 ]
 
 SUN_MOON_INI = """\
@@ -257,6 +288,16 @@ def test_bad_csv_cell_transcript(capsys, tmp_path, column, cell, message):
     assert not svg_path.exists()
 
 
+def test_chart_of_cells_spanning_more_than_a_float(capsys, tmp_path):
+    rows = [GOOD_ROW[:4] + [eps] + GOOD_ROW[5:] for eps in ("1e308", "-1e308", "0")]
+    csv_path, svg_path = tmp_path / "wide.csv", tmp_path / "wide.svg"
+    csv_path.write_text("\n".join([CSV_HEADER] + [",".join(r) for r in rows]) + "\n")
+    assert _run(capsys, ["chart", "--in", str(csv_path), "--out", str(svg_path)]) == (
+        0, f"wrote radar chart to {svg_path}\n", "")
+    ET.parse(svg_path)
+    assert "nan" not in svg_path.read_text()
+
+
 def test_chart_escapes_target_names(capsys, tmp_path):
     config = tmp_path / "targets.ini"
     config.write_text("[target.A<&B]\ndistance_km = 1e8\nrange_lm = 1\n")
@@ -290,3 +331,43 @@ def test_file_error_transcript(capsys, tmp_path):
     assert _run(capsys, ["chart", "--in", str(csv_path), "--out", str(svg_path)]) == (
         1, "", not_utf8)
     assert not svg_path.exists()
+
+
+# Plain float draws favour small values, so half the draws are spread
+# evenly over every decimal exponent of a float.
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda m, e: m * 10.0 ** e,
+              st.floats(-9.99, 9.99), st.integers(-323, 307)))
+# Flag type -> strategy for its text; every other type is a list of finite
+# floats (`_csv_of(finite_float)`).
+_FLAG_TEXT = {
+    finite_float: _FINITE.map(repr),
+    float: st.floats().map(repr),
+    int: st.integers(-10**400, 10**400).map(str),
+    str: st.one_of(st.times().map(lambda t: t.strftime("%H:%M:%S")), st.text()),
+}
+_FLOAT_LIST = st.lists(_FINITE, max_size=8).map(lambda v: ",".join(map(repr, v)))
+# `sort probe` allocates its sizes; `sheet` and `chart` read and write files.
+_LEAVES = [(command, action, flags)
+           for command, (_, actions) in COMMANDS.items()
+           for action, (flags, _) in actions.items()
+           if action is not None and (command, action) != ("sort", "probe")]
+
+
+@st.composite
+def _argv(draw):
+    command, action, flags = draw(st.sampled_from(_LEAVES))
+    return [command, action] + [
+        f"--{name}={draw(_FLAG_TEXT.get(type_, _FLOAT_LIST))}"
+        for name, type_, _ in flags]
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(_argv())
+def test_generated_argv_exits_cleanly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.I), out.getvalue()
