@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import re
 import sys
 
 from . import analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity
 from .analysis import finite_float, finite_text
 from .errors import TimedataError
 from .linkmodel import Target, Timestamp
+
+# argparse reads `-1e5` as an option, as its negative numbers are -1 and -1.5
+# only; main joins `--flag -1e5` into `--flag=-1e5` when this matches the value.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?(,|$)", re.I)
 
 
 def _csv_of(convert):
@@ -236,6 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _, actions = COMMANDS.get(argv[0] if argv else "", ("", {}))
+    flags, _ = actions.get(None) or actions.get(argv[1] if argv[1:] else "", ([], 0))
+    names = {"--" + name for name, _, _ in flags}  # the chosen leaf's own flags
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in names and _NEGATIVE_NUMBER.match(argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

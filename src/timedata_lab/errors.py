@@ -17,10 +17,6 @@ class DivergenceSignal(TimedataError):
     """Declared divergent limit (distinct from plain division by zero)."""
 
 
-class SimultaneityRadicandError(DomainError):
-    """Simultaneity proper-time radicand went negative (imaginary time)."""
-
-
 class TotalInternalReflection(TimedataError):
     """Snell ratio exceeded 1; refracted ray does not exist."""
 

@@ -144,26 +144,3 @@ def timedata_probability(t_s: float, delta_bits: float,
     if t_s < 0 or delta_bits < 0:
         raise DomainError("time and bit count must be nonnegative")
     return t_s * delta_bits * overlap.modulus_squared()
-
-
-def timedata_decomposition(t_s: float, delta_bits: float,
-                           overlap: AmplitudeOverlap) -> tuple[float, float]:
-    """The (prob(time), prob(data)) pair whose cross-products both recover
-    the joint probability."""
-    if t_s < 0 or delta_bits < 0:
-        raise DomainError("time and bit count must be nonnegative")
-    m2 = overlap.modulus_squared()
-    return (t_s * m2, delta_bits * m2)
-
-
-def bit_frequency_product(t_s: float, delta_bits: float,
-                          overlap: AmplitudeOverlap) -> tuple[float, str]:
-    """Product-restricted bit frequency delta / (t * delta * |overlap|^2).
-
-    The second element is the uninterpreted unit tag this quotient is
-    declared in.
-    """
-    denom = timedata_probability(t_s, delta_bits, overlap)
-    if denom == 0:
-        raise DivisionByZeroSignal("zero joint probability")
-    return (delta_bits / denom, "!Hz")

@@ -4,7 +4,6 @@ efficiency and FIFO waterfall allocation."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, DivisionByZeroSignal, DomainError
@@ -79,35 +78,6 @@ def bit_frequency(a_in_bits: float, b_in_qbits: float, t_s: float) -> float:
     return a_in_bits / (b_in_qbits * t_s)
 
 
-def min_bit_frequency(t_s: float) -> float:
-    """Lower bound 1 bit / (2 qbit-units * t), i.e. 0.5/t Hz."""
-    if t_s <= 0:
-        raise DivisionByZeroSignal("time must be positive")
-    return 0.5 / t_s
-
-
-def pooled_bit_frequency(terms: list[tuple[float, float]], t_s: float) -> float:
-    """Summed bit frequency over (i bits, j qbit-units) terms.
-
-    Each term contributes i / (2j * t). Warns when the total falls below
-    the declared 0.5/t lower bound (degenerate inputs only).
-    """
-    if not terms:
-        raise DomainError("need at least one (i, j) term")
-    if t_s <= 0:
-        raise DivisionByZeroSignal("time must be positive")
-    total = 0.0
-    for i_bits, j_qbits in terms:
-        if j_qbits <= 0:
-            raise DivisionByZeroSignal("qubit-unit count must be positive")
-        total += i_bits / (2.0 * j_qbits * t_s)
-    if total < min_bit_frequency(t_s):
-        warnings.warn(
-            f"pooled bit frequency {total:g} Hz below the 0.5/t bound",
-            stacklevel=2)
-    return total
-
-
 def validate_qubit(q: QubitState) -> bool:
     """True iff |a|^2 + |b|^2 is unit-norm within 1e-9."""
     return abs(q.norm() - 1.0) <= QUBIT_NORM_TOL
@@ -139,12 +109,6 @@ def phase_ratio_means(alpha: list[tuple[float, float]],
             "delta": mean_ratio(delta)}
 
 
-def poles_agree(means: dict[str, float], tolerance: float = 1e-9) -> bool:
-    """Report (never assert) whether the three pole means coincide."""
-    values = [means["alpha"], means["beta"], means["delta"]]
-    return max(values) - min(values) <= tolerance
-
-
 def sheet_resistance(g: ElectrodeGeometry) -> float:
     """Sheet resistance resistivity / thickness, in ohms per square."""
     return g.resistivity / g.thickness
@@ -160,31 +124,6 @@ def transconductance_baseline(d_i_ds_a: float, d_v_gs_v: float) -> float:
     if d_v_gs_v == 0:
         raise DivisionByZeroSignal("zero gate-source voltage step")
     return d_i_ds_a / d_v_gs_v
-
-
-def transconductance_pooled(d_i_ds: float, d_i_cnt1: float, d_i_cnt2: float,
-                            d_v_gs: float, d_v_cnt_alpha: float,
-                            d_v_cnt_beta: float) -> float:
-    """Pooled transconductance with nanotube current/voltage corrections:
-    (dI_ds + (dI_cnt1 - dI_cnt2)) / (3*dV_gs + dV_cnt_beta + dV_cnt_alpha).
-    """
-    denom = 3.0 * d_v_gs + d_v_cnt_beta + d_v_cnt_alpha
-    if denom == 0:
-        raise DivisionByZeroSignal("zero pooled voltage denominator")
-    return (d_i_ds + (d_i_cnt1 - d_i_cnt2)) / denom
-
-
-def transconductance_cnt_delta(d_i_ds: float, d_i_cnt1: float, d_i_cnt2: float,
-                               d_v_gs: float, d_v_cnt_alpha: float,
-                               d_v_cnt_beta: float) -> float:
-    """Nanotube correction defined so (g_m1 + delta)/2 equals the pooled mean.
-
-    g_m1 is the baseline transconductance dI_ds / dV_gs.
-    """
-    g_mean = transconductance_pooled(d_i_ds, d_i_cnt1, d_i_cnt2,
-                                     d_v_gs, d_v_cnt_alpha, d_v_cnt_beta)
-    g_m1 = transconductance_baseline(d_i_ds, d_v_gs)
-    return 2.0 * g_mean - g_m1
 
 
 def quantum_efficiency(n_collected: int, n_entangled_storable: int) -> float:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DomainError, ThinShellError, TotalInternalReflection
 
@@ -59,11 +58,6 @@ class IsolationShell:
             raise DomainError("inner shell radius must be positive")
 
 
-class IsolationVerdict(Enum):
-    ISOLATED = "Isolated"
-    NOT_ISOLATED = "NotIsolated"
-
-
 def v_number(f: FiberSpec) -> float:
     """Normalized frequency (2*pi*a/lambda) * sqrt(n1^2 - n2^2)."""
     na = math.sqrt(f.n1 * f.n1 - f.n2 * f.n2)
@@ -107,12 +101,3 @@ def isolation_geometry(s: IsolationShell) -> tuple[float, float]:
     area = 2.0 * math.pi * b * (b + s.length_m)
     volume = 2.0 * math.pi * s.mean_radius_m * s.length_m * b
     return (area, volume)
-
-
-def isolation_verdict(residual_b_T: float, tolerance_T: float) -> IsolationVerdict:
-    """Field-isolation verdict: Isolated iff |residual| <= tolerance."""
-    if tolerance_T <= 0:
-        raise DomainError("tolerance must be positive")
-    if abs(residual_b_T) <= tolerance_T:
-        return IsolationVerdict.ISOLATED
-    return IsolationVerdict.NOT_ISOLATED

@@ -15,6 +15,9 @@ from .errors import DomainError
 # Default asymptotic-ratio bound M.
 DEFAULT_RATIO_BOUND = 1e6
 
+# Largest probe size (criterion 10's top size); checked before any list is built.
+MAX_PROBE_SIZE = 10 ** 6
+
 # Timings shorter than this are considered below clock resolution.
 MIN_TIMABLE_S = 10 * time.get_clock_info("perf_counter").resolution
 
@@ -52,10 +55,10 @@ class ComplexityProbe:
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        if any(not 2 <= n <= MAX_PROBE_SIZE for n in self.sizes):
+            raise DomainError(f"probe sizes must be in [2, {MAX_PROBE_SIZE}]")
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise DomainError("probe sizes must be strictly increasing")
-        if any(n < 2 for n in self.sizes):
-            raise DomainError("probe sizes must be >= 2")
 
 
 def parallel_sort(instance: SortInstance) -> list:

@@ -8,8 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (DivisionByZeroSignal, DomainError,
-                     SimultaneityRadicandError)
+from .errors import DivisionByZeroSignal, DomainError
 from .units import C_KM_PER_S
 
 # Stationary storage projection factor, exact cos(pi/4).
@@ -65,20 +64,6 @@ def proper_time_delta_general(dt_s: float, vx_km_s: float, vy_km_s: float,
     return dt_s * math.sqrt(1.0 - speed2 / c2)
 
 
-def proper_time_delta_simultaneity(dt_s: float, v: Velocity) -> float:
-    """Simultaneity-bound proper time dt * sqrt(1 - 4*beta^2).
-
-    Only real for beta <= 0.5; beyond that the radicand is negative and
-    a distinct signal is raised instead of returning complex time.
-    """
-    beta = v.fraction_of_c
-    radicand = 1.0 - 4.0 * beta * beta
-    if radicand < 0:
-        raise SimultaneityRadicandError(
-            f"simultaneity radicand negative for beta = {beta}")
-    return dt_s * math.sqrt(radicand)
-
-
 def stored_proper_time(t_dot_0: float) -> float:
     """Stored proper time |t_dot_0| * cos(pi/4)."""
     return abs(t_dot_0) * STORAGE_FACTOR
@@ -132,18 +117,3 @@ def moire_wavelength(x_delta0: float, x_delta: float, x_pattern: float) -> float
     if x_pattern <= 0:
         raise DivisionByZeroSignal("pattern length must be positive")
     return x_delta0 * x_delta / x_pattern
-
-
-def moire_wavelength_from_pitch(p: float, delta_p: float) -> float:
-    """Alternate pitch parameterization p^2 / (2 * delta_p)."""
-    if delta_p <= 0:
-        raise DivisionByZeroSignal("pitch difference must be positive")
-    return p * p / (2.0 * delta_p)
-
-
-def moire_consistent(x_delta0: float, x_delta: float, x_pattern: float,
-                     p: float, delta_p: float, tolerance: float) -> bool:
-    """Report whether both Moire parameterizations agree within tolerance."""
-    lam1 = moire_wavelength(x_delta0, x_delta, x_pattern)
-    lam2 = moire_wavelength_from_pitch(p, delta_p)
-    return abs(lam1 - lam2) <= tolerance

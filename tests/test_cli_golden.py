@@ -53,6 +53,7 @@ SUCCESS = [
     (["rel", "proper", "--dt", "10"], "10 s\n"),
     (["rel", "proper", "--dt", "10", "--vx", "1e5", "--vy", "1e5", "--vz", "1e4"],
      "8.81287 s\n"),
+    (["rel", "proper", "--dt", "10", "--vx", "-1e5"], "9.42809 s\n"),
     (["rel", "polar", "--x", "1", "--y", "1"],
      "r = 1.41421, phi = 0.785398 rad, J = 1.41421\n"),
     (["rel", "charge", "--q1", "1e-6", "--qin", "3e-7"], "1.3e-06 C\n"),
@@ -66,6 +67,8 @@ SUCCESS = [
      "Vanishing\n"),
     (["geom", "slope", "--x1", "0", "--y1", "0", "--x2", "3", "--y2", "4"],
      "slope = 1.33333, length = 5\n"),
+    (["geom", "slope", "--x1", "-1e308", "--y1", "0", "--x2", "1", "--y2", "1"],
+     "slope = 1e-308, length = 1e+308\n"),
     (["geom", "split", "--t", "2", "--tpar", "2"], "2 (fold)\n"),
     (["geom", "split", "--t", "3", "--tpar", "2"], "1.63093 (no fold)\n"),
     (["geom", "split", "--t", "1e-200", "--tpar", "1e-200"], "2 (fold)\n"),
@@ -134,6 +137,12 @@ TYPED_ERRORS = [
     (["sort", "classify", "--n", "nan", "--nprime", "1"], "error: n must be >= 1\n"),
     (["sort", "classify", "--n", "5", "--nprime", "7", "--bound", "nan"],
      "error: ratio bound must be positive\n"),
+    (["mem", "waterfall", "--arrivals", "-1e-3,2"],
+     "error: arrival time must be nonnegative\n"),
+    # The huge size comes first: a build without the size limit refuses the
+    # list as out of order instead of allocating it.
+    (["sort", "probe", "--sizes", f"{10 ** 12},2"],
+     "error: probe sizes must be in [2, 1000000]\n"),
 ]
 
 SUN_MOON_INI = """\
@@ -178,6 +187,17 @@ def test_usage_error_transcript(capsys, argv):
                          ids=[" ".join(a) for a, _ in TYPED_ERRORS])
 def test_typed_error_transcript(capsys, argv, stderr):
     assert _run(capsys, argv) == (1, "", stderr)
+
+
+def test_negative_values_join_only_the_leaf_flags(capsys):
+    # Unknown flags and non-numbers after a flag give argparse's own errors.
+    code, out, err = _run(capsys, ["geom", "slope", "--x1", "1", "--y1", "1", "--x2",
+                                   "1", "--y2", "1", "--bogus", "-1e5"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --bogus -1e5\n")
+    code, out, err = _run(capsys, ["geom", "slope", "--x1", "-h"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --x1: expected one argument\n")
 
 
 def _assert_probe_shape(capsys, sizes):
@@ -357,10 +377,14 @@ _LEAVES = [(command, action, flags)
 
 @st.composite
 def _argv(draw):
+    """A leaf's argv; each value follows its flag as `--flag=value` or, half
+    the time, as a separate token."""
     command, action, flags = draw(st.sampled_from(_LEAVES))
-    return [command, action] + [
-        f"--{name}={draw(_FLAG_TEXT.get(type_, _FLOAT_LIST))}"
-        for name, type_, _ in flags]
+    argv = [command, action]
+    for name, type_, _ in flags:
+        value = draw(_FLAG_TEXT.get(type_, _FLOAT_LIST))
+        argv += [f"--{name}", value] if draw(st.booleans()) else [f"--{name}={value}"]
+    return argv
 
 
 @settings(derandomize=True, deadline=None, max_examples=250)

@@ -151,24 +151,3 @@ class TestTimedataProbability:
     def test_overlap_invariant(self):
         with pytest.raises(DomainError):
             AmplitudeOverlap(1.0, 0.5)
-
-    @given(st.floats(min_value=0, max_value=100),
-           st.floats(min_value=0, max_value=100),
-           st.floats(min_value=-0.7, max_value=0.7),
-           st.floats(min_value=-0.7, max_value=0.7))
-    def test_decomposition_consistency(self, t, d, re, im):
-        o = AmplitudeOverlap(re, im)
-        joint = lm.timedata_probability(t, d, o)
-        p_time, p_data = lm.timedata_decomposition(t, d, o)
-        assert joint == pytest.approx(p_time * d, abs=1e-9)
-        assert joint == pytest.approx(p_data * t, abs=1e-9)
-
-    def test_product_restriction_unit_tag(self):
-        o = AmplitudeOverlap(1.0, 0.0)
-        value, tag = lm.bit_frequency_product(2, 4, o)
-        assert value == pytest.approx(4 / 8)
-        assert tag == "!Hz"
-
-    def test_product_restriction_zero_probability(self):
-        with pytest.raises(DivisionByZeroSignal):
-            lm.bit_frequency_product(0, 4, AmplitudeOverlap(1, 0))

@@ -37,25 +37,6 @@ class TestBitFrequency:
             mt.bit_frequency(a, b, 1.0), rel=1e-9)
 
 
-class TestPooledBitFrequency:
-    def test_single_minimal_term(self):
-        for n in range(5):
-            t = 10.0 ** -n
-            assert mt.pooled_bit_frequency([(1, 1)], t) == pytest.approx(
-                0.5 * 10 ** n, rel=1e-12)
-
-    def test_two_terms(self):
-        assert mt.pooled_bit_frequency([(1, 1), (1, 1)], 1.0) == 1.0
-
-    def test_degenerate_term_warns(self):
-        with pytest.warns(UserWarning, match="below"):
-            assert mt.pooled_bit_frequency([(0, 1)], 1.0) == 0.0
-
-    def test_empty_list(self):
-        with pytest.raises(DomainError):
-            mt.pooled_bit_frequency([], 1.0)
-
-
 class TestQubit:
     def test_basis_state(self):
         assert mt.validate_qubit(QubitState(1, 0))
@@ -78,7 +59,6 @@ class TestPhaseRatios:
     def test_constant_lists(self):
         means = mt.phase_ratio_means([(2, 1)] * 4, [(2, 1)] * 5, [(2, 1)] * 2)
         assert means == {"alpha": 2.0, "beta": 2.0, "delta": 2.0}
-        assert mt.poles_agree(means)
 
     def test_hand_averages(self):
         means = mt.phase_ratio_means(
@@ -87,7 +67,6 @@ class TestPhaseRatios:
             [(1, 2), (3, 2)])
         assert means["alpha"] == pytest.approx(1.75)
         assert means["delta"] == pytest.approx(1.0)
-        assert not mt.poles_agree(means)
 
     def test_sample_count_preconditions(self):
         with pytest.raises(DomainError):
@@ -138,30 +117,6 @@ class TestTransconductance:
     def test_baseline_zero_step(self):
         with pytest.raises(DivisionByZeroSignal):
             mt.transconductance_baseline(1e-3, 0.0)
-
-    def test_pooled_cnt_cancellation(self):
-        assert mt.transconductance_pooled(3e-3, 1e-3, 1e-3, 1.0, 0, 0) == \
-            pytest.approx(1e-3)
-
-    def test_pooled_hand_arithmetic(self):
-        assert mt.transconductance_pooled(3e-3, 2e-3, 1e-3, 1.0, 0.5, 0.5) == \
-            pytest.approx(1e-3)
-
-    def test_pooled_all_zero_currents(self):
-        assert mt.transconductance_pooled(0, 0, 0, 1.0, 0, 0) == 0.0
-
-    @given(st.floats(min_value=-1e-2, max_value=1e-2),
-           st.floats(min_value=-1e-2, max_value=1e-2),
-           st.floats(min_value=-1e-2, max_value=1e-2),
-           st.floats(min_value=0.1, max_value=5),
-           st.floats(min_value=0, max_value=1),
-           st.floats(min_value=0, max_value=1))
-    def test_reconstruction_identity(self, di, di1, di2, dv, dva, dvb):
-        g_mean = mt.transconductance_pooled(di, di1, di2, dv, dva, dvb)
-        delta = mt.transconductance_cnt_delta(di, di1, di2, dv, dva, dvb)
-        g_m1 = mt.transconductance_baseline(di, dv)
-        assert (g_m1 + delta) / 2 == pytest.approx(g_mean, abs=1e-12)
-
 
 class TestQuantumEfficiency:
     def test_cases(self):

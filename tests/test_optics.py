@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 from timedata_lab import optics
 from timedata_lab.errors import (DomainError, ThinShellError,
                                  TotalInternalReflection)
-from timedata_lab.optics import (FaradayCell, FiberSpec, IsolationShell,
-                                 IsolationVerdict)
+from timedata_lab.optics import FaradayCell, FiberSpec, IsolationShell
 
 
 def test_v_number_worked_example():
@@ -121,18 +120,3 @@ class TestIsolationShell:
         outer = math.pi * (r_mean + b / 2) ** 2 * length
         inner = math.pi * (r_mean - b / 2) ** 2 * length
         assert volume == pytest.approx(outer - inner, rel=1e-12)
-
-
-@pytest.mark.parametrize("residual,tol,expected", [
-    (0.0, 1e-6, IsolationVerdict.ISOLATED),
-    (1e-6, 1e-6, IsolationVerdict.ISOLATED),   # inclusive boundary
-    (2e-6, 1e-6, IsolationVerdict.NOT_ISOLATED),
-    (-5e-7, 1e-6, IsolationVerdict.ISOLATED),
-])
-def test_isolation_verdict(residual, tol, expected):
-    assert optics.isolation_verdict(residual, tol) is expected
-
-
-def test_isolation_verdict_needs_positive_tolerance():
-    with pytest.raises(DomainError):
-        optics.isolation_verdict(0.0, 0.0)

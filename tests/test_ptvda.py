@@ -112,3 +112,8 @@ class TestScalingProbe:
     def test_sizes_strictly_increasing(self):
         with pytest.raises(DomainError):
             ptvda.ComplexityProbe(sizes=[100, 100], measured={})
+
+    def test_size_limit(self):
+        ptvda.ComplexityProbe(sizes=[2, ptvda.MAX_PROBE_SIZE], measured={})
+        with pytest.raises(DomainError, match=r"probe sizes must be in \[2, 1000000\]"):
+            ptvda.ComplexityProbe(sizes=[2, ptvda.MAX_PROBE_SIZE + 1], measured={})

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from timedata_lab import relativity as rel
-from timedata_lab.errors import (DivisionByZeroSignal, DomainError,
-                                 SimultaneityRadicandError)
+from timedata_lab.errors import DivisionByZeroSignal, DomainError
 from timedata_lab.relativity import ChargeLedger, PolarPoint, Velocity
 
 
@@ -55,22 +54,6 @@ class TestProperTime:
         assert tau <= dt
         if vx == vy == vz == 0:
             assert tau == dt
-
-
-class TestSimultaneityBound:
-    def test_at_rest(self):
-        assert rel.proper_time_delta_simultaneity(2.0, Velocity(0)) == 2.0
-
-    def test_boundary_collapse(self):
-        assert rel.proper_time_delta_simultaneity(2.0, Velocity(0.5)) == 0.0
-
-    def test_beta_03(self):
-        assert rel.proper_time_delta_simultaneity(1.0, Velocity(0.3)) == \
-            pytest.approx(0.8)
-
-    def test_imaginary_refused(self):
-        with pytest.raises(SimultaneityRadicandError):
-            rel.proper_time_delta_simultaneity(1.0, Velocity(0.6))
 
 
 def test_stored_proper_time():
@@ -178,16 +161,6 @@ class TestMoire:
     def test_hand_arithmetic(self):
         assert rel.moire_wavelength(2, 3, 6) == 1.0
 
-    def test_pitch_form(self):
-        assert rel.moire_wavelength_from_pitch(2, 1) == 2.0
-
-    def test_consistency_checker(self):
-        # p=2, dp=1 gives lambda=2; first form (2,3,3) also gives 2
-        assert rel.moire_consistent(2, 3, 3, 2, 1, 1e-9)
-        assert not rel.moire_consistent(2, 3, 6, 2, 1, 1e-9)
-
     def test_zero_denominators(self):
         with pytest.raises(DivisionByZeroSignal):
             rel.moire_wavelength(1, 1, 0)
-        with pytest.raises(DivisionByZeroSignal):
-            rel.moire_wavelength_from_pitch(1, 0)
