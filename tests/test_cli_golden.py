@@ -183,6 +183,86 @@ def test_usage_error_transcript(capsys, argv):
     assert "error:" in err.splitlines()[-1]
 
 
+TOP_USAGE = "usage: timedata-lab [-h] {link,optics,mem,rel,sort,geom,sheet,chart} ...\n"
+TOP_HELP = TOP_USAGE + """
+Comlink latency, optics, memory-timing, relativity, sorting and spreadsheet
+toolkit
+
+positional arguments:
+  {link,optics,mem,rel,sort,geom,sheet,chart}
+    link                comlink time-data model
+    optics              fiber and Faraday optics
+    mem                 memory timing and electrical model
+    rel                 relativistic timing
+    sort                partitioned parallel sort harness
+    geom                comlink plane geometry
+    sheet               build the link spreadsheet CSV
+    chart               render the radar chart SVG
+
+options:
+  -h, --help            show this help message and exit
+"""
+LINK_USAGE = "usage: timedata-lab link [-h] {eps,shift,fres,fdisp,unc} ...\n"
+LINK_HELP = LINK_USAGE + """
+positional arguments:
+  {eps,shift,fres,fdisp,unc}
+
+options:
+  -h, --help            show this help message and exit
+"""
+EPS_USAGE = "usage: timedata-lab link eps [-h] --progress PROGRESS --range RANGE\n"
+EPS_HELP = EPS_USAGE + """
+options:
+  -h, --help           show this help message and exit
+  --progress PROGRESS
+  --range RANGE
+"""
+SHEET_USAGE = ("usage: timedata-lab sheet [-h] --config CONFIG --progress PROGRESS "
+               "--out OUT\n")
+SHEET_HELP = SHEET_USAGE + """
+options:
+  -h, --help           show this help message and exit
+  --config CONFIG
+  --progress PROGRESS
+  --out OUT
+"""
+
+# (argv, exit code, stdout, stderr) of help and usage output, byte for byte.
+HELP_AND_USAGE = [
+    ("", 2, "", TOP_USAGE
+     + "timedata-lab: error: the following arguments are required: command\n"),
+    ("-h", 0, TOP_HELP, ""),
+    ("--help", 0, TOP_HELP, ""),
+    ("frobnicate", 2, "", TOP_USAGE
+     + "timedata-lab: error: argument command: invalid choice: 'frobnicate' (choose "
+       "from 'link', 'optics', 'mem', 'rel', 'sort', 'geom', 'sheet', 'chart')\n"),
+    ("link", 2, "", LINK_USAGE
+     + "timedata-lab link: error: the following arguments are required: action\n"),
+    ("link -h", 0, LINK_HELP, ""),
+    ("link bogus", 2, "", LINK_USAGE
+     + "timedata-lab link: error: argument action: invalid choice: 'bogus' (choose "
+       "from 'eps', 'shift', 'fres', 'fdisp', 'unc')\n"),
+    ("link -h eps", 0, LINK_HELP, ""),
+    ("link eps -h", 0, EPS_HELP, ""),
+    ("link eps", 2, "", EPS_USAGE + "timedata-lab link eps: error: the following "
+     "arguments are required: --progress, --range\n"),
+    ("sheet -h", 0, SHEET_HELP, ""),
+    ("sheet", 2, "", SHEET_USAGE + "timedata-lab sheet: error: the following "
+     "arguments are required: --config, --progress, --out\n"),
+    ("link eps --progress 1 --range 2 extra", 2, "", TOP_USAGE
+     + "timedata-lab: error: unrecognized arguments: extra\n"),
+    ("link eps --bogus", 2, "", EPS_USAGE + "timedata-lab link eps: error: the "
+     "following arguments are required: --progress, --range\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,stdout,stderr", HELP_AND_USAGE,
+                         ids=[a or "none" for a, *_ in HELP_AND_USAGE])
+def test_help_and_usage_transcript(capsys, monkeypatch, argv, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    assert _run(capsys, argv.split()) == (code, stdout, stderr)
+
+
 @pytest.mark.parametrize("argv,stderr", TYPED_ERRORS,
                          ids=[" ".join(a) for a, _ in TYPED_ERRORS])
 def test_typed_error_transcript(capsys, argv, stderr):
