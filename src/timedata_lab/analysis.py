@@ -150,6 +150,9 @@ def parse_csv(path) -> Sheet:
 _SIZE = 640
 _CENTER = _SIZE / 2
 _RADIUS = 240
+# Above this many records the spokes on the rim (2 pi x 240 px) are closer
+# than a pixel apart, and the SVG grows by ~225 bytes per record.
+MAX_SPOKES = 1500
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728")
 
 _ATTRIBUTES = (
@@ -183,6 +186,8 @@ def render_radar_chart(sheet: Sheet, path) -> None:
     n = len(sheet.records)
     if n < 3:
         raise ChartError(f"radar chart needs >= 3 records, got {n}")
+    if n > MAX_SPOKES:
+        raise ChartError(f"radar chart takes <= {MAX_SPOKES} records, got {n}")
 
     def spoke_xy(index, radius_frac):
         angle = -math.pi / 2 + 2 * math.pi * index / n

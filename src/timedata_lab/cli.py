@@ -1,8 +1,8 @@
 """Command-line front end exposing every toolkit module as a subcommand.
 
 The whole command line is declared in ``COMMANDS``: ``build_parser``
-turns it into the argparse tree and ``main`` calls the chosen leaf's
-runner.
+turns it into the argparse tree, built only along the path argv names,
+and ``main`` calls the chosen leaf's runner.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ def _csv_of(convert):
         except ValueError:
             message = f"expected comma-separated {convert.__name__}s, got {text!r}"
             raise argparse.ArgumentTypeError(message) from None
+    parse.lists = True
     return parse
 
 
@@ -47,19 +48,18 @@ def load_config(path: str) -> tuple[list[Target], Timestamp]:
     if not read:
         raise TimedataError(f"cannot read config file {path!r}")
 
-    def number(section, key):
+    def value(section, key, convert=finite_float, **fallback):
         try:
-            return finite_float(cp.get(section, key))
-        except (ValueError, configparser.Error) as exc:  # bad or missing value
+            return convert(cp.get(section, key, **fallback))
+        except (ValueError, configparser.Error) as exc:  # bad, missing, bad %
             raise TimedataError(f"[{section}] {key} in {path!r}: {exc}") from None
 
-    targets = [Target(section[len("target."):], number(section, "distance_km"),
-                      number(section, "range_lm"))
+    targets = [Target(section[len("target."):], value(section, "distance_km"),
+                      value(section, "range_lm"))
                for section in cp.sections() if section.startswith("target.")]
     if not targets:
         raise TimedataError(f"no [target.<name>] sections in {path!r}")
-    base_time = Timestamp.parse(
-        cp.get("defaults", "base_time", fallback="13:35:00"))
+    base_time = value("defaults", "base_time", Timestamp.parse, fallback="13:35:00")
     return targets, base_time
 
 
@@ -217,7 +217,40 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _Value(argparse.Action):
+    """Stores a flag's value. The argparse of Python 3.10 and 3.11 reads
+    `--flag=--` as no value: it stores [] and never calls the flag's type.
+    That is refused like `--flag --`, except for a list flag (type marked
+    ``lists``), whose type returns [] itself for an empty list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == [] and not getattr(self.type, "lists", False):
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
+def _chosen(argv):
+    """The command and action argv names and the flags of that leaf.
+
+    A name is None where argv names no known choice at that level (missing,
+    unknown or -h); the action is also None for a command without actions.
+    """
+    _, actions = COMMANDS.get(argv[0] if argv else "", ("", {}))
+    command = argv[0] if actions else None
+    action = argv[1] if argv[1:] and argv[1] in actions else None
+    flags, _ = actions.get(action, ([], None))
+    return command, action, flags
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argparse tree of ``COMMANDS``, built only along the path argv names.
+
+    The other choices of a level argv names are stubs: a command stub keeps
+    its help text, so usage, help and invalid-choice messages read as from
+    the whole tree. A level argv does not name is built in full, and so is
+    the whole tree when argv is None.
+    """
+    chosen_command, chosen_action, _ = _chosen(argv or [])
     parser = argparse.ArgumentParser(
         prog="timedata-lab",
         description="Comlink latency, optics, memory-timing, relativity, "
@@ -225,29 +258,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, actions) in COMMANDS.items():
         command_parser = sub.add_parser(command, help=help_text)
+        if chosen_command not in (None, command):
+            continue
         if None in actions:
-            leaves = [(command_parser, actions[None])]
+            leaves = {None: command_parser}
         else:
             action_sub = command_parser.add_subparsers(dest="action", required=True)
-            leaves = [(action_sub.add_parser(action), spec)
-                      for action, spec in actions.items()]
-        for leaf, (flags, runner) in leaves:
+            leaves = {action: action_sub.add_parser(action) for action in actions}
+        for action, leaf in leaves.items():
+            if chosen_action not in (None, action):
+                continue
+            flags, runner = actions[action]
             for name, type_, default in flags:
                 leaf.add_argument("--" + name, type=type_, default=default,
-                                  required=default is _REQUIRED)
+                                  required=default is _REQUIRED, action=_Value)
             leaf.set_defaults(run=runner)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    _, actions = COMMANDS.get(argv[0] if argv else "", ("", {}))
-    flags, _ = actions.get(None) or actions.get(argv[1] if argv[1:] else "", ([], 0))
+    _, _, flags = _chosen(argv)
     names = {"--" + name for name, _, _ in flags}  # the chosen leaf's own flags
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in names and _NEGATIVE_NUMBER.match(argv[i]):
             argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -3,20 +3,25 @@
 The expected strings are fixed text, not recomputed from the toolkit, so
 any change to what a command prints or returns fails here. ``sort probe``
 prints wall-clock timings; only its exit code and line shapes are pinned.
-A property test runs generated flag values through the other scalar leaves.
+Property tests run generated argv through every other leaf, `sheet` and
+`chart` with generated input files, and check that the parser built for
+an argv reads it as the whole tree does.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
+import os
 import re
+import tempfile
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timedata_lab.analysis import CSV_HEADER, finite_float
-from timedata_lab.cli import COMMANDS, main
+from timedata_lab.analysis import CSV_HEADER, DIV0, DIVERGES, finite_float
+from timedata_lab.cli import COMMANDS, build_parser, main
 
 # (argv, stdout) of commands that exit 0.
 SUCCESS = [
@@ -92,6 +97,9 @@ USAGE_ERRORS = [
     ["optics", "faraday", "--verdet", "nan", "--bfield", "1", "--path", "1"],
     ["link", "fres", "--distance", "inf", "--progress", "16"],
     ["sort", "run", "--values", "1,nan"],
+    ["rel", "tau", "--tdot=--"],
+    ["link", "shift", "--time=--", "--epsilon", "1"],
+    ["mem", "eta", "--collected=--", "--storable", "1"],
 ]
 
 # (argv, stderr) of typed errors: exit 1, nothing on stdout.
@@ -263,6 +271,40 @@ def test_help_and_usage_transcript(capsys, monkeypatch, argv, code, stdout, stde
     assert _run(capsys, argv.split()) == (code, stdout, stderr)
 
 
+@st.composite
+def _parser_argv(draw):
+    """A leaf's argv with every flag set to 1, cut short anywhere, then that
+    leaf's flags (alone or as `--flag=--`), help flags, other choices,
+    numbers and junk."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    actions = COMMANDS[command][1]
+    action = draw(st.sampled_from(list(actions)))
+    flags = ["--" + name for name, _, _ in actions[action][0]]
+    head = [command] + [action] * (action is not None) + [
+        token for flag in flags for token in (flag, "1")]
+    tokens = (flags + [flag + "=--" for flag in flags] + list(COMMANDS)
+              + [a for a in actions if a]
+              + ["-h", "--help", "--", "bogus", "1", "-1e5"])
+    return head[:draw(st.integers(0, len(head)))] + draw(
+        st.lists(st.sampled_from(tokens), max_size=4))
+
+
+def _parsed(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_parser_argv())
+def test_parser_built_for_argv_reads_it_as_the_whole_tree(argv):
+    assert _parsed(build_parser(argv), argv) == _parsed(build_parser(), argv)
+
+
 @pytest.mark.parametrize("argv,stderr", TYPED_ERRORS,
                          ids=[" ".join(a) for a, _ in TYPED_ERRORS])
 def test_typed_error_transcript(capsys, argv, stderr):
@@ -344,12 +386,15 @@ BAD_CONFIGS = [
      "'distance_km = 1.46e8\\n'\n"),
     ("[target.Sun]\ndistance_km = 1e-320\nrange_lm = 8.3\n",
      "error: frequency resolution overflows: c / 1.60077e-321 km\n"),
+    ("[defaults]\nbase_time = 1%\n[target.Sun]\ndistance_km = 1.46e8\nrange_lm = 8.3\n",
+     "error: [defaults] base_time in {path!r}: '%' must be followed by '%' or '(', "
+     "found: '%'\n"),
 ]
 
 
 @pytest.mark.parametrize("text,stderr", BAD_CONFIGS,
                          ids=["bad number", "missing key", "no section",
-                              "tiny distance"])
+                              "tiny distance", "percent base time"])
 def test_bad_config_transcript(capsys, tmp_path, text, stderr):
     config = tmp_path / "bad.ini"
     config.write_text(text)
@@ -398,6 +443,14 @@ def test_chart_of_cells_spanning_more_than_a_float(capsys, tmp_path):
     assert "nan" not in svg_path.read_text()
 
 
+def test_chart_over_the_spoke_cap(capsys, tmp_path):
+    csv_path, svg_path = tmp_path / "big.csv", tmp_path / "big.svg"
+    csv_path.write_text("\n".join([CSV_HEADER] + [",".join(GOOD_ROW)] * 1501) + "\n")
+    assert _run(capsys, ["chart", "--in", str(csv_path), "--out", str(svg_path)]) == (
+        1, "", "error: radar chart takes <= 1500 records, got 1501\n")
+    assert not svg_path.exists()
+
+
 def test_chart_escapes_target_names(capsys, tmp_path):
     config = tmp_path / "targets.ini"
     config.write_text("[target.A<&B]\ndistance_km = 1e8\nrange_lm = 1\n")
@@ -439,39 +492,95 @@ _FINITE = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.builds(lambda m, e: m * 10.0 ** e,
               st.floats(-9.99, 9.99), st.integers(-323, 307)))
+_STAMP = st.times().map(lambda t: t.strftime("%H:%M:%S"))
 # Flag type -> strategy for its text; every other type is a list of finite
-# floats (`_csv_of(finite_float)`).
+# floats (`_csv_of(finite_float)`), half the time all of them in [0, 100].
 _FLAG_TEXT = {
     finite_float: _FINITE.map(repr),
     float: st.floats().map(repr),
     int: st.integers(-10**400, 10**400).map(str),
-    str: st.one_of(st.times().map(lambda t: t.strftime("%H:%M:%S")), st.text()),
+    str: st.one_of(_STAMP, st.text()),
 }
-_FLOAT_LIST = st.lists(_FINITE, max_size=8).map(lambda v: ",".join(map(repr, v)))
-# `sort probe` allocates its sizes; `sheet` and `chart` read and write files.
-_LEAVES = [(command, action, flags)
-           for command, (_, actions) in COMMANDS.items()
-           for action, (flags, _) in actions.items()
-           if action is not None and (command, action) != ("sort", "probe")]
+_FLOAT_LIST = st.one_of(st.lists(_FINITE, max_size=8),
+                        st.lists(st.floats(0, 100), min_size=1, max_size=8)).map(
+    lambda v: ",".join(map(repr, v)))
+# Files are drawn valid, and half the time one cell is replaced by a bad one.
+_NAME = st.text("abXY<&>", min_size=1, max_size=4)
+_RESOLUTION = st.one_of(_FINITE.map(repr), st.sampled_from([DIV0, DIVERGES]))
+_BAD = st.one_of(_FINITE.map(repr), st.text(),
+                 st.sampled_from([DIV0, DIVERGES, "nan", "inf", "%", ""]))
+
+
+def _spoiled(draw, cells):
+    if cells and draw(st.booleans()):
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(_BAD)
+    return cells
+
+
+_TARGET = st.tuples(_NAME, st.floats(1.0, 1e9).map(repr),
+                    st.floats(1e-3, 60.0).map(repr))
+_ROW = st.tuples(_NAME, st.floats(0, 100).map(repr), st.text(max_size=4), _STAMP,
+                 _FINITE.map(repr), _FINITE.map(repr), _RESOLUTION, _RESOLUTION)
 
 
 @st.composite
-def _argv(draw):
+def _config_text(draw):
+    targets = draw(st.lists(_TARGET, min_size=1, max_size=3))
+    base_time, *cells = _spoiled(draw, [draw(_STAMP)] + [c for t in targets for c in t])
+    lines = ["[defaults]", f"base_time = {base_time}"]
+    for name, distance, range_lm in zip(*[iter(cells)] * 3):
+        lines += [f"[target.{name}]", f"distance_km = {distance}",
+                  f"range_lm = {range_lm}"]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _csv_text(draw):
+    cells = _spoiled(draw, [c for row in draw(st.lists(_ROW, max_size=6)) for c in row])
+    text = io.StringIO()
+    csv.writer(text).writerows([CSV_HEADER.split(",")] + list(zip(*[iter(cells)] * 8)))
+    return text.getvalue()
+
+
+# Strategy for the text of the file that each input-file flag names.
+_FILE_TEXT = {"config": _config_text(), "in": _csv_text()}
+# `sort probe` allocates its sizes. Half the draws are `sheet` or `chart`,
+# which read and write files.
+_LEAVES = [(command, action, flags)
+           for command, (_, actions) in COMMANDS.items()
+           for action, (flags, _) in actions.items()
+           if (command, action) != ("sort", "probe")]
+_LEAF = st.one_of(st.sampled_from([leaf for leaf in _LEAVES if leaf[1] is not None]),
+                  st.sampled_from([leaf for leaf in _LEAVES if leaf[1] is None]))
+
+
+@st.composite
+def _argv(draw, directory):
     """A leaf's argv; each value follows its flag as `--flag=value` or, half
-    the time, as a separate token."""
-    command, action, flags = draw(st.sampled_from(_LEAVES))
-    argv = [command, action]
+    the time, as a separate token. Input files are written to directory."""
+    command, action, flags = draw(_LEAF)
+    argv = [command] + [action] * (action is not None)
     for name, type_, _ in flags:
-        value = draw(_FLAG_TEXT.get(type_, _FLOAT_LIST))
+        if name in _FILE_TEXT or name == "out":
+            value = os.path.join(directory, name)
+            if name in _FILE_TEXT:
+                with open(value, "w", encoding="utf-8") as fh:
+                    fh.write(draw(_FILE_TEXT[name]))
+        elif draw(st.integers(0, 9)) == 0:
+            value = "--"  # the argparse of Python 3.10 and 3.11 drops `--flag=--`
+        else:
+            value = draw(_FLAG_TEXT.get(type_, _FLOAT_LIST))
         argv += [f"--{name}", value] if draw(st.booleans()) else [f"--{name}={value}"]
     return argv
 
 
-@settings(derandomize=True, deadline=None, max_examples=250)
-@given(_argv())
-def test_generated_argv_exits_cleanly(argv):
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.data())
+def test_generated_argv_exits_cleanly(data):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+    with tempfile.TemporaryDirectory() as directory:
+        argv = data.draw(_argv(directory))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
     assert code in (0, 1, 2)
     assert not re.search(r"\b(inf|nan)\b", out.getvalue(), re.I), out.getvalue()
