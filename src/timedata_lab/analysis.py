@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import html
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -154,6 +155,8 @@ _RADIUS = 240
 # than a pixel apart, and the SVG grows by ~225 bytes per record.
 MAX_SPOKES = 1500
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728")
+# Characters XML 1.0 forbids, which no escaping can carry into a label.
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 _ATTRIBUTES = (
     ("epsilon_lm", "epsilon (Lm)"),
@@ -202,6 +205,9 @@ def render_radar_chart(sheet: Sheet, path) -> None:
     ]
     # Spokes and record labels.
     for i, record in enumerate(sheet.records):
+        if _NOT_XML.search(record.target_name):
+            raise ChartError(f"target name {record.target_name!r} holds a "
+                             "character XML cannot carry")
         x, y = spoke_xy(i, 1.0)
         parts.append(
             f'<line x1="{_CENTER}" y1="{_CENTER}" x2="{x:.2f}" y2="{y:.2f}" '

@@ -23,14 +23,14 @@ _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?(,|$)", re.I)
 
 
 def _csv_of(convert):
-    """argparse type for a comma-separated list; empty items are skipped."""
-    def parse(text: str) -> list:
+    """argparse type for a comma-separated list, read as a tuple; empty items
+    are skipped."""
+    def parse(text: str) -> tuple:
         try:
-            return [convert(part) for part in text.split(",") if part != ""]
+            return tuple(convert(part) for part in text.split(",") if part != "")
         except ValueError:
             message = f"expected comma-separated {convert.__name__}s, got {text!r}"
             raise argparse.ArgumentTypeError(message) from None
-    parse.lists = True
     return parse
 
 
@@ -40,7 +40,7 @@ def load_config(path: str) -> tuple[list[Target], Timestamp]:
     Expects [target.<name>] sections with distance_km / range_lm keys and
     an optional [defaults] section with base_time (HH:MM:SS).
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # a % is literal
     try:
         read = cp.read(path, encoding="utf-8")
     except configparser.Error as exc:  # joined: its message spans lines
@@ -48,18 +48,18 @@ def load_config(path: str) -> tuple[list[Target], Timestamp]:
     if not read:
         raise TimedataError(f"cannot read config file {path!r}")
 
-    def value(section, key, convert=finite_float, **fallback):
+    def number(section, key):
         try:
-            return convert(cp.get(section, key, **fallback))
-        except (ValueError, configparser.Error) as exc:  # bad, missing, bad %
+            return finite_float(cp.get(section, key))
+        except (ValueError, configparser.Error) as exc:  # bad or missing value
             raise TimedataError(f"[{section}] {key} in {path!r}: {exc}") from None
 
-    targets = [Target(section[len("target."):], value(section, "distance_km"),
-                      value(section, "range_lm"))
+    targets = [Target(section[len("target."):], number(section, "distance_km"),
+                      number(section, "range_lm"))
                for section in cp.sections() if section.startswith("target.")]
     if not targets:
         raise TimedataError(f"no [target.<name>] sections in {path!r}")
-    base_time = value("defaults", "base_time", Timestamp.parse, fallback="13:35:00")
+    base_time = Timestamp.parse(cp.get("defaults", "base_time", fallback="13:35:00"))
     return targets, base_time
 
 
@@ -92,10 +92,10 @@ def _polar(a) -> str:
 
 def _probe(a) -> str:
     probe = ptvda.scaling_probe(a.sizes, trials=a.trials, seed=a.seed)
-    for message in probe.warnings:
-        print(f"warning: {message}", file=sys.stderr)
     lines = [f"n = {n}: {finite_text(probe.measured[n])} s" for n in probe.sizes]
-    if probe.loglog_slope is not None:
+    if probe.loglog_slope is None:
+        print("warning: timing below clock resolution; fit skipped", file=sys.stderr)
+    else:
         lines.append(f"log-log slope: {probe.loglog_slope:.4f}")
     return "\n".join(lines)
 
@@ -189,7 +189,7 @@ COMMANDS = {
                        relativity.ChargeLedger(a.q1, a.qin, a.qout)))) + " C"),
     }),
     "sort": ("partitioned parallel sort harness", {
-        "run": ([("values", _csv_of(finite_float), _REQUIRED), ("partitions", int, 4)],
+        "run": ([("values", _csv_of(finite_float), _REQUIRED), ("partitions", int, 1)],
                 lambda a: ",".join(f"{v:g}" for v in ptvda.parallel_sort(
                     ptvda.SortInstance(a.values, a.partitions)))),
         "classify": ([("n", float, _REQUIRED), ("nprime", float, _REQUIRED),
@@ -220,11 +220,10 @@ COMMANDS = {
 class _Value(argparse.Action):
     """Stores a flag's value. The argparse of Python 3.10 and 3.11 reads
     `--flag=--` as no value: it stores [] and never calls the flag's type.
-    That is refused like `--flag --`, except for a list flag (type marked
-    ``lists``), whose type returns [] itself for an empty list."""
+    That is refused like `--flag --`; no type returns a list."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if values == [] and not getattr(self.type, "lists", False):
+        if values == []:
             raise argparse.ArgumentError(self, "expected one argument")
         setattr(namespace, self.dest, values)
 

@@ -38,7 +38,6 @@ class CellMap:
     """Distance-ordered memory cells; each address holds at most one carrier."""
 
     cells: list[tuple[int, int]]  # (address, distance_rank)
-    occupancy: dict[int, int] = field(default_factory=dict)
     _address_by_rank: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -146,13 +145,3 @@ def waterfall_allocate(carriers: list[Carrier], cells: CellMap) -> dict[int, int
             f"{len(carriers)} carriers exceed {len(cells.cells)} cells")
     ordered = sorted(carriers, key=lambda c: (c.arrival_time_s, c.id))
     return {c.id: cells.address_at_rank(rank) for rank, c in enumerate(ordered)}
-
-
-def occupy(cells: CellMap, allocation: dict[int, int]) -> CellMap:
-    """Copy of the cell map with the allocation applied as occupancy."""
-    occ = dict(cells.occupancy)
-    for carrier_id, address in allocation.items():
-        if address in occ:
-            raise CapacityError(f"address {address} already occupied")
-        occ[address] = carrier_id
-    return CellMap(cells=list(cells.cells), occupancy=occ)

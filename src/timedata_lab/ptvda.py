@@ -7,7 +7,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
@@ -20,8 +20,6 @@ MAX_PROBE_SIZE = 10 ** 6
 
 # Timings shorter than this are considered below clock resolution.
 MIN_TIMABLE_S = 10 * time.get_clock_info("perf_counter").resolution
-
-INFINITE = math.inf
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,8 @@ class RatioClass(Enum):
 
 @dataclass
 class ComplexityProbe:
-    """Measured sort timings with an a*n*log(n) + b least-squares fit."""
+    """Measured sort timings with an a*n*log(n) + b least-squares fit; the
+    fit stays None when a timing is below clock resolution."""
 
     sizes: list[int]
     measured: dict[int, float]
@@ -52,7 +51,6 @@ class ComplexityProbe:
     fit_b: float | None = None
     fit_residual: float | None = None
     loglog_slope: float | None = None
-    warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if any(not 2 <= n <= MAX_PROBE_SIZE for n in self.sizes):
@@ -82,8 +80,8 @@ def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> RatioCla
     # Each range check is written so that nan fails it.
     if not m_bound > 0:
         raise DomainError("ratio bound must be positive")
-    n_inf = n == INFINITE
-    np_inf = n_prime == INFINITE
+    n_inf = n == math.inf
+    np_inf = n_prime == math.inf
     if n_inf and np_inf:
         raise DomainError("both sizes infinite: ratio ambiguous")
     if not n_inf and not n >= 1:
@@ -127,7 +125,6 @@ def scaling_probe(sizes: list[int], trials: int = 3,
         probe.measured[n] = best
 
     if any(t < MIN_TIMABLE_S for t in probe.measured.values()):
-        probe.warnings.append("timing below clock resolution; fit skipped")
         return probe
 
     xs = [n * math.log(n) for n in sizes]

@@ -160,6 +160,16 @@ class TestRadarChart:
         analysis.render_radar_chart(sun_sheet, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    # A lone surrogate cannot come from a UTF-8 file, only from a caller.
+    @pytest.mark.parametrize("name", ["A\x01B", "\ufffe", "A\udc80B"])
+    def test_name_xml_cannot_carry(self, tmp_path, name):
+        records = [LinkRecord(name, float(p), "f", Timestamp(12, 0, 0),
+                              1.0, 60.0, 0.1, 0.2) for p in range(3)]
+        path = tmp_path / "chart.svg"
+        with pytest.raises(ChartError, match="XML cannot carry"):
+            analysis.render_radar_chart(Sheet(records=records), path)
+        assert not path.exists()
+
     def test_all_sentinel_attribute_omitted(self, tmp_path):
         records = [LinkRecord("X", float(p), "f", Timestamp(12, 0, 0),
                               1.0, 60.0, DIV0, 0.1 * (p + 1))

@@ -66,6 +66,7 @@ SUCCESS = [
      "2.77556e-17 C\n"),
     (["sort", "run", "--values", "3,1,2", "--partitions", "2"], "1,2,3\n"),
     (["sort", "run", "--values", "5,-1.5,2e3,0,2"], "-1.5,0,2,5,2000\n"),
+    (["sort", "run", "--values", "3,1,2"], "1,2,3\n"),
     (["sort", "classify", "--n", "inf", "--nprime", "10"], "Diverging\n"),
     (["sort", "classify", "--n", "10", "--nprime", "1e8"], "Vanishing\n"),
     (["sort", "classify", "--n", "5", "--nprime", "7", "--bound", "1.1"],
@@ -100,6 +101,10 @@ USAGE_ERRORS = [
     ["rel", "tau", "--tdot=--"],
     ["link", "shift", "--time=--", "--epsilon", "1"],
     ["mem", "eta", "--collected=--", "--storable", "1"],
+    ["mem", "waterfall", "--arrivals=--"],
+    ["sort", "run", "--values=--"],
+    ["sort", "probe", "--sizes=--"],
+    ["sheet", "--config=c.ini", "--progress=--", "--out=o.csv"],
 ]
 
 # (argv, stderr) of typed errors: exit 1, nothing on stdout.
@@ -387,8 +392,7 @@ BAD_CONFIGS = [
     ("[target.Sun]\ndistance_km = 1e-320\nrange_lm = 8.3\n",
      "error: frequency resolution overflows: c / 1.60077e-321 km\n"),
     ("[defaults]\nbase_time = 1%\n[target.Sun]\ndistance_km = 1.46e8\nrange_lm = 8.3\n",
-     "error: [defaults] base_time in {path!r}: '%' must be followed by '%' or '(', "
-     "found: '%'\n"),
+     "error: expected HH:MM:SS, got '1%'\n"),
 ]
 
 
@@ -462,6 +466,17 @@ def test_chart_escapes_target_names(capsys, tmp_path):
     labels = [e.text for e in ET.parse(svg_path).getroot()
               if e.tag == "{http://www.w3.org/2000/svg}text"]
     assert labels[:3] == ["A<&B 8%", "A<&B 16%", "A<&B 24%"]
+
+
+def test_chart_refuses_target_names_xml_cannot_carry(capsys, tmp_path):
+    config = tmp_path / "targets.ini"
+    config.write_text("[target.A\x01B]\ndistance_km = 1e8\nrange_lm = 1\n")
+    csv_path, svg_path = tmp_path / "t.csv", tmp_path / "t.svg"
+    assert _run(capsys, ["sheet", "--config", str(config), "--progress", "8,16,24",
+                         "--out", str(csv_path)])[0] == 0
+    assert _run(capsys, ["chart", "--in", str(csv_path), "--out", str(svg_path)]) == (
+        1, "", "error: target name 'A\\x01B' holds a character XML cannot carry\n")
+    assert not svg_path.exists()
 
 
 def test_file_error_transcript(capsys, tmp_path):

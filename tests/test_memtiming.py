@@ -179,13 +179,6 @@ class TestWaterfall:
         for cid, addr in reduced.items():
             assert full[cid] == addr
 
-    def test_occupy_copies(self):
-        cells = make_cells(3)
-        alloc = mt.waterfall_allocate([Carrier(1, 0.0)], cells)
-        occupied = mt.occupy(cells, alloc)
-        assert cells.occupancy == {}
-        assert occupied.occupancy == {alloc[1]: 1}
-
     def test_rank_permutation_invariant(self):
         with pytest.raises(DomainError):
             CellMap(cells=[(0, 0), (1, 0)])
