@@ -1,8 +1,8 @@
 """Command-line front end exposing every toolkit module as a subcommand.
 
 The whole command line is declared in ``COMMANDS``: ``build_parser``
-turns it into the argparse tree, built only along the path argv names,
-and ``main`` calls the chosen leaf's runner.
+turns it into the argparse tree; ``main`` reads argv with the one parser
+of the leaf it names and calls that leaf's runner.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import TimedataError
 from .linkmodel import Target, Timestamp
 
 # argparse reads `-1e5` as an option, as its negative numbers are -1 and -1.5
-# only; main joins `--flag -1e5` into `--flag=-1e5` when this matches the value.
+# only; _parse joins `--flag -1e5` into `--flag=-1e5` when this matches the value.
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?(,|$)", re.I)
 
 
@@ -190,8 +190,8 @@ COMMANDS = {
     }),
     "sort": ("partitioned parallel sort harness", {
         "run": ([("values", _csv_of(finite_float), _REQUIRED), ("partitions", int, 1)],
-                lambda a: ",".join(f"{v:g}" for v in ptvda.parallel_sort(
-                    ptvda.SortInstance(a.values, a.partitions)))),
+                lambda a: ",".join(map(finite_text, ptvda.parallel_sort(
+                    ptvda.SortInstance(a.values, a.partitions))))),
         "classify": ([("n", float, _REQUIRED), ("nprime", float, _REQUIRED),
                       ("bound", float, ptvda.DEFAULT_RATIO_BOUND)],
                      lambda a: ptvda.classify_ratio(a.n, a.nprime, a.bound).value),
@@ -228,28 +228,25 @@ class _Value(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _chosen(argv):
-    """The command and action argv names and the flags of that leaf.
-
-    A name is None where argv names no known choice at that level (missing,
-    unknown or -h); the action is also None for a command without actions.
-    """
+def _leaf(argv):
+    """The command (and action) path argv names, with that leaf's flags and
+    runner, or None where argv names no leaf (missing, unknown or -h)."""
     _, actions = COMMANDS.get(argv[0] if argv else "", ("", {}))
-    command = argv[0] if actions else None
-    action = argv[1] if argv[1:] and argv[1] in actions else None
-    flags, _ = actions.get(action, ([], None))
-    return command, action, flags
+    path = argv[:1] if None in actions else argv[:2]
+    action = path[1] if path[1:] else None
+    return (path, *actions[action]) if action in actions else None
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The argparse tree of ``COMMANDS``, built only along the path argv names.
+def _with_flags(parser, flags, runner):
+    for name, type_, default in flags:
+        parser.add_argument("--" + name, type=type_, default=default,
+                            required=default is _REQUIRED, action=_Value)
+    parser.set_defaults(run=runner)
+    return parser
 
-    The other choices of a level argv names are stubs: a command stub keeps
-    its help text, so usage, help and invalid-choice messages read as from
-    the whole tree. A level argv does not name is built in full, and so is
-    the whole tree when argv is None.
-    """
-    chosen_command, chosen_action, _ = _chosen(argv or [])
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree of ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="timedata-lab",
         description="Comlink latency, optics, memory-timing, relativity, "
@@ -257,34 +254,35 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, actions) in COMMANDS.items():
         command_parser = sub.add_parser(command, help=help_text)
-        if chosen_command not in (None, command):
-            continue
-        if None in actions:
-            leaves = {None: command_parser}
-        else:
+        if None not in actions:  # the action None is the command itself
             action_sub = command_parser.add_subparsers(dest="action", required=True)
-            leaves = {action: action_sub.add_parser(action) for action in actions}
-        for action, leaf in leaves.items():
-            if chosen_action not in (None, action):
-                continue
-            flags, runner = actions[action]
-            for name, type_, default in flags:
-                leaf.add_argument("--" + name, type=type_, default=default,
-                                  required=default is _REQUIRED, action=_Value)
-            leaf.set_defaults(run=runner)
+        for action, (flags, runner) in actions.items():
+            leaf = command_parser if action is None else action_sub.add_parser(action)
+            _with_flags(leaf, flags, runner)
     return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """argv read by the one parser of the leaf it names; by the whole tree when
+    it names none or leaves tokens over, as the tree gives a leaf only the
+    tokens after its path. Joins the leaf's negative values in argv in place."""
+    if (leaf := _leaf(argv)) is not None:
+        path, flags, runner = leaf
+        names = {"--" + name for name, _, _ in flags}
+        for i in range(len(argv) - 1, 0, -1):
+            if argv[i - 1] in names and _NEGATIVE_NUMBER.match(argv[i]):
+                argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
+        parser = argparse.ArgumentParser(prog=" ".join(["timedata-lab", *path]))
+        args, rest = _with_flags(parser, flags, runner).parse_known_args(argv[len(path):])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    _, _, flags = _chosen(argv)
-    names = {"--" + name for name, _, _ in flags}  # the chosen leaf's own flags
-    for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in names and _NEGATIVE_NUMBER.match(argv[i]):
-            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

@@ -10,6 +10,7 @@ from typing import Callable
 from .errors import DomainError
 
 FOLD_TOL = 1e-12
+ARC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,12 @@ def segment_length(p1: Point2, p2: Point2) -> float:
     return math.hypot(p2.x - p1.x, p2.y - p1.y)
 
 
-def shared_arc(d: ArcDecomposition, tolerance: float = 1e-9) -> tuple[float, bool]:
+def shared_arc(d: ArcDecomposition) -> tuple[float, bool]:
     """Shared-arc length PP' from the AB decomposition, plus a flag saying
     whether the BA decomposition gives the same length."""
     l1 = d.total_ab - d.ap_prime - d.pb
     l2 = d.total_ba - d.bp_prime - d.pa_prime
-    return (l1, abs(l1 - l2) <= tolerance)
+    return (l1, abs(l1 - l2) <= ARC_TOL)
 
 
 def riemann_area(f: Callable[[float, float], float],

@@ -5,12 +5,14 @@ frequency-resolution displacement, uncertainty check and jump probability.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import DivergenceSignal, DivisionByZeroSignal, DomainError
 from .units import C_KM_PER_S
 
 TWO_PI = 2.0 * math.pi
+_HHMMSS = re.compile(r"([0-9]{2}):([0-9]{2}):([0-9]{2})")  # int() also takes "1_3"
 
 
 @dataclass(frozen=True)
@@ -39,11 +41,9 @@ class Timestamp:
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
-        try:
-            hours, minutes, seconds = map(int, text.split(":"))
-        except ValueError:
-            raise DomainError(f"expected HH:MM:SS, got {text!r}") from None
-        return cls(hours, minutes, seconds)
+        if (match := _HHMMSS.fullmatch(text)) is None:
+            raise DomainError(f"expected HH:MM:SS, got {text!r}")
+        return cls(int(match[1]), int(match[2]), int(match[3]))
 
     def total_seconds(self) -> int:
         return self.hours * 3600 + self.minutes * 60 + self.seconds
@@ -87,7 +87,7 @@ def shift_timestamp(local: Timestamp, epsilon_lm: float) -> Timestamp:
     Subtracts round(epsilon * 60) seconds; no day arithmetic, rolling back
     past 00:00:00 is a range error.
     """
-    if epsilon_lm < 0:
+    if not epsilon_lm >= 0:  # nan too
         raise DomainError("epsilon must be nonnegative")
     # More than a day (1440 Lm) always rolls back, and round() overflows on inf.
     if (epsilon_lm > 1440.0

@@ -4,10 +4,11 @@ The expected strings are fixed text, not recomputed from the toolkit, so
 any change to what a command prints or returns fails here. ``sort probe``
 prints wall-clock timings; only its exit code and line shapes are pinned.
 Property tests run generated argv through every other leaf, `sheet` and
-`chart` with generated input files, and check that the parser built for
-an argv reads it as the whole tree does.
+`chart` with generated input files, and check that the one parser of the
+leaf an argv names reads it as the whole tree does.
 """
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -20,6 +21,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from timedata_lab import cli
 from timedata_lab.analysis import CSV_HEADER, DIV0, DIVERGES, finite_float
 from timedata_lab.cli import COMMANDS, build_parser, main
 
@@ -116,6 +118,8 @@ TYPED_ERRORS = [
      "error: both sizes infinite: ratio ambiguous\n"),
     (["link", "shift", "--time", "ab:cd:ef", "--epsilon", "1"],
      "error: expected HH:MM:SS, got 'ab:cd:ef'\n"),
+    (["link", "shift", "--time", "1_3:35:00", "--epsilon", "1"],
+     "error: expected HH:MM:SS, got '1_3:35:00'\n"),
     (["link", "fres", "--distance", "1.46e8", "--progress", "150"],
      "error: progress must be in [0, 100], got 150.0\n"),
     (["link", "fres", "--distance", "1e-300", "--progress", "1e-300"],
@@ -264,6 +268,10 @@ HELP_AND_USAGE = [
      "arguments are required: --config, --progress, --out\n"),
     ("link eps --progress 1 --range 2 extra", 2, "", TOP_USAGE
      + "timedata-lab: error: unrecognized arguments: extra\n"),
+    ("sheet --config c --progress 1 --out o extra", 2, "", TOP_USAGE
+     + "timedata-lab: error: unrecognized arguments: extra\n"),
+    ("link eps --progress 1 --range 2 -- extra", 2, "", TOP_USAGE
+     + "timedata-lab: error: unrecognized arguments: -- extra\n"),
     ("link eps --bogus", 2, "", EPS_USAGE + "timedata-lab link eps: error: the "
      "following arguments are required: --progress, --range\n"),
 ]
@@ -279,26 +287,30 @@ def test_help_and_usage_transcript(capsys, monkeypatch, argv, code, stdout, stde
 @st.composite
 def _parser_argv(draw):
     """A leaf's argv with every flag set to 1, cut short anywhere, then that
-    leaf's flags (alone or as `--flag=--`), help flags, other choices,
-    numbers and junk."""
+    leaf's flags (alone, as `--flag=--` or the first one abbreviated), help
+    flags, other choices, numbers and junk."""
     command = draw(st.sampled_from(list(COMMANDS)))
     actions = COMMANDS[command][1]
     action = draw(st.sampled_from(list(actions)))
     flags = ["--" + name for name, _, _ in actions[action][0]]
     head = [command] + [action] * (action is not None) + [
         token for flag in flags for token in (flag, "1")]
-    tokens = (flags + [flag + "=--" for flag in flags] + list(COMMANDS)
-              + [a for a in actions if a]
-              + ["-h", "--help", "--", "bogus", "1", "-1e5"])
+    tokens = (flags + [flag + "=--" for flag in flags] + [flags[0][:6]]
+              + list(COMMANDS) + [a for a in actions if a]
+              + ["-h", "--help", "--he", "--", "bogus", "1", "-1", "-1e5"])
     return head[:draw(st.integers(0, len(head)))] + draw(
         st.lists(st.sampled_from(tokens), max_size=4))
 
 
-def _parsed(parser, argv):
+def _parsed(parse, argv):
+    """The namespace without `command` and `action`, or the exit code, and
+    what parse wrote to stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = vars(parse(argv))
+            result.pop("command", None)
+            result.pop("action", None)
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
@@ -307,7 +319,22 @@ def _parsed(parser, argv):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_parser_argv())
 def test_parser_built_for_argv_reads_it_as_the_whole_tree(argv):
-    assert _parsed(build_parser(argv), argv) == _parsed(build_parser(), argv)
+    joined = list(argv)  # _parse joins the leaf's negative values in place
+    leaf = _parsed(cli._parse, joined)
+    assert leaf == _parsed(build_parser().parse_args, joined)
+
+
+def test_leaf_argv_builds_one_parser(capsys, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert main(["link", "eps", "--progress", "16", "--range", "8.3"]) == 0
+    assert capsys.readouterr().out == "1.328000 Lm\n"
+    assert built == ["timedata-lab link eps"]
 
 
 @pytest.mark.parametrize("argv,stderr", TYPED_ERRORS,

@@ -62,7 +62,7 @@ class TestSharedArc:
     def test_same_split_always_consistent(self, shared, a1, a2, b1, b2):
         d = ArcDecomposition(a1 + a2 + shared, a1, a2,
                              b1 + b2 + shared, b1, b2)
-        length, ok = gl.shared_arc(d, tolerance=1e-9)
+        length, ok = gl.shared_arc(d)
         assert ok
         assert length == pytest.approx(shared, abs=1e-9)
 

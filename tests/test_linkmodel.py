@@ -43,7 +43,9 @@ class TestTimestamp:
         assert str(t) == "13:35:00"
 
     @pytest.mark.parametrize("text", ["ab:cd:ef", "13:35", "13:35:00:00", "",
-                                      "13:35:0.5"])
+                                      "13:35:0.5", "1_3:35:00", "١٣:٣٥:٠٠",
+                                      " 13:35:00", "13:35:00\n", "+1:35:00",
+                                      "13:35:0"])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(DomainError, match="expected HH:MM:SS"):
             Timestamp.parse(text)
@@ -65,6 +67,11 @@ class TestTimestamp:
     def test_shift_unrounded_epsilon(self):
         # 1.328 min = 79.68 s, also rounds to 80 s
         assert str(lm.shift_timestamp(Timestamp(13, 35, 0), 1.328)) == "13:33:40"
+
+    @pytest.mark.parametrize("eps", [-1.0, float("nan")])
+    def test_shift_refuses_negative_and_nan(self, eps):
+        with pytest.raises(DomainError, match="epsilon must be nonnegative"):
+            lm.shift_timestamp(Timestamp(1, 0, 0), eps)
 
     def test_underflow_past_midnight(self):
         with pytest.raises(DomainError):
