@@ -6,10 +6,12 @@ from __future__ import annotations
 
 import csv
 import html
+import io
 import math
 import re
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import linkmodel
 from .errors import (ChartError, CsvParseError, DivergenceSignal,
@@ -19,8 +21,6 @@ from .linkmodel import Target, Timestamp
 DIV0 = "#Div/0!"
 DIVERGES = "#Inf!"
 _SENTINELS = (DIV0, DIVERGES)
-
-CSV_HEADER = "target,progress_pct,f_xy,t,epsilon_lm,delta_t_s,nu_dw_hz,nu_dw_x_hz"
 
 
 def finite_float(text: str) -> float:
@@ -44,8 +44,26 @@ def finite_text(value) -> str:
     return f"{value:.6g}"
 
 
-@dataclass(frozen=True)
-class LinkRecord:
+def _resolution(cell: str) -> float | str:
+    return cell if cell in _SENTINELS else finite_float(cell)
+
+
+# The CSV columns in LinkRecord's field order: header name -> (reader, writer).
+_COLUMNS = {
+    "target": (str, str),
+    "progress_pct": (finite_float, finite_text),
+    "f_xy": (str, str),
+    "t": (Timestamp.parse, str),
+    "epsilon_lm": (finite_float, finite_text),
+    "delta_t_s": (finite_float, finite_text),
+    "nu_dw_hz": (_resolution, finite_text),
+    "nu_dw_x_hz": (_resolution, finite_text),
+}
+_READERS, _WRITERS = zip(*_COLUMNS.values())
+CSV_HEADER = ",".join(_COLUMNS)
+
+
+class LinkRecord(NamedTuple):
     target_name: str
     progress_pct: float
     f_xy_label: str
@@ -85,63 +103,48 @@ def build_sheet(targets: list[Target], progress_list: list[float],
                     target.distance_km, progress)
             except DivergenceSignal:
                 nu_x = DIVERGES
-            records.append(LinkRecord(
-                target_name=target.name,
-                progress_pct=progress,
-                f_xy_label=f"f(x,y)|{target.name}",
-                t_stamp=stamp,
-                epsilon_lm=eps,
-                delta_t_s=delta_t,
-                nu_delta_omega_hz=nu,
-                nu_displaced_hz=nu_x,
-            ))
+            records.append(LinkRecord(target.name, progress, f"f(x,y)|{target.name}",
+                                      stamp, eps, delta_t, nu, nu_x))
     return Sheet(records=records)
 
 
-def emit_csv(sheet: Sheet, path) -> None:
-    """Write the sheet as UTF-8 CSV with LF line endings.
+def _write_text(path, text: str) -> None:
+    """Write text as UTF-8; an encoding error leaves an existing file as it was."""
+    data = text.encode("utf-8")  # before the file is opened and truncated
+    with open(path, "wb") as fh:
+        fh.write(data)
 
-    The f(x,y) label cell is quoted by the csv writer; all other cells
-    are comma-free.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        for r in sheet.records:
-            writer.writerow([
-                r.target_name,
-                finite_text(r.progress_pct),
-                r.f_xy_label,
-                str(r.t_stamp),
-                finite_text(r.epsilon_lm),
-                finite_text(r.delta_t_s),
-                finite_text(r.nu_delta_omega_hz),
-                finite_text(r.nu_displaced_hz),
-            ])
+
+def emit_csv(sheet: Sheet, path) -> None:
+    """Write the sheet as UTF-8 CSV with LF line endings, the f(x,y) label
+    quoted. A record that cannot be written (a number not finite, a CR in a
+    text cell) raises before an existing file is touched."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(_COLUMNS)
+    writer.writerows([write(value) for write, value in zip(_WRITERS, r)]
+                     for r in sheet.records)
+    if "\r" in (text := buffer.getvalue()):  # unquoted, a CR ends a row
+        raise DomainError("a text cell holds a carriage return, which CSV cannot carry")
+    _write_text(path, text)
 
 
 def parse_csv(path) -> Sheet:
     """Inverse of emit_csv, up to 6-significant-digit rounding."""
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != CSV_HEADER.split(","):
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # a field over the reader's size limit
+            raise CsvParseError(str(exc), reader.line_num) from None
+    if not rows or rows[0] != list(_COLUMNS):
         raise CsvParseError("missing or wrong header row", 1)
     records = []
-    for i, parts in enumerate(rows[1:], start=2):
-        if len(parts) != 8:
-            raise CsvParseError(f"expected 8 columns, got {len(parts)}", i)
-        name, progress, label, stamp, eps, delta_t, nu, nu_x = parts
+    for i, cells in enumerate(rows[1:], start=2):
+        if len(cells) != len(_COLUMNS):
+            raise CsvParseError(f"expected {len(_COLUMNS)} columns, got {len(cells)}", i)
         try:
-            records.append(LinkRecord(
-                target_name=name,
-                progress_pct=finite_float(progress),
-                f_xy_label=label,
-                t_stamp=Timestamp.parse(stamp),
-                epsilon_lm=finite_float(eps),
-                delta_t_s=finite_float(delta_t),
-                nu_delta_omega_hz=nu if nu in _SENTINELS else finite_float(nu),
-                nu_displaced_hz=nu_x if nu_x in _SENTINELS else finite_float(nu_x),
-            ))
+            records.append(LinkRecord._make([read(c) for read, c in zip(_READERS, cells)]))
         except (ValueError, DomainError) as exc:  # their messages quote the cell
             raise CsvParseError(str(exc), i) from None
     return Sheet(records=records)
@@ -246,5 +249,4 @@ def render_radar_chart(sheet: Sheet, path) -> None:
         legend_y += 18
 
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")

@@ -32,10 +32,8 @@ class CapacityError(TimedataError):
 class CsvParseError(TimedataError):
     """Malformed CSV row; carries the 1-based line number."""
 
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
+    def __init__(self, message, line_number):
+        super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
 
 

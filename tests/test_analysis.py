@@ -1,6 +1,10 @@
+import math
+import tempfile
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from timedata_lab import analysis
 from timedata_lab.analysis import DIV0, DIVERGES, LinkRecord, Sheet
@@ -10,6 +14,17 @@ from timedata_lab.linkmodel import Target, Timestamp
 SUN = Target("Sun", 1.46e8, 8.3)
 BASE = Timestamp(13, 35, 0)
 PROGRESS = [0, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96]
+
+
+# Printable names without surrogates or CR; the csv writer must quote
+# the comma, the quote and the LF.
+_NAME = st.text(st.one_of(st.characters(exclude_categories=("Cc", "Cs")),
+                          st.sampled_from(',"\n')), min_size=1, max_size=8)
+
+
+def _sentinels(sheet):
+    return sum(isinstance(cell, str) for r in sheet.records
+               for cell in (r.nu_delta_omega_hz, r.nu_displaced_hz))
 
 
 @pytest.fixture
@@ -43,7 +58,21 @@ class TestBuildSheet:
 
     def test_pure_function(self, sun_sheet):
         again = analysis.build_sheet([SUN], PROGRESS, BASE)
-        assert again == sun_sheet  # generation time excluded from equality
+        assert again == sun_sheet
+
+    def test_records_are_immutable_values(self, sun_sheet):
+        row = sun_sheet.records[1]
+        with pytest.raises(AttributeError):
+            row.epsilon_lm = 0.0
+        assert LinkRecord(*row) == row
+        assert row._replace(epsilon_lm=0.0) != row
+
+    def test_fields_in_csv_column_order(self):
+        assert analysis.CSV_HEADER == ("target,progress_pct,f_xy,t,epsilon_lm,"
+                                       "delta_t_s,nu_dw_hz,nu_dw_x_hz")
+        assert LinkRecord._fields == ("target_name", "progress_pct", "f_xy_label",
+                                      "t_stamp", "epsilon_lm", "delta_t_s",
+                                      "nu_delta_omega_hz", "nu_displaced_hz")
 
     def test_empty_inputs(self):
         with pytest.raises(DomainError):
@@ -85,6 +114,43 @@ class TestCsv:
         analysis.emit_csv(sun_sheet, path)
         first_data_row = path.read_text().splitlines()[1]
         assert "#Div/0!" in first_data_row
+
+    # A lone surrogate fails to encode; an inf cell fails to format.
+    @pytest.mark.parametrize("spoil,error", [
+        (lambda r: r._replace(target_name="A\udc80B"), UnicodeEncodeError),
+        (lambda r: r._replace(epsilon_lm=math.inf), DomainError),
+    ], ids=["surrogate name", "inf cell"])
+    def test_failed_write_keeps_old_file(self, tmp_path, sun_sheet, spoil, error):
+        path = tmp_path / "sheet.csv"
+        analysis.emit_csv(sun_sheet, path)
+        old = path.read_bytes()
+        records = sun_sheet.records[:-1] + [spoil(sun_sheet.records[-1])]
+        with pytest.raises(error):
+            analysis.emit_csv(Sheet(records=records), path)
+        assert path.read_bytes() == old
+
+    # The csv writer leaves a CR unquoted, and the reader ends a row there.
+    def test_carriage_return_in_name_refused(self, tmp_path):
+        sheet = analysis.build_sheet([Target("A\rB", 1.46e8, 8.3)], PROGRESS, BASE)
+        path = tmp_path / "cr.csv"
+        with pytest.raises(DomainError, match="carriage return"):
+            analysis.emit_csv(sheet, path)
+        assert not path.exists()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(names=st.lists(_NAME, min_size=1, max_size=3),
+           progress=st.lists(st.floats(0, 100), max_size=4))
+    def test_emit_parse_emit_same_bytes(self, names, progress):
+        targets = [Target(name, 1.46e8, 8.3) for name in names]
+        sheet = analysis.build_sheet(targets, [0.0, *progress, 100.0], BASE)
+        with tempfile.TemporaryDirectory() as directory:
+            first, second = Path(directory, "a.csv"), Path(directory, "b.csv")
+            analysis.emit_csv(sheet, first)
+            parsed = analysis.parse_csv(first)
+            analysis.emit_csv(parsed, second)
+            assert second.read_bytes() == first.read_bytes()
+            assert analysis.parse_csv(second) == parsed
+        assert _sentinels(parsed) == _sentinels(sheet) >= 2 * len(names)
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

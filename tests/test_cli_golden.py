@@ -482,6 +482,15 @@ def test_chart_over_the_spoke_cap(capsys, tmp_path):
     assert not svg_path.exists()
 
 
+def test_chart_of_a_cell_over_the_field_limit(capsys, tmp_path):
+    csv_path, svg_path = tmp_path / "huge.csv", tmp_path / "huge.svg"
+    row = ["x" * 200_000] + GOOD_ROW[1:]
+    csv_path.write_text("\n".join([CSV_HEADER] + [",".join(row)] * 3) + "\n")
+    assert _run(capsys, ["chart", "--in", str(csv_path), "--out", str(svg_path)]) == (
+        1, "", "error: line 2: field larger than field limit (131072)\n")
+    assert not svg_path.exists()
+
+
 def test_chart_escapes_target_names(capsys, tmp_path):
     config = tmp_path / "targets.ini"
     config.write_text("[target.A<&B]\ndistance_km = 1e8\nrange_lm = 1\n")
