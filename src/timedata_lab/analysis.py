@@ -109,8 +109,13 @@ def build_sheet(targets: list[Target], progress_list: list[float],
 
 
 def _write_text(path, text: str) -> None:
-    """Write text as UTF-8; an encoding error leaves an existing file as it was."""
-    data = text.encode("utf-8")  # before the file is opened and truncated
+    """Write text as UTF-8; text it cannot encode raises DomainError and
+    leaves an existing file as it was."""
+    try:
+        data = text.encode("utf-8")  # before the file is opened and truncated
+    except UnicodeEncodeError as exc:
+        raise DomainError("text cannot be encoded as UTF-8: "
+                          f"{exc.object[exc.start]!r}") from None
     with open(path, "wb") as fh:
         fh.write(data)
 
@@ -130,23 +135,22 @@ def emit_csv(sheet: Sheet, path) -> None:
 
 
 def parse_csv(path) -> Sheet:
-    """Inverse of emit_csv, up to 6-significant-digit rounding."""
+    """Inverse of emit_csv, up to 6-significant-digit rounding. An error
+    names the file line on which the offending row ends."""
+    records = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            rows = list(reader)
-        except csv.Error as exc:  # a field over the reader's size limit
-            raise CsvParseError(str(exc), reader.line_num) from None
-    if not rows or rows[0] != list(_COLUMNS):
-        raise CsvParseError("missing or wrong header row", 1)
-    records = []
-    for i, cells in enumerate(rows[1:], start=2):
-        if len(cells) != len(_COLUMNS):
-            raise CsvParseError(f"expected {len(_COLUMNS)} columns, got {len(cells)}", i)
-        try:
-            records.append(LinkRecord._make([read(c) for read, c in zip(_READERS, cells)]))
-        except (ValueError, DomainError) as exc:  # their messages quote the cell
-            raise CsvParseError(str(exc), i) from None
+            if next(reader, None) != list(_COLUMNS):
+                raise ValueError("missing or wrong header row")
+            for cells in reader:
+                if len(cells) != len(_COLUMNS):
+                    raise ValueError(f"expected {len(_COLUMNS)} columns, got {len(cells)}")
+                records.append(LinkRecord._make([read(c) for read, c in zip(_READERS, cells)]))
+        except UnicodeDecodeError:
+            raise  # not a CSV fault: the file is not UTF-8
+        except (csv.Error, ValueError, DomainError) as exc:  # their messages quote the cell
+            raise CsvParseError(str(exc), reader.line_num or 1) from None  # 0: empty file
     return Sheet(records=records)
 
 

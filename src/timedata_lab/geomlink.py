@@ -3,6 +3,7 @@ bookkeeping, midpoint Riemann sums and planar kinematics."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -74,49 +75,32 @@ def shared_arc(d: ArcDecomposition) -> tuple[float, bool]:
     return (l1, abs(l1 - l2) <= ARC_TOL)
 
 
+def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
+                  counts: tuple[int, ...]) -> float:
+    """Midpoint-rule sum of f over the box bounds = (lo, hi, lo, hi, ...)
+    with counts[i] cells along axis i, times the cell volume."""
+    if min(counts) < 1:
+        raise DomainError("grid resolution must be >= 1")
+    lows = bounds[::2]
+    steps = [(hi - lo) / n for lo, hi, n in zip(lows, bounds[1::2], counts, strict=True)]
+    if 0 in steps:
+        return 0.0
+    axes = [[lo + (i + 0.5) * h for i in range(n)] for lo, h, n in zip(lows, steps, counts)]
+    return math.prod(steps, start=sum(itertools.starmap(f, itertools.product(*axes))))
+
+
 def riemann_area(f: Callable[[float, float], float],
                  domain: tuple[float, float, float, float],
                  m: int, n: int) -> float:
     """Midpoint-rule double sum of f over [x0,x1] x [y0,y1] on an m*n grid."""
-    if m < 1 or n < 1:
-        raise DomainError("grid resolution must be >= 1")
-    x0, x1, y0, y1 = domain
-    hx = (x1 - x0) / m
-    hy = (y1 - y0) / n
-    if hx == 0 or hy == 0:
-        return 0.0
-    total = 0.0
-    for i in range(m):
-        x = x0 + (i + 0.5) * hx
-        row = 0.0
-        for j in range(n):
-            row += f(x, y0 + (j + 0.5) * hy)
-        total += row
-    return total * hx * hy
+    return _midpoint_sum(f, domain, (m, n))
 
 
 def triple_integral(f: Callable[[float, float, float], float],
                     region: tuple[float, float, float, float, float, float],
                     mx: int, my: int, mt: int) -> float:
     """Midpoint-rule triple sum of f(x, y, t) over an axis-aligned box."""
-    if min(mx, my, mt) < 1:
-        raise DomainError("resolutions must be >= 1")
-    x0, x1, y0, y1, t0, t1 = region
-    hx = (x1 - x0) / mx
-    hy = (y1 - y0) / my
-    ht = (t1 - t0) / mt
-    if hx == 0 or hy == 0 or ht == 0:
-        return 0.0
-    total = 0.0
-    for i in range(mx):
-        x = x0 + (i + 0.5) * hx
-        for j in range(my):
-            y = y0 + (j + 0.5) * hy
-            inner = 0.0
-            for k in range(mt):
-                inner += f(x, y, t0 + (k + 0.5) * ht)
-            total += inner
-    return total * hx * hy * ht
+    return _midpoint_sum(f, region, (mx, my, mt))
 
 
 def time_split_check(t_s: float, t_parallel_s: float) -> tuple[float, bool]:

@@ -116,16 +116,17 @@ class TestCsv:
         assert "#Div/0!" in first_data_row
 
     # A lone surrogate fails to encode; an inf cell fails to format.
-    @pytest.mark.parametrize("spoil,error", [
-        (lambda r: r._replace(target_name="A\udc80B"), UnicodeEncodeError),
-        (lambda r: r._replace(epsilon_lm=math.inf), DomainError),
+    @pytest.mark.parametrize("spoil,message", [
+        (lambda r: r._replace(target_name="A\udc80B"),
+         r"text cannot be encoded as UTF-8: '\\udc80'"),
+        (lambda r: r._replace(epsilon_lm=math.inf), "result not finite: inf"),
     ], ids=["surrogate name", "inf cell"])
-    def test_failed_write_keeps_old_file(self, tmp_path, sun_sheet, spoil, error):
+    def test_failed_write_keeps_old_file(self, tmp_path, sun_sheet, spoil, message):
         path = tmp_path / "sheet.csv"
         analysis.emit_csv(sun_sheet, path)
         old = path.read_bytes()
         records = sun_sheet.records[:-1] + [spoil(sun_sheet.records[-1])]
-        with pytest.raises(error):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             analysis.emit_csv(Sheet(records=records), path)
         assert path.read_bytes() == old
 
@@ -166,6 +167,25 @@ class TestCsv:
         with pytest.raises(CsvParseError) as exc:
             analysis.parse_csv(path)
         assert exc.value.line_number == 2
+
+    # Each record here spans three file lines: the name and the label hold an LF.
+    def test_error_names_the_file_line(self, tmp_path):
+        sheet = analysis.build_sheet([Target("A\nB", 1e8, 8.3)], [8, 16, 24], BASE)
+        path = tmp_path / "lf.csv"
+        analysis.emit_csv(sheet, path)
+        lines = path.read_text().split("\n")
+        assert lines[6].startswith('B",13:')
+        lines[6] = lines[6].replace("13:", "ab:", 1)
+        path.write_text("\n".join(lines))
+        with pytest.raises(CsvParseError) as exc:
+            analysis.parse_csv(path)
+        assert str(exc.value) == "line 7: expected HH:MM:SS, got 'ab:33:40'"
+
+    def test_empty_file_reports_line_one(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(CsvParseError, match="^line 1: missing or wrong header row$"):
+            analysis.parse_csv(path)
 
     @pytest.mark.parametrize("row", ["Sun,1,f,13:00:00,inf,60,0.1,0.1",
                                      "Sun,1,f,13:00:00,1,60,nan,0.1"],

@@ -67,6 +67,24 @@ class TestSharedArc:
         assert length == pytest.approx(shared, abs=1e-9)
 
 
+def _loop_reference(f, bounds, counts):
+    """The midpoint rule as one nested loop per axis, summed row by row."""
+    lo, hi = bounds[:2]
+    h = (hi - lo) / counts[0]
+    total = 0.0
+    for i in range(counts[0]):
+        x = lo + (i + 0.5) * h
+        total += (f(x) if len(counts) == 1 else
+                  _loop_reference(lambda *rest: f(x, *rest), bounds[2:], counts[1:]))
+    return total * h
+
+
+# Spans are 0 or at least 0.25, so no product underflows, and the
+# integrands lie between 1 and 3, so no sum cancels to near 0.
+_BOUND = st.integers(-40, 40).map(lambda k: k / 4)
+_COUNT = st.integers(1, 12)
+
+
 class TestRiemannArea:
     def test_constant_exact(self):
         for m, n in [(1, 1), (3, 7), (50, 50)]:
@@ -93,6 +111,40 @@ class TestRiemannArea:
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 2
 
+    @pytest.mark.parametrize("m,n", [(0, 1), (1, 0), (-3, 4), (2, -1)])
+    def test_resolution_below_one_rejected(self, m, n):
+        with pytest.raises(DomainError, match="grid resolution must be >= 1"):
+            gl.riemann_area(lambda x, y: 1.0, (0, 1, 0, 1), m, n)
+
+    def test_one_cell_evaluates_the_centre(self):
+        calls = []
+        out = gl.riemann_area(lambda x, y: calls.append((x, y)) or 3.0,
+                              (1, 2, -4, 0), 1, 1)
+        assert calls == [(1.5, -2.0)]
+        assert out == 3.0 * 1 * 4
+
+    def test_reversed_bounds_negate(self):
+        f = lambda x, y: math.exp(x) * math.cos(y)
+        forward = gl.riemann_area(f, (0.2, 1.7, -1, 2), 13, 9)
+        assert gl.riemann_area(f, (1.7, 0.2, -1, 2), 13, 9) == \
+            pytest.approx(-forward, rel=1e-12)
+        assert gl.riemann_area(f, (1.7, 0.2, 2, -1), 13, 9) == \
+            pytest.approx(forward, rel=1e-12)
+
+    @given(st.tuples(*[_BOUND] * 4), _COUNT, _COUNT)
+    def test_matches_loop_reference(self, domain, m, n):
+        f = lambda x, y: 2.0 + math.sin(x * y)
+        assert math.isclose(gl.riemann_area(f, domain, m, n),
+                            _loop_reference(f, domain, (m, n)), rel_tol=1e-12)
+
+    def test_affine_closed_form(self):
+        # The midpoint rule is exact for an affine integrand, up to rounding.
+        x0, x1, y0, y1 = 0.5, 3.25, -2.0, 1.5
+        f = lambda x, y: 0.75 + 2.0 * x - 1.25 * y
+        exact = (x1 - x0) * (y1 - y0) * f((x0 + x1) / 2, (y0 + y1) / 2)
+        assert gl.riemann_area(f, (x0, x1, y0, y1), 37, 23) == \
+            pytest.approx(exact, rel=1e-12)
+
 
 class TestTripleIntegral:
     def test_unit_cube(self):
@@ -113,6 +165,42 @@ class TestTripleIntegral:
     def test_degenerate_box(self):
         assert gl.triple_integral(lambda x, y, t: 1.0,
                                   (0, 1, 1, 1, 0, 1), 5, 5, 5) == 0.0
+
+    @pytest.mark.parametrize("counts", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 2, -5)])
+    def test_resolution_below_one_rejected(self, counts):
+        with pytest.raises(DomainError, match="grid resolution must be >= 1"):
+            gl.triple_integral(lambda x, y, t: 1.0, (0, 1, 0, 1, 0, 1), *counts)
+
+    def test_one_cell_evaluates_the_centre(self):
+        calls = []
+        out = gl.triple_integral(lambda x, y, t: calls.append((x, y, t)) or 3.0,
+                                 (1, 2, -4, 0, 0, 0.5), 1, 1, 1)
+        assert calls == [(1.5, -2.0, 0.25)]
+        assert out == 3.0 * 1 * 4 * 0.5
+
+    def test_reversed_bounds_negate(self):
+        f = lambda x, y, t: math.exp(x) * math.cos(y) + t * t
+        box = (0.2, 1.7, -1, 2, 0, 3)
+        forward = gl.triple_integral(f, box, 7, 5, 6)
+        assert gl.triple_integral(f, (1.7, 0.2, -1, 2, 0, 3), 7, 5, 6) == \
+            pytest.approx(-forward, rel=1e-12)
+        assert gl.triple_integral(f, (0.2, 1.7, -1, 2, 3, 0), 7, 5, 6) == \
+            pytest.approx(-forward, rel=1e-12)
+
+    @given(st.tuples(*[_BOUND] * 6), _COUNT, _COUNT, _COUNT)
+    def test_matches_loop_reference(self, region, mx, my, mt):
+        f = lambda x, y, t: 2.0 + math.sin(x * y - t)
+        assert math.isclose(gl.triple_integral(f, region, mx, my, mt),
+                            _loop_reference(f, region, (mx, my, mt)), rel_tol=1e-12)
+
+    def test_affine_closed_form(self):
+        # The midpoint rule is exact for an affine integrand, up to rounding.
+        box = (0.5, 3.25, -2.0, 1.5, 1.0, 4.5)
+        f = lambda x, y, t: 0.75 + 2.0 * x - 1.25 * y + 0.5 * t
+        centre = [(lo + hi) / 2 for lo, hi in zip(box[::2], box[1::2])]
+        volume = math.prod(hi - lo for lo, hi in zip(box[::2], box[1::2]))
+        assert gl.triple_integral(f, box, 11, 13, 7) == \
+            pytest.approx(volume * f(*centre), rel=1e-12)
 
 
 class TestTimeSplit:
