@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import linkmodel
 from .errors import (ChartError, CsvParseError, DivergenceSignal,
-                     DivisionByZeroSignal, DomainError)
+                     DivisionByZeroSignal, DomainError, finite)
 from .linkmodel import Target, Timestamp
 
 DIV0 = "#Div/0!"
@@ -39,9 +39,7 @@ def finite_text(value) -> str:
     labels): 6 significant digits, never nan or inf; sentinels pass through."""
     if isinstance(value, str):
         return value
-    if not math.isfinite(value):
-        raise DomainError(f"result not finite: {value}")
-    return f"{value:.6g}"
+    return f"{finite(value, 'result'):.6g}"
 
 
 def _resolution(cell: str) -> float | str:

@@ -185,8 +185,8 @@ COMMANDS = {
                        a.dt, a.vx, a.vy, a.vz)) + " s"),
         "polar": (_floats("x", "y"), _polar),
         "charge": (_floats("q1") + [(q, finite_float, 0.0) for q in ("qin", "qout")],
-                   lambda a: finite_text(float(relativity.charge_balance(
-                       relativity.ChargeLedger(a.q1, a.qin, a.qout)))) + " C"),
+                   lambda a: finite_text(relativity.charge_balance(
+                       relativity.ChargeLedger(a.q1, a.qin, a.qout))) + " C"),
     }),
     "sort": ("partitioned parallel sort harness", {
         "run": ([("values", _csv_of(finite_float), _REQUIRED), ("partitions", int, 1)],
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         text = args.run(args)
-    except (TimedataError, ArithmeticError) as exc:  # kernel overflow, x / 0
+    except TimedataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, UnicodeDecodeError) as exc:

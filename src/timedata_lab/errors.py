@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all timedata-lab modules."""
+"""Exception hierarchy shared by all timedata-lab modules, and their one result check."""
+
+import math
 
 
 class TimedataError(Exception):
@@ -39,3 +41,27 @@ class CsvParseError(TimedataError):
 
 class ChartError(TimedataError):
     """Radar chart cannot be drawn from the given sheet."""
+
+
+def finite(value, what: str) -> float:
+    """value as a float; DomainError naming what when it is nan or infinite,
+    or an int or Fraction beyond the float range."""
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf if value > 0 else -math.inf
+    if not math.isfinite(result):
+        raise DomainError(f"{what} not finite: {result}")
+    return result
+
+
+def quotient(numerator, denominator, what: str) -> float:
+    """finite(numerator / denominator, what), also where a denominator
+    underflowed to 0 or an int quotient is beyond the float range."""
+    try:
+        value = numerator / denominator
+    except ZeroDivisionError:
+        value = numerator * math.inf  # nan for 0 / 0
+    except OverflowError:
+        value = numerator // denominator  # an exact int that finite() refuses
+    return finite(value, what)

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError
+from .errors import DomainError, finite, quotient
 
 FOLD_TOL = 1e-12
 ARC_TOL = 1e-9
@@ -60,11 +60,11 @@ def slope(p1: Point2, p2: Point2) -> float:
     """Segment slope (y2 - y1)/(x2 - x1); vertical segments are excluded."""
     if p2.x == p1.x:
         raise DomainError("slope undefined for vertical segment")
-    return (p2.y - p1.y) / (p2.x - p1.x)
+    return quotient(p2.y - p1.y, p2.x - p1.x, "slope")
 
 
 def segment_length(p1: Point2, p2: Point2) -> float:
-    return math.hypot(p2.x - p1.x, p2.y - p1.y)
+    return finite(math.hypot(p2.x - p1.x, p2.y - p1.y), "segment length")
 
 
 def shared_arc(d: ArcDecomposition) -> tuple[float, bool]:
@@ -86,7 +86,8 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
     if 0 in steps:
         return 0.0
     axes = [[lo + (i + 0.5) * h for i in range(n)] for lo, h, n in zip(lows, steps, counts)]
-    return math.prod(steps, start=sum(itertools.starmap(f, itertools.product(*axes))))
+    total = sum(itertools.starmap(f, itertools.product(*axes)))
+    return finite(math.prod(steps, start=total), "integral")
 
 
 def riemann_area(f: Callable[[float, float], float],
@@ -122,6 +123,6 @@ def planar_kinematics(m: PlanarMotion) -> tuple[float, float, float]:
     to the synchronization displacement, identical here by construction.
     """
     d = math.hypot(*m.displacement)
-    v = d / m.t_s
-    a = d / (m.t_s * m.t_parallel_s)
+    v = quotient(d, m.t_s, "speed")
+    a = quotient(d, m.t_s * m.t_parallel_s, "acceleration")
     return (v, a, v)

@@ -8,7 +8,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import DivergenceSignal, DivisionByZeroSignal, DomainError
+from .errors import DivergenceSignal, DivisionByZeroSignal, DomainError, finite, quotient
 from .units import C_KM_PER_S
 
 TWO_PI = 2.0 * math.pi
@@ -102,21 +102,13 @@ def _check_link(distance_km: float, progress_pct: float) -> None:
     _check_progress(progress_pct)
 
 
-def _resolution(denominator_km: float) -> float:
-    """c / denominator in Hz; a denominator that underflowed to 0, or one
-    so small that the quotient overflows, is out of the domain."""
-    if denominator_km == 0 or math.isinf(hz := C_KM_PER_S / denominator_km):
-        raise DomainError(
-            f"frequency resolution overflows: c / {denominator_km:.6g} km")
-    return hz
-
-
 def frequency_resolution(distance_km: float, progress_pct: float) -> float:
     """Effective frequency c / (distance * progress fraction), in Hz."""
     _check_link(distance_km, progress_pct)
     if progress_pct == 0:
         raise DivisionByZeroSignal("frequency resolution undefined at 0% progress")
-    return _resolution(distance_km * progress_pct / 100.0)
+    return quotient(C_KM_PER_S, distance_km * progress_pct / 100.0,
+                    "frequency resolution")
 
 
 def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> float:
@@ -128,12 +120,13 @@ def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> f
     _check_link(distance_km, progress_pct)
     if progress_pct == 100.0:
         raise DivergenceSignal("displaced resolution diverges at 100% progress")
-    return _resolution(distance_km * (1.0 - progress_pct / 100.0))
+    return quotient(C_KM_PER_S, distance_km * (1.0 - progress_pct / 100.0),
+                    "displaced frequency resolution")
 
 
 def uncertainty_satisfied(delta_omega: float, delta_t: float) -> bool:
     """Bandwidth-time uncertainty check: product must reach 2*pi."""
-    if delta_omega < 0 or delta_t < 0:
+    if not (delta_omega >= 0 and delta_t >= 0):  # nan too
         raise DomainError("uncertainty inputs must be nonnegative")
     return delta_omega * delta_t >= TWO_PI
 
@@ -143,4 +136,4 @@ def timedata_probability(t_s: float, delta_bits: float,
     """Jump probability t * delta * |overlap|^2."""
     if t_s < 0 or delta_bits < 0:
         raise DomainError("time and bit count must be nonnegative")
-    return t_s * delta_bits * overlap.modulus_squared()
+    return finite(t_s * delta_bits * overlap.modulus_squared(), "jump probability")

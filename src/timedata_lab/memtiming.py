@@ -4,9 +4,10 @@ efficiency and FIFO waterfall allocation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .errors import CapacityError, DivisionByZeroSignal, DomainError
+from .errors import CapacityError, DivisionByZeroSignal, DomainError, finite, quotient
 
 QUBIT_NORM_TOL = 1e-9
 
@@ -20,7 +21,7 @@ class QubitState:
     b: complex
 
     def norm(self) -> float:
-        return (abs(self.a) ** 2 + abs(self.b) ** 2) ** 0.5
+        return math.hypot(self.a.real, self.a.imag, self.b.real, self.b.imag)
 
 
 @dataclass(frozen=True)
@@ -63,10 +64,6 @@ class ElectrodeGeometry:
         if min(self.length, self.width, self.resistivity, self.thickness) <= 0:
             raise DomainError("electrode geometry fields must be positive")
 
-    @property
-    def squares(self) -> float:
-        return self.length / self.width
-
 
 def bit_frequency(a_in_bits: float, b_in_qbits: float, t_s: float) -> float:
     """Classical bit input per qubit-unit input per second, in Hz."""
@@ -74,7 +71,7 @@ def bit_frequency(a_in_bits: float, b_in_qbits: float, t_s: float) -> float:
         raise DomainError("bit input must be nonnegative")
     if b_in_qbits <= 0 or t_s <= 0:
         raise DivisionByZeroSignal("qubit input and time must be positive")
-    return a_in_bits / (b_in_qbits * t_s)
+    return quotient(a_in_bits, b_in_qbits * t_s, "bit frequency")
 
 
 def validate_qubit(q: QubitState) -> bool:
@@ -101,7 +98,7 @@ def phase_ratio_means(alpha: list[tuple[float, float]],
             if rd == 0:
                 raise DivisionByZeroSignal("zero read phase")
             total += wr / rd
-        return total / len(pairs)
+        return finite(total / len(pairs), "mean phase ratio")
 
     return {"alpha": mean_ratio(alpha),
             "beta": mean_ratio(beta),
@@ -110,19 +107,19 @@ def phase_ratio_means(alpha: list[tuple[float, float]],
 
 def sheet_resistance(g: ElectrodeGeometry) -> float:
     """Sheet resistance resistivity / thickness, in ohms per square."""
-    return g.resistivity / g.thickness
+    return quotient(g.resistivity, g.thickness, "sheet resistance")
 
 
 def resistance(g: ElectrodeGeometry) -> float:
     """Electrode resistance Z * R_s with Z = L/W; square electrodes give R_s."""
-    return g.squares * sheet_resistance(g)
+    return finite(g.length / g.width * sheet_resistance(g), "resistance")
 
 
 def transconductance_baseline(d_i_ds_a: float, d_v_gs_v: float) -> float:
     """Field-effect transconductance dI_ds / dV_gs, in siemens."""
     if d_v_gs_v == 0:
         raise DivisionByZeroSignal("zero gate-source voltage step")
-    return d_i_ds_a / d_v_gs_v
+    return quotient(d_i_ds_a, d_v_gs_v, "transconductance")
 
 
 def quantum_efficiency(n_collected: int, n_entangled_storable: int) -> float:
@@ -131,7 +128,7 @@ def quantum_efficiency(n_collected: int, n_entangled_storable: int) -> float:
         raise DivisionByZeroSignal("storable carrier count must be positive")
     if n_collected < 0:
         raise DomainError("collected count must be nonnegative")
-    return n_collected / n_entangled_storable
+    return quotient(n_collected, n_entangled_storable, "quantum efficiency")
 
 
 def waterfall_allocate(carriers: list[Carrier], cells: CellMap) -> dict[int, int]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ThinShellError, TotalInternalReflection
+from .errors import DomainError, ThinShellError, TotalInternalReflection, finite, quotient
 
 # Single-mode cutoff used by this toolkit (documented divergence from the
 # textbook 2.405).
@@ -61,7 +61,7 @@ class IsolationShell:
 def v_number(f: FiberSpec) -> float:
     """Normalized frequency (2*pi*a/lambda) * sqrt(n1^2 - n2^2)."""
     na = math.sqrt(f.n1 * f.n1 - f.n2 * f.n2)
-    return 2.0 * math.pi * f.core_radius_m / f.wavelength_m * na
+    return finite(2.0 * math.pi * f.core_radius_m / f.wavelength_m * na, "V-number")
 
 
 def is_single_mode(v: float) -> bool:
@@ -76,7 +76,7 @@ def snell_refracted_angle(theta1_rad: float, n1: float, n2: float) -> float:
 
     Raises TotalInternalReflection when the Snell ratio exceeds 1.
     """
-    ratio = math.sin(theta1_rad) * n1 / n2
+    ratio = quotient(math.sin(theta1_rad) * n1, n2, "Snell ratio")
     if abs(ratio) > 1.0:
         raise TotalInternalReflection(
             f"sin(theta1)*n1/n2 = {ratio:.6g} outside [-1, 1]")
@@ -85,7 +85,8 @@ def snell_refracted_angle(theta1_rad: float, n1: float, n2: float) -> float:
 
 def faraday_rotation(cell: FaradayCell) -> float:
     """Polarization rotation angle verdet * B * path, in radians."""
-    return cell.verdet_rad_per_T_m * cell.b_field_T * cell.path_m
+    return finite(cell.verdet_rad_per_T_m * cell.b_field_T * cell.path_m,
+                  "Faraday rotation")
 
 
 def isolation_geometry(s: IsolationShell) -> tuple[float, float]:
@@ -100,4 +101,4 @@ def isolation_geometry(s: IsolationShell) -> tuple[float, float]:
             f"{THIN_SHELL_FACTOR:g} * r_C={s.circular_radius_m:g}")
     area = 2.0 * math.pi * b * (b + s.length_m)
     volume = 2.0 * math.pi * s.mean_radius_m * s.length_m * b
-    return (area, volume)
+    return (finite(area, "shell area"), finite(volume, "shell volume"))

@@ -17,6 +17,7 @@ DEFAULT_RATIO_BOUND = 1e6
 
 # Largest probe size (criterion 10's top size); checked before any list is built.
 MAX_PROBE_SIZE = 10 ** 6
+MAX_PROBE_WORK = 10 * MAX_PROBE_SIZE  # elements sorted over all sizes and trials
 
 # Timings shorter than this are considered below clock resolution.
 MIN_TIMABLE_S = 10 * time.get_clock_info("perf_counter").resolution
@@ -115,6 +116,9 @@ def scaling_probe(sizes: list[int], trials: int = 3,
     rng = random.Random(seed)
 
     probe = ComplexityProbe(sizes=list(sizes), measured={})
+    if (work := trials * sum(sizes)) > MAX_PROBE_WORK:
+        raise DomainError(f"probe work trials * sum(sizes) must be <= {MAX_PROBE_WORK}, "
+                          f"got {work}")
     for n in sizes:
         best = math.inf
         for _ in range(trials):

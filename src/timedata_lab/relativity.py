@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZeroSignal, DomainError
+from .errors import DivisionByZeroSignal, DomainError, finite, quotient
 from .units import C_KM_PER_S
 
 # Stationary storage projection factor, exact cos(pi/4).
@@ -57,7 +57,7 @@ def time_factor(v: Velocity) -> float:
 def proper_time_delta_general(dt_s: float, vx_km_s: float, vy_km_s: float,
                               vz_km_s: float) -> float:
     """Proper-time interval dt * sqrt(1 - v^2/c^2) for a 3-velocity."""
-    speed2 = vx_km_s ** 2 + vy_km_s ** 2 + vz_km_s ** 2
+    speed2 = vx_km_s * vx_km_s + vy_km_s * vy_km_s + vz_km_s * vz_km_s
     c2 = C_KM_PER_S ** 2
     if speed2 >= c2:
         raise DomainError("total speed must stay below c")
@@ -71,7 +71,7 @@ def stored_proper_time(t_dot_0: float) -> float:
 
 def polar_from_cartesian(x: float, y: float) -> PolarPoint:
     """Polar coordinates of (x, y); the origin maps to (0, 0) by convention."""
-    r = math.hypot(x, y)
+    r = finite(math.hypot(x, y), "radius")
     phi = math.atan2(y, x) if r > 0 else 0.0
     if phi <= -math.pi:
         phi = math.pi
@@ -88,7 +88,7 @@ def jacobian_polar(p: PolarPoint) -> float:
     dx_dphi = -p.r * math.sin(p.phi)
     dy_dr = math.sin(p.phi)
     dy_dphi = p.r * math.cos(p.phi)
-    return dx_dr * dy_dphi - dx_dphi * dy_dr
+    return finite(dx_dr * dy_dphi - dx_dphi * dy_dr, "Jacobian")
 
 
 def charge_balance(ledger: ChargeLedger) -> Fraction:
@@ -109,11 +109,11 @@ def charge_density(q_total_c: float, volume_m3: float) -> float:
     """Plate charge density Q / (2 * V); the factor 2 is part of the model."""
     if volume_m3 <= 0:
         raise DivisionByZeroSignal("volume must be positive")
-    return q_total_c / (2.0 * volume_m3)
+    return quotient(q_total_c, 2.0 * volume_m3, "charge density")
 
 
 def moire_wavelength(x_delta0: float, x_delta: float, x_pattern: float) -> float:
     """Moire wavelength x_delta0 * x_delta / x_pattern."""
     if x_pattern <= 0:
         raise DivisionByZeroSignal("pattern length must be positive")
-    return x_delta0 * x_delta / x_pattern
+    return quotient(x_delta0 * x_delta, x_pattern, "Moire wavelength")

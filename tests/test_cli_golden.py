@@ -123,34 +123,34 @@ TYPED_ERRORS = [
     (["link", "fres", "--distance", "1.46e8", "--progress", "150"],
      "error: progress must be in [0, 100], got 150.0\n"),
     (["link", "fres", "--distance", "1e-300", "--progress", "1e-300"],
-     "error: frequency resolution overflows: c / 0 km\n"),
+     "error: frequency resolution not finite: inf\n"),
     (["link", "fdisp", "--distance", "1e-320", "--progress", "16"],
-     "error: frequency resolution overflows: c / 8.39912e-321 km\n"),
+     "error: displaced frequency resolution not finite: inf\n"),
     (["link", "shift", "--time", "13:35:00", "--epsilon", "1e308"],
      "error: timestamp shift rolls back past midnight\n"),
     (["mem", "bitfreq", "--bits", "1e308", "--qbits", "1e-10", "--time", "1e-10"],
-     "error: result not finite: inf\n"),
+     "error: bit frequency not finite: inf\n"),
     (["mem", "gm", "--di", "1e308", "--dv", "1e-10"],
-     "error: result not finite: inf\n"),
+     "error: transconductance not finite: inf\n"),
     (["mem", "sheetres", "--length", "1e308", "--width", "1e-10",
-      "--resistivity", "1", "--thickness", "1"], "error: result not finite: inf\n"),
+      "--resistivity", "1", "--thickness", "1"], "error: resistance not finite: inf\n"),
     (["optics", "faraday", "--verdet", "1e200", "--bfield", "1e200", "--path", "1"],
-     "error: result not finite: inf\n"),
+     "error: Faraday rotation not finite: inf\n"),
     (["optics", "vnum", "--radius", "1e308", "--wavelength", "1e-10",
-      "--n1", "1.5", "--n2", "1.4"], "error: result not finite: inf\n"),
+      "--n1", "1.5", "--n2", "1.4"], "error: V-number not finite: inf\n"),
     (["optics", "shell", "--thickness", "1", "--length", "1e308",
       "--mean-radius", "1e308", "--circ-radius", "1e308"],
-     "error: result not finite: inf\n"),
+     "error: shell area not finite: inf\n"),
     (["geom", "slope", "--x1=-1e308", "--y1=-1e308", "--x2=1e308", "--y2=1e308"],
-     "error: result not finite: nan\n"),
+     "error: slope not finite: nan\n"),
     (["mem", "eta", "--collected", "1" + "0" * 400, "--storable", "1"],
-     "error: integer division result too large for a float\n"),
+     "error: quantum efficiency not finite: inf\n"),
     (["rel", "charge", "--q1", "1e308", "--qin", "1e308"],
-     "error: integer division result too large for a float\n"),
+     "error: result not finite: inf\n"),
     (["mem", "bitfreq", "--bits", "1", "--qbits", "1e-200", "--time", "1e-200"],
-     "error: float division by zero\n"),
+     "error: bit frequency not finite: inf\n"),
     (["geom", "kin", "--dx", "3", "--dy", "4", "--t", "1e-200", "--tpar", "1e-200"],
-     "error: float division by zero\n"),
+     "error: acceleration not finite: inf\n"),
     (["sort", "classify", "--n", "nan", "--nprime", "1"], "error: n must be >= 1\n"),
     (["sort", "classify", "--n", "5", "--nprime", "7", "--bound", "nan"],
      "error: ratio bound must be positive\n"),
@@ -160,6 +160,10 @@ TYPED_ERRORS = [
     # list as out of order instead of allocating it.
     (["sort", "probe", "--sizes", f"{10 ** 12},2"],
      "error: probe sizes must be in [2, 1000000]\n"),
+    # Refused before the first list is built; a build without the work bound
+    # sorts for hours.
+    (["sort", "probe", "--sizes", "2,3", "--trials", "1000000000"],
+     "error: probe work trials * sum(sizes) must be <= 10000000, got 5000000000\n"),
 ]
 
 SUN_MOON_INI = """\
@@ -417,7 +421,7 @@ BAD_CONFIGS = [
      "error: File contains no section headers. file: {path!r}, line: 1 "
      "'distance_km = 1.46e8\\n'\n"),
     ("[target.Sun]\ndistance_km = 1e-320\nrange_lm = 8.3\n",
-     "error: frequency resolution overflows: c / 1.60077e-321 km\n"),
+     "error: frequency resolution not finite: inf\n"),
     ("[defaults]\nbase_time = 1%\n[target.Sun]\ndistance_km = 1.46e8\nrange_lm = 8.3\n",
      "error: expected HH:MM:SS, got '1%'\n"),
 ]

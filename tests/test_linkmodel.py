@@ -142,6 +142,11 @@ class TestUncertainty:
         with pytest.raises(DomainError):
             lm.uncertainty_satisfied(-1, 1)
 
+    @pytest.mark.parametrize("delta_omega,delta_t", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_inputs(self, delta_omega, delta_t):
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            lm.uncertainty_satisfied(delta_omega, delta_t)
+
 
 class TestTimedataProbability:
     def test_certain_transition(self):

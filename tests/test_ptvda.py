@@ -116,3 +116,14 @@ class TestScalingProbe:
         ptvda.ComplexityProbe(sizes=[2, ptvda.MAX_PROBE_SIZE], measured={})
         with pytest.raises(DomainError, match=r"probe sizes must be in \[2, 1000000\]"):
             ptvda.ComplexityProbe(sizes=[2, ptvda.MAX_PROBE_SIZE + 1], measured={})
+
+    @pytest.mark.parametrize("sizes,trials", [
+        ([2, 3], 10 ** 9),
+        ([5 * 10 ** 5, 10 ** 6], 7),
+        (list(range(2, 4000)), 3),
+    ])
+    def test_work_limit(self, sizes, trials):
+        # Refused before any list is built, so these return at once.
+        with pytest.raises(DomainError, match=r"^probe work trials \* sum\(sizes\) "
+                                              r"must be <= 10000000, got \d+$"):
+            ptvda.scaling_probe(sizes, trials=trials)
