@@ -18,31 +18,12 @@ from typing import NamedTuple
 
 from . import linkmodel
 from .errors import (ChartError, CsvParseError, DivergenceSignal,
-                     DivisionByZeroSignal, DomainError, finite)
+                     DivisionByZeroSignal, DomainError, finite_float, finite_text)
 from .linkmodel import Target, Timestamp
 
 DIV0 = "#Div/0!"
 DIVERGES = "#Inf!"
 _SENTINELS = (DIV0, DIVERGES)
-
-
-def finite_float(text: str) -> float:
-    """The one parser of numbers read from outside (CLI flags, config
-    values, CSV cells): a float that is neither nan nor infinite."""
-    if not math.isfinite(value := float(text)):
-        raise ValueError(f"not finite: {text!r}")
-    return value
-
-
-finite_float.__name__ = "finite float"  # argparse names the type in its messages
-
-
-def finite_text(value) -> str:
-    """The one formatter of result numbers (CLI output, CSV cells, chart
-    labels): 6 significant digits, never nan or inf; sentinels pass through."""
-    if isinstance(value, str):
-        return value
-    return f"{finite(value, 'result'):.6g}"
 
 
 def _resolution(cell: str) -> float | str:

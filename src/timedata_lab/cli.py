@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import re
 import sys
 
 from . import analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity
-from .analysis import finite_float, finite_text
-from .errors import TimedataError
-from .linkmodel import Target, Timestamp
+from .errors import TimedataError, finite_float, finite_text
 
 # argparse reads `-1e5` as an option, as its negative numbers are -1 and -1.5
 # only; _parse joins `--flag -1e5` into `--flag=-1e5` when this matches the value.
@@ -34,7 +33,7 @@ def _csv_of(convert):
     return parse
 
 
-def load_config(path: str) -> tuple[list[Target], Timestamp]:
+def load_config(path: str) -> tuple[list[linkmodel.Target], linkmodel.Timestamp]:
     """Load targets and defaults from an INI config.
 
     Expects [target.<name>] sections with distance_km / range_lm keys and
@@ -54,12 +53,13 @@ def load_config(path: str) -> tuple[list[Target], Timestamp]:
         except (ValueError, configparser.Error) as exc:  # bad or missing value
             raise TimedataError(f"[{section}] {key} in {path!r}: {exc}") from None
 
-    targets = [Target(section[len("target."):], number(section, "distance_km"),
-                      number(section, "range_lm"))
+    targets = [linkmodel.Target(section[len("target."):], number(section, "distance_km"),
+                                number(section, "range_lm"))
                for section in cp.sections() if section.startswith("target.")]
     if not targets:
         raise TimedataError(f"no [target.<name>] sections in {path!r}")
-    base_time = Timestamp.parse(cp.get("defaults", "base_time", fallback="13:35:00"))
+    base_time = linkmodel.Timestamp.parse(
+        cp.get("defaults", "base_time", fallback="13:35:00"))
     return targets, base_time
 
 
@@ -142,7 +142,7 @@ COMMANDS = {
         "eps": (_floats("progress", "range"), lambda a: (
             f"{linkmodel.epsilon_from_progress(a.progress, a.range):.6f} Lm")),
         "shift": ([("time", str, _REQUIRED)] + _floats("epsilon"), lambda a: str(
-            linkmodel.shift_timestamp(Timestamp.parse(a.time), a.epsilon))),
+            linkmodel.shift_timestamp(linkmodel.Timestamp.parse(a.time), a.epsilon))),
         "fres": (_floats("distance", "progress"), lambda a: finite_text(
             linkmodel.frequency_resolution(a.distance, a.progress)) + " Hz"),
         "fdisp": (_floats("distance", "progress"), lambda a: finite_text(
@@ -294,7 +294,12 @@ def main(argv=None) -> int:
         print(f"file error: {exc}", file=sys.stderr)
         return 1
     if text:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader left early, as `| head` does
+            # Python flushes stdout again at exit: send what is left nowhere.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all timedata-lab modules, and their one result check."""
+"""Exception types of timedata-lab, and its one rule for numbers: all are finite."""
 
 import math
 
@@ -41,6 +41,25 @@ class CsvParseError(TimedataError):
 
 class ChartError(TimedataError):
     """Radar chart cannot be drawn from the given sheet."""
+
+
+def finite_float(text: str) -> float:
+    """The one parser of numbers read from outside (CLI flags, config
+    values, CSV cells): a float that is neither nan nor infinite."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
+finite_float.__name__ = "finite float"  # argparse names the type in its messages
+
+
+def finite_text(value) -> str:
+    """The one formatter of result numbers (CLI output, CSV cells, chart
+    labels): 6 significant digits, never nan or inf; sentinels pass through."""
+    if isinstance(value, str):
+        return value
+    return f"{finite(value, 'result'):.6g}"
 
 
 def finite(value, what: str) -> float:

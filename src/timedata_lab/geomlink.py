@@ -20,8 +20,8 @@ class Point2:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DomainError("point coordinates must be finite")
+        finite(self.x, "point x")
+        finite(self.y, "point y")
 
 
 @dataclass(frozen=True)

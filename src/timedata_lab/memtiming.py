@@ -43,8 +43,10 @@ class CellMap:
 
     def __post_init__(self):
         self._address_by_rank = {rank: address for address, rank in self.cells}
-        if sorted(self._address_by_rank) != list(range(len(self.cells))):
+        if self._address_by_rank.keys() != set(range(len(self.cells))):
             raise DomainError("distance ranks must be a permutation 0..N-1")
+        if len(set(self._address_by_rank.values())) != len(self.cells):
+            raise DomainError("cell addresses must be distinct")
 
     def address_at_rank(self, rank: int) -> int:
         try:

@@ -139,3 +139,19 @@ def test_sort_probe_runs_without_numpy():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n = 1000: ")
+
+
+def test_reader_that_leaves_early_gets_exit_1_and_no_traceback():
+    # ~390 KB of output against a 64 KiB pipe buffer: the write blocks until
+    # the pipe closes, then fails. The argument (~79 KB) fits Linux's 128 KiB.
+    arrivals = ",".join(map(str, range(15000)))
+    src = str(Path(timedata_lab.__file__).parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "timedata_lab.cli", "mem", "waterfall", "--arrivals", arrivals],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.read(10) == b"carrier 0 "
+    proc.stdout.close()  # as `| head` does once it has its lines
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), stderr) == (1, b"")

@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from timedata_lab import cli
-from timedata_lab.analysis import CSV_HEADER, DIV0, DIVERGES, finite_float
+from timedata_lab.analysis import CSV_HEADER, DIV0, DIVERGES
 from timedata_lab.cli import COMMANDS, build_parser, main
+from timedata_lab.errors import finite_float
 
 # (argv, stdout) of commands that exit 0.
 SUCCESS = [
@@ -424,12 +425,14 @@ BAD_CONFIGS = [
      "error: frequency resolution not finite: inf\n"),
     ("[defaults]\nbase_time = 1%\n[target.Sun]\ndistance_km = 1.46e8\nrange_lm = 8.3\n",
      "error: expected HH:MM:SS, got '1%'\n"),
+    ("[defaults]\nbase_time = 13:35:00\n",
+     "error: no [target.<name>] sections in {path!r}\n"),
 ]
 
 
 @pytest.mark.parametrize("text,stderr", BAD_CONFIGS,
                          ids=["bad number", "missing key", "no section",
-                              "tiny distance", "percent base time"])
+                              "tiny distance", "percent base time", "no target"])
 def test_bad_config_transcript(capsys, tmp_path, text, stderr):
     config = tmp_path / "bad.ini"
     config.write_text(text)

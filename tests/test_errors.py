@@ -1,11 +1,17 @@
-"""The one result check: finite() and quotient()."""
+"""The one number rule: finite_float(), finite(), quotient() and finite_text()."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
+from timedata_lab import analysis, errors
 from timedata_lab.errors import DomainError, finite, quotient
+
+
+def test_the_sheet_pipeline_reads_and_prints_numbers_through_errors():
+    assert analysis.finite_float is errors.finite_float
+    assert analysis.finite_text is errors.finite_text
 
 
 @pytest.mark.parametrize("numerator,denominator,message", [

@@ -8,6 +8,18 @@ from timedata_lab.errors import DomainError
 from timedata_lab.geomlink import ArcDecomposition, PlanarMotion, Point2
 
 
+class TestPoint2:
+    @pytest.mark.parametrize("x,y,message", [
+        (math.inf, 0, "point x not finite: inf"),
+        (0, math.nan, "point y not finite: nan"),
+        (10**400, 0, "point x not finite: inf"),  # an int beyond the float range
+        (0, -10**400, "point y not finite: -inf"),
+    ], ids=["inf x", "nan y", "big x", "-big y"])
+    def test_coordinates_not_finite_rejected(self, x, y, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            Point2(x, y)
+
+
 class TestSlope:
     def test_diagonal(self):
         assert gl.slope(Point2(0, 0), Point2(1, 1)) == 1.0

@@ -182,6 +182,13 @@ class TestWaterfall:
     def test_rank_permutation_invariant(self):
         with pytest.raises(DomainError):
             CellMap(cells=[(0, 0), (1, 0)])
+        with pytest.raises(DomainError, match="permutation"):
+            CellMap(cells=[(0, 0), (1, "1")])  # a rank no int equals
+
+    def test_repeated_address_rejected(self):
+        # Two ranks on one address would put two carriers in one cell.
+        with pytest.raises(DomainError, match="^cell addresses must be distinct$"):
+            CellMap(cells=[(0, 0), (0, 1)])
 
     def test_address_at_rank_matches_cells(self):
         cells = make_cells(50, shuffle_seed=4)
