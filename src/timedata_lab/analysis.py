@@ -137,7 +137,8 @@ def _replace_file(path, data: bytes) -> bool:
 
 def emit_csv(sheet: Sheet, path) -> None:
     """Write the sheet as UTF-8 CSV with LF line endings, the f(x,y) label
-    quoted. A record that cannot be written (a number not finite, a CR in a
+    quoted. A record that cannot be written (a number not finite, text in a
+    numeric cell, a sentinel outside the two resolution columns, a CR in a
     text cell) raises before an existing file is touched."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -149,8 +150,9 @@ def emit_csv(sheet: Sheet, path) -> None:
     for name, progress, label, stamp, eps, delta_t, nu, nu_x in sheet.records:
         writer.writerow((str(name), finite_text(progress), str(label),
                          clocks.get(id(stamp)) or clocks.setdefault(id(stamp), str(stamp)),
-                         finite_text(eps), finite_text(delta_t), finite_text(nu),
-                         finite_text(nu_x)))
+                         finite_text(eps), finite_text(delta_t),
+                         nu if nu in _SENTINELS else finite_text(nu),
+                         nu_x if nu_x in _SENTINELS else finite_text(nu_x)))
     if "\r" in (text := buffer.getvalue()):  # unquoted, a CR ends a row
         raise DomainError("a text cell holds a carriage return, which CSV cannot carry")
     _write_text(path, text)
@@ -190,15 +192,14 @@ _RADIUS = 240
 # Above this many records the spokes on the rim (2 pi x 240 px) are closer
 # than a pixel apart, and the SVG grows by ~225 bytes per record.
 MAX_SPOKES = 1500
-_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728")
 # Characters XML 1.0 forbids, which no escaping can carry into a label.
 _NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
-_ATTRIBUTES = (
-    ("epsilon_lm", "epsilon (Lm)"),
-    ("delta_t_s", "delta t (s)"),
-    ("nu_delta_omega_hz", "nu_dw (Hz)"),
-    ("nu_displaced_hz", "nu_dw_x (Hz)"),
+_ATTRIBUTES = (  # field, legend label, colour
+    ("epsilon_lm", "epsilon (Lm)", "#1f77b4"),
+    ("delta_t_s", "delta t (s)", "#ff7f0e"),
+    ("nu_delta_omega_hz", "nu_dw (Hz)", "#2ca02c"),
+    ("nu_displaced_hz", "nu_dw_x (Hz)", "#d62728"),
 )
 
 
@@ -255,13 +256,12 @@ def render_radar_chart(sheet: Sheet, path) -> None:
             f'{finite_text(record.progress_pct)}%</text>')
 
     legend_y = 20
-    for color_index, (attr, label) in enumerate(_ATTRIBUTES):
+    for attr, label, color in _ATTRIBUTES:
         normalized = _normalize([getattr(r, attr) for r in sheet.records])
         if normalized is None:
             warnings.warn(f"attribute {attr} is all sentinels; omitted",
                           stacklevel=2)
             continue
-        color = _COLORS[color_index % len(_COLORS)]
         points = [spoke_xy(i, frac) for i, (frac, _) in enumerate(normalized)]
         points.append(points[0])  # close the loop
         point_text = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)

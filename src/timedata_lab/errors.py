@@ -56,19 +56,21 @@ finite_float.__name__ = "finite float"  # argparse names the type in its message
 
 def finite_text(value) -> str:
     """The one formatter of result numbers (CLI output, CSV cells, chart
-    labels): 6 significant digits, never nan or inf; sentinels pass through."""
-    if isinstance(value, str):
-        return value
+    labels): 6 significant digits, never nan or inf. Outputs that keep their
+    own format: `link eps` at 6 decimals, the probe's log-log slope at 4
+    and SVG coordinates at 2."""
     return f"{finite(value, 'result'):.6g}"
 
 
 def finite(value, what: str) -> float:
-    """value as a float; DomainError naming what when it is nan or infinite,
-    or an int or Fraction beyond the float range."""
+    """value as a float; DomainError naming what when float() cannot read it,
+    or it is nan, infinite, or an int or Fraction beyond the float range."""
     try:
         result = float(value)
     except OverflowError:
         result = math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} not a number: {value!r}") from None
     if not math.isfinite(result):
         raise DomainError(f"{what} not finite: {result}")
     return result

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import DivergenceSignal, DivisionByZeroSignal, DomainError, finite, quotient
@@ -24,7 +25,8 @@ class Target:
     range_lm: float
 
     def __post_init__(self):
-        if not (0 < self.distance_km < math.inf and 0 < self.range_lm < math.inf):
+        largest = sys.float_info.max  # nan, inf and an int beyond it fail
+        if not (0 < self.distance_km <= largest and 0 < self.range_lm <= largest):
             raise DomainError("target distance and range must be positive")  # and finite
 
 

@@ -30,7 +30,7 @@ class Carrier:
     arrival_time_s: float
 
     def __post_init__(self):
-        if self.arrival_time_s < 0:
+        if not self.arrival_time_s >= 0:  # nan too
             raise DomainError("arrival time must be nonnegative")
 
 

@@ -41,10 +41,10 @@ class RatioClass(Enum):
     DIVERGING = "Diverging"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComplexityProbe:
     """Measured sort timings with an a*n*log(n) + b least-squares fit; the
-    fit stays None when a timing is below clock resolution."""
+    fit is None when a timing is below clock resolution."""
 
     sizes: list[int]
     measured: dict[int, float]
@@ -52,12 +52,6 @@ class ComplexityProbe:
     fit_b: float | None = None
     fit_residual: float | None = None
     loglog_slope: float | None = None
-
-    def __post_init__(self):
-        if any(not 2 <= n <= MAX_PROBE_SIZE for n in self.sizes):
-            raise DomainError(f"probe sizes must be in [2, {MAX_PROBE_SIZE}]")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise DomainError("probe sizes must be strictly increasing")
 
 
 def parallel_sort(instance: SortInstance) -> list:
@@ -81,17 +75,15 @@ def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> RatioCla
     # Each range check is written so that nan fails it.
     if not m_bound > 0:
         raise DomainError("ratio bound must be positive")
-    n_inf = n == math.inf
-    np_inf = n_prime == math.inf
-    if n_inf and np_inf:
+    if n == n_prime == math.inf:
         raise DomainError("both sizes infinite: ratio ambiguous")
-    if not n_inf and not n >= 1:
+    if not n >= 1:
         raise DomainError("n must be >= 1")
-    if not np_inf and not n_prime >= 1:
+    if not n_prime >= 1:
         raise DomainError("n' must be >= 1")
-    if n_inf:
+    if n == math.inf:
         return RatioClass.DIVERGING
-    if np_inf:
+    if n_prime == math.inf:
         return RatioClass.VANISHING
     if n == n_prime:
         return RatioClass.UNIT
@@ -113,12 +105,15 @@ def scaling_probe(sizes: list[int], trials: int = 3,
         raise DomainError("need at least 2 sizes for a fit")
     if trials < 3:
         raise DomainError("need at least 3 trials per size")
-    rng = random.Random(seed)
-
-    probe = ComplexityProbe(sizes=list(sizes), measured={})
+    if any(not 2 <= n <= MAX_PROBE_SIZE for n in sizes):
+        raise DomainError(f"probe sizes must be in [2, {MAX_PROBE_SIZE}]")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise DomainError("probe sizes must be strictly increasing")
     if (work := trials * sum(sizes)) > MAX_PROBE_WORK:
         raise DomainError(f"probe work trials * sum(sizes) must be <= {MAX_PROBE_WORK}, "
                           f"got {work}")
+    rng = random.Random(seed)
+    measured = {}
     for n in sizes:
         best = math.inf
         for _ in range(trials):
@@ -126,16 +121,15 @@ def scaling_probe(sizes: list[int], trials: int = 3,
             start = time.perf_counter()
             parallel_sort(SortInstance(data))
             best = min(best, time.perf_counter() - start)
-        probe.measured[n] = best
-
-    if any(t < MIN_TIMABLE_S for t in probe.measured.values()):
-        return probe
+        measured[n] = best
+    if any(t < MIN_TIMABLE_S for t in measured.values()):
+        return ComplexityProbe(list(sizes), measured)
 
     xs = [n * math.log(n) for n in sizes]
-    ts = [probe.measured[n] for n in sizes]
-    probe.fit_a, probe.fit_b = statistics.linear_regression(xs, ts)
-    probe.fit_residual = math.sqrt(statistics.fmean(
-        (probe.fit_a * x + probe.fit_b - t) ** 2 for x, t in zip(xs, ts)))
-    probe.loglog_slope = statistics.linear_regression(
+    ts = [measured[n] for n in sizes]
+    fit_a, fit_b = statistics.linear_regression(xs, ts)
+    residual = math.sqrt(statistics.fmean(
+        (fit_a * x + fit_b - t) ** 2 for x, t in zip(xs, ts)))
+    slope = statistics.linear_regression(
         [math.log(n) for n in sizes], [math.log(t) for t in ts]).slope
-    return probe
+    return ComplexityProbe(list(sizes), measured, fit_a, fit_b, residual, slope)

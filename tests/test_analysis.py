@@ -157,12 +157,21 @@ class TestCsv:
         first_data_row = path.read_text().splitlines()[1]
         assert "#Div/0!" in first_data_row
 
-    # A lone surrogate fails to encode; an inf cell fails to format.
+    # A lone surrogate fails to encode; an inf cell, text in a numeric cell and
+    # a sentinel outside the two resolution columns fail to format.
     @pytest.mark.parametrize("spoil,message", [
         (lambda r: r._replace(target_name="A\udc80B"),
          r"text cannot be encoded as UTF-8: '\\udc80'"),
         (lambda r: r._replace(epsilon_lm=math.inf), "result not finite: inf"),
-    ], ids=["surrogate name", "inf cell"])
+        (lambda r: r._replace(progress_pct="abc"), "result not a number: 'abc'"),
+        (lambda r: r._replace(epsilon_lm="abc"), "result not a number: 'abc'"),
+        (lambda r: r._replace(delta_t_s="abc"), "result not a number: 'abc'"),
+        (lambda r: r._replace(nu_delta_omega_hz="#What!"), "result not a number: '#What!'"),
+        (lambda r: r._replace(nu_displaced_hz="abc"), "result not a number: 'abc'"),
+        (lambda r: r._replace(progress_pct=DIV0), "result not a number: '#Div/0!'"),
+        (lambda r: r._replace(delta_t_s=DIVERGES), "result not a number: '#Inf!'"),
+    ], ids=["surrogate name", "inf cell", "text progress", "text epsilon", "text delta t",
+            "unknown sentinel", "text nu_x", "sentinel progress", "sentinel delta t"])
     def test_failed_write_keeps_old_file(self, tmp_path, sun_sheet, spoil, message):
         path = tmp_path / "sheet.csv"
         analysis.emit_csv(sun_sheet, path)
@@ -408,6 +417,15 @@ class TestRadarChart:
                               1.0, 60.0, 0.1, 0.2) for p in range(3)]
         path = tmp_path / "chart.svg"
         with pytest.raises(ChartError, match="XML cannot carry"):
+            analysis.render_radar_chart(Sheet(records=records), path)
+        assert not path.exists()
+
+    # Passed through, a label's text could break the XML.
+    def test_text_progress_refused(self, tmp_path, sun_sheet):
+        records = sun_sheet.records[:-1] + [sun_sheet.records[-1]._replace(
+            progress_pct="<abc")]
+        path = tmp_path / "chart.svg"
+        with pytest.raises(DomainError, match="^result not a number: '<abc'$"):
             analysis.render_radar_chart(Sheet(records=records), path)
         assert not path.exists()
 

@@ -1,6 +1,7 @@
 """The one number rule: finite_float(), finite(), quotient() and finite_text()."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,21 @@ def test_the_sheet_pipeline_reads_and_prints_numbers_through_errors():
 def test_quotient_out_of_range(numerator, denominator, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
         quotient(numerator, denominator, "q")
+
+
+@pytest.mark.parametrize("value,message", [
+    (None, "x not a number: None"), ("abc", "x not a number: 'abc'"),
+    (1j, "x not a number: 1j")])
+def test_finite_refuses_what_float_cannot_read(value, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        finite(value, "x")
+
+
+def test_finite_text_prints_numbers_only():
+    assert errors.finite_text(0.1) == "0.1"
+    for sentinel in (analysis.DIV0, analysis.DIVERGES):
+        with pytest.raises(DomainError, match="^result not a number: '#"):
+            errors.finite_text(sentinel)
 
 
 def test_finite_passes_floats_ints_and_fractions_in_range():

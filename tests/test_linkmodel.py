@@ -39,7 +39,9 @@ class TestEpsilon:
 class TestTarget:
     @pytest.mark.parametrize("distance,range_lm", [
         (0.0, 8.3), (SUN_KM, -1.0), (math.inf, 8.3), (SUN_KM, math.inf),
-        (math.nan, 8.3), (SUN_KM, math.nan)])
+        (math.nan, 8.3), (SUN_KM, math.nan),
+        pytest.param(10**400, 8.3, id="10**400-8.3"),
+        pytest.param(SUN_KM, 10**400, id="146000000.0-10**400")])
     def test_refuses_fields_not_positive_and_finite(self, distance, range_lm):
         with pytest.raises(DomainError, match="^target distance and range must be positive$"):
             Target("a", distance, range_lm)

@@ -157,6 +157,12 @@ class TestWaterfall:
         assert alloc[3] == cells.address_at_rank(0)
         assert alloc[5] == cells.address_at_rank(1)
 
+    # Sorted beside a nan arrival, carrier 0 would take the nearest cell.
+    @pytest.mark.parametrize("arrival", [-1.0, float("nan"), float("-inf")])
+    def test_arrival_not_nonnegative_rejected(self, arrival):
+        with pytest.raises(DomainError, match="^arrival time must be nonnegative$"):
+            Carrier(0, arrival)
+
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             mt.waterfall_allocate([Carrier(i, float(i)) for i in range(4)],

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -64,6 +65,20 @@ class TestClassifyRatio:
         with pytest.raises(DomainError):
             ptvda.classify_ratio(math.inf, math.inf)
 
+    # An inf bound still lets an inf size mark its class.
+    @pytest.mark.parametrize("n,n_prime,expected", [
+        (math.inf, 10, RatioClass.DIVERGING), (10, math.inf, RatioClass.VANISHING),
+        (10 ** 400, math.inf, RatioClass.VANISHING), (10 ** 400, 10 ** 400, RatioClass.UNIT)])
+    def test_inf_bound(self, n, n_prime, expected):
+        assert ptvda.classify_ratio(n, n_prime, math.inf) is expected
+
+    @pytest.mark.parametrize("n,n_prime,message", [
+        (math.nan, 10, "n must be >= 1"), (-math.inf, 10, "n must be >= 1"),
+        (10, math.nan, "n' must be >= 1"), (math.inf, -math.inf, "n' must be >= 1")])
+    def test_nan_and_negative_infinity_refused(self, n, n_prime, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            ptvda.classify_ratio(n, n_prime)
+
     def test_size_preconditions(self):
         with pytest.raises(DomainError):
             ptvda.classify_ratio(0, 10)
@@ -109,13 +124,33 @@ class TestScalingProbe:
             ptvda.scaling_probe([100, 200], trials=2)
 
     def test_sizes_strictly_increasing(self):
-        with pytest.raises(DomainError):
-            ptvda.ComplexityProbe(sizes=[100, 100], measured={})
+        with pytest.raises(DomainError, match="^probe sizes must be strictly increasing$"):
+            ptvda.scaling_probe([100, 100], trials=3)
 
     def test_size_limit(self):
-        ptvda.ComplexityProbe(sizes=[2, ptvda.MAX_PROBE_SIZE], measured={})
+        # The largest size passes the range check and meets the work limit.
+        with pytest.raises(DomainError, match="^probe work"):
+            ptvda.scaling_probe([2, ptvda.MAX_PROBE_SIZE], trials=10)
         with pytest.raises(DomainError, match=r"probe sizes must be in \[2, 1000000\]"):
-            ptvda.ComplexityProbe(sizes=[2, ptvda.MAX_PROBE_SIZE + 1], measured={})
+            ptvda.scaling_probe([2, ptvda.MAX_PROBE_SIZE + 1], trials=3)
+
+    # Where several rules fail, the first in this order is reported.
+    @pytest.mark.parametrize("sizes,trials,message", [
+        ([0], 2, "need at least 2 sizes for a fit"),
+        ([0, 0], 2, "need at least 3 trials per size"),
+        ([0, 0], 10 ** 9, r"probe sizes must be in \[2, 1000000\]"),
+        ([3, 2], 10 ** 9, "probe sizes must be strictly increasing"),
+    ])
+    def test_rule_order(self, sizes, trials, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            ptvda.scaling_probe(sizes, trials=trials)
+
+    def test_probe_is_frozen(self, monkeypatch):
+        monkeypatch.setattr(ptvda, "MIN_TIMABLE_S", math.inf)  # no fit
+        probe = ptvda.scaling_probe([2, 3], trials=3, seed=0)
+        assert (probe.sizes, probe.fit_a, probe.loglog_slope) == ([2, 3], None, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            probe.fit_a = 1.0
 
     @pytest.mark.parametrize("sizes,trials", [
         ([2, 3], 10 ** 9),
