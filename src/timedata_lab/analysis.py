@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import linkmodel
-from .errors import (ChartError, CsvParseError, DivergenceSignal,
-                     DivisionByZeroSignal, DomainError, finite_float, finite_text)
+from .errors import (ChartError, CsvParseError, DivergenceSignal, DivisionByZeroSignal,
+                     DomainError, finite, finite_float, finite_text)
 from .linkmodel import Target, Timestamp
 
 DIV0 = "#Div/0!"
@@ -203,16 +203,16 @@ _ATTRIBUTES = (  # field, legend label, colour
 )
 
 
-def _normalize(values):
-    numeric = [v for v in values if not isinstance(v, str)]
-    if not numeric:
+def _normalize(cells):
+    values = [None if v in _SENTINELS else finite(v, "result") for v in cells]
+    if not (numeric := [v for v in values if v is not None]):
         return None
     lo, hi = min(numeric), max(numeric)
     # Halving keeps a span wider than a float finite; it would round
     # subnormal cells, so only such spans are halved.
     k = 0.5 if math.isinf(hi - lo) else 1.0
     span = k * hi - k * lo
-    return [(0.0, True) if isinstance(v, str)
+    return [(0.0, True) if v is None
             else ((k * v - k * lo) / span if span else 1.0, False)
             for v in values]
 

@@ -1,6 +1,10 @@
-"""Exception types of timedata-lab, and its one rule for numbers: all are finite."""
+"""Exception types of timedata-lab, and its one rule for numbers: each is finite
+and in its declared range, and text is a number only to `finite_float`."""
 
 import math
+
+LARGEST = math.nextafter(math.inf, 0.0)  # sys.float_info.max
+TINY = math.ulp(0.0)  # the least positive float: a low bound of TINY means > 0
 
 
 class TimedataError(Exception):
@@ -62,18 +66,29 @@ def finite_text(value) -> str:
     return f"{finite(value, 'result'):.6g}"
 
 
-def finite(value, what: str) -> float:
-    """value as a float; DomainError naming what when float() cannot read it,
-    or it is nan, infinite, or an int or Fraction beyond the float range."""
+def within(value, message: str, low=-LARGEST, high=LARGEST, error=DomainError):
+    """value unchanged (ints and Fractions stay exact) if low <= value <= high, else
+    error(message.format(value)). Text, None and complex do not order against a float, so
+    fail, as nan does; the default bounds also refuse inf and ints beyond the float range."""
     try:
-        result = float(value)
-    except OverflowError:
-        result = math.inf if value > 0 else -math.inf
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} not a number: {value!r}") from None
-    if not math.isfinite(result):
-        raise DomainError(f"{what} not finite: {result}")
-    return result
+        if low <= value <= high:
+            return value
+    except TypeError:
+        pass
+    raise error(message.format(value))
+
+
+def finite(value, what: str) -> float:
+    """within(value) with the default bounds, as a float; the DomainError names
+    what, and shows a number beyond the float range as the inf it rounds to."""
+    try:
+        return float(within(value, ""))
+    except DomainError:
+        try:
+            shown = math.inf if value > 0 else -math.inf if value < 0 else math.nan
+        except TypeError:
+            raise DomainError(f"{what} not a number: {value!r}") from None
+        raise DomainError(f"{what} not finite: {shown}") from None
 
 
 def quotient(numerator, denominator, what: str) -> float:

@@ -8,10 +8,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, finite, quotient
+from .errors import TINY, DomainError, finite, quotient, within
 
 FOLD_TOL = 1e-12
 ARC_TOL = 1e-9
+_LOG_BASE = "log base must be positive and != 1"
 
 
 @dataclass(frozen=True)
@@ -36,13 +37,13 @@ class ArcDecomposition:
     pa_prime: float
 
     def __post_init__(self):
-        if min(self.total_ab, self.ap_prime, self.pb,
-               self.total_ba, self.bp_prime, self.pa_prime) < 0:
-            raise DomainError("arc lengths must be nonnegative")
-        if self.ap_prime + self.pb > self.total_ab:
-            raise DomainError("AB decomposition exceeds total arc length")
-        if self.bp_prime + self.pa_prime > self.total_ba:
-            raise DomainError("BA decomposition exceeds total arc length")
+        for value in (self.total_ab, self.ap_prime, self.pb,
+                      self.total_ba, self.bp_prime, self.pa_prime):
+            within(value, "arc lengths must be nonnegative", 0.0)
+        within(self.ap_prime + self.pb, "AB decomposition exceeds total arc length",
+               high=self.total_ab)
+        within(self.bp_prime + self.pa_prime, "BA decomposition exceeds total arc length",
+               high=self.total_ba)
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,10 @@ class PlanarMotion:
     t_parallel_s: float
 
     def __post_init__(self):
-        if self.t_s <= 0 or self.t_parallel_s <= 0:
-            raise DomainError("motion times must be strictly positive")
+        for part in self.displacement:
+            within(part, "displacement must be finite, got {!r}")
+        for value in (self.t_s, self.t_parallel_s):
+            within(value, "motion times must be strictly positive", TINY)
 
 
 def slope(p1: Point2, p2: Point2) -> float:
@@ -79,8 +82,10 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
                   counts: tuple[int, ...]) -> float:
     """Midpoint-rule sum of f over the box bounds = (lo, hi, lo, hi, ...)
     with counts[i] cells along axis i, times the cell volume."""
-    if min(counts) < 1:
-        raise DomainError("grid resolution must be >= 1")
+    for n in counts:
+        within(n, "grid resolution must be >= 1", 1)
+    for bound in bounds:
+        within(bound, "integration bounds must be finite, got {!r}")
     lows = bounds[::2]
     steps = [(hi - lo) / n for lo, hi, n in zip(lows, bounds[1::2], counts, strict=True)]
     if 0 in steps:
@@ -107,10 +112,9 @@ def triple_integral(f: Callable[[float, float, float], float],
 def time_split_check(t_s: float, t_parallel_s: float) -> tuple[float, bool]:
     """Base-t logarithm of t * t_parallel and whether it hits the fold
     value 2 (which happens exactly when t_parallel equals t)."""
-    if t_s <= 0 or t_s == 1:
-        raise DomainError("log base must be positive and != 1")
-    if t_parallel_s <= 0:
-        raise DomainError("parallel time must be positive")
+    if within(t_s, _LOG_BASE, TINY) == 1:
+        raise DomainError(_LOG_BASE)
+    within(t_parallel_s, "parallel time must be positive", TINY)
     # A sum of logs, as the product t * t_parallel can underflow or overflow.
     value = (math.log(t_s) + math.log(t_parallel_s)) / math.log(t_s)
     return (value, abs(value - 2.0) <= FOLD_TOL)

@@ -6,14 +6,16 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass
 
-from .errors import DivergenceSignal, DivisionByZeroSignal, DomainError, finite, quotient
+from .errors import (TINY, DivergenceSignal, DivisionByZeroSignal, DomainError, finite,
+                     quotient, within)
 from .units import C_KM_PER_S
 
 TWO_PI = 2.0 * math.pi
 _HHMMSS = re.compile(r"([0-9]{2}):([0-9]{2}):([0-9]{2})")  # int() also takes "1_3"
+_PROGRESS = "progress must be in [0, 100], got {}"
+_PAST_MIDNIGHT = "timestamp shift rolls back past midnight"
 
 
 @dataclass(frozen=True)
@@ -25,9 +27,8 @@ class Target:
     range_lm: float
 
     def __post_init__(self):
-        largest = sys.float_info.max  # nan, inf and an int beyond it fail
-        if not (0 < self.distance_km <= largest and 0 < self.range_lm <= largest):
-            raise DomainError("target distance and range must be positive")  # and finite
+        for value in (self.distance_km, self.range_lm):
+            within(value, "target distance and range must be positive", TINY)
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,9 @@ class Timestamp:
     seconds: int
 
     def __post_init__(self):
-        if not (0 <= self.hours <= 23 and 0 <= self.minutes <= 59
-                and 0 <= self.seconds <= 59):
-            raise DomainError(f"timestamp fields out of range: {self}")
+        for value, high in ((self.hours, 23), (self.minutes, 59), (self.seconds, 59)):
+            within(value, "timestamp fields out of range: {!r}", 0,
+                   high if isinstance(value, int) else -1)  # -1: only ints are in range
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
@@ -62,35 +63,25 @@ class AmplitudeOverlap:
     im: float
 
     def modulus_squared(self) -> float:
-        return self.re * self.re + self.im * self.im
+        return float(self.re) * self.re + float(self.im) * self.im
 
     def __post_init__(self):
-        m2 = self.modulus_squared()
-        if m2 > 1.0 + 1e-12:
-            raise DomainError(f"overlap modulus squared {m2} exceeds 1")
-
-
-def _check_progress(progress_pct: float) -> None:
-    if not 0.0 <= progress_pct <= 100.0:
-        raise DomainError(f"progress must be in [0, 100], got {progress_pct}")
+        for part in (self.re, self.im):
+            within(part, "overlap parts must be finite numbers, got {!r}")
+        within(self.modulus_squared(), "overlap modulus squared {} exceeds 1", high=1 + 1e-12)
 
 
 def epsilon_from_progress(progress_pct: float, range_lm: float) -> float:
     """Light-minutes already covered at a given progress percentage."""
-    _check_progress(progress_pct)
-    if range_lm <= 0:
-        raise DomainError("range must be positive")
-    return (progress_pct / 100.0) * range_lm
+    within(progress_pct, _PROGRESS, 0.0, 100.0)
+    return (progress_pct / 100.0) * within(range_lm, "range must be positive", TINY)
 
 
 def shift_seconds(epsilon_lm: float) -> int:
     """round(epsilon * 60): whole seconds of travel time in epsilon light-minutes.
     More than a day (1440 Lm) rolls any clock back past 00:00:00."""
-    if not epsilon_lm >= 0:  # nan too
-        raise DomainError("epsilon must be nonnegative")
-    if epsilon_lm > 1440.0:
-        raise DomainError("timestamp shift rolls back past midnight")
-    return round(epsilon_lm * 60.0)
+    within(epsilon_lm, "epsilon must be nonnegative", 0.0, math.inf)
+    return round(within(epsilon_lm, _PAST_MIDNIGHT, high=1440.0) * 60.0)
 
 
 def shift_timestamp(local: Timestamp, epsilon_lm: float) -> Timestamp:
@@ -99,23 +90,16 @@ def shift_timestamp(local: Timestamp, epsilon_lm: float) -> Timestamp:
     Subtracts shift_seconds(epsilon); no day arithmetic, rolling back
     past 00:00:00 is a range error.
     """
-    if (total := local.total_seconds() - shift_seconds(epsilon_lm)) < 0:
-        raise DomainError("timestamp shift rolls back past midnight")
+    total = within(local.total_seconds() - shift_seconds(epsilon_lm), _PAST_MIDNIGHT, 0)
     return Timestamp(total // 3600, (total % 3600) // 60, total % 60)
-
-
-def _check_link(distance_km: float, progress_pct: float) -> None:
-    if distance_km <= 0:
-        raise DomainError("distance must be positive")
-    _check_progress(progress_pct)
 
 
 def frequency_resolution(distance_km: float, progress_pct: float) -> float:
     """Effective frequency c / (distance * progress fraction), in Hz."""
-    _check_link(distance_km, progress_pct)
-    if progress_pct == 0:
+    within(distance_km, "distance must be positive", TINY)
+    if within(progress_pct, _PROGRESS, 0.0, 100.0) == 0:
         raise DivisionByZeroSignal("frequency resolution undefined at 0% progress")
-    return quotient(C_KM_PER_S, distance_km * progress_pct / 100.0,
+    return quotient(C_KM_PER_S, float(distance_km) * progress_pct / 100.0,
                     "frequency resolution")
 
 
@@ -125,8 +109,8 @@ def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> f
     Strictly increasing in progress; progress = 100 is a declared
     divergent limit, not a plain division error.
     """
-    _check_link(distance_km, progress_pct)
-    if progress_pct == 100.0:
+    within(distance_km, "distance must be positive", TINY)
+    if within(progress_pct, _PROGRESS, 0.0, 100.0) == 100.0:
         raise DivergenceSignal("displaced resolution diverges at 100% progress")
     return quotient(C_KM_PER_S, distance_km * (1.0 - progress_pct / 100.0),
                     "displaced frequency resolution")
@@ -134,14 +118,14 @@ def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> f
 
 def uncertainty_satisfied(delta_omega: float, delta_t: float) -> bool:
     """Bandwidth-time uncertainty check: product must reach 2*pi."""
-    if not (delta_omega >= 0 and delta_t >= 0):  # nan too
-        raise DomainError("uncertainty inputs must be nonnegative")
+    for value in (delta_omega, delta_t):
+        within(value, "uncertainty inputs must be nonnegative", 0.0)
     return delta_omega * delta_t >= TWO_PI
 
 
 def timedata_probability(t_s: float, delta_bits: float,
                          overlap: AmplitudeOverlap) -> float:
     """Jump probability t * delta * |overlap|^2."""
-    if t_s < 0 or delta_bits < 0:
-        raise DomainError("time and bit count must be nonnegative")
-    return finite(t_s * delta_bits * overlap.modulus_squared(), "jump probability")
+    for value in (t_s, delta_bits):
+        within(value, "time and bit count must be nonnegative", 0.0)
+    return finite(float(t_s) * delta_bits * overlap.modulus_squared(), "jump probability")

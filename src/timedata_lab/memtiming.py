@@ -7,7 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import CapacityError, DivisionByZeroSignal, DomainError, finite, quotient
+from .errors import (TINY, CapacityError, DivisionByZeroSignal, DomainError, finite,
+                     quotient, within)
 
 QUBIT_NORM_TOL = 1e-9
 
@@ -20,6 +21,10 @@ class QubitState:
     a: complex
     b: complex
 
+    def __post_init__(self):  # None and text have no real part, so getattr gives None
+        for value in [getattr(z, p, None) for z in (self.a, self.b) for p in ("real", "imag")]:
+            within(value, "qubit amplitudes must be finite complex numbers")
+
     def norm(self) -> float:
         return math.hypot(self.a.real, self.a.imag, self.b.real, self.b.imag)
 
@@ -30,8 +35,7 @@ class Carrier:
     arrival_time_s: float
 
     def __post_init__(self):
-        if not self.arrival_time_s >= 0:  # nan too
-            raise DomainError("arrival time must be nonnegative")
+        within(self.arrival_time_s, "arrival time must be nonnegative", 0.0)
 
 
 @dataclass
@@ -63,16 +67,15 @@ class ElectrodeGeometry:
     thickness: float
 
     def __post_init__(self):
-        if min(self.length, self.width, self.resistivity, self.thickness) <= 0:
-            raise DomainError("electrode geometry fields must be positive")
+        for value in (self.length, self.width, self.resistivity, self.thickness):
+            within(value, "electrode geometry fields must be positive", TINY)
 
 
 def bit_frequency(a_in_bits: float, b_in_qbits: float, t_s: float) -> float:
     """Classical bit input per qubit-unit input per second, in Hz."""
-    if a_in_bits < 0:
-        raise DomainError("bit input must be nonnegative")
-    if b_in_qbits <= 0 or t_s <= 0:
-        raise DivisionByZeroSignal("qubit input and time must be positive")
+    within(a_in_bits, "bit input must be nonnegative", 0.0)
+    for value in (b_in_qbits, t_s):
+        within(value, "qubit input and time must be positive", TINY, error=DivisionByZeroSignal)
     return quotient(a_in_bits, b_in_qbits * t_s, "bit frequency")
 
 
@@ -97,9 +100,9 @@ def phase_ratio_means(alpha: list[tuple[float, float]],
     def mean_ratio(pairs):
         total = 0.0
         for wr, rd in pairs:
-            if rd == 0:
+            if finite(rd, "read phase") == 0:
                 raise DivisionByZeroSignal("zero read phase")
-            total += wr / rd
+            total += finite(wr, "write phase") / rd
         return finite(total / len(pairs), "mean phase ratio")
 
     return {"alpha": mean_ratio(alpha),
@@ -119,17 +122,16 @@ def resistance(g: ElectrodeGeometry) -> float:
 
 def transconductance_baseline(d_i_ds_a: float, d_v_gs_v: float) -> float:
     """Field-effect transconductance dI_ds / dV_gs, in siemens."""
-    if d_v_gs_v == 0:
+    if finite(d_v_gs_v, "gate-source voltage step") == 0:
         raise DivisionByZeroSignal("zero gate-source voltage step")
-    return quotient(d_i_ds_a, d_v_gs_v, "transconductance")
+    return quotient(finite(d_i_ds_a, "drain current step"), d_v_gs_v, "transconductance")
 
 
 def quantum_efficiency(n_collected: int, n_entangled_storable: int) -> float:
     """Fermionic quantum efficiency: collected over storable carriers."""
-    if n_entangled_storable <= 0:
-        raise DivisionByZeroSignal("storable carrier count must be positive")
-    if n_collected < 0:
-        raise DomainError("collected count must be nonnegative")
+    within(n_entangled_storable, "storable carrier count must be positive", TINY, math.inf,
+           DivisionByZeroSignal)
+    within(n_collected, "collected count must be nonnegative", 0, math.inf)
     return quotient(n_collected, n_entangled_storable, "quantum efficiency")
 
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ThinShellError, TotalInternalReflection, finite, quotient
+from .errors import (TINY, ThinShellError, TotalInternalReflection, finite, quotient,
+                     within)
 
 # Single-mode cutoff used by this toolkit (documented divergence from the
 # textbook 2.405).
@@ -14,6 +15,7 @@ SINGLE_MODE_CUTOFF = 1.57
 
 # "b much less than r_C" operationalized as a 10x margin.
 THIN_SHELL_FACTOR = 0.1
+_THIN_SHELL = f"thin-shell assumption violated: b={{}} >= {THIN_SHELL_FACTOR:g} * r_C"
 
 
 @dataclass(frozen=True)
@@ -24,12 +26,11 @@ class FiberSpec:
     n2: float
 
     def __post_init__(self):
-        if self.core_radius_m <= 0 or self.wavelength_m <= 0:
-            raise DomainError("core radius and wavelength must be positive")
-        if self.n1 < 1 or self.n2 < 1:
-            raise DomainError("refractive indices must be >= 1")
-        if self.n1 < self.n2:
-            raise DomainError("guided modes need n1 >= n2")
+        for value in (self.core_radius_m, self.wavelength_m):
+            within(value, "core radius and wavelength must be positive", TINY)
+        for value in (self.n1, self.n2):
+            within(value, "refractive indices must be >= 1", 1.0)
+        within(self.n1, "guided modes need n1 >= n2", self.n2)
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,9 @@ class FaradayCell:
     path_m: float
 
     def __post_init__(self):
-        if self.path_m < 0:
-            raise DomainError("path length must be nonnegative")
+        finite(self.verdet_rad_per_T_m, "Verdet constant")
+        finite(self.b_field_T, "magnetic field")
+        within(self.path_m, "path length must be nonnegative", 0.0)
 
 
 @dataclass(frozen=True)
@@ -51,24 +53,22 @@ class IsolationShell:
     circular_radius_m: float
 
     def __post_init__(self):
-        if min(self.shell_thickness_m, self.length_m,
-               self.mean_radius_m, self.circular_radius_m) <= 0:
-            raise DomainError("shell dimensions must be positive")
-        if self.mean_radius_m - self.shell_thickness_m / 2 <= 0:
-            raise DomainError("inner shell radius must be positive")
+        for value in (self.shell_thickness_m, self.length_m,
+                      self.mean_radius_m, self.circular_radius_m):
+            within(value, "shell dimensions must be positive", TINY)
+        within(self.mean_radius_m - self.shell_thickness_m / 2,
+               "inner shell radius must be positive", TINY)
 
 
 def v_number(f: FiberSpec) -> float:
     """Normalized frequency (2*pi*a/lambda) * sqrt(n1^2 - n2^2)."""
-    na = math.sqrt(f.n1 * f.n1 - f.n2 * f.n2)
+    na = math.sqrt(float(f.n1) * f.n1 - float(f.n2) * f.n2)
     return finite(2.0 * math.pi * f.core_radius_m / f.wavelength_m * na, "V-number")
 
 
 def is_single_mode(v: float) -> bool:
     """True when the fiber supports only one propagation mode (strict)."""
-    if v < 0:
-        raise DomainError("V-number must be nonnegative")
-    return v < SINGLE_MODE_CUTOFF
+    return within(v, "V-number must be nonnegative", 0.0) < SINGLE_MODE_CUTOFF
 
 
 def snell_refracted_angle(theta1_rad: float, n1: float, n2: float) -> float:
@@ -76,7 +76,8 @@ def snell_refracted_angle(theta1_rad: float, n1: float, n2: float) -> float:
 
     Raises TotalInternalReflection when the Snell ratio exceeds 1.
     """
-    ratio = quotient(math.sin(theta1_rad) * n1, n2, "Snell ratio")
+    ratio = quotient(math.sin(finite(theta1_rad, "incidence angle")) * finite(n1, "n1"),
+                     finite(n2, "n2"), "Snell ratio")
     if abs(ratio) > 1.0:
         raise TotalInternalReflection(
             f"sin(theta1)*n1/n2 = {ratio:.6g} outside [-1, 1]")
@@ -85,7 +86,7 @@ def snell_refracted_angle(theta1_rad: float, n1: float, n2: float) -> float:
 
 def faraday_rotation(cell: FaradayCell) -> float:
     """Polarization rotation angle verdet * B * path, in radians."""
-    return finite(cell.verdet_rad_per_T_m * cell.b_field_T * cell.path_m,
+    return finite(float(cell.verdet_rad_per_T_m) * cell.b_field_T * cell.path_m,
                   "Faraday rotation")
 
 
@@ -94,11 +95,9 @@ def isolation_geometry(s: IsolationShell) -> tuple[float, float]:
 
     Area 2*pi*b*(b + l); volume 2*pi*<r>*l*b (shell method).
     """
-    b = s.shell_thickness_m
-    if b >= THIN_SHELL_FACTOR * s.circular_radius_m:
-        raise ThinShellError(
-            f"thin-shell assumption violated: b={b:g} >= "
-            f"{THIN_SHELL_FACTOR:g} * r_C={s.circular_radius_m:g}")
+    b = within(s.shell_thickness_m, _THIN_SHELL,
+               high=math.nextafter(THIN_SHELL_FACTOR * s.circular_radius_m, 0.0),
+               error=ThinShellError)
     area = 2.0 * math.pi * b * (b + s.length_m)
     volume = 2.0 * math.pi * s.mean_radius_m * s.length_m * b
     return (finite(area, "shell area"), finite(volume, "shell volume"))

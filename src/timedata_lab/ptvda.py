@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import TINY, DomainError, quotient, within
 
 # Default asymptotic-ratio bound M.
 DEFAULT_RATIO_BOUND = 1e6
@@ -18,6 +18,8 @@ DEFAULT_RATIO_BOUND = 1e6
 # Largest probe size (criterion 10's top size); checked before any list is built.
 MAX_PROBE_SIZE = 10 ** 6
 MAX_PROBE_WORK = 10 * MAX_PROBE_SIZE  # elements sorted over all sizes and trials
+_SIZES = f"probe sizes must be in [2, {MAX_PROBE_SIZE}]"
+_WORK = f"probe work trials * sum(sizes) must be <= {MAX_PROBE_WORK}, got {{}}"
 
 # Timings shorter than this are considered below clock resolution.
 MIN_TIMABLE_S = 10 * time.get_clock_info("perf_counter").resolution
@@ -29,10 +31,8 @@ class SortInstance:
     partitions: int = 1
 
     def __post_init__(self):
-        if self.partitions < 1:
-            raise DomainError("partition count must be >= 1")
-        if self.partitions > max(1, len(self.elements)):
-            raise DomainError("more partitions than elements")
+        within(self.partitions, "partition count must be >= 1", 1, math.inf)
+        within(self.partitions, "more partitions than elements", high=max(1, len(self.elements)))
 
 
 class RatioClass(Enum):
@@ -72,24 +72,21 @@ def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> RatioCla
     math.inf is the explicit infinity marker; finite ratios beyond m_bound
     (or below 1/m_bound) collapse to the corresponding limit class.
     """
-    # Each range check is written so that nan fails it.
-    if not m_bound > 0:
-        raise DomainError("ratio bound must be positive")
+    within(m_bound, "ratio bound must be positive", TINY, math.inf)
     if n == n_prime == math.inf:
         raise DomainError("both sizes infinite: ratio ambiguous")
-    if not n >= 1:
-        raise DomainError("n must be >= 1")
-    if not n_prime >= 1:
-        raise DomainError("n' must be >= 1")
+    within(n, "n must be >= 1", 1, math.inf)
+    within(n_prime, "n' must be >= 1", 1, math.inf)
     if n == math.inf:
         return RatioClass.DIVERGING
     if n_prime == math.inf:
         return RatioClass.VANISHING
     if n == n_prime:
         return RatioClass.UNIT
-    if n / n_prime > m_bound:
+    # A ratio beyond the float range is refused: quotient keeps every other exact.
+    if quotient(n, n_prime, "size ratio") > m_bound:
         return RatioClass.DIVERGING
-    if n_prime / n > m_bound:
+    if quotient(n_prime, n, "size ratio") > m_bound:
         return RatioClass.VANISHING
     return RatioClass.UNIT
 
@@ -103,15 +100,12 @@ def scaling_probe(sizes: list[int], trials: int = 3,
     """
     if len(sizes) < 2:
         raise DomainError("need at least 2 sizes for a fit")
-    if trials < 3:
-        raise DomainError("need at least 3 trials per size")
-    if any(not 2 <= n <= MAX_PROBE_SIZE for n in sizes):
-        raise DomainError(f"probe sizes must be in [2, {MAX_PROBE_SIZE}]")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise DomainError("probe sizes must be strictly increasing")
-    if (work := trials * sum(sizes)) > MAX_PROBE_WORK:
-        raise DomainError(f"probe work trials * sum(sizes) must be <= {MAX_PROBE_WORK}, "
-                          f"got {work}")
+    within(trials, "need at least 3 trials per size", 3, math.inf)
+    for n in sizes:
+        within(n, _SIZES, 2, MAX_PROBE_SIZE)
+    for a, b in zip(sizes, sizes[1:]):
+        within(b, "probe sizes must be strictly increasing", a + 1)
+    within(trials * sum(sizes), _WORK, high=MAX_PROBE_WORK)
     rng = random.Random(seed)
     measured = {}
     for n in sizes:

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZeroSignal, DomainError, finite, quotient
+from .errors import TINY, DivisionByZeroSignal, finite, quotient, within
 from .units import C_KM_PER_S
 
 # Stationary storage projection factor, exact cos(pi/4).
@@ -22,8 +22,8 @@ class Velocity:
     fraction_of_c: float
 
     def __post_init__(self):
-        if not 0.0 <= self.fraction_of_c < 1.0:
-            raise DomainError(f"beta must be in [0, 1), got {self.fraction_of_c}")
+        within(self.fraction_of_c, "beta must be in [0, 1), got {}", 0.0,
+               math.nextafter(1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,9 @@ class PolarPoint:
     phi: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise DomainError("radius must be nonnegative")
-        if not -math.pi < self.phi <= math.pi + 1e-15:
-            raise DomainError(f"phi must lie in (-pi, pi], got {self.phi}")
+        within(self.r, "radius must be nonnegative", 0.0)
+        within(self.phi, "phi must lie in (-pi, pi], got {}", math.nextafter(-math.pi, 0.0),
+               math.pi + 1e-15)
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,9 @@ class ChargeLedger:
     q_out: float
 
     def __post_init__(self):
-        if self.q_in < 0 or self.q_out < 0:
-            raise DomainError("charge flows must be nonnegative")
+        within(self.q_t1, "charge must be a finite number, got {!r}")
+        for value in (self.q_in, self.q_out):
+            within(value, "charge flows must be nonnegative", 0.0)
 
 
 def time_factor(v: Velocity) -> float:
@@ -57,21 +57,20 @@ def time_factor(v: Velocity) -> float:
 def proper_time_delta_general(dt_s: float, vx_km_s: float, vy_km_s: float,
                               vz_km_s: float) -> float:
     """Proper-time interval dt * sqrt(1 - v^2/c^2) for a 3-velocity."""
-    speed2 = vx_km_s * vx_km_s + vy_km_s * vy_km_s + vz_km_s * vz_km_s
-    c2 = C_KM_PER_S ** 2
-    if speed2 >= c2:
-        raise DomainError("total speed must stay below c")
-    return dt_s * math.sqrt(1.0 - speed2 / c2)
+    vx, vy, vz = (finite(v, "velocity") for v in (vx_km_s, vy_km_s, vz_km_s))
+    speed2 = vx * vx + vy * vy + vz * vz
+    within(speed2, "total speed must stay below c", high=math.nextafter(C_KM_PER_S ** 2, 0.0))
+    return finite(dt_s, "time interval") * math.sqrt(1.0 - speed2 / C_KM_PER_S ** 2)
 
 
 def stored_proper_time(t_dot_0: float) -> float:
     """Stored proper time |t_dot_0| * cos(pi/4)."""
-    return abs(t_dot_0) * STORAGE_FACTOR
+    return abs(finite(t_dot_0, "proper time rate")) * STORAGE_FACTOR
 
 
 def polar_from_cartesian(x: float, y: float) -> PolarPoint:
     """Polar coordinates of (x, y); the origin maps to (0, 0) by convention."""
-    r = finite(math.hypot(x, y), "radius")
+    r = finite(math.hypot(finite(x, "x"), finite(y, "y")), "radius")
     phi = math.atan2(y, x) if r > 0 else 0.0
     if phi <= -math.pi:
         phi = math.pi
@@ -102,18 +101,20 @@ def charge_balance(ledger: ChargeLedger) -> Fraction:
 
 def charge_balance_inverse(q_t2, q_in: float, q_out: float) -> Fraction:
     """Recover Q(t1) from the balance output and the same flows, exactly."""
+    for value in (q_t2, q_in, q_out):
+        within(value, "charge must be a finite number, got {!r}")
     return Fraction(q_t2) - Fraction(q_in) + Fraction(q_out)
 
 
 def charge_density(q_total_c: float, volume_m3: float) -> float:
     """Plate charge density Q / (2 * V); the factor 2 is part of the model."""
-    if volume_m3 <= 0:
-        raise DivisionByZeroSignal("volume must be positive")
-    return quotient(q_total_c, 2.0 * volume_m3, "charge density")
+    within(volume_m3, "volume must be positive", TINY, error=DivisionByZeroSignal)
+    return quotient(finite(q_total_c, "charge"), 2.0 * volume_m3, "charge density")
 
 
 def moire_wavelength(x_delta0: float, x_delta: float, x_pattern: float) -> float:
     """Moire wavelength x_delta0 * x_delta / x_pattern."""
-    if x_pattern <= 0:
-        raise DivisionByZeroSignal("pattern length must be positive")
+    within(x_pattern, "pattern length must be positive", TINY, error=DivisionByZeroSignal)
+    for value in (x_delta0, x_delta):
+        within(value, "Moire lengths must be finite numbers, got {!r}")
     return quotient(x_delta0 * x_delta, x_pattern, "Moire wavelength")

@@ -170,8 +170,10 @@ class TestCsv:
         (lambda r: r._replace(nu_displaced_hz="abc"), "result not a number: 'abc'"),
         (lambda r: r._replace(progress_pct=DIV0), "result not a number: '#Div/0!'"),
         (lambda r: r._replace(delta_t_s=DIVERGES), "result not a number: '#Inf!'"),
+        (lambda r: r._replace(epsilon_lm="1.5"), "result not a number: '1.5'"),
     ], ids=["surrogate name", "inf cell", "text progress", "text epsilon", "text delta t",
-            "unknown sentinel", "text nu_x", "sentinel progress", "sentinel delta t"])
+            "unknown sentinel", "text nu_x", "sentinel progress", "sentinel delta t",
+            "numeric text"])
     def test_failed_write_keeps_old_file(self, tmp_path, sun_sheet, spoil, message):
         path = tmp_path / "sheet.csv"
         analysis.emit_csv(sun_sheet, path)
@@ -428,6 +430,21 @@ class TestRadarChart:
         with pytest.raises(DomainError, match="^result not a number: '<abc'$"):
             analysis.render_radar_chart(Sheet(records=records), path)
         assert not path.exists()
+
+    # Cells are read as emit_csv writes them: an inf cell would give nan
+    # points, and text other than the two sentinels would be drawn as one.
+    @pytest.mark.parametrize("value,message", [
+        (math.inf, "result not finite: inf"), ("abc", "result not a number: 'abc'"),
+    ], ids=["inf epsilon", "text epsilon"])
+    def test_cell_not_a_finite_number_keeps_old_file(self, tmp_path, sun_sheet, value,
+                                                     message):
+        path = tmp_path / "chart.svg"
+        analysis.render_radar_chart(sun_sheet, path)
+        old = path.read_bytes()
+        records = sun_sheet.records[:-1] + [sun_sheet.records[-1]._replace(epsilon_lm=value)]
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            analysis.render_radar_chart(Sheet(records=records), path)
+        assert path.read_bytes() == old
 
     def test_all_sentinel_attribute_omitted(self, tmp_path):
         records = [LinkRecord("X", float(p), "f", Timestamp(12, 0, 0),

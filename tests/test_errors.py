@@ -1,4 +1,5 @@
-"""The one number rule: finite_float(), finite(), quotient() and finite_text()."""
+"""The one number rule: finite_float(), within(), finite(), quotient() and
+finite_text()."""
 
 import math
 import re
@@ -6,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from timedata_lab import analysis, errors
-from timedata_lab.errors import DomainError, finite, quotient
+from timedata_lab import (analysis, errors, geomlink, linkmodel, memtiming, optics, ptvda,
+                          relativity)
+from timedata_lab.errors import DomainError, TimedataError, finite, quotient, within
 
 
 def test_the_sheet_pipeline_reads_and_prints_numbers_through_errors():
@@ -76,3 +78,57 @@ def test_quotient_of_a_huge_int_is_exact_when_it_fits():
     for denominator in (math.inf, -math.inf):
         value = quotient(10**400, denominator, "x")
         assert (value, math.copysign(1.0, value)) == (0.0, math.copysign(1.0, denominator))
+
+
+def test_within_returns_a_number_in_range_unchanged():
+    for value in (0, 10**300, Fraction(1, 3), 1.5, True):
+        assert within(value, "m") is value
+    assert within(10**400, "m", high=math.inf) == 10**400
+    assert within(math.inf, "m", 0, math.inf) == math.inf
+    # The message is formatted only on failure: "{:d}" cannot format 1.5.
+    assert within(1.5, "{:d}", 0, 2) == 1.5
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400,
+                                   Fraction(10**400), None, "1.5", "abc", b"1", 1j])
+def test_within_default_bounds_refuse_what_is_no_finite_number(value):
+    with pytest.raises(DomainError, match=f"^got {re.escape(repr(value))}$"):
+        within(value, "got {!r}")
+    with pytest.raises(errors.DivisionByZeroSignal, match="^m$"):
+        within(value, "m", error=errors.DivisionByZeroSignal)
+
+
+def test_within_bounds_are_closed():
+    assert within(0.0, "m", 0.0, 1.0) == 0.0 and within(1.0, "m", 0.0, 1.0) == 1.0
+    for value in (-1e-300, 1.0000000000000002):
+        with pytest.raises(DomainError, match="^in \\[0, 1\\], got "):
+            within(value, "in [0, 1], got {}", 0.0, 1.0)
+    with pytest.raises(DomainError):
+        within(0.0, "m", errors.TINY)  # a low bound of TINY: positive
+
+
+# Each raised a bare OverflowError or TypeError, or (Point2) took text.
+@pytest.mark.parametrize("call", [
+    lambda: linkmodel.epsilon_from_progress(5, 10**400),
+    lambda: linkmodel.frequency_resolution(10**400, 5),
+    lambda: linkmodel.displaced_frequency_resolution(10**400, 5),
+    lambda: linkmodel.timedata_probability(10**400, 1, linkmodel.AmplitudeOverlap(0.5, 0)),
+    lambda: optics.snell_refracted_angle(10**400, 1, 1),
+    lambda: optics.v_number(optics.FiberSpec(10**400, 1, 1.5, 1.4)),
+    lambda: relativity.stored_proper_time(10**400),
+    lambda: relativity.proper_time_delta_general(10**400, 0, 0, 0),
+    lambda: relativity.polar_from_cartesian(10**400, 0),
+    lambda: memtiming.resistance(memtiming.ElectrodeGeometry(10**400, 1, 1, 1)),
+    lambda: geomlink.planar_kinematics(geomlink.PlanarMotion((10**400, 0), 1, 1)),
+    lambda: ptvda.classify_ratio(10**400, 5),
+    lambda: linkmodel.Target("a", "1e8", 8.3),
+    lambda: memtiming.Carrier(0, None),
+    lambda: relativity.Velocity("0.5"),
+    lambda: ptvda.classify_ratio("5", 3),
+    lambda: ptvda.scaling_probe([2, "3"], 3),
+    lambda: geomlink.Point2("1.5", 0),
+    lambda: linkmodel.Timestamp(1.5, 2, 3),
+])
+def test_a_value_that_is_no_finite_number_is_a_typed_error(call):
+    with pytest.raises(TimedataError):
+        call()

@@ -1,5 +1,6 @@
-"""Every public kernel, given finite inputs from across the float range,
-returns a finite result or raises a TimedataError, and nothing else."""
+"""Every public kernel, given finite inputs from across the float range, or
+ints beyond it, None or text, returns a finite result or raises a
+TimedataError, and nothing else."""
 
 import dataclasses
 import inspect
@@ -21,13 +22,23 @@ F = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                 for exponent in (st.integers(-323, 307),
                                  st.sampled_from([-323, -300, 300, 307]))),
               st.floats(0, 100))
-INT = st.one_of(st.integers(-3, 10), st.integers(-10**400, 10**400))
-PAIRS = st.lists(st.tuples(F, F), min_size=3, max_size=5)
-POINT = st.builds(geomlink.Point2, F, F)
-POLAR = st.builds(relativity.PolarPoint, F, st.one_of(F, st.floats(-math.pi, math.pi)))
-ELECTRODE = st.builds(memtiming.ElectrodeGeometry, F, F, F, F)
-COMPLEX = st.builds(complex, F, F)
+# No number to a library call: ints beyond the float range, None, and text,
+# text that float() reads included. Drawn in about one case in five.
+NOT_A_NUMBER = st.sampled_from([2**1024, -10**400, None, "abc", "1.5"])
+# A float argument or field; an int inside the float range, whose products
+# leave it, too (not for counts: 10**300 grid cells would fill the memory).
+X = st.one_of(F, NOT_A_NUMBER, st.sampled_from([10**300, -10**308]))
+INT = st.one_of(st.integers(-3, 10), st.integers(-10**400, 10**400), NOT_A_NUMBER)
+PAIRS = st.lists(st.tuples(X, X), min_size=3, max_size=5)
+POINT = st.builds(geomlink.Point2, X, X)
+POLAR = st.builds(relativity.PolarPoint, X, st.one_of(X, st.floats(-math.pi, math.pi)))
+ELECTRODE = st.builds(memtiming.ElectrodeGeometry, X, X, X, X)
+COMPLEX = st.one_of(st.builds(complex, F, F), NOT_A_NUMBER)
 INTEGRAND = st.just(lambda *point: sum(point) + 1.0)
+
+
+def _small(high):
+    return st.one_of(st.integers(0, high), NOT_A_NUMBER)
 
 
 def _allocation(arrivals):
@@ -38,57 +49,58 @@ def _allocation(arrivals):
 
 # Public kernel name -> strategy for its argument tuple. A dataclass argument
 # is drawn through its constructor, whose own DomainError counts as typed.
+# Sort elements are any values that order, not numbers, so they stay floats.
 KERNELS = {
     "geomlink.slope": st.tuples(POINT, POINT),
     "geomlink.segment_length": st.tuples(POINT, POINT),
-    "geomlink.shared_arc": st.tuples(st.builds(geomlink.ArcDecomposition, *[F] * 6)),
-    "geomlink.riemann_area": st.tuples(INTEGRAND, st.tuples(*[F] * 4),
-                                       st.integers(0, 3), st.integers(0, 3)),
-    "geomlink.triple_integral": st.tuples(INTEGRAND, st.tuples(*[F] * 6),
-                                          *[st.integers(0, 2)] * 3),
-    "geomlink.time_split_check": st.tuples(F, F),
+    "geomlink.shared_arc": st.tuples(st.builds(geomlink.ArcDecomposition, *[X] * 6)),
+    "geomlink.riemann_area": st.tuples(INTEGRAND, st.tuples(*[X] * 4),
+                                       _small(3), _small(3)),
+    "geomlink.triple_integral": st.tuples(INTEGRAND, st.tuples(*[X] * 6),
+                                          *[_small(2)] * 3),
+    "geomlink.time_split_check": st.tuples(X, X),
     "geomlink.planar_kinematics": st.tuples(
-        st.builds(geomlink.PlanarMotion, st.tuples(F, F), F, F)),
-    "linkmodel.epsilon_from_progress": st.tuples(F, F),
-    "linkmodel.shift_seconds": st.tuples(F),
+        st.builds(geomlink.PlanarMotion, st.tuples(X, X), X, X)),
+    "linkmodel.epsilon_from_progress": st.tuples(X, X),
+    "linkmodel.shift_seconds": st.tuples(X),
     "linkmodel.shift_timestamp": st.tuples(
-        st.builds(linkmodel.Timestamp, st.integers(0, 23), *[st.integers(0, 59)] * 2), F),
-    "linkmodel.frequency_resolution": st.tuples(F, F),
-    "linkmodel.displaced_frequency_resolution": st.tuples(F, F),
-    "linkmodel.uncertainty_satisfied": st.tuples(F, F),
+        st.builds(linkmodel.Timestamp, _small(23), *[_small(59)] * 2), X),
+    "linkmodel.frequency_resolution": st.tuples(X, X),
+    "linkmodel.displaced_frequency_resolution": st.tuples(X, X),
+    "linkmodel.uncertainty_satisfied": st.tuples(X, X),
     "linkmodel.timedata_probability": st.tuples(
-        F, F, st.builds(linkmodel.AmplitudeOverlap, F, F)),
-    "memtiming.bit_frequency": st.tuples(F, F, F),
+        X, X, st.builds(linkmodel.AmplitudeOverlap, X, X)),
+    "memtiming.bit_frequency": st.tuples(X, X, X),
     "memtiming.validate_qubit": st.tuples(
         st.builds(memtiming.QubitState, COMPLEX, COMPLEX)),
     "memtiming.phase_ratio_means": st.tuples(
-        PAIRS, PAIRS, st.lists(st.tuples(F, F), min_size=2, max_size=2)),
+        PAIRS, PAIRS, st.lists(st.tuples(X, X), min_size=2, max_size=2)),
     "memtiming.sheet_resistance": st.tuples(ELECTRODE),
     "memtiming.resistance": st.tuples(ELECTRODE),
-    "memtiming.transconductance_baseline": st.tuples(F, F),
+    "memtiming.transconductance_baseline": st.tuples(X, X),
     "memtiming.quantum_efficiency": st.tuples(INT, INT),
-    "memtiming.waterfall_allocate": st.lists(F, max_size=4).flatmap(_allocation),
-    "optics.v_number": st.tuples(st.builds(optics.FiberSpec, F, F, F, F)),
-    "optics.is_single_mode": st.tuples(F),
-    "optics.snell_refracted_angle": st.tuples(F, F, F),
-    "optics.faraday_rotation": st.tuples(st.builds(optics.FaradayCell, F, F, F)),
-    "optics.isolation_geometry": st.tuples(st.builds(optics.IsolationShell, F, F, F, F)),
+    "memtiming.waterfall_allocate": st.lists(X, max_size=4).flatmap(_allocation),
+    "optics.v_number": st.tuples(st.builds(optics.FiberSpec, X, X, X, X)),
+    "optics.is_single_mode": st.tuples(X),
+    "optics.snell_refracted_angle": st.tuples(X, X, X),
+    "optics.faraday_rotation": st.tuples(st.builds(optics.FaradayCell, X, X, X)),
+    "optics.isolation_geometry": st.tuples(st.builds(optics.IsolationShell, X, X, X, X)),
     "ptvda.parallel_sort": st.tuples(
-        st.builds(ptvda.SortInstance, st.lists(F, max_size=6), st.integers(0, 7))),
-    "ptvda.classify_ratio": st.tuples(F, F, F),
+        st.builds(ptvda.SortInstance, st.lists(F, max_size=6), _small(7))),
+    "ptvda.classify_ratio": st.tuples(X, X, X),
     # Small sizes and trials: a probe times real sorts.
-    "ptvda.scaling_probe": st.tuples(st.lists(st.integers(-1, 40), max_size=4),
-                                     st.integers(0, 4)),
-    "relativity.time_factor": st.tuples(st.builds(relativity.Velocity, F)),
-    "relativity.proper_time_delta_general": st.tuples(F, F, F, F),
-    "relativity.stored_proper_time": st.tuples(F),
-    "relativity.polar_from_cartesian": st.tuples(F, F),
+    "ptvda.scaling_probe": st.tuples(st.lists(st.one_of(st.integers(-1, 40), NOT_A_NUMBER),
+                                              max_size=4), _small(4)),
+    "relativity.time_factor": st.tuples(st.builds(relativity.Velocity, X)),
+    "relativity.proper_time_delta_general": st.tuples(X, X, X, X),
+    "relativity.stored_proper_time": st.tuples(X),
+    "relativity.polar_from_cartesian": st.tuples(X, X),
     "relativity.cartesian_from_polar": st.tuples(POLAR),
     "relativity.jacobian_polar": st.tuples(POLAR),
-    "relativity.charge_balance": st.tuples(st.builds(relativity.ChargeLedger, F, F, F)),
-    "relativity.charge_balance_inverse": st.tuples(F, F, F),
-    "relativity.charge_density": st.tuples(F, F),
-    "relativity.moire_wavelength": st.tuples(F, F, F),
+    "relativity.charge_balance": st.tuples(st.builds(relativity.ChargeLedger, X, X, X)),
+    "relativity.charge_balance_inverse": st.tuples(X, X, X),
+    "relativity.charge_density": st.tuples(X, X),
+    "relativity.moire_wavelength": st.tuples(X, X, X),
 }
 
 

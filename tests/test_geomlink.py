@@ -14,7 +14,8 @@ class TestPoint2:
         (0, math.nan, "point y not finite: nan"),
         (10**400, 0, "point x not finite: inf"),  # an int beyond the float range
         (0, -10**400, "point y not finite: -inf"),
-    ], ids=["inf x", "nan y", "big x", "-big y"])
+        ("1.5", 0, "point x not a number: '1.5'"),  # text is no number, even if float() reads it
+    ], ids=["inf x", "nan y", "big x", "-big y", "text x"])
     def test_coordinates_not_finite_rejected(self, x, y, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             Point2(x, y)

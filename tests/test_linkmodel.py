@@ -65,10 +65,10 @@ class TestTimestamp:
             Timestamp.parse(text)
 
     def test_field_ranges(self):
-        with pytest.raises(DomainError):
-            Timestamp(24, 0, 0)
-        with pytest.raises(DomainError):
-            Timestamp(0, 60, 0)
+        # A field that is no int could not be printed as HH:MM:SS.
+        for fields in [(24, 0, 0), (0, 60, 0), (1.5, 2, 3), (1, "2", 3), (1, 2, None)]:
+            with pytest.raises(DomainError, match="^timestamp fields out of range: "):
+                Timestamp(*fields)
 
     def test_shift_paper_case(self):
         # 1.33 min = 79.8 s, rounds to 80 s
