@@ -8,13 +8,31 @@ of the leaf it names and calls that leaf's runner.
 from __future__ import annotations
 
 import argparse
-import configparser
+import importlib.util
 import os
 import re
 import sys
+import warnings
 
-from . import analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity
-from .errors import TimedataError, finite_float, finite_text
+from .errors import TimedataError, finite_float, finite_text, plain_float, plain_int
+
+
+def _lazy(name):
+    """The module timedata_lab.<name>, run on its first attribute access: a leaf
+    loads only the kernel it calls. One already imported is used as it is."""
+    fullname = f"{__package__}.{name}"
+    if (module := sys.modules.get(fullname)) is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # as the import system does, so that `import timedata_lab.optics` finds it
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity = map(_lazy, (
+    "analysis", "geomlink", "linkmodel", "memtiming", "optics", "ptvda", "relativity"))
 
 # argparse reads `-1e5` as an option, as its negative numbers are -1 and -1.5
 # only; _parse joins `--flag -1e5` into `--flag=-1e5` when this matches the value.
@@ -39,6 +57,7 @@ def load_config(path: str) -> tuple[list[linkmodel.Target], linkmodel.Timestamp]
     Expects [target.<name>] sections with distance_km / range_lm keys and
     an optional [defaults] section with base_time (HH:MM:SS).
     """
+    import configparser  # imported at start, it would cost every other leaf 2-4 ms
     cp = configparser.ConfigParser(interpolation=None)  # a % is literal
     try:
         read = cp.read(path, encoding="utf-8")
@@ -100,6 +119,11 @@ def _probe(a) -> str:
     return "\n".join(lines)
 
 
+def _classify(a) -> str:
+    bound = {} if a.bound is None else {"m_bound": a.bound}  # else classify_ratio's default
+    return ptvda.classify_ratio(a.n, a.nprime, **bound).value
+
+
 def _slope(a) -> str:
     p1, p2 = geomlink.Point2(a.x1, a.y1), geomlink.Point2(a.x2, a.y2)
     return (f"slope = {finite_text(geomlink.slope(p1, p2))}, "
@@ -119,7 +143,14 @@ def _sheet(a) -> str:
 
 
 def _chart(a) -> str:
-    analysis.render_radar_chart(analysis.parse_csv(getattr(a, "in")), a.out)
+    sheet = analysis.parse_csv(getattr(a, "in"))
+    # An omitted attribute is one `warning:` line, as in sort probe: not Python's
+    # warning text, and no traceback where warnings are errors (-W error).
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        analysis.render_radar_chart(sheet, a.out)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     return f"wrote radar chart to {a.out}"
 
 
@@ -170,7 +201,7 @@ COMMANDS = {
                      _sheetres),
         "gm": (_floats("di", "dv"), lambda a: finite_text(
             memtiming.transconductance_baseline(a.di, a.dv)) + " S"),
-        "eta": ([("collected", int, _REQUIRED), ("storable", int, _REQUIRED)],
+        "eta": ([("collected", plain_int, _REQUIRED), ("storable", plain_int, _REQUIRED)],
                 lambda a: finite_text(
                     memtiming.quantum_efficiency(a.collected, a.storable))),
         "waterfall": ([("arrivals", _csv_of(finite_float), _REQUIRED)], _waterfall),
@@ -189,14 +220,13 @@ COMMANDS = {
                        relativity.ChargeLedger(a.q1, a.qin, a.qout))) + " C"),
     }),
     "sort": ("partitioned parallel sort harness", {
-        "run": ([("values", _csv_of(finite_float), _REQUIRED), ("partitions", int, 1)],
+        "run": ([("values", _csv_of(finite_float), _REQUIRED), ("partitions", plain_int, 1)],
                 lambda a: ",".join(map(finite_text, ptvda.parallel_sort(
                     ptvda.SortInstance(a.values, a.partitions))))),
-        "classify": ([("n", float, _REQUIRED), ("nprime", float, _REQUIRED),
-                      ("bound", float, ptvda.DEFAULT_RATIO_BOUND)],
-                     lambda a: ptvda.classify_ratio(a.n, a.nprime, a.bound).value),
-        "probe": ([("sizes", _csv_of(int), _REQUIRED), ("trials", int, 3),
-                   ("seed", int, None)], _probe),
+        "classify": ([("n", plain_float, _REQUIRED), ("nprime", plain_float, _REQUIRED),
+                      ("bound", plain_float, None)], _classify),
+        "probe": ([("sizes", _csv_of(plain_int), _REQUIRED), ("trials", plain_int, 3),
+                   ("seed", plain_int, None)], _probe),
     }),
     "geom": ("comlink plane geometry", {
         "slope": (_floats("x1", "y1", "x2", "y2"), _slope),

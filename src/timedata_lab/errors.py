@@ -1,5 +1,6 @@
 """Exception types of timedata-lab, and its one rule for numbers: each is finite
-and in its declared range, and text is a number only to `finite_float`."""
+and in its declared range, and text is a number only to the readers `finite_float`,
+`plain_float` and `plain_int`."""
 
 import math
 
@@ -48,14 +49,38 @@ class ChartError(TimedataError):
 
 
 def finite_float(text: str) -> float:
-    """The one parser of numbers read from outside (CLI flags, config
-    values, CSV cells): a float that is neither nan nor infinite."""
+    """The one parser of numbers read from outside (CLI flags, config values,
+    CSV cells): a float that is neither nan nor infinite. It refuses `_` as
+    plain_float does, inline, as parse_csv calls it 6 times a record."""
+    if "_" in text:
+        raise ValueError(_GROUPED.format(text))
     if not math.isfinite(value := float(text)):
         raise ValueError(f"not finite: {text!r}")
     return value
 
 
-finite_float.__name__ = "finite float"  # argparse names the type in its messages
+def plain_float(text: str) -> float:
+    """float(text), inf and nan included (sort classify's infinity marker), but not
+    the `_` digit grouping Python reads (`1_0` is 10), which no toolkit output writes."""
+    return float(_ungrouped(text))
+
+
+def plain_int(text: str) -> int:
+    """int(text), refusing `_` as plain_float does: every int flag's type."""
+    return int(_ungrouped(text))
+
+
+_GROUPED = "digit grouping in number: {!r}"
+
+
+def _ungrouped(text: str) -> str:
+    if "_" in text:
+        raise ValueError(_GROUPED.format(text))
+    return text
+
+
+# argparse names the type in its messages
+finite_float.__name__, plain_float.__name__, plain_int.__name__ = "finite float", "float", "int"
 
 
 def finite_text(value) -> str:
@@ -75,6 +100,13 @@ def within(value, message: str, low=-LARGEST, high=LARGEST, error=DomainError):
             return value
     except TypeError:
         pass
+    raise error(message.format(value))
+
+
+def within_int(value, message: str, low=-LARGEST, high=LARGEST, error=DomainError):
+    """within(value, ...) for a value that must also be an int."""
+    if isinstance(value, int) and low <= value <= high:
+        return value
     raise error(message.format(value))
 
 

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import TINY, DomainError, finite, quotient, within
+from .errors import TINY, DomainError, finite, quotient, within, within_int
 
 FOLD_TOL = 1e-12
 ARC_TOL = 1e-9
@@ -83,7 +83,7 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
     """Midpoint-rule sum of f over the box bounds = (lo, hi, lo, hi, ...)
     with counts[i] cells along axis i, times the cell volume."""
     for n in counts:
-        within(n, "grid resolution must be >= 1", 1)
+        within_int(n, "grid resolution must be >= 1", 1)
     for bound in bounds:
         within(bound, "integration bounds must be finite, got {!r}")
     lows = bounds[::2]

@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import (TINY, DivergenceSignal, DivisionByZeroSignal, DomainError, finite,
-                     quotient, within)
+                     quotient, within, within_int)
 from .units import C_KM_PER_S
 
 TWO_PI = 2.0 * math.pi
@@ -39,8 +39,7 @@ class Timestamp:
 
     def __post_init__(self):
         for value, high in ((self.hours, 23), (self.minutes, 59), (self.seconds, 59)):
-            within(value, "timestamp fields out of range: {!r}", 0,
-                   high if isinstance(value, int) else -1)  # -1: only ints are in range
+            within_int(value, "timestamp fields out of range: {!r}", 0, high)
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":

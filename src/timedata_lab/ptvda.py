@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import TINY, DomainError, quotient, within
+from .errors import TINY, DomainError, quotient, within, within_int
 
 # Default asymptotic-ratio bound M.
 DEFAULT_RATIO_BOUND = 1e6
@@ -100,9 +100,9 @@ def scaling_probe(sizes: list[int], trials: int = 3,
     """
     if len(sizes) < 2:
         raise DomainError("need at least 2 sizes for a fit")
-    within(trials, "need at least 3 trials per size", 3, math.inf)
+    within_int(trials, "need at least 3 trials per size", 3, math.inf)
     for n in sizes:
-        within(n, _SIZES, 2, MAX_PROBE_SIZE)
+        within_int(n, _SIZES, 2, MAX_PROBE_SIZE)
     for a, b in zip(sizes, sizes[1:]):
         within(b, "probe sizes must be strictly increasing", a + 1)
     within(trials * sum(sizes), _WORK, high=MAX_PROBE_WORK)

@@ -364,6 +364,14 @@ class TestCsv:
             analysis.parse_csv(path)
         assert exc.value.line_number == 3
 
+    def test_digit_grouped_cell_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(analysis.CSV_HEADER + "\nSun,1,f,13:00:00,1,60,0.1,0.1\n"
+                        + "Sun,1_0,f,13:00:00,1,60,0.1,0.1\n")
+        with pytest.raises(CsvParseError) as exc:  # float() would read 10
+            analysis.parse_csv(path)
+        assert str(exc.value) == "line 3: digit grouping in number: '1_0'"
+
     def test_unknown_sentinel(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(analysis.CSV_HEADER +

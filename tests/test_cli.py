@@ -129,6 +129,16 @@ def test_sort_probe_warns_once(capsys, monkeypatch):
     assert "log-log slope" not in out
 
 
+def test_chart_reports_an_omitted_attribute_on_one_line(tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    path.write_text(analysis.CSV_HEADER + "".join(
+        f"\nSun,{p},f,13:00:00,{p + 1},60,0.1,#Div/0!" for p in range(3)) + "\n")
+    # pytest turns warnings into errors here, as `python -W error` does.
+    assert main(["chart", "--in", str(path), "--out", str(tmp_path / "c.svg")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: attribute nu_displaced_hz is all sentinels; omitted\n")
+
+
 def test_sort_probe_runs_without_numpy():
     code = ("import sys; sys.modules['numpy'] = None\n"
             "from timedata_lab.cli import main\n"
@@ -139,6 +149,33 @@ def test_sort_probe_runs_without_numpy():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n = 1000: ")
+
+
+# A module the lazy loader has not run yet is of the loader's own subclass of
+# ModuleType; one that has run, or was imported as usual, is a plain module.
+LAZY_CODE = """\
+import sys, types
+KERNELS = ["configparser"] + ["timedata_lab." + name for name in (
+    "analysis", "geomlink", "linkmodel", "memtiming", "optics", "ptvda", "relativity")]
+def ran():
+    return [name for name in KERNELS if type(sys.modules.get(name)) is types.ModuleType]
+from timedata_lab import cli
+cli.build_parser()
+print(ran())
+cli.main(["rel", "gamma", "--beta", "0.6"])
+print(ran())
+import timedata_lab.optics
+print(timedata_lab.optics.v_number.__name__, cli.optics is sys.modules["timedata_lab.optics"])
+"""
+
+
+def test_a_leaf_loads_only_the_kernel_it_runs():
+    src = str(Path(timedata_lab.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", LAZY_CODE], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.stderr, proc.returncode) == ("", 0)
+    assert proc.stdout.splitlines() == [
+        "[]", "1.25", "['timedata_lab.relativity']", "v_number True"]
 
 
 def test_reader_that_leaves_early_gets_exit_1_and_no_traceback():

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from timedata_lab import cli
 from timedata_lab.analysis import CSV_HEADER, DIV0, DIVERGES
 from timedata_lab.cli import COMMANDS, build_parser, main
-from timedata_lab.errors import finite_float
+from timedata_lab.errors import finite_float, plain_float, plain_int
 
 # (argv, stdout) of commands that exit 0.
 SUCCESS = [
@@ -94,6 +94,11 @@ USAGE_ERRORS = [
     ["sort", "run", "--values", "1,x"],
     ["sort", "classify", "--n", "abc", "--nprime", "1"],
     ["sort", "probe", "--sizes", "1000,x"],
+    # float() and int() read `1_6` as 16
+    ["link", "eps", "--progress", "1_6", "--range", "8.3"],
+    ["mem", "eta", "--collected", "1_0", "--storable", "20"],
+    ["sort", "classify", "--n", "1_0", "--nprime", "1"],
+    ["sort", "probe", "--sizes", "1000,2_000"],
     ["mem", "waterfall", "--arrivals", "1,x"],
     ["sheet", "--config", "targets.ini", "--progress", "16,x", "--out", "t.csv"],
     ["link", "shift", "--time", "13:35:00", "--epsilon", "nan"],
@@ -555,8 +560,8 @@ _STAMP = st.times().map(lambda t: t.strftime("%H:%M:%S"))
 # floats (`_csv_of(finite_float)`), half the time all of them in [0, 100].
 _FLAG_TEXT = {
     finite_float: _FINITE.map(repr),
-    float: st.floats().map(repr),
-    int: st.integers(-10**400, 10**400).map(str),
+    plain_float: st.floats().map(repr),
+    plain_int: st.integers(-10**400, 10**400).map(str),
     str: st.one_of(_STAMP, st.text()),
 }
 _FLOAT_LIST = st.one_of(st.lists(_FINITE, max_size=8),

@@ -1,5 +1,5 @@
-"""The one number rule: finite_float(), within(), finite(), quotient() and
-finite_text()."""
+"""The one number rule: finite_float(), plain_float(), plain_int(), within(),
+within_int(), finite(), quotient() and finite_text()."""
 
 import math
 import re
@@ -9,7 +9,8 @@ import pytest
 
 from timedata_lab import (analysis, errors, geomlink, linkmodel, memtiming, optics, ptvda,
                           relativity)
-from timedata_lab.errors import DomainError, TimedataError, finite, quotient, within
+from timedata_lab.errors import (DomainError, TimedataError, finite, quotient, within,
+                                 within_int)
 
 
 def test_the_sheet_pipeline_reads_and_prints_numbers_through_errors():
@@ -105,6 +106,21 @@ def test_within_bounds_are_closed():
             within(value, "in [0, 1], got {}", 0.0, 1.0)
     with pytest.raises(DomainError):
         within(0.0, "m", errors.TINY)  # a low bound of TINY: positive
+
+
+def test_within_int_refuses_a_value_that_is_no_int():
+    assert within_int(3, "m", 1) == 3
+    for value in (0, 1.5, 2.0, Fraction(2), "2", None, 10**400):
+        with pytest.raises(DomainError, match=f"^got {re.escape(repr(value))}$"):
+            within_int(value, "got {!r}", 1)
+
+
+# float() and int() read `1_0` as 10, a digit grouping no toolkit output writes.
+@pytest.mark.parametrize("read", [errors.finite_float, errors.plain_float, errors.plain_int])
+def test_readers_refuse_digit_grouping(read):
+    assert read("10") == 10
+    with pytest.raises(ValueError, match="^digit grouping in number: '1_0'$"):
+        read("1_0")
 
 
 # Each raised a bare OverflowError or TypeError, or (Point2) took text.

@@ -124,7 +124,7 @@ class TestRiemannArea:
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 2
 
-    @pytest.mark.parametrize("m,n", [(0, 1), (1, 0), (-3, 4), (2, -1)])
+    @pytest.mark.parametrize("m,n", [(0, 1), (1, 0), (-3, 4), (2, -1), (1.5, 1), (1, 2.0)])
     def test_resolution_below_one_rejected(self, m, n):
         with pytest.raises(DomainError, match="grid resolution must be >= 1"):
             gl.riemann_area(lambda x, y: 1.0, (0, 1, 0, 1), m, n)
@@ -179,7 +179,8 @@ class TestTripleIntegral:
         assert gl.triple_integral(lambda x, y, t: 1.0,
                                   (0, 1, 1, 1, 0, 1), 5, 5, 5) == 0.0
 
-    @pytest.mark.parametrize("counts", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 2, -5)])
+    @pytest.mark.parametrize("counts", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 2, -5),
+                                        (1, 1, 1.5)])
     def test_resolution_below_one_rejected(self, counts):
         with pytest.raises(DomainError, match="grid resolution must be >= 1"):
             gl.triple_integral(lambda x, y, t: 1.0, (0, 1, 0, 1, 0, 1), *counts)

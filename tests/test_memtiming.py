@@ -163,6 +163,13 @@ class TestWaterfall:
         with pytest.raises(DomainError, match="^arrival time must be nonnegative$"):
             Carrier(0, arrival)
 
+    # Tied arrivals are ordered by id, and "a" and 1 do not order.
+    @pytest.mark.parametrize("carrier_id", ["a", 1.5, None])
+    def test_id_not_an_int_rejected(self, carrier_id):
+        with pytest.raises(DomainError, match="^carrier id must be an int, got "):
+            mt.waterfall_allocate([Carrier(carrier_id, 1.0), Carrier(1, 1.0)],
+                                  CellMap([(0, 0), (1, 1)]))
+
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             mt.waterfall_allocate([Carrier(i, float(i)) for i in range(4)],

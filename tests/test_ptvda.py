@@ -134,6 +134,15 @@ class TestScalingProbe:
         with pytest.raises(DomainError, match=r"probe sizes must be in \[2, 1000000\]"):
             ptvda.scaling_probe([2, ptvda.MAX_PROBE_SIZE + 1], trials=3)
 
+    @pytest.mark.parametrize("sizes,trials,message", [
+        ([2.5, 4], 3, r"probe sizes must be in \[2, 1000000\]"),
+        ([2, 4.0], 3, r"probe sizes must be in \[2, 1000000\]"),
+        ([2, 4], 3.5, "need at least 3 trials per size"),
+    ])
+    def test_size_or_trials_not_an_int_rejected(self, sizes, trials, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            ptvda.scaling_probe(sizes, trials=trials)
+
     # Where several rules fail, the first in this order is reported.
     @pytest.mark.parametrize("sizes,trials,message", [
         ([0], 2, "need at least 2 sizes for a fit"),
