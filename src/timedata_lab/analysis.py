@@ -12,7 +12,6 @@ import math
 import os
 import re
 import stat
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -217,8 +216,9 @@ def _normalize(cells):
             for v in values]
 
 
-def render_radar_chart(sheet: Sheet, path) -> None:
-    """Render one spoke per record and one closed polyline per attribute.
+def render_radar_chart(sheet: Sheet, path) -> list[str]:
+    """Render one spoke per record and one closed polyline per attribute;
+    return the fields left out as all sentinels, in _ATTRIBUTES order.
 
     Per-attribute min-max normalization to radius [0, 1]; sentinel cells
     sit at radius 0 with a marker. Output bytes are deterministic.
@@ -256,11 +256,11 @@ def render_radar_chart(sheet: Sheet, path) -> None:
             f'{finite_text(record.progress_pct)}%</text>')
 
     legend_y = 20
+    omitted = []
     for attr, label, color in _ATTRIBUTES:
         normalized = _normalize([getattr(r, attr) for r in sheet.records])
         if normalized is None:
-            warnings.warn(f"attribute {attr} is all sentinels; omitted",
-                          stacklevel=2)
+            omitted.append(attr)
             continue
         points = [spoke_xy(i, frac) for i, (frac, _) in enumerate(normalized)]
         points.append(points[0])  # close the loop
@@ -283,3 +283,4 @@ def render_radar_chart(sheet: Sheet, path) -> None:
 
     parts.append("</svg>")
     _write_text(path, "\n".join(parts) + "\n")
+    return omitted

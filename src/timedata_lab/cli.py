@@ -12,7 +12,6 @@ import importlib.util
 import os
 import re
 import sys
-import warnings
 
 from .errors import TimedataError, finite_float, finite_text, plain_float, plain_int
 
@@ -144,13 +143,8 @@ def _sheet(a) -> str:
 
 def _chart(a) -> str:
     sheet = analysis.parse_csv(getattr(a, "in"))
-    # An omitted attribute is one `warning:` line, as in sort probe: not Python's
-    # warning text, and no traceback where warnings are errors (-W error).
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        analysis.render_radar_chart(sheet, a.out)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+    for attr in analysis.render_radar_chart(sheet, a.out):
+        print(f"warning: attribute {attr} is all sentinels; omitted", file=sys.stderr)
     return f"wrote radar chart to {a.out}"
 
 

@@ -13,6 +13,8 @@ from .errors import TINY, DomainError, finite, quotient, within, within_int
 FOLD_TOL = 1e-12
 ARC_TOL = 1e-9
 _LOG_BASE = "log base must be positive and != 1"
+# Most cells in one midpoint sum; checked before any axis list is built.
+MAX_GRID_CELLS = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,7 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
     with counts[i] cells along axis i, times the cell volume."""
     for n in counts:
         within_int(n, "grid resolution must be >= 1", 1)
+    within(math.prod(counts), f"grid must have <= {MAX_GRID_CELLS} cells", high=MAX_GRID_CELLS)
     for bound in bounds:
         within(bound, "integration bounds must be finite, got {!r}")
     lows = bounds[::2]

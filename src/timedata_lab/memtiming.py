@@ -40,7 +40,7 @@ class Carrier:
         within(self.arrival_time_s, "arrival time must be nonnegative", 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellMap:
     """Distance-ordered memory cells; each address holds at most one carrier."""
 
@@ -48,7 +48,8 @@ class CellMap:
     _address_by_rank: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._address_by_rank = {rank: address for address, rank in self.cells}
+        object.__setattr__(self, "_address_by_rank",
+                           {rank: address for address, rank in self.cells})
         if self._address_by_rank.keys() != set(range(len(self.cells))):
             raise DomainError("distance ranks must be a permutation 0..N-1")
         if len(set(self._address_by_rank.values())) != len(self.cells):

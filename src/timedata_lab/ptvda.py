@@ -31,7 +31,7 @@ class SortInstance:
     partitions: int = 1
 
     def __post_init__(self):
-        within(self.partitions, "partition count must be >= 1", 1, math.inf)
+        within_int(self.partitions, "partition count must be >= 1", 1, math.inf)
         within(self.partitions, "more partitions than elements", high=max(1, len(self.elements)))
 
 

@@ -400,7 +400,7 @@ class TestRadarChart:
 
     def test_one_closed_polyline_per_attribute(self, tmp_path, sun_sheet):
         path = tmp_path / "chart.svg"
-        analysis.render_radar_chart(sun_sheet, path)
+        assert analysis.render_radar_chart(sun_sheet, path) == []  # none omitted
         root = ET.parse(path).getroot()
         ns = "{http://www.w3.org/2000/svg}"
         polylines = root.findall(f"{ns}polyline")
@@ -459,11 +459,20 @@ class TestRadarChart:
                               1.0, 60.0, DIV0, 0.1 * (p + 1))
                    for p in range(3)]
         path = tmp_path / "chart.svg"
-        with pytest.warns(UserWarning, match="sentinel"):
-            analysis.render_radar_chart(Sheet(records=records), path)
+        assert analysis.render_radar_chart(Sheet(records=records), path) == [
+            "nu_delta_omega_hz"]
         ns = "{http://www.w3.org/2000/svg}"
         root = ET.parse(path).getroot()
         assert len(root.findall(f"{ns}polyline")) == 3
+
+    def test_omitted_attributes_in_chart_order(self, tmp_path):
+        records = [LinkRecord("X", float(p), "f", Timestamp(12, 0, 0),
+                              1.0, 60.0, DIV0, DIVERGES) for p in range(3)]
+        path = tmp_path / "chart.svg"
+        assert analysis.render_radar_chart(Sheet(records=records), path) == [
+            "nu_delta_omega_hz", "nu_displaced_hz"]
+        ns = "{http://www.w3.org/2000/svg}"
+        assert len(ET.parse(path).getroot().findall(f"{ns}polyline")) == 2
 
     def test_constant_attribute_fixed_radius(self, tmp_path):
         records = [LinkRecord("X", float(p), "f", Timestamp(12, 0, 0),

@@ -129,6 +129,14 @@ class TestRiemannArea:
         with pytest.raises(DomainError, match="grid resolution must be >= 1"):
             gl.riemann_area(lambda x, y: 1.0, (0, 1, 0, 1), m, n)
 
+    # 10**200 cells would exhaust memory building the axes: refused before any.
+    @pytest.mark.parametrize("m,n", [(10 ** 200, 1), (10 ** 4, 10 ** 4 + 1)])
+    def test_grid_past_cell_cap_rejected(self, m, n):
+        calls = []
+        with pytest.raises(DomainError, match=f"^grid must have <= {gl.MAX_GRID_CELLS} cells$"):
+            gl.riemann_area(lambda x, y: calls.append(x) or 1.0, (0, 1, 0, 1), m, n)
+        assert calls == []
+
     def test_one_cell_evaluates_the_centre(self):
         calls = []
         out = gl.riemann_area(lambda x, y: calls.append((x, y)) or 3.0,
@@ -184,6 +192,14 @@ class TestTripleIntegral:
     def test_resolution_below_one_rejected(self, counts):
         with pytest.raises(DomainError, match="grid resolution must be >= 1"):
             gl.triple_integral(lambda x, y, t: 1.0, (0, 1, 0, 1, 0, 1), *counts)
+
+    @pytest.mark.parametrize("counts", [(1, 1, 10 ** 200), (10 ** 3, 10 ** 3, 101)])
+    def test_grid_past_cell_cap_rejected(self, counts):
+        calls = []
+        with pytest.raises(DomainError, match=f"^grid must have <= {gl.MAX_GRID_CELLS} cells$"):
+            gl.triple_integral(lambda x, y, t: calls.append(x) or 1.0, (0, 1, 0, 1, 0, 1),
+                               *counts)
+        assert calls == []
 
     def test_one_cell_evaluates_the_centre(self):
         calls = []

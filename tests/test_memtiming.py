@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import random
 
 import pytest
@@ -197,6 +198,13 @@ class TestWaterfall:
             CellMap(cells=[(0, 0), (1, 0)])
         with pytest.raises(DomainError, match="permutation"):
             CellMap(cells=[(0, 0), (1, "1")])  # a rank no int equals
+
+    def test_cells_cannot_be_replaced(self):
+        # The rank map is built once, so it would go stale.
+        cells = CellMap([(0, 0)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cells.cells = [(5, 0)]
+        assert mt.waterfall_allocate([Carrier(0, 0.0)], cells) == {0: 0}
 
     def test_repeated_address_rejected(self):
         # Two ranks on one address would put two carriers in one cell.

@@ -41,6 +41,11 @@ class TestParallelSort:
         with pytest.raises(DomainError):
             SortInstance([1, 2], 3)
 
+    @pytest.mark.parametrize("partitions", [1.5, 1.0, "1", None])
+    def test_partition_count_not_an_int_rejected(self, partitions):
+        with pytest.raises(DomainError, match="^partition count must be >= 1$"):
+            SortInstance([3.0, 1.0, 2.0], partitions)
+
 
 class TestClassifyRatio:
     def test_unit(self):
