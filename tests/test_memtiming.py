@@ -199,6 +199,19 @@ class TestWaterfall:
         with pytest.raises(DomainError, match="permutation"):
             CellMap(cells=[(0, 0), (1, "1")])  # a rank no int equals
 
+    @pytest.mark.parametrize("cells", [[(0, 0.0), (1, 1)], [(0, 0), (1, 1.5)],
+                                       [(0, 0), (1, None)], [(0, 0), (1, 2)],
+                                       [(0, -1), (1, 1), (2, 3)]])  # the sum of 0..2
+    def test_ranks_must_be_the_ints_0_to_n(self, cells):
+        with pytest.raises(DomainError, match="^distance ranks must be a permutation 0..N-1$"):
+            CellMap(cells)
+
+    @pytest.mark.parametrize("address", [0.5, 1.0, "a", None, 2 + 0j])
+    def test_addresses_must_be_ints(self, address):
+        # Else waterfall_allocate would hand out an address that is no int.
+        with pytest.raises(DomainError, match="^cell addresses must be ints$"):
+            CellMap([(address, 0), (1, 1)])
+
     def test_cells_cannot_be_replaced(self):
         # The rank map is built once, so it would go stale.
         cells = CellMap([(0, 0)])
