@@ -1,8 +1,9 @@
 """Command-line front end exposing every toolkit module as a subcommand.
 
 The whole command line is declared in ``COMMANDS``: ``build_parser``
-turns it into the argparse tree; ``main`` reads argv with the one parser
-of the leaf it names and calls that leaf's runner.
+turns it into the argparse tree; ``main`` reads a leaf's flags straight from
+its row and calls that leaf's runner. Any other argv, help and usage errors
+included, goes to the argparse tree.
 """
 
 from __future__ import annotations
@@ -285,19 +286,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(argv, path, flags, runner):
+    """The namespace argparse would make of argv's tokens after the leaf's path,
+    read from its row; None unless they are `--flag value` or `--flag=value` pairs
+    of its full flag names, each once, with every required flag given and every
+    value read by its type."""
+    unread = {"--" + name: (name.replace("-", "_"), type_, default)
+              for name, type_, default in flags}
+    args = argparse.Namespace(run=runner)
+    tokens = iter(argv[len(path):])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        text = text if eq else next(tokens, "-")  # a missing value reads as "-"
+        # argparse reads such a value (`--`, `-h`) as an option, and `--flag=--` as none
+        if flag not in unread or text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
+            return None
+        dest, type_, _ = unread.pop(flag)
+        try:
+            setattr(args, dest, type_(text))
+        except (TypeError, ValueError, argparse.ArgumentTypeError):  # as argparse catches
+            return None
+    for dest, _, default in unread.values():
+        if default is _REQUIRED:
+            return None
+        setattr(args, dest, default)
+    return args
+
+
 def _parse(argv: list) -> argparse.Namespace:
-    """argv read by the one parser of the leaf it names; by the whole tree when
-    it names none or leaves tokens over, as the tree gives a leaf only the
-    tokens after its path. Joins the leaf's negative values in argv in place."""
+    """argv read by _read from the row of the leaf it names, or by the whole tree
+    where it names none or _read declines it, so that argparse alone writes help
+    and usage text. Joins the leaf's negative values in argv in place."""
     if (leaf := _leaf(argv)) is not None:
         path, flags, runner = leaf
         names = {"--" + name for name, _, _ in flags}
         for i in range(len(argv) - 1, 0, -1):
             if argv[i - 1] in names and _NEGATIVE_NUMBER.match(argv[i]):
                 argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
-        parser = argparse.ArgumentParser(prog=" ".join(["timedata-lab", *path]))
-        args, rest = _with_flags(parser, flags, runner).parse_known_args(argv[len(path):])
-        if not rest:
+        if (args := _read(argv, path, flags, runner)) is not None:
             return args
     return build_parser().parse_args(argv)
 

@@ -58,7 +58,10 @@ class CellMap:
     _address_by_rank: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_rank = {rank: address for address, rank in self.cells}
+        try:
+            by_rank = {rank: address for address, rank in self.cells}
+        except (TypeError, ValueError):  # a cell that is no pair, or a rank no dict can key
+            raise DomainError("cells must be (address, rank) pairs") from None
         object.__setattr__(self, "_address_by_rank", by_rank)
         n = len(self.cells)
         # n distinct ints >= 0 sum to n(n-1)/2 or more, and to exactly that only as 0..n-1.
@@ -163,4 +166,7 @@ def waterfall_allocate(carriers: list[Carrier], cells: CellMap) -> dict[int, int
         raise CapacityError(
             f"{len(carriers)} carriers exceed {len(cells.cells)} cells")
     ordered = sorted(carriers, key=lambda c: (c.arrival_time_s, c.id))
-    return {c.id: cells.address_at_rank(rank) for rank, c in enumerate(ordered)}
+    alloc = {c.id: cells.address_at_rank(rank) for rank, c in enumerate(ordered)}
+    if len(alloc) < len(carriers):  # a repeated id kept only its last cell
+        raise DomainError("carrier ids must be distinct")
+    return alloc

@@ -296,19 +296,23 @@ def test_help_and_usage_transcript(capsys, monkeypatch, argv, code, stdout, stde
 
 @st.composite
 def _parser_argv(draw):
-    """A leaf's argv with every flag set to 1, cut short anywhere, then that
-    leaf's flags (alone, as `--flag=--` or the first one abbreviated), help
-    flags, other choices, numbers and junk."""
+    """A leaf's argv with every flag set to 1 or -1e5, as a pair of tokens or
+    with `=`, whole or cut short anywhere, then that leaf's flags (alone, with
+    `=` and a value, empty or not a number, or the first one abbreviated or
+    repeated), help flags, other choices, numbers and junk."""
     command = draw(st.sampled_from(list(COMMANDS)))
     actions = COMMANDS[command][1]
     action = draw(st.sampled_from(list(actions)))
     flags = ["--" + name for name, _, _ in actions[action][0]]
     head = [command] + [action] * (action is not None) + [
-        token for flag in flags for token in (flag, "1")]
-    tokens = (flags + [flag + "=--" for flag in flags] + [flags[0][:6]]
+        token for flag in flags for token in draw(st.sampled_from(
+            [(flag, "1"), (flag + "=1",), (flag, "-1e5"), (flag + "=-1e5",)]))]
+    tokens = (flags + [flag + value for flag in flags
+                       for value in ("=--", "=1", "=-1e5", "=", "=-x")]
+              + [flags[0][:6], flags[0]]
               + list(COMMANDS) + [a for a in actions if a]
               + ["-h", "--help", "--he", "--", "bogus", "1", "-1", "-1e5"])
-    return head[:draw(st.integers(0, len(head)))] + draw(
+    return head[:draw(st.one_of(st.just(len(head)), st.integers(0, len(head))))] + draw(
         st.lists(st.sampled_from(tokens), max_size=4))
 
 
@@ -334,7 +338,7 @@ def test_parser_built_for_argv_reads_it_as_the_whole_tree(argv):
     assert leaf == _parsed(build_parser().parse_args, joined)
 
 
-def test_leaf_argv_builds_one_parser(capsys, monkeypatch):
+def test_leaf_argv_builds_no_parser_unless_argparse_reads_it(capsys, monkeypatch):
     built, init = [], argparse.ArgumentParser.__init__
 
     def counted_init(self, *args, **kwargs):
@@ -344,7 +348,16 @@ def test_leaf_argv_builds_one_parser(capsys, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     assert main(["link", "eps", "--progress", "16", "--range", "8.3"]) == 0
     assert capsys.readouterr().out == "1.328000 Lm\n"
-    assert built == ["timedata-lab link eps"]
+    assert main("geom slope --x1=-1e3 --y1 0 --x2 1 --y2 -1e0".split()) == 0
+    assert capsys.readouterr().out == "slope = -0.000999001, length = 1001\n"
+    assert built == []
+    # An abbreviated flag is read by the whole tree, built once and alone.
+    assert main(["link", "eps", "--prog", "16", "--range", "8.3"]) == 0
+    assert capsys.readouterr().out == "1.328000 Lm\n"
+    tree = list(built)
+    built.clear()
+    build_parser()
+    assert tree == built and built[0] == "timedata-lab"
 
 
 @pytest.mark.parametrize("argv,stderr", TYPED_ERRORS,

@@ -171,6 +171,12 @@ class TestWaterfall:
             mt.waterfall_allocate([Carrier(carrier_id, 1.0), Carrier(1, 1.0)],
                                   CellMap([(0, 0), (1, 1)]))
 
+    def test_repeated_id_rejected(self):
+        # One dict entry per id would drop the earlier carrier's cell.
+        with pytest.raises(DomainError, match="^carrier ids must be distinct$"):
+            mt.waterfall_allocate([Carrier(0, 0.0), Carrier(0, 1.0)],
+                                  CellMap([(0, 0), (1, 1)]))
+
     def test_capacity_error(self):
         with pytest.raises(CapacityError):
             mt.waterfall_allocate([Carrier(i, float(i)) for i in range(4)],
@@ -211,6 +217,11 @@ class TestWaterfall:
         # Else waterfall_allocate would hand out an address that is no int.
         with pytest.raises(DomainError, match="^cell addresses must be ints$"):
             CellMap([(address, 0), (1, 1)])
+
+    @pytest.mark.parametrize("cells", [[(0,)], [(0, 0, 0)], [0, 1]])
+    def test_cell_not_a_pair_rejected(self, cells):
+        with pytest.raises(DomainError, match=r"^cells must be \(address, rank\) pairs$"):
+            CellMap(cells)
 
     def test_cells_cannot_be_replaced(self):
         # The rank map is built once, so it would go stale.
