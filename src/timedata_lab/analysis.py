@@ -12,12 +12,10 @@ import math
 import os
 import re
 import stat
-from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import linkmodel
 from .errors import (ChartError, CsvParseError, DivergenceSignal, DivisionByZeroSignal,
-                     DomainError, finite, finite_float, finite_text)
+                     DomainError, finite, finite_float, finite_text, record)
 from .linkmodel import Target, Timestamp
 
 DIV0 = "#Div/0!"
@@ -35,20 +33,12 @@ _COLUMNS = ("target", "progress_pct", "f_xy", "t", "epsilon_lm", "delta_t_s",
 CSV_HEADER = ",".join(_COLUMNS)
 
 
-class LinkRecord(NamedTuple):
-    target_name: str
-    progress_pct: float
-    f_xy_label: str
-    t_stamp: Timestamp
-    epsilon_lm: float
-    delta_t_s: float
-    nu_delta_omega_hz: float | str
-    nu_displaced_hz: float | str
+# One CSV row. Field types: str, float, str, Timestamp, float, float, and a float
+# or a sentinel cell for each of the two resolutions.
+LinkRecord = record("LinkRecord", "target_name progress_pct f_xy_label t_stamp epsilon_lm "
+                                  "delta_t_s nu_delta_omega_hz nu_displaced_hz")
 
-
-@dataclass
-class Sheet:
-    records: list[LinkRecord]
+Sheet = record("Sheet", "records")  # records: list[LinkRecord]
 
 
 def build_sheet(targets: list[Target], progress_list: list[float],

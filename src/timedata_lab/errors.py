@@ -1,8 +1,9 @@
-"""Exception types of timedata-lab, and its one rule for numbers: each is finite
-and in its declared range, and text is a number only to the readers `finite_float`,
-`plain_float` and `plain_int`."""
+"""Exception types of timedata-lab, the record base of its value types, and its
+one rule for numbers: each is finite and in its declared range, and text is a
+number only to the readers `finite_float`, `plain_float` and `plain_int`."""
 
 import math
+from collections import namedtuple
 
 LARGEST = math.nextafter(math.inf, 0.0)  # sys.float_info.max
 TINY = math.ulp(0.0)  # the least positive float: a low bound of TINY means > 0
@@ -108,6 +109,15 @@ def within_int(value, message: str, low=-LARGEST, high=LARGEST, error=DomainErro
     if isinstance(value, int) and low <= value <= high:
         return value
     raise error(message.format(value))
+
+
+def record(name: str, fields: str, defaults=()):
+    """The namedtuple base of an immutable record class. A checked record
+    checks its fields in its own __new__; _make calls the class, so _replace
+    (and copy.replace) run those checks too, not tuple.__new__ alone."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
 
 
 def finite(value, what: str) -> float:

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
-from .errors import TINY, DomainError, finite, quotient, within, within_int
+from .errors import TINY, DomainError, finite, quotient, record, within, within_int
 
 FOLD_TOL = 1e-12
 ARC_TOL = 1e-9
@@ -17,48 +16,40 @@ _LOG_BASE = "log base must be positive and != 1"
 MAX_GRID_CELLS = 10 ** 8
 
 
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
+class Point2(record("Point2", "x y")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        finite(self.x, "point x")
-        finite(self.y, "point y")
+    def __new__(cls, x: float, y: float):
+        finite(x, "point x")
+        finite(y, "point y")
+        return tuple.__new__(cls, (x, y))
 
 
-@dataclass(frozen=True)
-class ArcDecomposition:
+class ArcDecomposition(record("ArcDecomposition",
+                              "total_ab ap_prime pb total_ba bp_prime pa_prime")):
     """Two decompositions of a pair of overlapping arcs sharing PP'."""
 
-    total_ab: float
-    ap_prime: float
-    pb: float
-    total_ba: float
-    bp_prime: float
-    pa_prime: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for value in (self.total_ab, self.ap_prime, self.pb,
-                      self.total_ba, self.bp_prime, self.pa_prime):
+    def __new__(cls, total_ab: float, ap_prime: float, pb: float,
+                total_ba: float, bp_prime: float, pa_prime: float):
+        fields = (total_ab, ap_prime, pb, total_ba, bp_prime, pa_prime)
+        for value in fields:
             within(value, "arc lengths must be nonnegative", 0.0)
-        within(self.ap_prime + self.pb, "AB decomposition exceeds total arc length",
-               high=self.total_ab)
-        within(self.bp_prime + self.pa_prime, "BA decomposition exceeds total arc length",
-               high=self.total_ba)
+        within(ap_prime + pb, "AB decomposition exceeds total arc length", high=total_ab)
+        within(bp_prime + pa_prime, "BA decomposition exceeds total arc length", high=total_ba)
+        return tuple.__new__(cls, fields)
 
 
-@dataclass(frozen=True)
-class PlanarMotion:
-    displacement: tuple[float, float]
-    t_s: float
-    t_parallel_s: float
+class PlanarMotion(record("PlanarMotion", "displacement t_s t_parallel_s")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for part in self.displacement:
+    def __new__(cls, displacement: tuple[float, float], t_s: float, t_parallel_s: float):
+        for part in displacement:
             within(part, "displacement must be finite, got {!r}")
-        for value in (self.t_s, self.t_parallel_s):
+        for value in (t_s, t_parallel_s):
             within(value, "motion times must be strictly positive", TINY)
+        return tuple.__new__(cls, (displacement, t_s, t_parallel_s))
 
 
 def slope(p1: Point2, p2: Point2) -> float:

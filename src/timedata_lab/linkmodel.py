@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import (TINY, DivergenceSignal, DivisionByZeroSignal, DomainError, finite,
-                     quotient, within, within_int)
+                     quotient, record, within, within_int)
 from .units import C_KM_PER_S
 
 TWO_PI = 2.0 * math.pi
@@ -19,28 +18,26 @@ _PAST_MIDNIGHT = "timestamp shift rolls back past midnight"
 _TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))  # a clock field's text, by value
 
 
-@dataclass(frozen=True)
-class Target:
+class Target(record("Target", "name distance_km range_lm")):
     """A remote comlink target: static distance and light-minute range."""
 
-    name: str
-    distance_km: float
-    range_lm: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for value in (self.distance_km, self.range_lm):
+    def __new__(cls, name: str, distance_km: float, range_lm: float):
+        for value in (distance_km, range_lm):
             within(value, "target distance and range must be positive", TINY)
+        return tuple.__new__(cls, (name, distance_km, range_lm))
 
 
-@dataclass(frozen=True)
-class Timestamp:
-    hours: int
-    minutes: int
-    seconds: int
+class Timestamp(record("Timestamp", "hours minutes seconds")):
+    """A clock time; as the tuple (hours, minutes, seconds) it orders chronologically."""
 
-    def __post_init__(self):
-        for value, high in ((self.hours, 23), (self.minutes, 59), (self.seconds, 59)):
+    __slots__ = ()
+
+    def __new__(cls, hours: int, minutes: int, seconds: int):
+        for value, high in ((hours, 23), (minutes, 59), (seconds, 59)):
             within_int(value, "timestamp fields out of range: {!r}", 0, high)
+        return tuple.__new__(cls, (hours, minutes, seconds))
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
@@ -56,20 +53,20 @@ class Timestamp:
                 f"{_TWO_DIGITS[self.seconds]}")
 
 
-@dataclass(frozen=True)
-class AmplitudeOverlap:
+class AmplitudeOverlap(record("AmplitudeOverlap", "re im")):
     """Complex transition amplitude between two states."""
 
-    re: float
-    im: float
+    __slots__ = ()
 
     def modulus_squared(self) -> float:
         return float(self.re) * self.re + float(self.im) * self.im
 
-    def __post_init__(self):
-        for part in (self.re, self.im):
+    def __new__(cls, re: float, im: float):
+        for part in (re, im):
             within(part, "overlap parts must be finite numbers, got {!r}")
+        self = tuple.__new__(cls, (re, im))
         within(self.modulus_squared(), "overlap modulus squared {} exceeds 1", high=1 + 1e-12)
+        return self
 
 
 def epsilon_from_progress(progress_pct: float, range_lm: float) -> float:

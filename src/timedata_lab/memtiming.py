@@ -5,10 +5,9 @@ efficiency and FIFO waterfall allocation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import (TINY, CapacityError, DivisionByZeroSignal, DomainError, finite,
-                     quotient, within)
+                     quotient, record, within)
 
 QUBIT_NORM_TOL = 1e-9
 
@@ -16,28 +15,27 @@ QUBIT_NORM_TOL = 1e-9
 MIN_POLE_SAMPLES = 4
 
 
-@dataclass(frozen=True)
-class QubitState:
-    a: complex
-    b: complex
+class QubitState(record("QubitState", "a b")):
+    __slots__ = ()
 
-    def __post_init__(self):  # None and text have no real part, so getattr gives None
-        for value in [getattr(z, p, None) for z in (self.a, self.b) for p in ("real", "imag")]:
+    def __new__(cls, a: complex, b: complex):
+        # None and text have no real part, so getattr gives None
+        for value in [getattr(z, p, None) for z in (a, b) for p in ("real", "imag")]:
             within(value, "qubit amplitudes must be finite complex numbers")
+        return tuple.__new__(cls, (a, b))
 
     def norm(self) -> float:
         return math.hypot(self.a.real, self.a.imag, self.b.real, self.b.imag)
 
 
-@dataclass(frozen=True)
-class Carrier:
-    id: int
-    arrival_time_s: float
+class Carrier(record("Carrier", "id arrival_time_s")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.id, int):  # inline: within_int would add ~100 ns a carrier
-            raise DomainError(f"carrier id must be an int, got {self.id!r}")
-        within(self.arrival_time_s, "arrival time must be nonnegative", 0.0)
+    def __new__(cls, id: int, arrival_time_s: float):
+        if not isinstance(id, int):  # inline: within_int would add ~100 ns a carrier
+            raise DomainError(f"carrier id must be an int, got {id!r}")
+        within(arrival_time_s, "arrival time must be nonnegative", 0.0)
+        return tuple.__new__(cls, (id, arrival_time_s))
 
 
 def _int_sum(values) -> int | None:
@@ -50,20 +48,16 @@ def _int_sum(values) -> int | None:
     return total if isinstance(total, int) else None
 
 
-@dataclass(frozen=True)
-class CellMap:
-    """Distance-ordered memory cells; each address holds at most one carrier."""
+class CellMap(record("CellMap", "cells")):
+    """Distance-ordered memory cells; each address holds at most one carrier.
+    The instance dict holds the derived rank map, outside repr and ==."""
 
-    cells: list[tuple[int, int]]  # (address, distance_rank)
-    _address_by_rank: dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __new__(cls, cells: list[tuple[int, int]]):  # (address, distance_rank)
         try:
-            by_rank = {rank: address for address, rank in self.cells}
+            by_rank = {rank: address for address, rank in cells}
         except (TypeError, ValueError):  # a cell that is no pair, or a rank no dict can key
             raise DomainError("cells must be (address, rank) pairs") from None
-        object.__setattr__(self, "_address_by_rank", by_rank)
-        n = len(self.cells)
+        n = len(cells)
         # n distinct ints >= 0 sum to n(n-1)/2 or more, and to exactly that only as 0..n-1.
         if (len(by_rank) != n or _int_sum(by_rank) != n * (n - 1) // 2
                 or min(by_rank, default=0) < 0):
@@ -72,6 +66,9 @@ class CellMap:
             raise DomainError("cell addresses must be ints")
         if len(set(by_rank.values())) != n:
             raise DomainError("cell addresses must be distinct")
+        self = tuple.__new__(cls, (cells,))
+        self._address_by_rank = by_rank
+        return self
 
     def address_at_rank(self, rank: int) -> int:
         try:
@@ -80,16 +77,13 @@ class CellMap:
             raise DomainError(f"no cell with distance rank {rank}") from None
 
 
-@dataclass(frozen=True)
-class ElectrodeGeometry:
-    length: float
-    width: float
-    resistivity: float
-    thickness: float
+class ElectrodeGeometry(record("ElectrodeGeometry", "length width resistivity thickness")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for value in (self.length, self.width, self.resistivity, self.thickness):
+    def __new__(cls, length: float, width: float, resistivity: float, thickness: float):
+        for value in (length, width, resistivity, thickness):
             within(value, "electrode geometry fields must be positive", TINY)
+        return tuple.__new__(cls, (length, width, resistivity, thickness))
 
 
 def bit_frequency(a_in_bits: float, b_in_qbits: float, t_s: float) -> float:

@@ -4,10 +4,9 @@ Snell ratio, rotation angle and thin-shell isolation geometry."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (TINY, ThinShellError, TotalInternalReflection, finite, quotient,
-                     within)
+                     record, within)
 
 # Single-mode cutoff used by this toolkit (documented divergence from the
 # textbook 2.405).
@@ -18,46 +17,40 @@ THIN_SHELL_FACTOR = 0.1
 _THIN_SHELL = f"thin-shell assumption violated: b={{}} >= {THIN_SHELL_FACTOR:g} * r_C"
 
 
-@dataclass(frozen=True)
-class FiberSpec:
-    core_radius_m: float
-    wavelength_m: float
-    n1: float
-    n2: float
+class FiberSpec(record("FiberSpec", "core_radius_m wavelength_m n1 n2")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for value in (self.core_radius_m, self.wavelength_m):
+    def __new__(cls, core_radius_m: float, wavelength_m: float, n1: float, n2: float):
+        for value in (core_radius_m, wavelength_m):
             within(value, "core radius and wavelength must be positive", TINY)
-        for value in (self.n1, self.n2):
+        for value in (n1, n2):
             within(value, "refractive indices must be >= 1", 1.0)
-        within(self.n1, "guided modes need n1 >= n2", self.n2)
+        within(n1, "guided modes need n1 >= n2", n2)
+        return tuple.__new__(cls, (core_radius_m, wavelength_m, n1, n2))
 
 
-@dataclass(frozen=True)
-class FaradayCell:
-    verdet_rad_per_T_m: float
-    b_field_T: float
-    path_m: float
+class FaradayCell(record("FaradayCell", "verdet_rad_per_T_m b_field_T path_m")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        finite(self.verdet_rad_per_T_m, "Verdet constant")
-        finite(self.b_field_T, "magnetic field")
-        within(self.path_m, "path length must be nonnegative", 0.0)
+    def __new__(cls, verdet_rad_per_T_m: float, b_field_T: float, path_m: float):
+        finite(verdet_rad_per_T_m, "Verdet constant")
+        finite(b_field_T, "magnetic field")
+        within(path_m, "path length must be nonnegative", 0.0)
+        return tuple.__new__(cls, (verdet_rad_per_T_m, b_field_T, path_m))
 
 
-@dataclass(frozen=True)
-class IsolationShell:
-    shell_thickness_m: float
-    length_m: float
-    mean_radius_m: float
-    circular_radius_m: float
+class IsolationShell(record("IsolationShell",
+                            "shell_thickness_m length_m mean_radius_m circular_radius_m")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for value in (self.shell_thickness_m, self.length_m,
-                      self.mean_radius_m, self.circular_radius_m):
+    def __new__(cls, shell_thickness_m: float, length_m: float, mean_radius_m: float,
+                circular_radius_m: float):
+        for value in (shell_thickness_m, length_m, mean_radius_m, circular_radius_m):
             within(value, "shell dimensions must be positive", TINY)
-        within(self.mean_radius_m - self.shell_thickness_m / 2,
-               "inner shell radius must be positive", TINY)
+        within(mean_radius_m - shell_thickness_m / 2, "inner shell radius must be positive",
+               TINY)
+        return tuple.__new__(cls, (shell_thickness_m, length_m, mean_radius_m,
+                                   circular_radius_m))
 
 
 def v_number(f: FiberSpec) -> float:

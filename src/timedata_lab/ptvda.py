@@ -7,10 +7,9 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import TINY, DomainError, quotient, within, within_int
+from .errors import TINY, DomainError, quotient, record, within, within_int
 
 # Default asymptotic-ratio bound M.
 DEFAULT_RATIO_BOUND = 1e6
@@ -25,14 +24,13 @@ _WORK = f"probe work trials * sum(sizes) must be <= {MAX_PROBE_WORK}, got {{}}"
 MIN_TIMABLE_S = 10 * time.get_clock_info("perf_counter").resolution
 
 
-@dataclass(frozen=True)
-class SortInstance:
-    elements: list
-    partitions: int = 1
+class SortInstance(record("SortInstance", "elements partitions")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        within_int(self.partitions, "partition count must be >= 1", 1, math.inf)
-        within(self.partitions, "more partitions than elements", high=max(1, len(self.elements)))
+    def __new__(cls, elements: list, partitions: int = 1):
+        within_int(partitions, "partition count must be >= 1", 1, math.inf)
+        within(partitions, "more partitions than elements", high=max(1, len(elements)))
+        return tuple.__new__(cls, (elements, partitions))
 
 
 class RatioClass(Enum):
@@ -41,17 +39,14 @@ class RatioClass(Enum):
     DIVERGING = "Diverging"
 
 
-@dataclass(frozen=True)
-class ComplexityProbe:
-    """Measured sort timings with an a*n*log(n) + b least-squares fit; the
-    fit is None when a timing is below clock resolution."""
+class ComplexityProbe(record("ComplexityProbe",
+                             "sizes measured fit_a fit_b fit_residual loglog_slope",
+                             defaults=(None,) * 4)):
+    """Measured sort timings (sizes: list[int], measured: {size: seconds})
+    with an a*n*log(n) + b least-squares fit; the fit is None when a timing
+    is below clock resolution."""
 
-    sizes: list[int]
-    measured: dict[int, float]
-    fit_a: float | None = None
-    fit_b: float | None = None
-    fit_residual: float | None = None
-    loglog_slope: float | None = None
+    __slots__ = ()
 
 
 def parallel_sort(instance: SortInstance) -> list:

@@ -5,48 +5,42 @@ wavelength."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import TINY, DivisionByZeroSignal, finite, quotient, within
+from .errors import TINY, DivisionByZeroSignal, finite, quotient, record, within
 from .units import C_KM_PER_S
 
 # Stationary storage projection factor, exact cos(pi/4).
 STORAGE_FACTOR = math.cos(math.pi / 4.0)
 
 
-@dataclass(frozen=True)
-class Velocity:
+class Velocity(record("Velocity", "fraction_of_c")):
     """Speed as a fraction of c."""
 
-    fraction_of_c: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        within(self.fraction_of_c, "beta must be in [0, 1), got {}", 0.0,
-               math.nextafter(1.0, 0.0))
+    def __new__(cls, fraction_of_c: float):
+        within(fraction_of_c, "beta must be in [0, 1), got {}", 0.0, math.nextafter(1.0, 0.0))
+        return tuple.__new__(cls, (fraction_of_c,))
 
 
-@dataclass(frozen=True)
-class PolarPoint:
-    r: float
-    phi: float
+class PolarPoint(record("PolarPoint", "r phi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        within(self.r, "radius must be nonnegative", 0.0)
-        within(self.phi, "phi must lie in (-pi, pi], got {}", math.nextafter(-math.pi, 0.0),
+    def __new__(cls, r: float, phi: float):
+        within(r, "radius must be nonnegative", 0.0)
+        within(phi, "phi must lie in (-pi, pi], got {}", math.nextafter(-math.pi, 0.0),
                math.pi + 1e-15)
+        return tuple.__new__(cls, (r, phi))
 
 
-@dataclass(frozen=True)
-class ChargeLedger:
-    q_t1: float
-    q_in: float
-    q_out: float
+class ChargeLedger(record("ChargeLedger", "q_t1 q_in q_out")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        within(self.q_t1, "charge must be a finite number, got {!r}")
-        for value in (self.q_in, self.q_out):
+    def __new__(cls, q_t1: float, q_in: float, q_out: float):
+        within(q_t1, "charge must be a finite number, got {!r}")
+        for value in (q_in, q_out):
             within(value, "charge flows must be nonnegative", 0.0)
+        return tuple.__new__(cls, (q_t1, q_in, q_out))
 
 
 def time_factor(v: Velocity) -> float:
@@ -96,11 +90,13 @@ def charge_balance(ledger: ChargeLedger) -> Fraction:
     Computed in exact rational arithmetic so conservation holds to the
     last bit; the result compares and mixes transparently with floats.
     """
+    from fractions import Fraction  # imported at start, every `rel` leaf would pay 5-7 ms
     return Fraction(ledger.q_t1) + Fraction(ledger.q_in) - Fraction(ledger.q_out)
 
 
 def charge_balance_inverse(q_t2, q_in: float, q_out: float) -> Fraction:
     """Recover Q(t1) from the balance output and the same flows, exactly."""
+    from fractions import Fraction
     for value in (q_t2, q_in, q_out):
         within(value, "charge must be a finite number, got {!r}")
     return Fraction(q_t2) - Fraction(q_in) + Fraction(q_out)

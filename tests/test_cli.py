@@ -153,6 +153,7 @@ def test_sort_probe_runs_without_numpy():
 
 # A module the lazy loader has not run yet is of the loader's own subclass of
 # ModuleType; one that has run, or was imported as usual, is a plain module.
+# A `rel` leaf loads none of the costly modules the kernels once imported.
 LAZY_CODE = """\
 import sys, types
 KERNELS = ["configparser"] + ["timedata_lab." + name for name in (
@@ -164,6 +165,7 @@ cli.build_parser()
 print(ran())
 cli.main(["rel", "gamma", "--beta", "0.6"])
 print(ran())
+print([name for name in ("dataclasses", "inspect", "fractions") if name in sys.modules])
 import timedata_lab.optics
 print(timedata_lab.optics.v_number.__name__, cli.optics is sys.modules["timedata_lab.optics"])
 """
@@ -175,7 +177,7 @@ def test_a_leaf_loads_only_the_kernel_it_runs():
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert (proc.stderr, proc.returncode) == ("", 0)
     assert proc.stdout.splitlines() == [
-        "[]", "1.25", "['timedata_lab.relativity']", "v_number True"]
+        "[]", "1.25", "['timedata_lab.relativity']", "[]", "v_number True"]
 
 
 def test_reader_that_leaves_early_gets_exit_1_and_no_traceback():

@@ -1,8 +1,11 @@
 """The one number rule: finite_float(), plain_float(), plain_int(), within(),
-within_int(), finite(), quotient() and finite_text()."""
+within_int(), finite(), quotient() and finite_text(); and record(), whose
+checked records check a replaced field as the constructor does."""
 
+import copy
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -148,3 +151,23 @@ def test_readers_refuse_digit_grouping(read):
 def test_a_value_that_is_no_finite_number_is_a_typed_error(call):
     with pytest.raises(TimedataError):
         call()
+
+
+# A record with one field replaced by a bad value: the constructor's own error.
+@pytest.mark.parametrize("good,change,message", [
+    (relativity.Velocity(0.6), {"fraction_of_c": 1.0}, "beta must be in [0, 1), got 1.0"),
+    (linkmodel.Timestamp(13, 35, 0), {"minutes": 60}, "timestamp fields out of range: 60"),
+    (memtiming.Carrier(0, 0.0), {"arrival_time_s": -1.0}, "arrival time must be nonnegative"),
+    (memtiming.CellMap([(0, 0), (1, 1)]), {"cells": [(0, 0), (1, 2)]},
+     "distance ranks must be a permutation 0..N-1"),
+    (ptvda.SortInstance([3, 1], 2), {"partitions": 3}, "more partitions than elements"),
+    (geomlink.ArcDecomposition(3, 1, 1, 3, 1, 1), {"pb": 3},
+     "AB decomposition exceeds total arc length"),
+])
+def test_replace_checks_the_new_field(good, change, message):
+    assert good._replace() == good and type(good._replace()) is type(good)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        good._replace(**change)
+    if sys.version_info >= (3, 13):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            copy.replace(good, **change)
