@@ -3,6 +3,7 @@ one rule for numbers: each is finite and in its declared range, and text is a
 number only to the readers `finite_float`, `plain_float` and `plain_int`."""
 
 import math
+import sys
 from collections import namedtuple
 
 LARGEST = math.nextafter(math.inf, 0.0)  # sys.float_info.max
@@ -52,7 +53,7 @@ class ChartError(TimedataError):
 def finite_float(text: str) -> float:
     """The one parser of numbers read from outside (CLI flags, config values,
     CSV cells): a float that is neither nan nor infinite. It refuses `_` as
-    plain_float does, inline, as parse_csv calls it 6 times a record."""
+    plain_float does, inline, as parse_csv calls it up to 5 times a record."""
     if "_" in text:
         raise ValueError(_GROUPED.format(text))
     if not math.isfinite(value := float(text)):
@@ -112,10 +113,13 @@ def within_int(value, message: str, low=-LARGEST, high=LARGEST, error=DomainErro
 
 
 def record(name: str, fields: str, defaults=()):
-    """The namedtuple base of an immutable record class. A checked record
-    checks its fields in its own __new__; _make calls the class, so _replace
-    (and copy.replace) run those checks too, not tuple.__new__ alone."""
-    base = namedtuple(name, fields, defaults=defaults)
+    """The namedtuple base of an immutable record class: it builds every record. A
+    record that only checks its fields checks them in __init__; one that normalises
+    its input (CellMap) builds itself in __new__. _make calls the class, so _replace
+    and copy.replace check too, where namedtuple's _make calls tuple.__new__ alone."""
+    # the caller's module, not this one, so that pickle finds an unchecked record
+    base = namedtuple(name, fields, defaults=defaults,
+                      module=sys._getframe(1).f_globals["__name__"])
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     return base
 

@@ -19,10 +19,9 @@ MAX_GRID_CELLS = 10 ** 8
 class Point2(record("Point2", "x y")):
     __slots__ = ()
 
-    def __new__(cls, x: float, y: float):
+    def __init__(self, x: float, y: float):
         finite(x, "point x")
         finite(y, "point y")
-        return tuple.__new__(cls, (x, y))
 
 
 class ArcDecomposition(record("ArcDecomposition",
@@ -31,25 +30,26 @@ class ArcDecomposition(record("ArcDecomposition",
 
     __slots__ = ()
 
-    def __new__(cls, total_ab: float, ap_prime: float, pb: float,
-                total_ba: float, bp_prime: float, pa_prime: float):
-        fields = (total_ab, ap_prime, pb, total_ba, bp_prime, pa_prime)
-        for value in fields:
+    def __init__(self, total_ab: float, ap_prime: float, pb: float,
+                 total_ba: float, bp_prime: float, pa_prime: float):
+        for value in self:
             within(value, "arc lengths must be nonnegative", 0.0)
         within(ap_prime + pb, "AB decomposition exceeds total arc length", high=total_ab)
         within(bp_prime + pa_prime, "BA decomposition exceeds total arc length", high=total_ba)
-        return tuple.__new__(cls, fields)
 
 
 class PlanarMotion(record("PlanarMotion", "displacement t_s t_parallel_s")):
     __slots__ = ()
 
-    def __new__(cls, displacement: tuple[float, float], t_s: float, t_parallel_s: float):
-        for part in displacement:
+    def __init__(self, displacement: tuple[float, float], t_s: float, t_parallel_s: float):
+        try:
+            dx, dy = displacement
+        except (TypeError, ValueError):  # a number, or not two parts
+            raise DomainError(f"displacement must be (dx, dy), got {displacement!r}") from None
+        for part in (dx, dy):
             within(part, "displacement must be finite, got {!r}")
         for value in (t_s, t_parallel_s):
             within(value, "motion times must be strictly positive", TINY)
-        return tuple.__new__(cls, (displacement, t_s, t_parallel_s))
 
 
 def slope(p1: Point2, p2: Point2) -> float:

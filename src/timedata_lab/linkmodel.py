@@ -23,10 +23,9 @@ class Target(record("Target", "name distance_km range_lm")):
 
     __slots__ = ()
 
-    def __new__(cls, name: str, distance_km: float, range_lm: float):
+    def __init__(self, name: str, distance_km: float, range_lm: float):
         for value in (distance_km, range_lm):
             within(value, "target distance and range must be positive", TINY)
-        return tuple.__new__(cls, (name, distance_km, range_lm))
 
 
 class Timestamp(record("Timestamp", "hours minutes seconds")):
@@ -34,10 +33,9 @@ class Timestamp(record("Timestamp", "hours minutes seconds")):
 
     __slots__ = ()
 
-    def __new__(cls, hours: int, minutes: int, seconds: int):
+    def __init__(self, hours: int, minutes: int, seconds: int):
         for value, high in ((hours, 23), (minutes, 59), (seconds, 59)):
             within_int(value, "timestamp fields out of range: {!r}", 0, high)
-        return tuple.__new__(cls, (hours, minutes, seconds))
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
@@ -61,12 +59,10 @@ class AmplitudeOverlap(record("AmplitudeOverlap", "re im")):
     def modulus_squared(self) -> float:
         return float(self.re) * self.re + float(self.im) * self.im
 
-    def __new__(cls, re: float, im: float):
+    def __init__(self, re: float, im: float):
         for part in (re, im):
             within(part, "overlap parts must be finite numbers, got {!r}")
-        self = tuple.__new__(cls, (re, im))
         within(self.modulus_squared(), "overlap modulus squared {} exceeds 1", high=1 + 1e-12)
-        return self
 
 
 def epsilon_from_progress(progress_pct: float, range_lm: float) -> float:

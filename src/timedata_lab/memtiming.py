@@ -18,11 +18,10 @@ MIN_POLE_SAMPLES = 4
 class QubitState(record("QubitState", "a b")):
     __slots__ = ()
 
-    def __new__(cls, a: complex, b: complex):
+    def __init__(self, a: complex, b: complex):
         # None and text have no real part, so getattr gives None
         for value in [getattr(z, p, None) for z in (a, b) for p in ("real", "imag")]:
             within(value, "qubit amplitudes must be finite complex numbers")
-        return tuple.__new__(cls, (a, b))
 
     def norm(self) -> float:
         return math.hypot(self.a.real, self.a.imag, self.b.real, self.b.imag)
@@ -31,11 +30,10 @@ class QubitState(record("QubitState", "a b")):
 class Carrier(record("Carrier", "id arrival_time_s")):
     __slots__ = ()
 
-    def __new__(cls, id: int, arrival_time_s: float):
+    def __init__(self, id: int, arrival_time_s: float):
         if not isinstance(id, int):  # inline: within_int would add ~100 ns a carrier
             raise DomainError(f"carrier id must be an int, got {id!r}")
         within(arrival_time_s, "arrival time must be nonnegative", 0.0)
-        return tuple.__new__(cls, (id, arrival_time_s))
 
 
 def _int_sum(values) -> int | None:
@@ -54,6 +52,7 @@ class CellMap(record("CellMap", "cells")):
 
     def __new__(cls, cells: list[tuple[int, int]]):  # (address, distance_rank)
         try:
+            cells = tuple(cells)  # a copy the caller cannot edit, so by_rank stays true
             by_rank = {rank: address for address, rank in cells}
         except (TypeError, ValueError):  # a cell that is no pair, or a rank no dict can key
             raise DomainError("cells must be (address, rank) pairs") from None
@@ -80,10 +79,9 @@ class CellMap(record("CellMap", "cells")):
 class ElectrodeGeometry(record("ElectrodeGeometry", "length width resistivity thickness")):
     __slots__ = ()
 
-    def __new__(cls, length: float, width: float, resistivity: float, thickness: float):
+    def __init__(self, length: float, width: float, resistivity: float, thickness: float):
         for value in (length, width, resistivity, thickness):
             within(value, "electrode geometry fields must be positive", TINY)
-        return tuple.__new__(cls, (length, width, resistivity, thickness))
 
 
 def bit_frequency(a_in_bits: float, b_in_qbits: float, t_s: float) -> float:

@@ -20,37 +20,33 @@ _THIN_SHELL = f"thin-shell assumption violated: b={{}} >= {THIN_SHELL_FACTOR:g} 
 class FiberSpec(record("FiberSpec", "core_radius_m wavelength_m n1 n2")):
     __slots__ = ()
 
-    def __new__(cls, core_radius_m: float, wavelength_m: float, n1: float, n2: float):
+    def __init__(self, core_radius_m: float, wavelength_m: float, n1: float, n2: float):
         for value in (core_radius_m, wavelength_m):
             within(value, "core radius and wavelength must be positive", TINY)
         for value in (n1, n2):
             within(value, "refractive indices must be >= 1", 1.0)
         within(n1, "guided modes need n1 >= n2", n2)
-        return tuple.__new__(cls, (core_radius_m, wavelength_m, n1, n2))
 
 
 class FaradayCell(record("FaradayCell", "verdet_rad_per_T_m b_field_T path_m")):
     __slots__ = ()
 
-    def __new__(cls, verdet_rad_per_T_m: float, b_field_T: float, path_m: float):
+    def __init__(self, verdet_rad_per_T_m: float, b_field_T: float, path_m: float):
         finite(verdet_rad_per_T_m, "Verdet constant")
         finite(b_field_T, "magnetic field")
         within(path_m, "path length must be nonnegative", 0.0)
-        return tuple.__new__(cls, (verdet_rad_per_T_m, b_field_T, path_m))
 
 
 class IsolationShell(record("IsolationShell",
                             "shell_thickness_m length_m mean_radius_m circular_radius_m")):
     __slots__ = ()
 
-    def __new__(cls, shell_thickness_m: float, length_m: float, mean_radius_m: float,
-                circular_radius_m: float):
+    def __init__(self, shell_thickness_m: float, length_m: float, mean_radius_m: float,
+                 circular_radius_m: float):
         for value in (shell_thickness_m, length_m, mean_radius_m, circular_radius_m):
             within(value, "shell dimensions must be positive", TINY)
         within(mean_radius_m - shell_thickness_m / 2, "inner shell radius must be positive",
                TINY)
-        return tuple.__new__(cls, (shell_thickness_m, length_m, mean_radius_m,
-                                   circular_radius_m))
 
 
 def v_number(f: FiberSpec) -> float:

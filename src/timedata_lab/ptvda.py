@@ -24,13 +24,12 @@ _WORK = f"probe work trials * sum(sizes) must be <= {MAX_PROBE_WORK}, got {{}}"
 MIN_TIMABLE_S = 10 * time.get_clock_info("perf_counter").resolution
 
 
-class SortInstance(record("SortInstance", "elements partitions")):
+class SortInstance(record("SortInstance", "elements partitions", defaults=(1,))):
     __slots__ = ()
 
-    def __new__(cls, elements: list, partitions: int = 1):
+    def __init__(self, elements: list, partitions: int = 1):
         within_int(partitions, "partition count must be >= 1", 1, math.inf)
         within(partitions, "more partitions than elements", high=max(1, len(elements)))
-        return tuple.__new__(cls, (elements, partitions))
 
 
 class RatioClass(Enum):
@@ -39,14 +38,12 @@ class RatioClass(Enum):
     DIVERGING = "Diverging"
 
 
-class ComplexityProbe(record("ComplexityProbe",
-                             "sizes measured fit_a fit_b fit_residual loglog_slope",
-                             defaults=(None,) * 4)):
-    """Measured sort timings (sizes: list[int], measured: {size: seconds})
-    with an a*n*log(n) + b least-squares fit; the fit is None when a timing
-    is below clock resolution."""
-
-    __slots__ = ()
+# Measured sort timings (sizes: list[int], measured: {size: seconds}) with an
+# a*n*log(n) + b least-squares fit; the fit is None when a timing is below clock
+# resolution.
+ComplexityProbe = record("ComplexityProbe",
+                         "sizes measured fit_a fit_b fit_residual loglog_slope",
+                         defaults=(None,) * 4)
 
 
 def parallel_sort(instance: SortInstance) -> list:

@@ -18,29 +18,26 @@ class Velocity(record("Velocity", "fraction_of_c")):
 
     __slots__ = ()
 
-    def __new__(cls, fraction_of_c: float):
+    def __init__(self, fraction_of_c: float):
         within(fraction_of_c, "beta must be in [0, 1), got {}", 0.0, math.nextafter(1.0, 0.0))
-        return tuple.__new__(cls, (fraction_of_c,))
 
 
 class PolarPoint(record("PolarPoint", "r phi")):
     __slots__ = ()
 
-    def __new__(cls, r: float, phi: float):
+    def __init__(self, r: float, phi: float):
         within(r, "radius must be nonnegative", 0.0)
         within(phi, "phi must lie in (-pi, pi], got {}", math.nextafter(-math.pi, 0.0),
                math.pi + 1e-15)
-        return tuple.__new__(cls, (r, phi))
 
 
 class ChargeLedger(record("ChargeLedger", "q_t1 q_in q_out")):
     __slots__ = ()
 
-    def __new__(cls, q_t1: float, q_in: float, q_out: float):
+    def __init__(self, q_t1: float, q_in: float, q_out: float):
         within(q_t1, "charge must be a finite number, got {!r}")
         for value in (q_in, q_out):
             within(value, "charge flows must be nonnegative", 0.0)
-        return tuple.__new__(cls, (q_t1, q_in, q_out))
 
 
 def time_factor(v: Velocity) -> float:

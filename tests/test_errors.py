@@ -4,6 +4,7 @@ checked records check a replaced field as the constructor does."""
 
 import copy
 import math
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -171,3 +172,19 @@ def test_replace_checks_the_new_field(good, change, message):
     if sys.version_info >= (3, 13):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             copy.replace(good, **change)
+
+
+# pickle looks a record's class up by its module and name; copy and pickle
+# rebuild a valid record, so __new__ alone suffices for a record that only checks.
+@pytest.mark.parametrize("value", [
+    analysis.Sheet([analysis.LinkRecord("Sun", 16.0, "f", linkmodel.Timestamp(13, 33, 40),
+                                        1.328, 80.0, 0.0128425, "#Div/0!")]),
+    ptvda.ComplexityProbe([10, 20], {10: 1e-6, 20: 2e-6}),
+    geomlink.PlanarMotion((3, 4), 1, 2),
+    memtiming.CellMap([(5, 1), (7, 0)]),
+])
+def test_records_survive_pickle_and_deepcopy(value):
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied == value and type(copied) is type(value)
+    if isinstance(value, memtiming.CellMap):
+        assert pickle.loads(pickle.dumps(value)).address_at_rank(0) == 7

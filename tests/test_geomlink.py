@@ -280,6 +280,12 @@ class TestPlanarKinematics:
         with pytest.raises(DomainError):
             PlanarMotion((1, 1), 0, 1)
 
+    @pytest.mark.parametrize("displacement", [(3, 4, 12), (), (5,), 5, None])
+    def test_displacement_must_be_two_parts(self, displacement):
+        # Else (3, 4, 12) gives a 3-D speed of 13 and () a speed of 0.
+        with pytest.raises(DomainError, match=r"^displacement must be \(dx, dy\), got "):
+            PlanarMotion(displacement, 1, 1)
+
     @given(st.floats(min_value=-100, max_value=100),
            st.floats(min_value=-100, max_value=100),
            st.floats(min_value=0.01, max_value=100),

@@ -229,6 +229,19 @@ class TestWaterfall:
             cells.cells = [(5, 0)]
         assert mt.waterfall_allocate([Carrier(0, 0.0)], cells) == {0: 0}
 
+    def test_caller_list_edited_later_leaves_the_map_alone(self):
+        # The rank map is built once, so cells edited after it would go stale.
+        given = [(0, 0), (1, 1)]
+        cells = CellMap(given)
+        given[0] = (9, 0)
+        given.append((2, 2))
+        assert cells == CellMap([(0, 0), (1, 1)])
+        assert repr(cells) == "CellMap(cells=((0, 0), (1, 1)))"
+        assert hash(cells) == hash(CellMap([(0, 0), (1, 1)]))
+        with pytest.raises(CapacityError):
+            mt.waterfall_allocate([Carrier(i, 0.0) for i in range(3)], cells)
+        assert mt.waterfall_allocate([Carrier(0, 0.0)], cells) == {0: 0}
+
     def test_repeated_address_rejected(self):
         # Two ranks on one address would put two carriers in one cell.
         with pytest.raises(DomainError, match="^cell addresses must be distinct$"):
