@@ -242,12 +242,13 @@ COMMANDS = {
 
 
 class _Value(argparse.Action):
-    """Stores a flag's value. The argparse of Python 3.10 and 3.11 reads
+    """Stores a flag's value. The argparse of Python 3.10 to 3.12 reads
     `--flag=--` as no value: it stores [] and never calls the flag's type.
-    That is refused like `--flag --`; no type returns a list."""
+    That of 3.13 reads it as the value `--`, which a text flag's type keeps.
+    Both are refused like `--flag --`; no type returns a list."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if values == []:
+        if values in ([], "--"):
             raise argparse.ArgumentError(self, "expected one argument")
         setattr(namespace, self.dest, values)
 
@@ -298,7 +299,7 @@ def _read(argv, path, flags, runner):
     for token in tokens:
         flag, eq, text = token.partition("=")
         text = text if eq else next(tokens, "-")  # a missing value reads as "-"
-        # argparse reads such a value (`--`, `-h`) as an option, and `--flag=--` as none
+        # argparse reads such a value (`--`, `-h`) as an option; _Value refuses `--flag=--`
         if flag not in unread or text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
             return None
         dest, type_, _ = unread.pop(flag)

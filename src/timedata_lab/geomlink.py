@@ -44,7 +44,8 @@ class PlanarMotion(record("PlanarMotion", "displacement t_s t_parallel_s")):
     def __init__(self, displacement: tuple[float, float], t_s: float, t_parallel_s: float):
         try:
             dx, dy = displacement
-        except (TypeError, ValueError):  # a number, or not two parts
+            len(displacement)  # an iterator has none; the record would keep it spent
+        except (TypeError, ValueError):  # a number, an iterator, or not two parts
             raise DomainError(f"displacement must be (dx, dy), got {displacement!r}") from None
         for part in (dx, dy):
             within(part, "displacement must be finite, got {!r}")

@@ -52,7 +52,7 @@ class CellMap(record("CellMap", "cells")):
 
     def __new__(cls, cells: list[tuple[int, int]]):  # (address, distance_rank)
         try:
-            cells = tuple(cells)  # a copy the caller cannot edit, so by_rank stays true
+            cells = tuple(map(tuple, cells))  # copies the caller cannot edit: by_rank stays true
             by_rank = {rank: address for address, rank in cells}
         except (TypeError, ValueError):  # a cell that is no pair, or a rank no dict can key
             raise DomainError("cells must be (address, rank) pairs") from None

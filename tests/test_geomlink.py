@@ -280,9 +280,10 @@ class TestPlanarKinematics:
         with pytest.raises(DomainError):
             PlanarMotion((1, 1), 0, 1)
 
-    @pytest.mark.parametrize("displacement", [(3, 4, 12), (), (5,), 5, None])
+    @pytest.mark.parametrize("displacement", [(3, 4, 12), (), (5,), 5, None, iter((3, 4))])
     def test_displacement_must_be_two_parts(self, displacement):
-        # Else (3, 4, 12) gives a 3-D speed of 13 and () a speed of 0.
+        # Else (3, 4, 12) gives a 3-D speed of 13, and () or an iterator, which
+        # the record would keep spent, a speed of 0.
         with pytest.raises(DomainError, match=r"^displacement must be \(dx, dy\), got "):
             PlanarMotion(displacement, 1, 1)
 

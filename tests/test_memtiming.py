@@ -241,6 +241,11 @@ class TestWaterfall:
         with pytest.raises(CapacityError):
             mt.waterfall_allocate([Carrier(i, 0.0) for i in range(3)], cells)
         assert mt.waterfall_allocate([Carrier(0, 0.0)], cells) == {0: 0}
+        # Pairs given as lists are copied too, so the map stays hashable.
+        pair = [0, 0]
+        listed = CellMap([pair, [1, 1]])
+        pair[0] = 9
+        assert (listed, repr(listed), hash(listed)) == (cells, repr(cells), hash(cells))
 
     def test_repeated_address_rejected(self):
         # Two ranks on one address would put two carriers in one cell.
