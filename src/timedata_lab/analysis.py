@@ -43,11 +43,13 @@ Sheet = record("Sheet", "records")  # records: list[LinkRecord]
 
 def build_sheet(targets: list[Target], progress_list: list[float],
                 base_time: Timestamp) -> Sheet:
-    """One record per (target, progress) in declared order.
+    """One record per (target, progress) in declared order; either may be an
+    iterator, read once.
 
     Division-by-zero and divergence signals from the link model are
     captured as typed sentinel cells, never raised to the caller.
     """
+    targets, progress_list = list(targets), list(progress_list)
     if not targets or not progress_list:
         raise DomainError("need at least one target and one progress value")
     records = []

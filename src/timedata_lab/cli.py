@@ -253,23 +253,6 @@ class _Value(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _leaf(argv):
-    """The command (and action) path argv names, with that leaf's flags and
-    runner, or None where argv names no leaf (missing, unknown or -h)."""
-    _, actions = COMMANDS.get(argv[0] if argv else "", ("", {}))
-    path = argv[:1] if None in actions else argv[:2]
-    action = path[1] if path[1:] else None
-    return (path, *actions[action]) if action in actions else None
-
-
-def _with_flags(parser, flags, runner):
-    for name, type_, default in flags:
-        parser.add_argument("--" + name, type=type_, default=default,
-                            required=default is _REQUIRED, action=_Value)
-    parser.set_defaults(run=runner)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The whole argparse tree of ``COMMANDS``."""
     parser = argparse.ArgumentParser(
@@ -283,24 +266,26 @@ def build_parser() -> argparse.ArgumentParser:
             action_sub = command_parser.add_subparsers(dest="action", required=True)
         for action, (flags, runner) in actions.items():
             leaf = command_parser if action is None else action_sub.add_parser(action)
-            _with_flags(leaf, flags, runner)
+            for name, type_, default in flags:
+                leaf.add_argument("--" + name, type=type_, default=default,
+                                  required=default is _REQUIRED, action=_Value)
+            leaf.set_defaults(run=runner)
     return parser
 
 
-def _read(argv, path, flags, runner):
-    """The namespace argparse would make of argv's tokens after the leaf's path,
-    read from its row; None unless they are `--flag value` or `--flag=value` pairs
-    of its full flag names, each once, with every required flag given and every
-    value read by its type."""
-    unread = {"--" + name: (name.replace("-", "_"), type_, default)
-              for name, type_, default in flags}
+def _read(argv, unread, runner):
+    """The namespace argparse would make of argv, the tokens after a leaf's path,
+    read against unread, that leaf's {"--flag": (dest, type, default)}; None unless
+    they are `--flag value` or `--flag=value` pairs of its full flag names, each
+    once, with every required flag given and every value read by its type."""
     args = argparse.Namespace(run=runner)
-    tokens = iter(argv[len(path):])
+    tokens = iter(argv)
     for token in tokens:
         flag, eq, text = token.partition("=")
         text = text if eq else next(tokens, "-")  # a missing value reads as "-"
-        # argparse reads such a value (`--`, `-h`) as an option; _Value refuses `--flag=--`
-        if flag not in unread or text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
+        # argparse reads a value token such as `--` or `-h` as an option (_parse has
+        # joined each negative number to its flag); _Value refuses `--flag=--`
+        if flag not in unread or (text == "--" if eq else text[:1] == "-"):
             return None
         dest, type_, _ = unread.pop(flag)
         try:
@@ -318,13 +303,16 @@ def _parse(argv: list) -> argparse.Namespace:
     """argv read by _read from the row of the leaf it names, or by the whole tree
     where it names none or _read declines it, so that argparse alone writes help
     and usage text. Joins the leaf's negative values in argv in place."""
-    if (leaf := _leaf(argv)) is not None:
-        path, flags, runner = leaf
-        names = {"--" + name for name, _, _ in flags}
+    _, actions = COMMANDS.get(argv[0] if argv else "", ("", {}))
+    path = argv[:1] if None in actions else argv[:2]
+    if (action := path[1] if path[1:] else None) in actions:
+        flags, runner = actions[action]
+        unread = {"--" + name: (name.replace("-", "_"), type_, default)
+                  for name, type_, default in flags}
         for i in range(len(argv) - 1, 0, -1):
-            if argv[i - 1] in names and _NEGATIVE_NUMBER.match(argv[i]):
+            if argv[i - 1] in unread and _NEGATIVE_NUMBER.match(argv[i]):
                 argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
-        if (args := _read(argv, path, flags, runner)) is not None:
+        if (args := _read(argv[len(path):], unread, runner)) is not None:
             return args
     return build_parser().parse_args(argv)
 
@@ -334,7 +322,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
     except SystemExit as exc:
-        return exc.code if exc.code is not None else 2
+        return exc.code  # argparse exits with 0 or 2
     try:
         text = args.run(args)
     except TimedataError as exc:

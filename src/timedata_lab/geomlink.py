@@ -76,13 +76,15 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
                   counts: tuple[int, ...]) -> float:
     """Midpoint-rule sum of f over the box bounds = (lo, hi, lo, hi, ...)
     with counts[i] cells along axis i, times the cell volume."""
+    if len(bounds) != 2 * len(counts):
+        raise DomainError(f"need {2 * len(counts)} bounds (lo, hi per axis), got {bounds!r}")
     for n in counts:
         within_int(n, "grid resolution must be >= 1", 1)
     within(math.prod(counts), f"grid must have <= {MAX_GRID_CELLS} cells", high=MAX_GRID_CELLS)
     for bound in bounds:
         within(bound, "integration bounds must be finite, got {!r}")
     lows = bounds[::2]
-    steps = [(hi - lo) / n for lo, hi, n in zip(lows, bounds[1::2], counts, strict=True)]
+    steps = [(hi - lo) / n for lo, hi, n in zip(lows, bounds[1::2], counts)]
     if 0 in steps:
         return 0.0
     axes = [[lo + (i + 0.5) * h for i in range(n)] for lo, h, n in zip(lows, steps, counts)]

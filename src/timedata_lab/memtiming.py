@@ -112,7 +112,11 @@ def phase_ratio_means(alpha: list[tuple[float, float]],
 
     def mean_ratio(pairs):
         total = 0.0
-        for wr, rd in pairs:
+        for pair in pairs:
+            try:
+                wr, rd = pair
+            except (TypeError, ValueError):  # a number, or not two parts
+                raise DomainError(f"samples must be (write, read) pairs, got {pair!r}") from None
             if finite(rd, "read phase") == 0:
                 raise DivisionByZeroSignal("zero read phase")
             total += finite(wr, "write phase") / rd

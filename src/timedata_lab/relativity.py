@@ -81,18 +81,18 @@ def jacobian_polar(p: PolarPoint) -> float:
     return finite(dx_dr * dy_dphi - dx_dphi * dy_dr, "Jacobian")
 
 
-def charge_balance(ledger: ChargeLedger) -> Fraction:
+def charge_balance(ledger: ChargeLedger):
     """Charge at t2: Q(t1) + Q_in - Q_out.
 
-    Computed in exact rational arithmetic so conservation holds to the
+    Computed as an exact Fraction so conservation holds to the
     last bit; the result compares and mixes transparently with floats.
     """
     from fractions import Fraction  # imported at start, every `rel` leaf would pay 5-7 ms
     return Fraction(ledger.q_t1) + Fraction(ledger.q_in) - Fraction(ledger.q_out)
 
 
-def charge_balance_inverse(q_t2, q_in: float, q_out: float) -> Fraction:
-    """Recover Q(t1) from the balance output and the same flows, exactly."""
+def charge_balance_inverse(q_t2, q_in: float, q_out: float):
+    """Recover Q(t1) from the balance output and the same flows, as an exact Fraction."""
     from fractions import Fraction
     for value in (q_t2, q_in, q_out):
         within(value, "charge must be a finite number, got {!r}")

@@ -85,6 +85,18 @@ class TestBuildSheet:
         with pytest.raises(DomainError):
             analysis.build_sheet([SUN], [], BASE)
 
+    # Iterators are read once, before the emptiness check: none loses rows.
+    def test_iterators_read_once(self):
+        targets = [SUN, Target("Moon", 384400, 0.0214)]
+        sheet = analysis.build_sheet(targets, [16.0, 32.0], BASE)
+        assert len(sheet.records) == 4
+        assert analysis.build_sheet(targets, iter([16.0, 32.0]), BASE) == sheet
+        assert analysis.build_sheet(iter(targets), iter([16.0, 32.0]), BASE) == sheet
+        with pytest.raises(DomainError, match="^need at least one target"):
+            analysis.build_sheet(iter([]), [16.0], BASE)
+        with pytest.raises(DomainError, match="^need at least one target"):
+            analysis.build_sheet(targets, iter([]), BASE)
+
     # A finite shift of more than a day never reuses a clock shifted before.
     def test_shift_beyond_a_day_rolls_back(self):
         with pytest.raises(DomainError, match="^timestamp shift rolls back past midnight$"):

@@ -107,7 +107,6 @@ USAGE_ERRORS = [
     ["link", "fres", "--distance", "inf", "--progress", "16"],
     ["sort", "run", "--values", "1,nan"],
     ["rel", "tau", "--tdot=--"],
-    ["link", "shift", "--time=--", "--epsilon", "1"],
     ["mem", "eta", "--collected=--", "--storable", "1"],
     ["mem", "waterfall", "--arrivals=--"],
     ["sort", "run", "--values=--"],

@@ -129,6 +129,13 @@ class TestRiemannArea:
         with pytest.raises(DomainError, match="grid resolution must be >= 1"):
             gl.riemann_area(lambda x, y: 1.0, (0, 1, 0, 1), m, n)
 
+    @pytest.mark.parametrize("domain", [(0, 1, 0), (0, 1, 0, 1, 0), ()])
+    def test_bound_count_not_two_per_axis_rejected(self, domain):
+        calls = []
+        with pytest.raises(DomainError, match=r"^need 4 bounds \(lo, hi per axis\), got "):
+            gl.riemann_area(lambda x, y: calls.append(x) or 1.0, domain, 2, 2)
+        assert calls == []
+
     # 10**200 cells would exhaust memory building the axes: refused before any.
     @pytest.mark.parametrize("m,n", [(10 ** 200, 1), (10 ** 4, 10 ** 4 + 1)])
     def test_grid_past_cell_cap_rejected(self, m, n):
@@ -192,6 +199,11 @@ class TestTripleIntegral:
     def test_resolution_below_one_rejected(self, counts):
         with pytest.raises(DomainError, match="grid resolution must be >= 1"):
             gl.triple_integral(lambda x, y, t: 1.0, (0, 1, 0, 1, 0, 1), *counts)
+
+    @pytest.mark.parametrize("region", [(0, 1, 0, 1), (0, 1, 0, 1, 0, 1, 0)])
+    def test_bound_count_not_two_per_axis_rejected(self, region):
+        with pytest.raises(DomainError, match=r"^need 6 bounds \(lo, hi per axis\), got "):
+            gl.triple_integral(lambda x, y, t: 1.0, region, 2, 2, 2)
 
     @pytest.mark.parametrize("counts", [(1, 1, 10 ** 200), (10 ** 3, 10 ** 3, 101)])
     def test_grid_past_cell_cap_rejected(self, counts):

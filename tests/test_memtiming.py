@@ -74,6 +74,11 @@ class TestPhaseRatios:
         with pytest.raises(DomainError):
             mt.phase_ratio_means([(1, 1)] * 4, [(1, 1)] * 4, [(1, 1)] * 3)
 
+    @pytest.mark.parametrize("sample", [(1, 2, 3), (1,), 1, None])
+    def test_sample_not_a_pair(self, sample):
+        with pytest.raises(DomainError, match=r"^samples must be \(write, read\) pairs, got "):
+            mt.phase_ratio_means([(1, 1)] * 3 + [sample], [(1, 1)] * 4, [(1, 1)] * 2)
+
     def test_zero_read_phase(self):
         with pytest.raises(DivisionByZeroSignal):
             mt.phase_ratio_means([(1, 0)] * 4, [(1, 1)] * 4, [(1, 1)] * 2)
