@@ -15,7 +15,7 @@ import stat
 
 from . import linkmodel
 from .errors import (ChartError, CsvParseError, DivergenceSignal, DivisionByZeroSignal,
-                     DomainError, finite, finite_float, finite_text, record)
+                     DomainError, finite, finite_float, finite_text, listed, record)
 from .linkmodel import Target, Timestamp
 
 DIV0 = "#Div/0!"
@@ -49,7 +49,7 @@ def build_sheet(targets: list[Target], progress_list: list[float],
     Division-by-zero and divergence signals from the link model are
     captured as typed sentinel cells, never raised to the caller.
     """
-    targets, progress_list = list(targets), list(progress_list)
+    targets, progress_list = listed(targets, "targets"), listed(progress_list, "progress values")
     if not targets or not progress_list:
         raise DomainError("need at least one target and one progress value")
     records = []
@@ -216,10 +216,9 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
     if n > MAX_SPOKES:
         raise ChartError(f"radar chart takes <= {MAX_SPOKES} records, got {n}")
 
-    def spoke_xy(index, radius_frac):
-        angle = -math.pi / 2 + 2 * math.pi * index / n
-        return (_CENTER + _RADIUS * radius_frac * math.cos(angle),
-                _CENTER + _RADIUS * radius_frac * math.sin(angle))
+    # (cos, sin) of each spoke; a point at radius frac is _CENTER + _RADIUS * frac * cos.
+    spokes = [(math.cos(angle), math.sin(angle))
+              for angle in (-math.pi / 2 + 2 * math.pi * i / n for i in range(n))]
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -227,20 +226,21 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
         f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}" version="1.1">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
-    # Spokes and record labels.
-    for i, record in enumerate(sheet.records):
-        if _NOT_XML.search(record.target_name):
-            raise ChartError(f"target name {record.target_name!r} holds a "
-                             "character XML cannot carry")
-        x, y = spoke_xy(i, 1.0)
+    # Spokes and record labels; each distinct name is checked and escaped once.
+    escaped = {}
+    for record, (c, s) in zip(sheet.records, spokes):
+        if (name := escaped.get(record.target_name)) is None:
+            if _NOT_XML.search(record.target_name):
+                raise ChartError(f"target name {record.target_name!r} holds a "
+                                 "character XML cannot carry")
+            name = escaped[record.target_name] = html.escape(record.target_name, quote=False)
         parts.append(
-            f'<line x1="{_CENTER}" y1="{_CENTER}" x2="{x:.2f}" y2="{y:.2f}" '
-            'stroke="#cccccc" stroke-width="1"/>')
-        lx, ly = spoke_xy(i, 1.08)
+            f'<line x1="{_CENTER}" y1="{_CENTER}" x2="{_CENTER + _RADIUS * c:.2f}" '
+            f'y2="{_CENTER + _RADIUS * s:.2f}" stroke="#cccccc" stroke-width="1"/>')
         parts.append(
-            f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="11" '
-            f'text-anchor="middle">{html.escape(record.target_name, quote=False)} '
-            f'{finite_text(record.progress_pct)}%</text>')
+            f'<text x="{_CENTER + _RADIUS * 1.08 * c:.2f}" '
+            f'y="{_CENTER + _RADIUS * 1.08 * s:.2f}" font-size="11" '
+            f'text-anchor="middle">{name} {finite_text(record.progress_pct)}%</text>')
 
     legend_y = 20
     omitted = []
@@ -249,15 +249,14 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
         if normalized is None:
             omitted.append(attr)
             continue
-        points = [spoke_xy(i, frac) for i, (frac, _) in enumerate(normalized)]
-        points.append(points[0])  # close the loop
-        point_text = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        points = [(_CENTER + _RADIUS * frac * c, _CENTER + _RADIUS * frac * s)
+                  for (frac, _), (c, s) in zip(normalized, spokes)]
+        point_text = " ".join(f"{x:.2f},{y:.2f}" for x, y in points + points[:1])  # closed
         parts.append(
             f'<polyline points="{point_text}" fill="none" stroke="{color}" '
             'stroke-width="2"/>')
-        for i, (frac, is_sentinel) in enumerate(normalized):
+        for (x, y), (_, is_sentinel) in zip(points, normalized):
             if is_sentinel:
-                x, y = spoke_xy(i, frac)
                 parts.append(
                     f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{color}" '
                     'class="sentinel"/>')

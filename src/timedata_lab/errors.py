@@ -1,6 +1,7 @@
-"""Exception types of timedata-lab, the record base of its value types, and its
-one rule for numbers: each is finite and in its declared range, and text is a
-number only to the readers `finite_float`, `plain_float` and `plain_int`."""
+"""Exception types of timedata-lab, the record base of its value types, the one
+reader of list arguments (`listed`), and its one rule for numbers: each is finite
+and in its declared range, and text is a number only to the readers
+`finite_float`, `plain_float` and `plain_int`."""
 
 import math
 import sys
@@ -110,6 +111,16 @@ def within_int(value, message: str, low=-LARGEST, high=LARGEST, error=DomainErro
     if isinstance(value, int) and low <= value <= high:
         return value
     raise error(message.format(value))
+
+
+def listed(values, name: str) -> list:
+    """A new list of values, read once, so that an iterator serves where a list
+    does; a value that is not iterable (None, a number) raises DomainError."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise DomainError(f"{name} must be iterable, got {values!r}") from None
+    return list(values)
 
 
 def record(name: str, fields: str, defaults=()):

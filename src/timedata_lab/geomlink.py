@@ -7,7 +7,7 @@ import itertools
 import math
 from collections.abc import Callable
 
-from .errors import TINY, DomainError, finite, quotient, record, within, within_int
+from .errors import TINY, DomainError, finite, listed, quotient, record, within, within_int
 
 FOLD_TOL = 1e-12
 ARC_TOL = 1e-9
@@ -75,7 +75,9 @@ def shared_arc(d: ArcDecomposition) -> tuple[float, bool]:
 def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
                   counts: tuple[int, ...]) -> float:
     """Midpoint-rule sum of f over the box bounds = (lo, hi, lo, hi, ...)
-    with counts[i] cells along axis i, times the cell volume."""
+    with counts[i] cells along axis i, times the cell volume. The bounds may
+    be an iterator, read once."""
+    bounds = listed(bounds, "integration bounds")
     if len(bounds) != 2 * len(counts):
         raise DomainError(f"need {2 * len(counts)} bounds (lo, hi per axis), got {bounds!r}")
     for n in counts:

@@ -5,8 +5,9 @@ efficiency and FIFO waterfall allocation."""
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
-from .errors import (TINY, CapacityError, DivisionByZeroSignal, DomainError, finite,
+from .errors import (TINY, CapacityError, DivisionByZeroSignal, DomainError, finite, listed,
                      quotient, record, within)
 
 QUBIT_NORM_TOL = 1e-9
@@ -103,8 +104,10 @@ def phase_ratio_means(alpha: list[tuple[float, float]],
     """Mean write/read phase ratio per pole.
 
     Alpha and beta need at least 4 samples each; the delta pole takes
-    exactly 2 by definition.
+    exactly 2 by definition. Each pole may be an iterator, read once.
     """
+    alpha, beta = listed(alpha, "alpha samples"), listed(beta, "beta samples")
+    delta = listed(delta, "delta samples")
     if len(alpha) < MIN_POLE_SAMPLES or len(beta) < MIN_POLE_SAMPLES:
         raise DomainError(f"alpha and beta poles need >= {MIN_POLE_SAMPLES} samples")
     if len(delta) != 2:
@@ -155,14 +158,20 @@ def quantum_efficiency(n_collected: int, n_entangled_storable: int) -> float:
 def waterfall_allocate(carriers: list[Carrier], cells: CellMap) -> dict[int, int]:
     """FIFO allocation: earliest arrival gets the nearest cell.
 
-    Ties break by ascending carrier id. Returns carrier id -> cell address;
-    the input CellMap is not mutated.
+    Ties break by ascending carrier id. Returns carrier id -> cell address,
+    inserted in rank order; the input CellMap is not mutated. `carriers` is
+    read once (an iterator serves), and the allocation costs n log n.
     """
+    carriers = listed(carriers, "carriers")
     if len(carriers) > len(cells.cells):
         raise CapacityError(
             f"{len(carriers)} carriers exceed {len(cells.cells)} cells")
-    ordered = sorted(carriers, key=lambda c: (c.arrival_time_s, c.id))
-    alloc = {c.id: cells.address_at_rank(rank) for rank, c in enumerate(ordered)}
+    # Two stable sorts, by id and then by arrival, give the order of (arrival, id);
+    # a one-field key compares faster than a tuple.
+    carriers.sort(key=attrgetter("id"))
+    carriers.sort(key=attrgetter("arrival_time_s"))
+    by_rank = cells._address_by_rank  # ranks 0..N-1 for N cells, and N >= len(carriers)
+    alloc = {c.id: by_rank[rank] for rank, c in enumerate(carriers)}
     if len(alloc) < len(carriers):  # a repeated id kept only its last cell
         raise DomainError("carrier ids must be distinct")
     return alloc

@@ -9,7 +9,7 @@ import statistics
 import time
 from enum import Enum
 
-from .errors import TINY, DomainError, quotient, record, within, within_int
+from .errors import TINY, DomainError, listed, quotient, record, within, within_int
 
 # Default asymptotic-ratio bound M.
 DEFAULT_RATIO_BOUND = 1e6
@@ -29,7 +29,11 @@ class SortInstance(record("SortInstance", "elements partitions", defaults=(1,)))
 
     def __init__(self, elements: list, partitions: int = 1):
         within_int(partitions, "partition count must be >= 1", 1, math.inf)
-        within(partitions, "more partitions than elements", high=max(1, len(elements)))
+        try:
+            size = len(elements)  # an iterator has none; the record would keep it spent
+        except TypeError:
+            raise DomainError(f"sort elements must be a list, got {elements!r}") from None
+        within(partitions, "more partitions than elements", high=max(1, size))
 
 
 class RatioClass(Enum):
@@ -88,8 +92,10 @@ def scaling_probe(sizes: list[int], trials: int = 3,
     """Time parallel_sort on random instances and fit the growth model.
 
     Fits elapsed ~ a*n*log(n) + b by least squares and reports the log-log
-    slope; sub-quadratic growth shows as slope comfortably below 2.
+    slope; sub-quadratic growth shows as slope comfortably below 2. `sizes`
+    may be an iterator, read once.
     """
+    sizes = listed(sizes, "probe sizes")
     if len(sizes) < 2:
         raise DomainError("need at least 2 sizes for a fit")
     within_int(trials, "need at least 3 trials per size", 3, math.inf)
@@ -109,7 +115,7 @@ def scaling_probe(sizes: list[int], trials: int = 3,
             best = min(best, time.perf_counter() - start)
         measured[n] = best
     if any(t < MIN_TIMABLE_S for t in measured.values()):
-        return ComplexityProbe(list(sizes), measured)
+        return ComplexityProbe(sizes, measured)
 
     xs = [n * math.log(n) for n in sizes]
     ts = [measured[n] for n in sizes]
@@ -118,4 +124,4 @@ def scaling_probe(sizes: list[int], trials: int = 3,
         (fit_a * x + fit_b - t) ** 2 for x, t in zip(xs, ts)))
     slope = statistics.linear_regression(
         [math.log(n) for n in sizes], [math.log(t) for t in ts]).slope
-    return ComplexityProbe(list(sizes), measured, fit_a, fit_b, residual, slope)
+    return ComplexityProbe(sizes, measured, fit_a, fit_b, residual, slope)

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import math
 import os
@@ -96,6 +97,12 @@ class TestBuildSheet:
             analysis.build_sheet(iter([]), [16.0], BASE)
         with pytest.raises(DomainError, match="^need at least one target"):
             analysis.build_sheet(targets, iter([]), BASE)
+
+    @pytest.mark.parametrize("targets,progress,name", [
+        (None, [16.0], "targets"), ([SUN], 16.0, "progress values")])
+    def test_arguments_not_iterable(self, targets, progress, name):
+        with pytest.raises(DomainError, match=f"^{name} must be iterable, got "):
+            analysis.build_sheet(targets, progress, BASE)
 
     # A finite shift of more than a day never reuses a clock shifted before.
     def test_shift_beyond_a_day_rolls_back(self):
@@ -431,6 +438,34 @@ class TestRadarChart:
         analysis.render_radar_chart(sun_sheet, p1)
         analysis.render_radar_chart(sun_sheet, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    # A sheet -> chart job of 1,000 records, each name repeated 500 times; the 0%
+    # and 100% rows of both targets give four sentinel markers. The sha256 pins
+    # the bytes of every spoke, label, polyline point and marker.
+    def test_thousand_record_chart_bytes(self, tmp_path):
+        targets = [SUN, Target("Moon", 384400, 0.0213)]
+        sheet = analysis.build_sheet(targets, [100 * i / 499 for i in range(500)], BASE)
+        csv_path, svg_path = tmp_path / "t.csv", tmp_path / "t.svg"
+        analysis.emit_csv(sheet, csv_path)
+        assert analysis.render_radar_chart(analysis.parse_csv(csv_path), svg_path) == []
+        data = svg_path.read_bytes()
+        assert data.count(b'class="sentinel"') == 4
+        assert hashlib.sha256(data).hexdigest() == (
+            "d09d5918e1f3a635605442e2815f0438108022ea283314ca92a57d1bc8a8437f")
+
+    # Records are read in order: a bad name raises at its first record, before
+    # that record's progress is formatted, and after the records before it.
+    def test_first_bad_record_decides_the_error(self, tmp_path):
+        good = LinkRecord("A", 1.0, "f", Timestamp(12, 0, 0), 1.0, 60.0, 0.1, 0.2)
+        path = tmp_path / "chart.svg"
+        with pytest.raises(ChartError, match="XML cannot carry"):
+            analysis.render_radar_chart(Sheet(records=[
+                good, good, good._replace(target_name="A\x01", progress_pct="<abc")]), path)
+        with pytest.raises(DomainError, match="^result not a number: '<abc'$"):
+            analysis.render_radar_chart(Sheet(records=[
+                good, good._replace(progress_pct="<abc"), good._replace(target_name="A\x01")]),
+                path)
+        assert not path.exists()
 
     # A lone surrogate cannot come from a UTF-8 file, only from a caller.
     @pytest.mark.parametrize("name", ["A\x01B", "\ufffe", "A\udc80B"])

@@ -136,6 +136,18 @@ class TestRiemannArea:
             gl.riemann_area(lambda x, y: calls.append(x) or 1.0, domain, 2, 2)
         assert calls == []
 
+    def test_bounds_iterator_read_once(self):
+        f = lambda x, y: x * y + 1.0
+        assert gl.riemann_area(f, iter((0, 1, 0, 2)), 3, 4) == \
+            gl.riemann_area(f, (0, 1, 0, 2), 3, 4)
+        with pytest.raises(DomainError, match=r"^need 4 bounds \(lo, hi per axis\), got "):
+            gl.riemann_area(f, iter((0, 1, 0)), 2, 2)
+
+    @pytest.mark.parametrize("domain", [None, 1.0])
+    def test_bounds_not_iterable(self, domain):
+        with pytest.raises(DomainError, match="^integration bounds must be iterable, got "):
+            gl.riemann_area(lambda x, y: 1.0, domain, 2, 2)
+
     # 10**200 cells would exhaust memory building the axes: refused before any.
     @pytest.mark.parametrize("m,n", [(10 ** 200, 1), (10 ** 4, 10 ** 4 + 1)])
     def test_grid_past_cell_cap_rejected(self, m, n):

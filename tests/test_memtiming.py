@@ -1,8 +1,9 @@
 import cmath
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from timedata_lab import memtiming as mt
 from timedata_lab.errors import (CapacityError, DivisionByZeroSignal,
@@ -82,6 +83,20 @@ class TestPhaseRatios:
     def test_zero_read_phase(self):
         with pytest.raises(DivisionByZeroSignal):
             mt.phase_ratio_means([(1, 0)] * 4, [(1, 1)] * 4, [(1, 1)] * 2)
+
+    # Each pole is read once before its sample count is checked.
+    def test_iterators_read_once(self):
+        poles = ([(1, 1), (2, 1), (3, 1), (2, 2)], [(1, 1)] * 4, [(1, 2), (3, 2)])
+        assert mt.phase_ratio_means(*map(iter, poles)) == mt.phase_ratio_means(*poles)
+
+    @pytest.mark.parametrize("pole", [0, 1, 2])
+    @pytest.mark.parametrize("value", [None, 4])
+    def test_pole_not_iterable(self, pole, value):
+        poles = [[(1, 1)] * 4, [(1, 1)] * 4, [(1, 1)] * 2]
+        poles[pole] = value
+        name = ("alpha", "beta", "delta")[pole]
+        with pytest.raises(DomainError, match=f"^{name} samples must be iterable, got {value}$"):
+            mt.phase_ratio_means(*poles)
 
 
 class TestResistance:
@@ -265,3 +280,45 @@ class TestWaterfall:
             cells.address_at_rank(50)
         assert cells == make_cells(50, shuffle_seed=4)
         assert "_address_by_rank" not in repr(cells)
+
+    def test_iterator_read_once(self):
+        carriers = [Carrier(2, 1.0), Carrier(0, 0.5), Carrier(1, 1.0)]
+        cells = make_cells(3, shuffle_seed=5)
+        assert mt.waterfall_allocate(iter(carriers), cells) == \
+            mt.waterfall_allocate(carriers, cells)
+        with pytest.raises(CapacityError, match="^4 carriers exceed 3 cells$"):
+            mt.waterfall_allocate(iter(carriers + [Carrier(3, 0.0)]), cells)
+
+    @pytest.mark.parametrize("carriers", [None, 3, 1.5])
+    def test_carriers_not_iterable(self, carriers):
+        with pytest.raises(DomainError, match="^carriers must be iterable, got "):
+            mt.waterfall_allocate(carriers, make_cells(2))
+
+
+def _reference_allocation(carriers, cells):
+    """The allocation by the definition: rank k to the k-th carrier by (arrival, id)."""
+    ordered = sorted(carriers, key=lambda c: (c.arrival_time_s, c.id))
+    return {c.id: cells.address_at_rank(rank) for rank, c in enumerate(ordered)}
+
+
+# Few distinct values, so arrivals tie often, also across int, float and Fraction.
+ARRIVALS = st.one_of(st.sampled_from([0, 1, 2, 0.5, 1.0, 2.5, Fraction(1, 2), Fraction(2)]),
+                     st.fractions(0, 3, max_denominator=4))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_allocation_matches_tuple_key_reference(data):
+    n_cells = data.draw(st.integers(0, 12), label="cells")
+    arrivals = data.draw(st.lists(ARRIVALS, max_size=n_cells), label="arrivals")
+    ids = data.draw(st.permutations(range(-4, 16)), label="ids")  # distinct, shuffled
+    carriers = [Carrier(i, t) for i, t in zip(ids, arrivals)]
+    ranks = data.draw(st.permutations(range(n_cells)), label="ranks")
+    cells = CellMap(list(zip(range(100, 100 + n_cells), ranks)))
+    given_carriers = list(carriers)
+    as_iterator = data.draw(st.booleans(), label="iterator")
+    alloc = mt.waterfall_allocate(iter(carriers) if as_iterator else carriers, cells)
+    expected = _reference_allocation(carriers, cells)
+    assert list(alloc.items()) == list(expected.items())  # equal, and inserted in rank order
+    assert list(alloc.values()) == [cells.address_at_rank(r) for r in range(len(carriers))]
+    assert carriers == given_carriers  # the caller's list keeps its order

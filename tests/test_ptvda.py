@@ -40,6 +40,12 @@ class TestParallelSort:
         with pytest.raises(DomainError):
             SortInstance([1, 2], 3)
 
+    # A record would keep an iterator spent, so it is refused, not read.
+    @pytest.mark.parametrize("elements", [iter([3.0, 1.0]), None, 3])
+    def test_elements_without_a_length_rejected(self, elements):
+        with pytest.raises(DomainError, match="^sort elements must be a list, got "):
+            SortInstance(elements, 1)
+
     @pytest.mark.parametrize("partitions", [1.5, 1.0, "1", None])
     def test_partition_count_not_an_int_rejected(self, partitions):
         with pytest.raises(DomainError, match="^partition count must be >= 1$"):
@@ -118,6 +124,16 @@ class TestScalingProbe:
         slope = (sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
                  / sum((x - x_bar) ** 2 for x in xs))
         assert probe.loglog_slope == pytest.approx(slope, rel=1e-9)
+
+    def test_sizes_iterator_read_once(self):
+        probe = ptvda.scaling_probe(iter([100, 200]), trials=3, seed=0)
+        assert probe.sizes == [100, 200]
+        assert list(probe.measured) == [100, 200]
+
+    @pytest.mark.parametrize("sizes", [None, 100])
+    def test_sizes_not_iterable(self, sizes):
+        with pytest.raises(DomainError, match=f"^probe sizes must be iterable, got {sizes}$"):
+            ptvda.scaling_probe(sizes, trials=3)
 
     def test_single_size_rejected(self):
         with pytest.raises(DomainError):
