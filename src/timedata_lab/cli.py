@@ -108,14 +108,12 @@ def _polar(a) -> str:
             f"J = {finite_text(relativity.jacobian_polar(p))}")
 
 
-def _probe(a) -> str:
+def _probe(a) -> tuple[str, list[str]]:
     probe = ptvda.scaling_probe(a.sizes, trials=a.trials, seed=a.seed)
     lines = [f"n = {n}: {finite_text(probe.measured[n])} s" for n in probe.sizes]
     if probe.loglog_slope is None:
-        print("warning: timing below clock resolution; fit skipped", file=sys.stderr)
-    else:
-        lines.append(f"log-log slope: {probe.loglog_slope:.4f}")
-    return "\n".join(lines)
+        return "\n".join(lines), ["warning: timing below clock resolution; fit skipped"]
+    return "\n".join(lines + [f"log-log slope: {probe.loglog_slope:.4f}"]), []
 
 
 def _classify(a) -> str:
@@ -141,11 +139,10 @@ def _sheet(a) -> str:
     return f"wrote {len(sheet.records)} records to {a.out}"
 
 
-def _chart(a) -> str:
-    sheet = analysis.parse_csv(getattr(a, "in"))
-    for attr in analysis.render_radar_chart(sheet, a.out):
-        print(f"warning: attribute {attr} is all sentinels; omitted", file=sys.stderr)
-    return f"wrote radar chart to {a.out}"
+def _chart(a) -> tuple[str, list[str]]:
+    omitted = analysis.render_radar_chart(analysis.parse_csv(getattr(a, "in")), a.out)
+    return f"wrote radar chart to {a.out}", [
+        f"warning: attribute {attr} is all sentinels; omitted" for attr in omitted]
 
 
 _REQUIRED = ...
@@ -156,12 +153,12 @@ def _floats(*names):
     return [(name, finite_float, _REQUIRED) for name in names]
 
 
-# command -> (help, {action -> (flags, runner)}); the action None puts the flags
-# on the command itself. A flag is (name, type, default) and a _REQUIRED default
-# makes it mandatory. A runner takes the parsed arguments and returns the text to
-# print, writing each result number with finite_text. --time stays a string so
-# the DomainError of Timestamp.parse reaches main instead of argparse, and sort
-# classify takes plain floats because inf is its infinity marker.
+# command -> (help, {action -> (flags, runner)}); the action None puts the flags on
+# the command itself. A flag is (name, type, default); a _REQUIRED default makes it
+# mandatory. A runner takes the parsed arguments and returns its text, or its text
+# and its warning lines, writing each result number with finite_text. --time stays
+# a string so the DomainError of Timestamp.parse reaches main instead of argparse,
+# and sort classify takes plain floats because inf is its infinity marker.
 COMMANDS = {
     "link": ("comlink time-data model", {
         "eps": (_floats("progress", "range"), lambda a: (
@@ -317,28 +314,37 @@ def _parse(argv: list) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = _parse(argv)
-    except SystemExit as exc:
-        return exc.code  # argparse exits with 0 or 2
-    try:
-        text = args.run(args)
-    except TimedataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"file error: {exc}", file=sys.stderr)
-        return 1
-    if text:
+def _write(lines, text, code) -> int:
+    """Prints lines to stderr, then text, unless empty, to stdout, and flushes both.
+    Returns code, or 1 if a stream raised or is None (closed at start) with something
+    to write. One that raised is pointed at os.devnull, so that Python's flush at exit
+    cannot fail; nothing reports the failure, and the other stream is still written."""
+    for stream, texts in ((sys.stderr, lines), (sys.stdout, [text] if text else [])):
+        if stream is None:  # print would take None for stdout
+            code = 1 if texts else code
+            continue
         try:
-            print(text, flush=True)
-        except BrokenPipeError:  # the reader left early, as `| head` does
-            # Python flushes stdout again at exit: send what is left nowhere.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 1
-    return 0
+            for line in texts:  # line and newline apart: under PYTHONUNBUFFERED, one
+                print(line, file=stream)  # write to a closed pipe can fall short unraised
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            code = 1
+    return code
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        out = args.run(args)
+    except SystemExit as exc:  # argparse has written its help or usage text
+        return _write([], "", exc.code)
+    except TimedataError as exc:
+        return _write([f"error: {exc}"], "", 1)
+    except (OSError, UnicodeDecodeError) as exc:
+        return _write([f"file error: {exc}"], "", 1)
+    text, warnings = out if isinstance(out, tuple) else (out, ())
+    return _write(warnings, text, 0)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import pytest
+
 import timedata_lab
 from timedata_lab import analysis, ptvda
 from timedata_lab.cli import load_config, main
@@ -91,17 +93,76 @@ def test_a_leaf_loads_only_the_kernel_it_runs():
         "[]", "1.25", "['timedata_lab.relativity']", "[]", "v_number True"]
 
 
-def test_reader_that_leaves_early_gets_exit_1_and_no_traceback():
+def _cli_env(unbuffered=True):
+    """The test's environment with src on the path and PYTHONUNBUFFERED=1 set, or
+    removed: unbuffered, Python writes each print at once instead of at the flush."""
+    env = {**os.environ, "PYTHONPATH": str(Path(timedata_lab.__file__).parents[1]),
+           "PYTHONUNBUFFERED": "1"}
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
+    return env
+
+
+def _cli(*argv):
+    return [sys.executable, "-m", "timedata_lab.cli", *argv]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_reader_that_leaves_early_gets_exit_1_and_no_traceback(unbuffered):
     # ~390 KB of output against a 64 KiB pipe buffer: the write blocks until
     # the pipe closes, then fails. The argument (~79 KB) fits Linux's 128 KiB.
+    # Unbuffered, one write of the text and its newline could come up short
+    # without raising; buffered, the failure comes at the flush.
     arrivals = ",".join(map(str, range(15000)))
-    src = str(Path(timedata_lab.__file__).parents[1])
     proc = subprocess.Popen(
-        [sys.executable, "-m", "timedata_lab.cli", "mem", "waterfall", "--arrivals", arrivals],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": src})
+        _cli("mem", "waterfall", "--arrivals", arrivals),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(unbuffered))
     assert proc.stdout.read(10) == b"carrier 0 "
     proc.stdout.close()  # as `| head` does once it has its lines
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=120), stderr) == (1, b"")
+
+
+EPS = ("link", "eps", "--progress", "16", "--range", "8.3")
+
+
+# Under PYTHONUNBUFFERED, argparse's own write of the help text fails at once,
+# and argparse drops that error, so `-h` runs buffered only.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, unbuffered", [(EPS, True), (EPS, False), (("-h",), False)],
+                         ids=["leaf-unbuffered", "leaf-buffered", "help-buffered"])
+def test_full_device_on_stdout_gets_exit_1_and_no_traceback(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(_cli(*argv), stdout=full, stderr=subprocess.PIPE,
+                              env=_cli_env(unbuffered), timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, b"")  # no `Exception ignored` either
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["reader-gone", "descriptor-closed"])
+def test_chart_whose_warning_cannot_be_written_still_reports_its_chart(tmp_path, closed):
+    path, out = tmp_path / "in.csv", tmp_path / "c.svg"
+    path.write_text(analysis.CSV_HEADER + "".join(
+        f"\nSun,{p},f,13:00:00,{p + 1},60,0.1,#Div/0!" for p in range(3)) + "\n")
+    read, write = os.pipe()
+    os.close(read)  # the stderr reader has left before the warning
+    try:
+        proc = subprocess.run(
+            _cli("chart", "--in", str(path), "--out", str(out)), stdout=subprocess.PIPE,
+            stderr=write, preexec_fn=(lambda: os.close(2)) if closed else None,
+            env=_cli_env(), timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (1, f"wrote radar chart to {out}\n".encode())
+    assert out.read_text().endswith("</svg>\n")
+
+
+@pytest.mark.parametrize("fd, argv", [
+    (2, ("link", "eps", "--progress", "200", "--range", "8.3")),  # a typed error
+    (1, ("rel", "gamma", "--beta", "0.6")),  # a success
+], ids=["stderr", "stdout"])
+def test_descriptor_closed_at_start_gets_exit_1_and_no_output(fd, argv):
+    # Python sets the stream of a descriptor closed at start to None.
+    proc = subprocess.run(_cli(*argv), capture_output=True, env=_cli_env(),
+                          preexec_fn=lambda: os.close(fd), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", b"")
