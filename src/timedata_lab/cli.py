@@ -9,7 +9,9 @@ included, goes to the argparse tree.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import os
 import re
 import sys
@@ -298,8 +300,8 @@ def _read(argv, unread, runner):
 
 def _parse(argv: list) -> argparse.Namespace:
     """argv read by _read from the row of the leaf it names, or by the whole tree
-    where it names none or _read declines it, so that argparse alone writes help
-    and usage text. Joins the leaf's negative values in argv in place."""
+    where it names none or _read declines it. The tree's SystemExit carries the text
+    argparse formatted as its .out and .err. Joins the leaf's negative values in place."""
     _, actions = COMMANDS.get(argv[0] if argv else "", ("", {}))
     path = argv[:1] if None in actions else argv[:2]
     if (action := path[1] if path[1:] else None) in actions:
@@ -311,7 +313,13 @@ def _parse(argv: list) -> argparse.Namespace:
                 argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
         if (args := _read(argv[len(path):], unread, runner)) is not None:
             return args
-    return build_parser().parse_args(argv)
+    out, err = io.StringIO(), io.StringIO()  # set up only when argparse runs
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return build_parser().parse_args(argv)
+    except SystemExit as exc:
+        exc.out, exc.err = out.getvalue(), err.getvalue()
+        raise
 
 
 def _write(lines, text, code) -> int:
@@ -337,8 +345,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
         out = args.run(args)
-    except SystemExit as exc:  # argparse has written its help or usage text
-        return _write([], "", exc.code)
+    except SystemExit as exc:  # argparse's help or usage text, each ending in "\n"
+        return _write([exc.err[:-1]] if exc.err else [], exc.out[:-1], exc.code)
     except TimedataError as exc:
         return _write([f"error: {exc}"], "", 1)
     except (OSError, UnicodeDecodeError) as exc:

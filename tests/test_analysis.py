@@ -33,6 +33,10 @@ def _sentinels(sheet):
                for cell in (r.nu_delta_omega_hz, r.nu_displaced_hz))
 
 
+class _FirstRecord(Exception):
+    pass
+
+
 @pytest.fixture
 def sun_sheet():
     return analysis.build_sheet([SUN], PROGRESS, BASE)
@@ -97,6 +101,16 @@ class TestBuildSheet:
             analysis.build_sheet(iter([]), [16.0], BASE)
         with pytest.raises(DomainError, match="^need at least one target"):
             analysis.build_sheet(targets, iter([]), BASE)
+
+    # The link model raising _FirstRecord marks the first record being built.
+    def test_record_cap_checked_before_the_first_record(self, monkeypatch):
+        def first_record(*args):
+            raise _FirstRecord
+        monkeypatch.setattr(analysis.linkmodel, "epsilon_from_progress", first_record)
+        with pytest.raises(_FirstRecord):  # the cap itself is allowed
+            analysis.build_sheet([SUN] * 1000, [16.0] * 1000, BASE)
+        with pytest.raises(DomainError, match="^sheet takes <= 1000000 records, got 1001000$"):
+            analysis.build_sheet([SUN] * 1001, [16.0] * 1000, BASE)
 
     @pytest.mark.parametrize("targets,progress,name", [
         (None, [16.0], "targets"), ([SUN], 16.0, "progress values")])

@@ -127,11 +127,10 @@ def test_reader_that_leaves_early_gets_exit_1_and_no_traceback(unbuffered):
 EPS = ("link", "eps", "--progress", "16", "--range", "8.3")
 
 
-# Under PYTHONUNBUFFERED, argparse's own write of the help text fails at once,
-# and argparse drops that error, so `-h` runs buffered only.
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("argv, unbuffered", [(EPS, True), (EPS, False), (("-h",), False)],
-                         ids=["leaf-unbuffered", "leaf-buffered", "help-buffered"])
+@pytest.mark.parametrize("argv, unbuffered", [
+    (EPS, True), (EPS, False), (("-h",), False), (("-h",), True),
+], ids=["leaf-unbuffered", "leaf-buffered", "help-buffered", "help-unbuffered"])
 def test_full_device_on_stdout_gets_exit_1_and_no_traceback(argv, unbuffered):
     with open("/dev/full", "wb") as full:
         proc = subprocess.run(_cli(*argv), stdout=full, stderr=subprocess.PIPE,
@@ -160,7 +159,9 @@ def test_chart_whose_warning_cannot_be_written_still_reports_its_chart(tmp_path,
 @pytest.mark.parametrize("fd, argv", [
     (2, ("link", "eps", "--progress", "200", "--range", "8.3")),  # a typed error
     (1, ("rel", "gamma", "--beta", "0.6")),  # a success
-], ids=["stderr", "stdout"])
+    (2, ("rel", "gamma")),  # a usage error: its usage text must not go to stdout
+    (1, ("-h",)),  # help: its text must not go to stderr
+], ids=["stderr", "stdout", "stderr-usage", "stdout-help"])
 def test_descriptor_closed_at_start_gets_exit_1_and_no_output(fd, argv):
     # Python sets the stream of a descriptor closed at start to None.
     proc = subprocess.run(_cli(*argv), capture_output=True, env=_cli_env(),

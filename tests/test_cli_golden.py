@@ -17,6 +17,7 @@ import os
 import re
 import tempfile
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +305,9 @@ HELP_AND_USAGE = [
     # Read as no value before Python 3.13 and as the text `--` from 3.13 on.
     ("link shift --time=-- --epsilon 1", 2, "", SHIFT_USAGE
      + "timedata-lab link shift: error: argument --time: expected one argument\n"),
+    # argparse echoes the token raw; str.splitlines would break it at \x1c and U+2028.
+    ("link eps --progress 1 --range 2 a\x1cb\u2028c", 2, "", TOP_USAGE
+     + "timedata-lab: error: unrecognized arguments: a\x1cb\u2028c\n"),
 ]
 
 
@@ -311,7 +315,8 @@ HELP_AND_USAGE = [
                          ids=[a or "none" for a, *_ in HELP_AND_USAGE])
 def test_help_and_usage_transcript(capsys, monkeypatch, argv, code, stdout, stderr):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
-    assert _run(capsys, argv.split()) == (code, stdout, stderr)
+    # split at spaces only: str.split() also splits at \x1c and U+2028
+    assert _run(capsys, argv.split(" ") if argv else []) == (code, stdout, stderr)
 
 
 @st.composite
@@ -350,12 +355,25 @@ def _parsed(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+def _written(argv):
+    """The exit code main hands to _write for argv, and the stdout and stderr text
+    it hands over, as _write prints them."""
+    calls = []
+    with mock.patch.object(cli, "_write", lambda *call: calls.append(call)):
+        main(argv)
+    [(lines, text, code)] = calls
+    return code, text and text + "\n", "".join(line + "\n" for line in lines)
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_parser_argv())
 def test_parser_built_for_argv_reads_it_as_the_whole_tree(argv):
     joined = list(argv)  # _parse joins the leaf's negative values in place
-    leaf = _parsed(cli._parse, joined)
-    assert leaf == _parsed(build_parser().parse_args, joined)
+    leaf, *printed = _parsed(cli._parse, joined)
+    assert printed == ["", ""]  # argparse's text goes to main, not to the streams
+    if not isinstance(leaf, dict):  # an exit: the text main hands to _write
+        leaf, *printed = _written(argv)
+    assert (leaf, *printed) == _parsed(build_parser().parse_args, joined)
 
 
 def test_leaf_argv_builds_no_parser_unless_argparse_reads_it(capsys, monkeypatch):
@@ -441,6 +459,13 @@ def test_sheet_and_chart_typed_errors(capsys, tmp_path):
     assert _run(capsys, ["chart", "--in", str(csv_path),
                          "--out", str(tmp_path / "small.svg")]) == (
         1, "", "error: radar chart needs >= 3 records, got 2\n")
+    big = tmp_path / "big.ini"  # 1,001 targets x 1,000 progress values
+    big.write_text("".join(f"[target.T{i}]\ndistance_km = 1e8\nrange_lm = 8.3\n"
+                           for i in range(1001)))
+    assert _run(capsys, ["sheet", "--config", str(big), "--progress", ",".join(["16"] * 1000),
+                         "--out", str(tmp_path / "big.csv")]) == (
+        1, "", "error: sheet takes <= 1000000 records, got 1001000\n")
+    assert not (tmp_path / "big.csv").exists()
 
 
 # (config text, stderr with {path} for the config's path) of configs that
