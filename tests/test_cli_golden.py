@@ -2,7 +2,8 @@
 
 The expected strings are fixed text, not recomputed from the toolkit, so
 any change to what a command prints or returns fails here. ``sort probe``
-prints wall-clock timings; only its exit code and line shapes are pinned.
+prints wall-clock timings: its text is pinned under a fake clock, and on the
+real clock only its exit code and line shapes are.
 Property tests run generated argv through every other leaf, `sheet` and
 `chart` with generated input files, and check that the one parser of the
 leaf an argv names reads it as the whole tree does.
@@ -13,6 +14,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import math
 import os
 import re
 import tempfile
@@ -22,7 +24,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timedata_lab import cli
+from timedata_lab import cli, ptvda
 from timedata_lab.analysis import CSV_HEADER, DIV0, DIVERGES
 from timedata_lab.cli import COMMANDS, build_parser, main
 from timedata_lab.errors import finite_float, plain_float, plain_int
@@ -434,6 +436,17 @@ def test_sort_probe_shape(capsys):
 def test_sort_probe_fewer_elements_than_partitions(capsys):
     # The probe sorts one partition, so sizes below the old fixed 4 succeed.
     _assert_probe_shape(capsys, (2, 3))
+
+
+def test_sort_probe_transcript_on_a_fake_clock(capsys, monkeypatch):
+    # Each timed sort takes exactly 2e-8*n*ln(n) + 1e-4 seconds.
+    sizes, trials = [100, 1000, 10000], 3
+    ticks = iter([tick for n in sizes for _ in range(trials)
+                  for tick in (0.0, 2e-8 * n * math.log(n) + 1e-4)])
+    monkeypatch.setattr(ptvda.time, "perf_counter", lambda: next(ticks))
+    assert _run(capsys, ["sort", "probe", "--sizes", "100,1000,10000", "--seed", "0"]) == (
+        0, "n = 100: 0.00010921 s\nn = 1000: 0.000238155 s\nn = 10000: 0.00194207 s\n"
+           "log-log slope: 0.6250\n", "")
 
 
 def test_sheet_and_chart_transcript(capsys, tmp_path):
