@@ -112,7 +112,7 @@ def _polar(a) -> str:
 
 def _probe(a) -> tuple[str, list[str]]:
     probe = ptvda.scaling_probe(a.sizes, trials=a.trials, seed=a.seed)
-    lines = [f"n = {n}: {finite_text(probe.measured[n])} s" for n in probe.sizes]
+    lines = [f"n = {n}: {finite_text(t)} s" for n, t in probe.measured.items()]
     if probe.loglog_slope is None:
         return "\n".join(lines), ["warning: timing below clock resolution; fit skipped"]
     return "\n".join(lines + [f"log-log slope: {probe.loglog_slope:.4f}"]), []

@@ -42,12 +42,9 @@ class RatioClass(Enum):
     DIVERGING = "Diverging"
 
 
-# Measured sort timings (sizes: list[int], measured: {size: seconds}) with an
-# a*n*log(n) + b least-squares fit; the fit is None when a timing is below clock
-# resolution.
-ComplexityProbe = record("ComplexityProbe",
-                         "sizes measured fit_a fit_b fit_residual loglog_slope",
-                         defaults=(None,) * 4)
+# Measured sort timings ({size: best seconds}, in the order the sizes were given)
+# and their log-log slope, None when a timing is below clock resolution.
+ComplexityProbe = record("ComplexityProbe", "measured loglog_slope", defaults=(None,))
 
 
 def parallel_sort(instance: SortInstance) -> list:
@@ -89,11 +86,11 @@ def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> RatioCla
 
 def scaling_probe(sizes: list[int], trials: int = 3,
                   seed: int | None = None) -> ComplexityProbe:
-    """Time parallel_sort on random instances and fit the growth model.
+    """Time parallel_sort on random instances and report the growth exponent.
 
-    Fits elapsed ~ a*n*log(n) + b by least squares and reports the log-log
-    slope; sub-quadratic growth shows as slope comfortably below 2. `sizes`
-    may be an iterator, read once.
+    The slope is the least-squares fit of log(time) on log(size): about 1
+    for n log n growth, 2 for quadratic. `sizes` may be an iterator, read
+    once.
     """
     sizes = listed(sizes, "probe sizes")
     if len(sizes) < 2:
@@ -115,13 +112,6 @@ def scaling_probe(sizes: list[int], trials: int = 3,
             best = min(best, time.perf_counter() - start)
         measured[n] = best
     if any(t < MIN_TIMABLE_S for t in measured.values()):
-        return ComplexityProbe(sizes, measured)
-
-    xs = [n * math.log(n) for n in sizes]
-    ts = [measured[n] for n in sizes]
-    fit_a, fit_b = statistics.linear_regression(xs, ts)
-    residual = math.sqrt(statistics.fmean(
-        (fit_a * x + fit_b - t) ** 2 for x, t in zip(xs, ts)))
-    slope = statistics.linear_regression(
-        [math.log(n) for n in sizes], [math.log(t) for t in ts]).slope
-    return ComplexityProbe(sizes, measured, fit_a, fit_b, residual, slope)
+        return ComplexityProbe(measured)
+    return ComplexityProbe(measured, statistics.linear_regression(
+        [math.log(n) for n in measured], [math.log(t) for t in measured.values()]).slope)

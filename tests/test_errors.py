@@ -179,7 +179,7 @@ def test_replace_checks_the_new_field(good, change, message):
 @pytest.mark.parametrize("value", [
     analysis.Sheet([analysis.LinkRecord("Sun", 16.0, "f", linkmodel.Timestamp(13, 33, 40),
                                         1.328, 80.0, 0.0128425, "#Div/0!")]),
-    ptvda.ComplexityProbe([10, 20], {10: 1e-6, 20: 2e-6}),
+    ptvda.ComplexityProbe({10: 1e-6, 20: 2e-6}, 1.0),
     geomlink.PlanarMotion((3, 4), 1, 2),
     memtiming.CellMap([(5, 1), (7, 0)]),
 ])

@@ -2,7 +2,8 @@
 8n, and its CPU time may grow at most 20-fold. Linear work grows about 8x,
 n log n a little more, and a quadratic scan about 64x, so the wide bound
 catches a quadratic cliff without failing on a noisy machine. Each size
-takes the least of 3 runs of time.process_time().
+takes the least of 3 runs of time.process_time(). A failure also reports the
+growth exponent log(ratio) / log(GROWTH): 1 for linear, 2 for quadratic.
 
 This is the paper's timing probe (`ptvda.scaling_probe`) turned on the
 toolkit itself.
@@ -10,6 +11,7 @@ toolkit itself.
 
 import contextlib
 import io
+import math
 import time
 
 import pytest
@@ -90,4 +92,5 @@ def test_cpu_time_grows_less_than_quadratically(tmp_path, argv_of, n):
     small, large = argv_of(tmp_path, n), argv_of(tmp_path, GROWTH * n)
     assert _run(small) == 0  # warm-up: the first call loads the leaf's module
     ratio = _least_cpu_time(large) / _least_cpu_time(small)
-    assert ratio <= MAX_RATIO, f"{GROWTH}x the input took {ratio:.1f}x the CPU time"
+    assert ratio <= MAX_RATIO, (f"{GROWTH}x the input took {ratio:.1f}x the CPU time, "
+                                f"growth exponent {math.log(ratio) / math.log(GROWTH):.2f}")
