@@ -74,6 +74,7 @@ SUCCESS = [
     (["sort", "run", "--values", "5,-1.5,2e3,0,2"], "-1.5,0,2,5,2000\n"),
     (["sort", "run", "--values", "3,1,2"], "1,2,3\n"),
     (["sort", "classify", "--n", "inf", "--nprime", "10"], "Diverging\n"),
+    (["sort", "classify", "--n", "10", "--nprime", "20"], "Unit\n"),
     (["sort", "classify", "--n", "10", "--nprime", "1e8"], "Vanishing\n"),
     (["sort", "classify", "--n", "5", "--nprime", "7", "--bound", "1.1"],
      "Vanishing\n"),
