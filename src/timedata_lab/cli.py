@@ -120,7 +120,7 @@ def _probe(a) -> tuple[str, list[str]]:
 
 def _classify(a) -> str:
     bound = {} if a.bound is None else {"m_bound": a.bound}  # else classify_ratio's default
-    return ptvda.classify_ratio(a.n, a.nprime, **bound).value
+    return ptvda.classify_ratio(a.n, a.nprime, **bound)
 
 
 def _slope(a) -> str:
@@ -336,7 +336,8 @@ def _write(lines, text, code) -> int:
                 print(line, file=stream)  # write to a closed pipe can fall short unraised
             stream.flush()
         except OSError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), stream.fileno())
             code = 1
     return code
 

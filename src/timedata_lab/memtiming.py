@@ -24,9 +24,6 @@ class QubitState(record("QubitState", "a b")):
         for value in [getattr(z, p, None) for z in (a, b) for p in ("real", "imag")]:
             within(value, "qubit amplitudes must be finite complex numbers")
 
-    def norm(self) -> float:
-        return math.hypot(self.a.real, self.a.imag, self.b.real, self.b.imag)
-
 
 class Carrier(record("Carrier", "id arrival_time_s")):
     __slots__ = ()
@@ -95,7 +92,7 @@ def bit_frequency(a_in_bits: float, b_in_qbits: float, t_s: float) -> float:
 
 def validate_qubit(q: QubitState) -> bool:
     """True iff |a|^2 + |b|^2 is unit-norm within 1e-9."""
-    return abs(q.norm() - 1.0) <= QUBIT_NORM_TOL
+    return abs(math.hypot(q.a.real, q.a.imag, q.b.real, q.b.imag) - 1.0) <= QUBIT_NORM_TOL
 
 
 def phase_ratio_means(alpha: list[tuple[float, float]],

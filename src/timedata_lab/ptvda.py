@@ -7,7 +7,6 @@ import math
 import random
 import statistics
 import time
-from enum import Enum
 
 from .errors import TINY, DomainError, listed, quotient, record, within, within_int
 
@@ -36,12 +35,6 @@ class SortInstance(record("SortInstance", "elements partitions", defaults=(1,)))
         within(partitions, "more partitions than elements", high=max(1, size))
 
 
-class RatioClass(Enum):
-    UNIT = "Unit"
-    VANISHING = "Vanishing"
-    DIVERGING = "Diverging"
-
-
 # Measured sort timings ({size: best seconds}, in the order the sizes were given)
 # and their log-log slope, None when a timing is below clock resolution.
 ComplexityProbe = record("ComplexityProbe", "measured loglog_slope", defaults=(None,))
@@ -59,8 +52,8 @@ def parallel_sort(instance: SortInstance) -> list:
     return sorted(instance.elements)
 
 
-def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> RatioClass:
-    """Classify the asymptotic ratio n/n' into {Unit, Vanishing, Diverging}.
+def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> str:
+    """Classify the asymptotic ratio n/n' as "Unit", "Vanishing" or "Diverging".
 
     math.inf is the explicit infinity marker; finite ratios beyond m_bound
     (or below 1/m_bound) collapse to the corresponding limit class.
@@ -71,17 +64,17 @@ def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> RatioCla
     within(n, "n must be >= 1", 1, math.inf)
     within(n_prime, "n' must be >= 1", 1, math.inf)
     if n == math.inf:
-        return RatioClass.DIVERGING
+        return "Diverging"
     if n_prime == math.inf:
-        return RatioClass.VANISHING
+        return "Vanishing"
     if n == n_prime:
-        return RatioClass.UNIT
+        return "Unit"
     # A ratio beyond the float range is refused: quotient keeps every other exact.
     if quotient(n, n_prime, "size ratio") > m_bound:
-        return RatioClass.DIVERGING
+        return "Diverging"
     if quotient(n_prime, n, "size ratio") > m_bound:
-        return RatioClass.VANISHING
-    return RatioClass.UNIT
+        return "Vanishing"
+    return "Unit"
 
 
 def scaling_probe(sizes: list[int], trials: int = 3,

@@ -54,10 +54,8 @@ def test_sort_probe_runs_without_numpy():
     code = ("import sys; sys.modules['numpy'] = None\n"
             "from timedata_lab.cli import main\n"
             "sys.exit(main(['sort', 'probe', '--sizes', '1000,10000', '--seed', '0']))")
-    src = str(Path(timedata_lab.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": src})
+                          text=True, timeout=120, env=_cli_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n = 1000: ")
 
@@ -85,9 +83,8 @@ print(timedata_lab.optics.v_number.__name__, cli.optics is sys.modules["timedata
 
 
 def test_a_leaf_loads_only_the_kernel_it_runs():
-    src = str(Path(timedata_lab.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", LAZY_CODE], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+                          text=True, timeout=120, env=_cli_env())
     assert (proc.stderr, proc.returncode) == ("", 0)
     assert proc.stdout.splitlines() == [
         "[]", "1.25", "['timedata_lab.relativity']", "[]", "v_number True"]
@@ -136,6 +133,21 @@ def test_full_device_on_stdout_gets_exit_1_and_no_traceback(argv, unbuffered):
         proc = subprocess.run(_cli(*argv), stdout=full, stderr=subprocess.PIPE,
                               env=_cli_env(unbuffered), timeout=120)
     assert (proc.returncode, proc.stderr) == (1, b"")  # no `Exception ignored` either
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+                    reason="no /dev/full or /proc/self/fd")
+def test_failed_write_leaves_no_descriptor_open(monkeypatch):
+    # The stream that raised is pointed at os.devnull; the descriptor opened
+    # for that must not outlive the call, or each failed write in one process
+    # keeps one more open.
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert main(["rel", "gamma", "--beta", "0.6"]) == 1
+    monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.parametrize("closed", [False, True], ids=["reader-gone", "descriptor-closed"])

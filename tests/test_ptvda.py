@@ -5,7 +5,7 @@ import pytest
 
 from timedata_lab import ptvda
 from timedata_lab.errors import DomainError
-from timedata_lab.ptvda import RatioClass, SortInstance
+from timedata_lab.ptvda import SortInstance
 
 
 class TestParallelSort:
@@ -54,22 +54,22 @@ class TestParallelSort:
 
 class TestClassifyRatio:
     def test_unit(self):
-        assert ptvda.classify_ratio(42, 42) is RatioClass.UNIT
+        assert ptvda.classify_ratio(42, 42) == "Unit"
 
     def test_diverging_marker(self):
-        assert ptvda.classify_ratio(math.inf, 10) is RatioClass.DIVERGING
+        assert ptvda.classify_ratio(math.inf, 10) == "Diverging"
 
     def test_vanishing_marker(self):
-        assert ptvda.classify_ratio(10, math.inf) is RatioClass.VANISHING
+        assert ptvda.classify_ratio(10, math.inf) == "Vanishing"
 
     def test_vanishing_by_bound(self):
-        assert ptvda.classify_ratio(10, 10 ** 7, 1e3) is RatioClass.VANISHING
+        assert ptvda.classify_ratio(10, 10 ** 7, 1e3) == "Vanishing"
 
     def test_diverging_by_bound(self):
-        assert ptvda.classify_ratio(10 ** 7, 10, 1e3) is RatioClass.DIVERGING
+        assert ptvda.classify_ratio(10 ** 7, 10, 1e3) == "Diverging"
 
     def test_near_unity_within_bound(self):
-        assert ptvda.classify_ratio(10, 20) is RatioClass.UNIT
+        assert ptvda.classify_ratio(10, 20) == "Unit"
 
     def test_both_infinite_ambiguous(self):
         with pytest.raises(DomainError):
@@ -77,10 +77,10 @@ class TestClassifyRatio:
 
     # An inf bound still lets an inf size mark its class.
     @pytest.mark.parametrize("n,n_prime,expected", [
-        (math.inf, 10, RatioClass.DIVERGING), (10, math.inf, RatioClass.VANISHING),
-        (10 ** 400, math.inf, RatioClass.VANISHING), (10 ** 400, 10 ** 400, RatioClass.UNIT)])
+        (math.inf, 10, "Diverging"), (10, math.inf, "Vanishing"),
+        (10 ** 400, math.inf, "Vanishing"), (10 ** 400, 10 ** 400, "Unit")])
     def test_inf_bound(self, n, n_prime, expected):
-        assert ptvda.classify_ratio(n, n_prime, math.inf) is expected
+        assert ptvda.classify_ratio(n, n_prime, math.inf) == expected
 
     @pytest.mark.parametrize("n,n_prime,message", [
         (math.nan, 10, "n must be >= 1"), (-math.inf, 10, "n must be >= 1"),
