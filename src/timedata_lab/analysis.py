@@ -2,8 +2,6 @@
 with typed error sentinels, and renders the radar chart as standalone SVG.
 """
 
-from __future__ import annotations
-
 import contextlib
 import csv
 import html
@@ -185,16 +183,16 @@ MAX_SPOKES = 1500
 # Characters XML 1.0 forbids, which no escaping can carry into a label.
 _NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
-_ATTRIBUTES = (  # field, legend label, colour
-    ("epsilon_lm", "epsilon (Lm)", "#1f77b4"),
-    ("delta_t_s", "delta t (s)", "#ff7f0e"),
-    ("nu_delta_omega_hz", "nu_dw (Hz)", "#2ca02c"),
-    ("nu_displaced_hz", "nu_dw_x (Hz)", "#d62728"),
+_ATTRIBUTES = (  # field, legend label, colour, sentinels it may hold (as in the CSV)
+    ("epsilon_lm", "epsilon (Lm)", "#1f77b4", ()),
+    ("delta_t_s", "delta t (s)", "#ff7f0e", ()),
+    ("nu_delta_omega_hz", "nu_dw (Hz)", "#2ca02c", _SENTINELS),
+    ("nu_displaced_hz", "nu_dw_x (Hz)", "#d62728", _SENTINELS),
 )
 
 
-def _normalize(cells):
-    values = [None if v in _SENTINELS else finite(v, "result") for v in cells]
+def _normalize(cells, sentinels):
+    values = [None if v in sentinels else finite(v, "result") for v in cells]
     if not (numeric := [v for v in values if v is not None]):
         return None
     lo, hi = min(numeric), max(numeric)
@@ -248,8 +246,8 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
 
     legend_y = 20
     omitted = []
-    for attr, label, color in _ATTRIBUTES:
-        normalized = _normalize([getattr(r, attr) for r in sheet.records])
+    for attr, label, color, sentinels in _ATTRIBUTES:
+        normalized = _normalize([getattr(r, attr) for r in sheet.records], sentinels)
         if normalized is None:
             omitted.append(attr)
             continue

@@ -6,8 +6,6 @@ its row and calls that leaf's runner. Any other argv, help and usage errors
 included, goes to the argparse tree.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import importlib.util
@@ -53,7 +51,7 @@ def _csv_of(convert):
     return parse
 
 
-def load_config(path: str) -> tuple[list[linkmodel.Target], linkmodel.Timestamp]:
+def load_config(path: str) -> "tuple[list[linkmodel.Target], linkmodel.Timestamp]":
     """Load targets and defaults from an INI config.
 
     Expects [target.<name>] sections with distance_km / range_lm keys and

@@ -106,11 +106,11 @@ def within(value, message: str, low=-LARGEST, high=LARGEST, error=DomainError):
     raise error(message.format(value))
 
 
-def within_int(value, message: str, low=-LARGEST, high=LARGEST, error=DomainError):
+def within_int(value, message: str, low, high=LARGEST):
     """within(value, ...) for a value that must also be an int."""
     if isinstance(value, int) and low <= value <= high:
         return value
-    raise error(message.format(value))
+    raise DomainError(message.format(value))
 
 
 def listed(values, name: str) -> list:

@@ -1,8 +1,6 @@
 """Comlink plane geometry: slopes, segment lengths, shared-arc
 bookkeeping, midpoint Riemann sums and planar kinematics."""
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections.abc import Callable
@@ -91,7 +89,7 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
         return 0.0
     axes = [[lo + (i + 0.5) * h for i in range(n)] for lo, h, n in zip(lows, steps, counts)]
     total = sum(itertools.starmap(f, itertools.product(*axes)))
-    return finite(math.prod(steps, start=total), "integral")
+    return finite(math.prod(steps, start=finite(total, "integral")), "integral")
 
 
 def riemann_area(f: Callable[[float, float], float],

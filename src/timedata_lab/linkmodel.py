@@ -2,8 +2,6 @@
 frequency-resolution displacement, uncertainty check and jump probability.
 """
 
-from __future__ import annotations
-
 import math
 import re
 

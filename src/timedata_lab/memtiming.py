@@ -2,8 +2,6 @@
 validation, phase ratios, sheet resistance, transconductance, quantum
 efficiency and FIFO waterfall allocation."""
 
-from __future__ import annotations
-
 import math
 from operator import attrgetter
 

@@ -1,8 +1,6 @@
 """Fiber and Faraday-filter calculations: V-number, single-mode test,
 Snell ratio, rotation angle and thin-shell isolation geometry."""
 
-from __future__ import annotations
-
 import math
 
 from .errors import (TINY, ThinShellError, TotalInternalReflection, finite, quotient,

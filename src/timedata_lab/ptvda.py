@@ -1,8 +1,6 @@
 """Partitioned sort with complexity instrumentation and asymptotic-ratio
 classification."""
 
-from __future__ import annotations
-
 import math
 import random
 import statistics

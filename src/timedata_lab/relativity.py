@@ -2,8 +2,6 @@
 proper time, polar/Jacobian machinery, charge bookkeeping and Moire
 wavelength."""
 
-from __future__ import annotations
-
 import math
 
 from .errors import TINY, DivisionByZeroSignal, finite, quotient, record, within

@@ -501,10 +501,12 @@ class TestRadarChart:
         assert not path.exists()
 
     # Cells are read as emit_csv writes them: an inf cell would give nan
-    # points, and text other than the two sentinels would be drawn as one.
+    # points, and other text, or a sentinel outside the two resolution fields,
+    # would be drawn as a sentinel.
     @pytest.mark.parametrize("value,message", [
         (math.inf, "result not finite: inf"), ("abc", "result not a number: 'abc'"),
-    ], ids=["inf epsilon", "text epsilon"])
+        (DIV0, "result not a number: '#Div/0!'"),
+    ], ids=["inf epsilon", "text epsilon", "sentinel epsilon"])
     def test_cell_not_a_finite_number_keeps_old_file(self, tmp_path, sun_sheet, value,
                                                      message):
         path = tmp_path / "chart.svg"

@@ -1,16 +1,20 @@
 """The one number rule: finite_float(), plain_float(), plain_int(), within(),
 within_int(), finite(), quotient() and finite_text(); and record(), whose
-checked records check a replaced field as the constructor does."""
+checked records check a replaced field as the constructor does and keep no
+instance dict."""
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 import re
 import sys
 from fractions import Fraction
 
 import pytest
 
+import timedata_lab
 from timedata_lab import (analysis, errors, geomlink, linkmodel, memtiming, optics, ptvda,
                           relativity)
 from timedata_lab.errors import (DomainError, TimedataError, finite, quotient, within,
@@ -188,3 +192,14 @@ def test_records_survive_pickle_and_deepcopy(value):
         assert copied == value and type(copied) is type(value)
     if isinstance(value, memtiming.CellMap):
         assert pickle.loads(pickle.dumps(value)).address_at_rank(0) == 7
+
+
+# A record's `__slots__ = ()` leaves it no instance dict, so no attribute beyond its
+# fields; CellMap alone keeps one, for its rank map.
+def test_records_have_no_instance_dict_but_cell_map():
+    records = {obj for info in pkgutil.iter_modules(timedata_lab.__path__, "timedata_lab.")
+               for obj in vars(importlib.import_module(info.name)).values()
+               if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+               and obj.__module__ == info.name}
+    assert len(records) >= 20 and memtiming.CellMap in records
+    assert [cls for cls in records if cls.__dictoffset__] == [memtiming.CellMap]
