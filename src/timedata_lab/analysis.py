@@ -12,8 +12,8 @@ import re
 import stat
 
 from . import linkmodel
-from .errors import (ChartError, CsvParseError, DivergenceSignal, DivisionByZeroSignal,
-                     DomainError, finite, finite_float, finite_text, listed, record, within)
+from .errors import (DivergenceSignal, DivisionByZeroSignal, DomainError, finite, finite_float,
+                     finite_text, listed, record, within)
 from .linkmodel import Target, Timestamp
 
 DIV0 = "#Div/0!"
@@ -169,7 +169,7 @@ def parse_csv(path) -> Sheet:
         except UnicodeDecodeError:
             raise  # not a CSV fault: the file is not UTF-8
         except (csv.Error, ValueError, DomainError) as exc:  # their messages quote the cell
-            raise CsvParseError(str(exc), reader.line_num or 1) from None  # 0: empty file
+            raise DomainError(f"line {reader.line_num or 1}: {exc}") from None  # 0: empty file
     return Sheet(records=records)
 
 
@@ -214,9 +214,9 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
     """
     n = len(sheet.records)
     if n < 3:
-        raise ChartError(f"radar chart needs >= 3 records, got {n}")
+        raise DomainError(f"radar chart needs >= 3 records, got {n}")
     if n > MAX_SPOKES:
-        raise ChartError(f"radar chart takes <= {MAX_SPOKES} records, got {n}")
+        raise DomainError(f"radar chart takes <= {MAX_SPOKES} records, got {n}")
 
     # (cos, sin) of each spoke; a point at radius frac is _CENTER + _RADIUS * frac * cos.
     spokes = [(math.cos(angle), math.sin(angle))
@@ -228,13 +228,15 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
         f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}" version="1.1">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
-    # Spokes and record labels; each distinct name is checked and escaped once.
+    # Spokes and record labels; each distinct name is checked for XML and escaped once.
     escaped = {}
     for record, (c, s) in zip(sheet.records, spokes):
+        if not isinstance(record.target_name, str):  # before the lookup: a list has no hash
+            raise DomainError(f"target name must be text, got {record.target_name!r}")
         if (name := escaped.get(record.target_name)) is None:
             if _NOT_XML.search(record.target_name):
-                raise ChartError(f"target name {record.target_name!r} holds a "
-                                 "character XML cannot carry")
+                raise DomainError(f"target name {record.target_name!r} holds a "
+                                  "character XML cannot carry")
             name = escaped[record.target_name] = html.escape(record.target_name, quote=False)
         parts.append(
             f'<line x1="{_CENTER}" y1="{_CENTER}" x2="{_CENTER + _RADIUS * c:.2f}" '

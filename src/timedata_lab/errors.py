@@ -12,7 +12,7 @@ TINY = math.ulp(0.0)  # the least positive float: a low bound of TINY means > 0
 
 
 class TimedataError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; the CLI exits 1 on one."""
 
 
 class DomainError(TimedataError):
@@ -25,30 +25,6 @@ class DivisionByZeroSignal(TimedataError):
 
 class DivergenceSignal(TimedataError):
     """Declared divergent limit (distinct from plain division by zero)."""
-
-
-class TotalInternalReflection(TimedataError):
-    """Snell ratio exceeded 1; refracted ray does not exist."""
-
-
-class ThinShellError(DomainError):
-    """Shell thickness too large for the thin-shell approximation."""
-
-
-class CapacityError(TimedataError):
-    """More carriers than memory cells."""
-
-
-class CsvParseError(TimedataError):
-    """Malformed CSV row; carries the 1-based line number."""
-
-    def __init__(self, message, line_number):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
-class ChartError(TimedataError):
-    """Radar chart cannot be drawn from the given sheet."""
 
 
 def finite_float(text: str) -> float:

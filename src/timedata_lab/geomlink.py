@@ -88,7 +88,10 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
     if 0 in steps:
         return 0.0
     axes = [[lo + (i + 0.5) * h for i in range(n)] for lo, h, n in zip(lows, steps, counts)]
-    total = sum(itertools.starmap(f, itertools.product(*axes)))
+    try:  # fsum rounds once, so the sum is the same on every Python version
+        total = math.fsum(itertools.starmap(f, itertools.product(*axes)))
+    except (OverflowError, ValueError):  # a sum or an int past the float range; inf - inf
+        total = math.nan
     return finite(math.prod(steps, start=finite(total, "integral")), "integral")
 
 

@@ -22,6 +22,8 @@ class Target(record("Target", "name distance_km range_lm")):
     __slots__ = ()
 
     def __init__(self, name: str, distance_km: float, range_lm: float):
+        if not isinstance(name, str):
+            raise DomainError(f"target name must be text, got {name!r}")
         for value in (distance_km, range_lm):
             within(value, "target distance and range must be positive", TINY)
 

@@ -5,7 +5,7 @@ efficiency and FIFO waterfall allocation."""
 import math
 from operator import attrgetter
 
-from .errors import (TINY, CapacityError, DivisionByZeroSignal, DomainError, finite, listed,
+from .errors import (TINY, DivisionByZeroSignal, DomainError, finite, listed,
                      quotient, record, within)
 
 QUBIT_NORM_TOL = 1e-9
@@ -159,8 +159,7 @@ def waterfall_allocate(carriers: list[Carrier], cells: CellMap) -> dict[int, int
     """
     carriers = listed(carriers, "carriers")
     if len(carriers) > len(cells.cells):
-        raise CapacityError(
-            f"{len(carriers)} carriers exceed {len(cells.cells)} cells")
+        raise DomainError(f"{len(carriers)} carriers exceed {len(cells.cells)} cells")
     # Two stable sorts, by id and then by arrival, give the order of (arrival, id);
     # a one-field key compares faster than a tuple.
     carriers.sort(key=attrgetter("id"))

@@ -3,8 +3,7 @@ Snell ratio, rotation angle and thin-shell isolation geometry."""
 
 import math
 
-from .errors import (TINY, ThinShellError, TotalInternalReflection, finite, quotient,
-                     record, within)
+from .errors import TINY, DomainError, finite, quotient, record, within
 
 # Single-mode cutoff used by this toolkit (documented divergence from the
 # textbook 2.405).
@@ -61,13 +60,12 @@ def is_single_mode(v: float) -> bool:
 def snell_refracted_angle(theta1_rad: float, n1: float, n2: float) -> float:
     """Refracted angle arcsin(sin(theta1) * n1/n2).
 
-    Raises TotalInternalReflection when the Snell ratio exceeds 1.
+    Raises DomainError when the Snell ratio exceeds 1 (total internal reflection).
     """
     ratio = quotient(math.sin(finite(theta1_rad, "incidence angle")) * finite(n1, "n1"),
                      finite(n2, "n2"), "Snell ratio")
     if abs(ratio) > 1.0:
-        raise TotalInternalReflection(
-            f"sin(theta1)*n1/n2 = {ratio:.6g} outside [-1, 1]")
+        raise DomainError(f"sin(theta1)*n1/n2 = {ratio:.6g} outside [-1, 1]")
     return math.asin(ratio)
 
 
@@ -83,8 +81,7 @@ def isolation_geometry(s: IsolationShell) -> tuple[float, float]:
     Area 2*pi*b*(b + l); volume 2*pi*<r>*l*b (shell method).
     """
     b = within(s.shell_thickness_m, _THIN_SHELL,
-               high=math.nextafter(THIN_SHELL_FACTOR * s.circular_radius_m, 0.0),
-               error=ThinShellError)
+               high=math.nextafter(THIN_SHELL_FACTOR * s.circular_radius_m, 0.0))
     area = 2.0 * math.pi * b * (b + s.length_m)
     volume = 2.0 * math.pi * s.mean_radius_m * s.length_m * b
     return (finite(area, "shell area"), finite(volume, "shell volume"))

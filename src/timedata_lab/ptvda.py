@@ -45,9 +45,13 @@ def parallel_sort(instance: SortInstance) -> list:
     going to the lower partition is exactly one stable sort of the whole
     list, so that is what runs. Sorting the partitions on threads would
     not be faster: the interpreter lock serialises them, and a merge in
-    Python costs more than the sort it saves.
+    Python costs more than the sort it saves. Elements that do not order
+    against each other (1 and "a", None and None) raise DomainError.
     """
-    return sorted(instance.elements)
+    try:
+        return sorted(instance.elements)
+    except TypeError as exc:
+        raise DomainError(f"sort elements do not order: {exc}") from None
 
 
 def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> str:

@@ -3,6 +3,7 @@ ints beyond it, None or text, returns a finite result or raises a
 TimedataError, and nothing else."""
 
 import inspect
+import itertools
 import math
 
 import pytest
@@ -33,7 +34,9 @@ POINT = st.builds(geomlink.Point2, X, X)
 POLAR = st.builds(relativity.PolarPoint, X, st.one_of(X, st.floats(-math.pi, math.pi)))
 ELECTRODE = st.builds(memtiming.ElectrodeGeometry, X, X, X, X)
 COMPLEX = st.one_of(st.builds(complex, F, F), NOT_A_NUMBER)
-INTEGRAND = st.sampled_from([lambda *point: sum(point) + 1.0, lambda *point: -10**400])
+INTEGRAND = st.sampled_from([lambda *point: sum(point) + 1.0, lambda *point: -10**400,
+                             # 0.5 and 10**400 in turn: a float plus an int past its range
+                             lambda *point, values=itertools.cycle((0.5, 10**400)): next(values)])
 
 
 def _small(high):
@@ -48,7 +51,7 @@ def _allocation(arrivals):
 
 # Public kernel name -> strategy for its argument tuple. A record argument
 # is drawn through its constructor, whose own DomainError counts as typed.
-# Sort elements are any values that order, not numbers, so they stay floats.
+# Sort elements mix floats with values that may not order against them (None, text).
 KERNELS = {
     "geomlink.slope": st.tuples(POINT, POINT),
     "geomlink.segment_length": st.tuples(POINT, POINT),
@@ -85,7 +88,8 @@ KERNELS = {
     "optics.faraday_rotation": st.tuples(st.builds(optics.FaradayCell, X, X, X)),
     "optics.isolation_geometry": st.tuples(st.builds(optics.IsolationShell, X, X, X, X)),
     "ptvda.parallel_sort": st.tuples(
-        st.builds(ptvda.SortInstance, st.lists(F, max_size=6), _small(7))),
+        st.builds(ptvda.SortInstance, st.lists(st.one_of(F, NOT_A_NUMBER), max_size=6),
+                  _small(7))),
     "ptvda.classify_ratio": st.tuples(X, X, X),
     # Small sizes and trials: a probe times real sorts.
     "ptvda.scaling_probe": st.tuples(st.lists(st.one_of(st.integers(-1, 40), NOT_A_NUMBER),

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -255,6 +257,49 @@ class TestTripleIntegral:
         volume = math.prod(hi - lo for lo, hi in zip(box[::2], box[1::2]))
         assert gl.triple_integral(f, box, 11, 13, 7) == \
             pytest.approx(volume * f(*centre), rel=1e-12)
+
+
+def _rounded_once(f, bounds, counts):
+    """The midpoint rule at _midpoint_sum's points, their values added exactly as
+    Fractions and rounded once, then times the cell volume as _midpoint_sum does."""
+    lows = bounds[::2]
+    steps = [(hi - lo) / n for lo, hi, n in zip(lows, bounds[1::2], counts)]
+    axes = [[lo + (i + 0.5) * h for i in range(n)] for lo, h, n in zip(lows, steps, counts)]
+    total = float(sum(Fraction(f(*point)) for point in itertools.product(*axes)))
+    return math.prod(steps, start=total)
+
+
+_INTEGRANDS = {  # the bilinear and the x*y*t shapes are perfbench's alloc-integrate ones
+    2: {"affine": lambda x, y: 0.75 + 2.0 * x - 1.25 * y,
+        "exp(x - y)": lambda x, y: math.exp(x - y),
+        "sin(x * y)": lambda x, y: math.sin(x * y),
+        "bilinear": lambda x, y: 1.3 + 0.7 * x + 1.9 * y + 0.55 * x * y,
+        "1 / (1 + x^2 + y^2)": lambda x, y: 1.0 / (1.0 + x * x + y * y),
+        "cos(x) * y": lambda x, y: math.cos(x) * y},
+    3: {"affine": lambda x, y, t: 0.75 + 2.0 * x - 1.25 * y + 0.5 * t,
+        "exp(x - y - t)": lambda x, y, t: math.exp(x - y - t),
+        "sin(x * y * t)": lambda x, y, t: math.sin(x * y * t),
+        "x * y * t + t": lambda x, y, t: 0.9 + 1.6 * x * y * t + 0.6 * t,
+        "|(x, y, t)|": lambda x, y, t: math.hypot(x, y, t),
+        "x * y - t^2": lambda x, y, t: x * y - t * t},
+}
+_GRIDS = {
+    2: [((0, 1, 0, 1), (7, 5)), ((0.5, 3.25, -2.0, 1.5), (37, 23)),
+        ((-1.7, 0.2, -1, 2), (13, 9)), ((0.6, 2.9, 0.8, 3.1), (100, 100))],
+    3: [((0, 1, 0, 1, 0, 1), (5, 6, 7)), ((0.5, 3.25, -2.0, 1.5, 1.0, 4.5), (11, 13, 7)),
+        ((0.2, 1.7, -1, 2, 3, 0), (7, 5, 6)), ((0.6, 1.9, 0.7, 2.2, 0.9, 2.4), (20, 20, 20))],
+}
+
+
+# A float sum rounds at each step (Python 3.10 and 3.11) or compensates (3.12+), so
+# its last bits differ between versions; the sum rounded once is the same on each.
+@pytest.mark.parametrize("f,bounds,counts", [
+    pytest.param(f, bounds, counts, id=f"{name}-{'x'.join(map(str, counts))}")
+    for axes in (2, 3) for name, f in _INTEGRANDS[axes].items()
+    for bounds, counts in _GRIDS[axes]])
+def test_sum_is_rounded_once(f, bounds, counts):
+    midpoint_sum = gl.riemann_area if len(counts) == 2 else gl.triple_integral
+    assert midpoint_sum(f, bounds, *counts) == _rounded_once(f, bounds, counts)
 
 
 class TestTimeSplit:

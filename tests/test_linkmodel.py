@@ -49,6 +49,12 @@ class TestTarget:
     def test_largest_finite_fields(self):
         assert Target("a", 1.7e308, 1e-300).range_lm == 1e-300
 
+    # A name that is no text would reach the CSV as its repr and break the chart.
+    @pytest.mark.parametrize("name", [5, None, b"Sun"])
+    def test_refuses_a_name_not_text(self, name):
+        with pytest.raises(DomainError, match=f"^target name must be text, got {name!r}$"):
+            Target(name, 1.46e8, 8.3)
+
 
 class TestTimestamp:
     def test_parse_and_str(self):
