@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import random
 import stat
 import tempfile
 import threading
@@ -183,6 +184,44 @@ class TestCsv:
         analysis.emit_csv(Sheet(records=records), path)
         assert path.read_text() == (analysis.CSV_HEADER + "\n"
                                     + 3 * "X,1,f,12:00:00,1,60,0.1,#Div/0!\n")
+
+    # The bytes of a seeded 50 x 200 sheet with 0% and 100% rows, as the bulk-sheet
+    # benchmark builds one: a change to how emit_csv writes must keep them.
+    def test_seeded_sheet_bytes(self, tmp_path):
+        rng = random.Random(32)
+        targets = [Target(f"T{i:03d}", rng.uniform(1e6, 1e9), rng.uniform(0.5, 50.0))
+                   for i in range(50)]
+        progress = [0.0, 100.0] + [rng.uniform(0.0, 100.0) for _ in range(198)]
+        rng.shuffle(progress)
+        base = Timestamp(rng.randrange(6, 23), rng.randrange(60), rng.randrange(60))
+        path = tmp_path / "seeded.csv"
+        analysis.emit_csv(analysis.build_sheet(targets, progress, base), path)
+        data = path.read_bytes()
+        assert (data.count(DIV0.encode()), data.count(DIVERGES.encode())) == (50, 50)
+        assert hashlib.sha256(data).hexdigest() == (
+            "a3890026819f6a053a5cf7c75e0a3e550119373cd698995a75ff50b9e664c195")
+
+    # Cells that compare equal but print differently, some of them the same object
+    # in several rows: -0.0 and 0.0, 1 and True, the names 1 and 1.0, and a clock
+    # given as a Timestamp, as its text and as the plain tuple.
+    def test_equal_cells_that_print_differently(self, tmp_path):
+        minus_zero, zero, clock = -0.0, 0.0, Timestamp(12, 0, 0)
+        records = [
+            LinkRecord('a,"b"', minus_zero, 'f(x,y)|a,"b"', clock, zero, minus_zero, 1, True),
+            LinkRecord("", zero, "", "12:00:00", minus_zero, zero, DIV0, DIVERGES),
+            LinkRecord(1, True, "f(x,y)|1", (12, 0, 0), 1, True, zero, minus_zero),
+            LinkRecord(1.0, 1, "f(x,y)|1.0", clock, True, 1, float("-0"), 0),
+            LinkRecord('a,"b"', 0.0 * -1, 'f(x,y)|a,"b"', (12, 0, 0), -0.0, 0.0, DIV0, 2.5),
+        ]
+        path = tmp_path / "equal.csv"
+        analysis.emit_csv(Sheet(records=records), path)
+        assert path.read_text() == analysis.CSV_HEADER + "\n" + "".join(
+            f"{line}\n" for line in (
+                '"a,""b""",-0,"f(x,y)|a,""b""",12:00:00,0,-0,1,1',
+                ",0,,12:00:00,-0,0,#Div/0!,#Inf!",
+                '1,1,"f(x,y)|1","(12, 0, 0)",1,1,0,-0',
+                '1.0,1,"f(x,y)|1.0",12:00:00,1,1,-0,0',
+                '"a,""b""",-0,"f(x,y)|a,""b""","(12, 0, 0)",-0,0,#Div/0!,2.5'))
 
     def test_sentinel_literal_in_file(self, tmp_path, sun_sheet):
         path = tmp_path / "sheet.csv"
