@@ -44,7 +44,7 @@ def build_sheet(targets: list[Target], progress_list: list[float],
                 base_time: Timestamp) -> Sheet:
     """One record per (target, progress) in declared order; either may be an
     iterator, read once. More than MAX_SHEET_RECORDS raise DomainError before one is
-    built: at 275 B a record, and 190 B more in emit_csv, the cap peaks at 0.47 GB traced.
+    built: at 196 B a record, and 208 B more in emit_csv, the cap peaks at 0.40 GB traced.
 
     Division-by-zero and divergence signals from the link model are
     captured as typed sentinel cells, never raised to the caller.
@@ -54,27 +54,48 @@ def build_sheet(targets: list[Target], progress_list: list[float],
         raise DomainError("need at least one target and one progress value")
     within(len(targets) * len(progress_list),
            f"sheet takes <= {MAX_SHEET_RECORDS} records, got {{}}", high=MAX_SHEET_RECORDS)
+    try:  # each progress value and target checked once; epsilon is fraction * range
+        fractions = [linkmodel.epsilon_from_progress(p, 1.0) for p in progress_list]
+        for target in targets:
+            linkmodel._distance(target.distance_km)
+            linkmodel._range(target.range_lm)
+    except Exception:  # re-raised, unless a kernel refuses an earlier record
+        _first_bad_record(targets, progress_list, base_time)
+        raise
     records = []
-    shifted = {}  # whole-second shift -> Timestamp, for this call only
+    shifts = {}  # whole-second shift -> (its Timestamp, its float), for this call only
     for target in targets:
-        for progress in progress_list:
-            eps = linkmodel.epsilon_from_progress(progress, target.range_lm)
-            seconds = linkmodel.shift_seconds(eps)
-            if (stamp := shifted.get(seconds)) is None:
-                stamp = shifted[seconds] = linkmodel.shift_timestamp(base_time, eps)
-            delta_t = float(seconds)
+        name, distance, range_lm = target.name, target.distance_km, target.range_lm
+        label = f"f(x,y)|{name}"
+        for progress, fraction in zip(progress_list, fractions):
+            eps = fraction * range_lm
+            if (shift := shifts.get(seconds := linkmodel._seconds(eps))) is None:
+                shift = shifts[seconds] = (linkmodel.shift_timestamp(base_time, eps),
+                                           float(seconds))
             try:
-                nu = linkmodel.frequency_resolution(target.distance_km, progress)
+                nu = linkmodel._resolution(distance, progress)
             except DivisionByZeroSignal:
                 nu = DIV0
             try:
-                nu_x = linkmodel.displaced_frequency_resolution(
-                    target.distance_km, progress)
+                nu_x = linkmodel._displaced_resolution(distance, progress)
             except DivergenceSignal:
                 nu_x = DIVERGES
-            records.append(LinkRecord(target.name, progress, f"f(x,y)|{target.name}",
-                                      stamp, eps, delta_t, nu, nu_x))
+            records.append(LinkRecord(name, progress, label, shift[0], eps, shift[1],
+                                      nu, nu_x))
     return Sheet(records=records)
+
+
+def _first_bad_record(targets, progress_list, base_time) -> None:
+    """Call the kernels record by record, as the first that refuses a record
+    decides the error build_sheet raises."""
+    for target in targets:
+        for progress in progress_list:
+            eps = linkmodel.epsilon_from_progress(progress, target.range_lm)
+            linkmodel.shift_timestamp(base_time, eps)
+            with contextlib.suppress(DivisionByZeroSignal):
+                linkmodel.frequency_resolution(target.distance_km, progress)
+            with contextlib.suppress(DivergenceSignal):
+                linkmodel.displaced_frequency_resolution(target.distance_km, progress)
 
 
 def _write_text(path, text: str) -> None:
@@ -98,6 +119,7 @@ def _replace_file(path, data: bytes) -> bool:
     with one link (a symlink, a device, a FIFO, a hard link), or no temp
     file can be made or renamed onto it (a directory the writer cannot
     write, a file mounted on its own)."""
+    path = os.fsdecode(path)  # bytes too, as open() takes them: the temp name is text
     try:
         old = os.lstat(path)
     except OSError:
@@ -128,19 +150,53 @@ def _replace_file(path, data: bytes) -> bool:
     return True
 
 
+_MEMO_CELLS = 2 ** 16  # about 3 MB of remembered cells, traced
+
+
+class _Line:
+    """The file of a csv writer whose writerow returns the line, written nowhere."""
+    write = staticmethod(str)
+
+
 def emit_csv(sheet: Sheet, path) -> None:
     """Write the sheet as UTF-8 CSV with LF line endings, the f(x,y) label
     quoted. A record that cannot be written (a number not finite, text in a
     numeric cell, a sentinel outside the two resolution columns, a CR in a
     text cell) raises before an existing file is touched."""
+    line = csv.writer(_Line(), lineterminator="\n").writerow
+    # id of a cell object -> its CSV text and the comma after it, made once per
+    # object, as a sheet from build_sheet shares names, labels, progress values,
+    # clocks and shifts between records. A held object keeps its id, and equal
+    # objects that print differently (0.0 and -0.0) never share a text. Past
+    # _MEMO_CELLS objects the memo starts over: fresh objects in every record (a
+    # sheet parse_csv read) cost bounded memory.
+    texts, numbers, held = {}, {}, []
+
+    def remember(memo, cell, cell_text):
+        if len(held) >= _MEMO_CELLS:
+            texts.clear(), numbers.clear(), held.clear()
+        held.append(cell)
+        memo[id(cell)] = cell_text
+        return cell_text
+
+    def new_text(cell):  # quoted by csv; not a lone empty cell, which it writes as ""
+        return remember(texts, cell, line((str(cell), ""))[:-1])
+
+    def new_number(cell):
+        return remember(numbers, cell, finite_text(cell) + ",")
+
+    known_text, known_number = texts.get, numbers.get
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_COLUMNS)
+    write = buffer.write
+    write(CSV_HEADER + "\n")
     for name, progress, label, stamp, eps, delta_t, nu, nu_x in sheet.records:
-        writer.writerow((str(name), finite_text(progress), str(label),
-                         str(stamp), finite_text(eps), finite_text(delta_t),
-                         nu if nu in _SENTINELS else finite_text(nu),
-                         nu_x if nu_x in _SENTINELS else finite_text(nu_x)))
+        write(f"{known_text(id(name)) or new_text(name)}"
+              f"{known_number(id(progress)) or new_number(progress)}"
+              f"{known_text(id(label)) or new_text(label)}"
+              f"{known_text(id(stamp)) or new_text(stamp)}"
+              f"{finite_text(eps)},{known_number(id(delta_t)) or new_number(delta_t)}"
+              f"{nu if nu in _SENTINELS else finite_text(nu)},"
+              f"{nu_x if nu_x in _SENTINELS else finite_text(nu_x)}\n")
     if "\r" in (text := buffer.getvalue()):  # unquoted, a CR ends a row
         raise DomainError("a text cell holds a carriage return, which CSV cannot carry")
     _write_text(path, text)

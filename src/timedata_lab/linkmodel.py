@@ -66,16 +66,18 @@ class AmplitudeOverlap(record("AmplitudeOverlap", "re im")):
 
 
 def epsilon_from_progress(progress_pct: float, range_lm: float) -> float:
-    """Light-minutes already covered at a given progress percentage."""
+    """Light-minutes already covered at a given progress percentage. Linear in
+    the range: at a range of 1.0 it is progress_pct / 100 exactly, and that times
+    range_lm is the same float."""
     within(progress_pct, _PROGRESS, 0.0, 100.0)
-    return (progress_pct / 100.0) * within(range_lm, "range must be positive", TINY)
+    return (progress_pct / 100.0) * _range(range_lm)
 
 
 def shift_seconds(epsilon_lm: float) -> int:
     """round(epsilon * 60): whole seconds of travel time in epsilon light-minutes.
     More than a day (1440 Lm) rolls any clock back past 00:00:00."""
     within(epsilon_lm, "epsilon must be nonnegative", 0.0, math.inf)
-    return round(within(epsilon_lm, _PAST_MIDNIGHT, high=1440.0) * 60.0)
+    return _seconds(epsilon_lm)
 
 
 def shift_timestamp(local: Timestamp, epsilon_lm: float) -> Timestamp:
@@ -90,11 +92,9 @@ def shift_timestamp(local: Timestamp, epsilon_lm: float) -> Timestamp:
 
 def frequency_resolution(distance_km: float, progress_pct: float) -> float:
     """Effective frequency c / (distance * progress fraction), in Hz."""
-    within(distance_km, "distance must be positive", TINY)
-    if within(progress_pct, _PROGRESS, 0.0, 100.0) == 0:
-        raise DivisionByZeroSignal("frequency resolution undefined at 0% progress")
-    return quotient(C_KM_PER_S, float(distance_km) * progress_pct / 100.0,
-                    "frequency resolution")
+    _distance(distance_km)
+    within(progress_pct, _PROGRESS, 0.0, 100.0)
+    return _resolution(distance_km, progress_pct)
 
 
 def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> float:
@@ -103,8 +103,36 @@ def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> f
     Strictly increasing in progress; progress = 100 is a declared
     divergent limit, not a plain division error.
     """
-    within(distance_km, "distance must be positive", TINY)
-    if within(progress_pct, _PROGRESS, 0.0, 100.0) == 100.0:
+    _distance(distance_km)
+    within(progress_pct, _PROGRESS, 0.0, 100.0)
+    return _displaced_resolution(distance_km, progress_pct)
+
+
+# The argument checks and the formulas of the kernels above, apart: each kernel
+# checks every argument and evaluates its formula; analysis.build_sheet checks each
+# target and progress value once and evaluates the formulas per record.
+def _distance(distance_km):
+    return within(distance_km, "distance must be positive", TINY)
+
+
+def _range(range_lm):
+    return within(range_lm, "range must be positive", TINY)
+
+
+def _seconds(epsilon_lm) -> int:
+    """shift_seconds of an epsilon known to be nonnegative."""
+    return round(within(epsilon_lm, _PAST_MIDNIGHT, high=1440.0) * 60.0)
+
+
+def _resolution(distance_km, progress_pct) -> float:
+    if progress_pct == 0:
+        raise DivisionByZeroSignal("frequency resolution undefined at 0% progress")
+    return quotient(C_KM_PER_S, float(distance_km) * progress_pct / 100.0,
+                    "frequency resolution")
+
+
+def _displaced_resolution(distance_km, progress_pct) -> float:
+    if progress_pct == 100.0:
         raise DivergenceSignal("displaced resolution diverges at 100% progress")
     return quotient(C_KM_PER_S, distance_km * (1.0 - progress_pct / 100.0),
                     "displaced frequency resolution")

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timedata_lab import analysis
+from timedata_lab import analysis, linkmodel
 from timedata_lab.analysis import DIV0, DIVERGES, LinkRecord, Sheet
-from timedata_lab.errors import DomainError
+from timedata_lab.errors import DivergenceSignal, DivisionByZeroSignal, DomainError, TimedataError
 from timedata_lab.linkmodel import Target, Timestamp
 
 SUN = Target("Sun", 1.46e8, 8.3)
@@ -36,6 +36,42 @@ def _sentinels(sheet):
 
 class _FirstRecord(Exception):
     pass
+
+
+def _kernel_record(target, progress, base):
+    """The record for one (target, progress) pair, from the scalar kernels alone."""
+    eps = linkmodel.epsilon_from_progress(progress, target.range_lm)
+    stamp = linkmodel.shift_timestamp(base, eps)
+    delta_t = float(linkmodel.shift_seconds(eps))
+    try:
+        nu = linkmodel.frequency_resolution(target.distance_km, progress)
+    except DivisionByZeroSignal:
+        nu = DIV0
+    try:
+        nu_x = linkmodel.displaced_frequency_resolution(target.distance_km, progress)
+    except DivergenceSignal:
+        nu_x = DIVERGES
+    return LinkRecord(target.name, progress, f"f(x,y)|{target.name}", stamp, eps, delta_t,
+                      nu, nu_x)
+
+
+def _bits(record):
+    """Each field with its type, a float as its bits: -0.0 is not 0.0 here."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in record]
+
+
+# Targets as Target builds them, and as a tuple holds them unchecked (a distance or
+# range out of range, as pickle can restore one). Ranges reach past 1,440 Lm, where
+# a shift rolls back past midnight; distances reach down to where c / distance is inf.
+_DISTANCE = st.one_of(st.floats(1e-3, 1e12), st.sampled_from([5e-324, 1e-300]))
+_RANGE = st.one_of(st.floats(1e-3, 3000), st.sampled_from([1440.0, 1e300]))
+_TARGET = st.one_of(
+    st.builds(Target, st.sampled_from(["A", "B,", ""]), _DISTANCE, _RANGE),
+    st.builds(lambda *fields: tuple.__new__(Target, fields), st.just("U"),
+              st.one_of(_DISTANCE, st.sampled_from([0.0, -1.0, math.inf, math.nan])),
+              st.one_of(_RANGE, st.sampled_from([0.0, -1.0, math.inf, math.nan]))))
+_PROGRESS = st.one_of(st.floats(-10, 110), st.integers(-10, 110),
+                      st.sampled_from([-0.0, 0, 0.0, 100, 100.0]))
 
 
 @pytest.fixture
@@ -123,6 +159,24 @@ class TestBuildSheet:
     def test_shift_beyond_a_day_rolls_back(self):
         with pytest.raises(DomainError, match="^timestamp shift rolls back past midnight$"):
             analysis.build_sheet([SUN, Target("Far", 1.46e8, 1e307)], [50, 100], BASE)
+
+    # Each record, or the error of the first refused one, is what the kernels give
+    # one pair at a time.
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(targets=st.lists(_TARGET, min_size=1, max_size=4),
+           progress=st.lists(_PROGRESS, min_size=1, max_size=6),
+           base=st.builds(Timestamp, st.integers(0, 23), st.integers(0, 59),
+                          st.integers(0, 59)))
+    def test_records_equal_the_kernels_one_pair_at_a_time(self, targets, progress, base):
+        try:
+            want = [_kernel_record(t, p, base) for t in targets for p in progress]
+        except TimedataError as exc:
+            with pytest.raises(TimedataError) as got:
+                analysis.build_sheet(targets, progress, base)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        else:
+            sheet = analysis.build_sheet(targets, progress, base)
+            assert list(map(_bits, sheet.records)) == list(map(_bits, want))
 
     # Repeated progress values and targets give repeated clocks.
     def test_repeated_clocks_equal_records_built_one_by_one(self):
@@ -222,6 +276,16 @@ class TestCsv:
                 '1,1,"f(x,y)|1","(12, 0, 0)",1,1,0,-0',
                 '1.0,1,"f(x,y)|1.0",12:00:00,1,1,-0,0',
                 '"a,""b""",-0,"f(x,y)|a,""b""","(12, 0, 0)",-0,0,#Div/0!,2.5'))
+
+    # A memo with room for a few cells starts over often, and writes the same bytes.
+    @pytest.mark.parametrize("cells", [0, 1, 2, 5])
+    def test_memo_starting_over_writes_the_same_bytes(self, tmp_path, monkeypatch, cells):
+        sheet = analysis.build_sheet([SUN, Target("Moon", 384400, 0.0214)], PROGRESS, BASE)
+        full, small = tmp_path / "full.csv", tmp_path / "small.csv"
+        analysis.emit_csv(sheet, full)
+        monkeypatch.setattr(analysis, "_MEMO_CELLS", cells)
+        analysis.emit_csv(sheet, small)
+        assert small.read_bytes() == full.read_bytes()
 
     def test_sentinel_literal_in_file(self, tmp_path, sun_sheet):
         path = tmp_path / "sheet.csv"
@@ -345,6 +409,19 @@ class TestCsv:
         path = tmp_path / ("x" * 251 + ".csv")
         analysis.emit_csv(Sheet(records=[]), path)
         assert os.listdir(tmp_path) == [path.name]
+
+    # A bytes path, which open() takes too, writes what the same path as text does,
+    # to a new file and over an old one.
+    @pytest.mark.parametrize("write", [analysis.emit_csv, analysis.render_radar_chart])
+    def test_bytes_path_writes_the_same_bytes(self, tmp_path, sun_sheet, write):
+        text_path, bytes_path = tmp_path / "text.out", os.fsencode(tmp_path / "bytes.out")
+        write(sun_sheet, text_path)
+        write(sun_sheet, bytes_path)
+        assert (tmp_path / "bytes.out").read_bytes() == text_path.read_bytes()
+        (tmp_path / "bytes.out").write_text("old")
+        write(sun_sheet, bytes_path)
+        assert (tmp_path / "bytes.out").read_bytes() == text_path.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["bytes.out", "text.out"]
 
     def test_error_names_the_output_path(self, tmp_path, sun_sheet):
         with pytest.raises(IsADirectoryError) as exc:
