@@ -46,34 +46,33 @@ def build_sheet(targets: list[Target], progress_list: list[float],
     iterator, read once. More than MAX_SHEET_RECORDS raise DomainError before one is
     built: at 196 B a record, and 208 B more in emit_csv, the cap peaks at 0.40 GB traced.
 
-    Division-by-zero and divergence signals from the link model are
-    captured as typed sentinel cells, never raised to the caller.
+    The kernels check each progress value in the first row, and each range and
+    distance in the first record of its row, in their own order: the first record
+    they refuse decides the error. Division-by-zero and divergence signals from the
+    link model are captured as typed sentinel cells, never raised to the caller.
     """
     targets, progress_list = listed(targets, "targets"), listed(progress_list, "progress values")
     if not targets or not progress_list:
         raise DomainError("need at least one target and one progress value")
     within(len(targets) * len(progress_list),
            f"sheet takes <= {MAX_SHEET_RECORDS} records, got {{}}", high=MAX_SHEET_RECORDS)
-    try:  # each progress value and target checked once; epsilon is fraction * range
-        fractions = [linkmodel.epsilon_from_progress(p, 1.0) for p in progress_list]
-        for target in targets:
-            linkmodel._distance(target.distance_km)
-            linkmodel._range(target.range_lm)
-    except Exception:  # re-raised, unless a kernel refuses an earlier record
-        _first_bad_record(targets, progress_list, base_time)
-        raise
-    records = []
+    records, fractions = [], []  # fractions: epsilon at range 1 per progress value
     shifts = {}  # whole-second shift -> (its Timestamp, its float), for this call only
     for target in targets:
         name, distance, range_lm = target.name, target.distance_km, target.range_lm
         label = f"f(x,y)|{name}"
-        for progress, fraction in zip(progress_list, fractions):
-            eps = fraction * range_lm
+        first_row = not fractions
+        for i, progress in enumerate(progress_list):
+            if first_row:
+                fractions.append(linkmodel.epsilon_from_progress(progress, 1.0))
+            eps = (fractions[i] * range_lm if i
+                   else linkmodel.epsilon_from_progress(progress, range_lm))
             if (shift := shifts.get(seconds := linkmodel._seconds(eps))) is None:
                 shift = shifts[seconds] = (linkmodel.shift_timestamp(base_time, eps),
                                            float(seconds))
             try:
-                nu = linkmodel._resolution(distance, progress)
+                nu = (linkmodel._resolution if i else linkmodel.frequency_resolution)(
+                    distance, progress)
             except DivisionByZeroSignal:
                 nu = DIV0
             try:
@@ -83,19 +82,6 @@ def build_sheet(targets: list[Target], progress_list: list[float],
             records.append(LinkRecord(name, progress, label, shift[0], eps, shift[1],
                                       nu, nu_x))
     return Sheet(records=records)
-
-
-def _first_bad_record(targets, progress_list, base_time) -> None:
-    """Call the kernels record by record, as the first that refuses a record
-    decides the error build_sheet raises."""
-    for target in targets:
-        for progress in progress_list:
-            eps = linkmodel.epsilon_from_progress(progress, target.range_lm)
-            linkmodel.shift_timestamp(base_time, eps)
-            with contextlib.suppress(DivisionByZeroSignal):
-                linkmodel.frequency_resolution(target.distance_km, progress)
-            with contextlib.suppress(DivergenceSignal):
-                linkmodel.displaced_frequency_resolution(target.distance_km, progress)
 
 
 def _write_text(path, text: str) -> None:

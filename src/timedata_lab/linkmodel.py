@@ -70,7 +70,7 @@ def epsilon_from_progress(progress_pct: float, range_lm: float) -> float:
     the range: at a range of 1.0 it is progress_pct / 100 exactly, and that times
     range_lm is the same float."""
     within(progress_pct, _PROGRESS, 0.0, 100.0)
-    return (progress_pct / 100.0) * _range(range_lm)
+    return (progress_pct / 100.0) * within(range_lm, "range must be positive", TINY)
 
 
 def shift_seconds(epsilon_lm: float) -> int:
@@ -108,15 +108,11 @@ def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> f
     return _displaced_resolution(distance_km, progress_pct)
 
 
-# The argument checks and the formulas of the kernels above, apart: each kernel
-# checks every argument and evaluates its formula; analysis.build_sheet checks each
-# target and progress value once and evaluates the formulas per record.
+# The distance check and the formulas of the kernels above, apart: each kernel
+# checks every argument and evaluates its formula; analysis.build_sheet calls the
+# kernels where a check first falls due and the formulas for every other record.
 def _distance(distance_km):
     return within(distance_km, "distance must be positive", TINY)
-
-
-def _range(range_lm):
-    return within(range_lm, "range must be positive", TINY)
 
 
 def _seconds(epsilon_lm) -> int:

@@ -46,7 +46,10 @@ def parallel_sort(instance: SortInstance) -> list:
     list, so that is what runs. Sorting the partitions on threads would
     not be faster: the interpreter lock serialises them, and a merge in
     Python costs more than the sort it saves. Elements that do not order
-    against each other (1 and "a", None and None) raise DomainError.
+    against each other (1 and "a", None and None) raise DomainError. nan
+    compares false with everything, so it passes unrefused and the result is
+    not sorted around it: [3.0, nan, 1.0, 2.0] comes back as it is. Refusing it
+    would cost a scan of every element; `sort run` reads no nan (finite_float).
     """
     try:
         return sorted(instance.elements)

@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from timedata_lab import analysis, linkmodel
 from timedata_lab.analysis import DIV0, DIVERGES, LinkRecord, Sheet
@@ -60,14 +60,19 @@ def _bits(record):
     return [(type(v), v.hex() if isinstance(v, float) else v) for v in record]
 
 
-# Targets as Target builds them, and as a tuple holds them unchecked (a distance or
-# range out of range, as pickle can restore one). Ranges reach past 1,440 Lm, where
-# a shift rolls back past midnight; distances reach down to where c / distance is inf.
+def _unchecked(*fields):
+    """A Target as a tuple holds it unchecked, as pickle can restore one."""
+    return tuple.__new__(Target, fields)
+
+
+# Targets as Target builds them, and unchecked (a distance or range out of range).
+# Ranges reach past 1,440 Lm, where a shift rolls back past midnight; distances reach
+# down to where c / distance is inf.
 _DISTANCE = st.one_of(st.floats(1e-3, 1e12), st.sampled_from([5e-324, 1e-300]))
 _RANGE = st.one_of(st.floats(1e-3, 3000), st.sampled_from([1440.0, 1e300]))
 _TARGET = st.one_of(
     st.builds(Target, st.sampled_from(["A", "B,", ""]), _DISTANCE, _RANGE),
-    st.builds(lambda *fields: tuple.__new__(Target, fields), st.just("U"),
+    st.builds(_unchecked, st.just("U"),
               st.one_of(_DISTANCE, st.sampled_from([0.0, -1.0, math.inf, math.nan])),
               st.one_of(_RANGE, st.sampled_from([0.0, -1.0, math.inf, math.nan]))))
 _PROGRESS = st.one_of(st.floats(-10, 110), st.integers(-10, 110),
@@ -161,7 +166,14 @@ class TestBuildSheet:
             analysis.build_sheet([SUN, Target("Far", 1.46e8, 1e307)], [50, 100], BASE)
 
     # Each record, or the error of the first refused one, is what the kernels give
-    # one pair at a time.
+    # one pair at a time. The examples pin which check a record meets first: the range
+    # before the progress value of a later record, the shift before the distance, a
+    # first-row progress value before the distance of a later row, and the shift of a
+    # later record after a row's first.
+    @example(targets=[_unchecked("U", 1e8, math.nan)], progress=[16, 120], base=BASE)
+    @example(targets=[_unchecked("U", math.nan, 1e300)], progress=[50], base=BASE)
+    @example(targets=[SUN, _unchecked("U", -1.0, 8.3)], progress=[16, 32, 150], base=BASE)
+    @example(targets=[SUN, _unchecked("U", 1e8, 1e300)], progress=[0, 50], base=BASE)
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(targets=st.lists(_TARGET, min_size=1, max_size=4),
            progress=st.lists(_PROGRESS, min_size=1, max_size=6),

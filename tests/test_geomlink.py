@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,26 @@ class TestRiemannArea:
         assert gl.riemann_area(f, (x0, x1, y0, y1), 37, 23) == \
             pytest.approx(exact, rel=1e-12)
 
+    # fsum refuses a partial sum past the float range. The grid is then summed again
+    # exactly, so f runs twice, and only a result that is no finite float is refused.
+    @pytest.mark.parametrize("values,want", [
+        ([1e308] * 4, 1e308), ([1e308, 1e308, -1e308, -0.5e308], 1.25e307)])
+    def test_partial_sum_past_the_float_range(self, values, want):
+        cells, calls = dict(zip(itertools.product((0.25, 0.75), repeat=2), values)), []
+        f = lambda x, y: calls.append((x, y)) or cells[x, y]
+        assert gl.riemann_area(f, (0, 1, 0, 1), 2, 2) == want
+        assert calls[-4:] == list(cells)  # after the cells fsum took before it stopped
+
+    @pytest.mark.parametrize("values,message", [
+        ([1e308] * 4, "integral not finite: inf"),  # over (0, 4, 0, 4): 4e308
+        ([1e308, 1e308, "1.5", 1.0], "integral not a number: '1.5'"),  # Fraction reads text
+        ([1e308, 1e308, math.inf, 1.0], "integral not finite: nan"),
+        ([1e308, 1e308, math.nan, 1.0], "integral not a number: nan")])
+    def test_sum_past_the_float_range_refused(self, values, message):
+        cells = dict(zip(itertools.product((1.0, 3.0), repeat=2), values))
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            gl.riemann_area(lambda x, y: cells[x, y], (0, 4, 0, 4), 2, 2)
+
 
 class TestTripleIntegral:
     def test_unit_cube(self):
@@ -257,6 +278,9 @@ class TestTripleIntegral:
         volume = math.prod(hi - lo for lo, hi in zip(box[::2], box[1::2]))
         assert gl.triple_integral(f, box, 11, 13, 7) == \
             pytest.approx(volume * f(*centre), rel=1e-12)
+
+    def test_partial_sum_past_the_float_range(self):  # 8 cells of 1e308, 1/16 each
+        assert gl.triple_integral(lambda x, y, t: 1e308, (0, 1, 0, 1, 0, 0.5), 2, 2, 2) == 5e307
 
 
 def _rounded_once(f, bounds, counts):
