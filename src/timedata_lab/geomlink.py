@@ -74,9 +74,10 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
                   counts: tuple[int, ...]) -> float:
     """Midpoint-rule sum of f over the box bounds = (lo, hi, lo, hi, ...)
     with counts[i] cells along axis i, times the cell volume. The bounds may
-    be an iterator, read once. Where a partial sum or a value passes the float
-    range, f runs a second time over the grid, whose sum and volume are then
-    taken exactly as Fractions (some microseconds a cell) and rounded once."""
+    be an iterator, read once. Where fsum cannot add the values, f runs a second
+    time over the grid, so that an error of its own passes through, and the finite
+    values and the volume are taken exactly as Fractions (some microseconds a
+    cell) and rounded once."""
     bounds = listed(bounds, "integration bounds")
     if len(bounds) != 2 * len(counts):
         raise DomainError(f"need {2 * len(counts)} bounds (lo, hi per axis), got {bounds!r}")
@@ -92,17 +93,17 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
     axes = [[lo + (i + 0.5) * h for i in range(n)] for lo, h, n in zip(lows, steps, counts)]
     try:  # fsum rounds once, so the sum is the same on every Python version
         total = math.fsum(itertools.starmap(f, itertools.product(*axes)))
-    except OverflowError:  # a partial sum or an int past the float range
+    except (OverflowError, TypeError, ValueError):  # f's own errors too: raised again below
         from fractions import Fraction  # imported at start, it would cost 3-4 ms
-        try:  # within decides what a number is, as Fraction would read text
-            total = math.prod(map(Fraction, steps), start=sum(
-                Fraction(within(value, "integral not a number: {!r}", -math.inf, math.inf))
-                for value in itertools.starmap(f, itertools.product(*axes))))
-        except OverflowError:  # an inf value or step
-            total = math.nan
-        return finite(total, "integral")
-    except ValueError:  # inf - inf
-        total = math.nan
+        total, infs = 0, 0.0  # finite values added exactly, infinite ones as floats
+        for value in itertools.starmap(f, itertools.product(*axes)):
+            if abs(within(value, "integral not a number: {!r}", -math.inf, math.inf)) == math.inf:
+                infs += value  # nan for inf - inf
+            else:
+                total += Fraction(value)
+        if infs or math.inf in map(abs, steps):  # beside an inf, only signs count
+            return finite(math.prod(steps, start=infs or (total > 0) - (total < 0)), "integral")
+        return finite(math.prod(map(Fraction, steps), start=total), "integral")
     return finite(math.prod(steps, start=finite(total, "integral")), "integral")
 
 
@@ -139,5 +140,5 @@ def planar_kinematics(m: PlanarMotion) -> tuple[float, float, float]:
     """
     d = math.hypot(*m.displacement)
     v = quotient(d, m.t_s, "speed")
-    a = quotient(d, m.t_s * m.t_parallel_s, "acceleration")
+    a = quotient(v, m.t_parallel_s, "acceleration")
     return (v, a, v)

@@ -109,7 +109,8 @@ def phase_ratio_means(alpha: list[tuple[float, float]],
         raise DomainError("delta pole takes exactly 2 samples")
 
     def mean_ratio(pairs):
-        total = 0.0
+        from statistics import mean  # exact; imported at start, it would cost 5 ms
+        ratios = []
         for pair in pairs:
             try:
                 wr, rd = pair
@@ -117,8 +118,8 @@ def phase_ratio_means(alpha: list[tuple[float, float]],
                 raise DomainError(f"samples must be (write, read) pairs, got {pair!r}") from None
             if finite(rd, "read phase") == 0:
                 raise DivisionByZeroSignal("zero read phase")
-            total += finite(wr, "write phase") / rd
-        return finite(total / len(pairs), "mean phase ratio")
+            ratios.append(finite(wr, "write phase") / rd)
+        return finite(mean(ratios), "mean phase ratio")  # no partial sum can overflow
 
     return {"alpha": mean_ratio(alpha),
             "beta": mean_ratio(beta),

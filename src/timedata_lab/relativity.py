@@ -100,7 +100,7 @@ def charge_balance_inverse(q_t2, q_in: float, q_out: float):
 def charge_density(q_total_c: float, volume_m3: float) -> float:
     """Plate charge density Q / (2 * V); the factor 2 is part of the model."""
     within(volume_m3, "volume must be positive", TINY, error=DivisionByZeroSignal)
-    return quotient(finite(q_total_c, "charge"), 2.0 * volume_m3, "charge density")
+    return quotient(finite(q_total_c, "charge") / 2.0, volume_m3, "charge density")
 
 
 def moire_wavelength(x_delta0: float, x_delta: float, x_pattern: float) -> float:

@@ -87,6 +87,8 @@ SUCCESS = [
     (["geom", "split", "--t", "1e-200", "--tpar", "1e-200"], "2 (fold)\n"),
     (["geom", "kin", "--dx", "3", "--dy", "4", "--t", "2", "--tpar", "1"],
      "v = 2.5, a = 2.5, v_sync = 2.5\n"),
+    (["geom", "kin", "--dx", "1e300", "--dy", "0", "--t", "1e200", "--tpar", "1e200"],
+     "v = 1e+100, a = 1e-100, v_sync = 1e+100\n"),
 ]
 
 # Usage errors: exit 2, nothing on stdout.
@@ -368,6 +370,10 @@ def _written(argv):
     return code, text and text + "\n", "".join(line + "\n" for line in lines)
 
 
+# The reference tree, built once: an argparse parser reads any number of argvs.
+WHOLE_TREE = build_parser()
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_parser_argv())
 def test_parser_built_for_argv_reads_it_as_the_whole_tree(argv):
@@ -376,7 +382,7 @@ def test_parser_built_for_argv_reads_it_as_the_whole_tree(argv):
     assert printed == ["", ""]  # argparse's text goes to main, not to the streams
     if not isinstance(leaf, dict):  # an exit: the text main hands to _write
         leaf, *printed = _written(argv)
-    assert (leaf, *printed) == _parsed(build_parser().parse_args, joined)
+    assert (leaf, *printed) == _parsed(WHOLE_TREE.parse_args, joined)
 
 
 def test_leaf_argv_builds_no_parser_unless_argparse_reads_it(capsys, monkeypatch):

@@ -36,7 +36,9 @@ ELECTRODE = st.builds(memtiming.ElectrodeGeometry, X, X, X, X)
 COMPLEX = st.one_of(st.builds(complex, F, F), NOT_A_NUMBER)
 INTEGRAND = st.sampled_from([lambda *point: sum(point) + 1.0, lambda *point: -10**400,
                              # 0.5 and 10**400 in turn: a float plus an int past its range
-                             lambda *point, values=itertools.cycle((0.5, 10**400)): next(values)])
+                             lambda *point, values=itertools.cycle((0.5, 10**400)): next(values),
+                             # values that are no number
+                             lambda *point: "1.5", lambda *point: None, lambda *point: 1j])
 
 
 def _small(high):

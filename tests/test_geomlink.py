@@ -201,12 +201,29 @@ class TestRiemannArea:
     @pytest.mark.parametrize("values,message", [
         ([1e308] * 4, "integral not finite: inf"),  # over (0, 4, 0, 4): 4e308
         ([1e308, 1e308, "1.5", 1.0], "integral not a number: '1.5'"),  # Fraction reads text
-        ([1e308, 1e308, math.inf, 1.0], "integral not finite: nan"),
-        ([1e308, 1e308, math.nan, 1.0], "integral not a number: nan")])
+        ([1e308, 1e308, math.inf, 1.0], "integral not finite: inf"),  # as [inf, 1.0] reads
+        ([1e308, 1e308, math.nan, 1.0], "integral not a number: nan"),
+        # fsum's other failures take the same path: inf - inf, and values that are no number
+        ([math.inf, -math.inf, 1.0, 1.0], "integral not finite: nan"),
+        ([1.0, "1.5", 1.0, 1.0], "integral not a number: '1.5'"),
+        ([1.0, None, 1.0, 1.0], "integral not a number: None"),
+        ([1.0, 1j, 1.0, 1.0], "integral not a number: 1j")])
     def test_sum_past_the_float_range_refused(self, values, message):
         cells = dict(zip(itertools.product((1.0, 3.0), repeat=2), values))
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             gl.riemann_area(lambda x, y: cells[x, y], (0, 4, 0, 4), 2, 2)
+
+    def test_infinite_step_refused(self):  # 2e308 wide: the volume passes the float range
+        with pytest.raises(DomainError, match=r"^integral not finite: inf$"):
+            gl.riemann_area(lambda x, y: 1e308, (-1e308, 1e308, 0, 1), 1, 2)
+
+    # fsum passes on the integrand's own error; f raises it again, unchanged.
+    @pytest.mark.parametrize("f,error,message", [
+        (lambda x, y: math.log(x - 0.5), ValueError, "math domain error"),
+        (lambda x, y: math.exp(1000 * x), OverflowError, "math range error")])
+    def test_integrand_error_passes_through(self, f, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            gl.riemann_area(f, (0, 1, 0, 1), 2, 2)
 
 
 class TestTripleIntegral:
@@ -372,6 +389,10 @@ class TestPlanarKinematics:
     def test_nonpositive_times(self):
         with pytest.raises(DomainError):
             PlanarMotion((1, 1), 0, 1)
+
+    def test_acceleration_where_t_times_t_parallel_overflows(self):
+        assert gl.planar_kinematics(PlanarMotion((1e300, 0), 1e200, 1e200)) == \
+            (1e100, 1e-100, 1e100)
 
     @pytest.mark.parametrize("displacement", [(3, 4, 12), (), (5,), 5, None, iter((3, 4))])
     def test_displacement_must_be_two_parts(self, displacement):

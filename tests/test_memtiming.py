@@ -79,6 +79,10 @@ class TestPhaseRatios:
         with pytest.raises(DomainError, match=r"^samples must be \(write, read\) pairs, got "):
             mt.phase_ratio_means([(1, 1)] * 3 + [sample], [(1, 1)] * 4, [(1, 1)] * 2)
 
+    def test_mean_near_the_float_range(self):  # the sum of the ratios passes it
+        means = mt.phase_ratio_means([(1e308, 1)] * 4, [(1, 1)] * 4, [(1, 1)] * 2)
+        assert means == {"alpha": 1e308, "beta": 1.0, "delta": 1.0}
+
     def test_zero_read_phase(self):
         with pytest.raises(DivisionByZeroSignal):
             mt.phase_ratio_means([(1, 0)] * 4, [(1, 1)] * 4, [(1, 1)] * 2)

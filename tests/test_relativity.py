@@ -149,6 +149,9 @@ class TestChargeDensity:
     def test_electron_in_tiny_volume(self):
         assert rel.charge_density(1.6e-19, 1e-24) == pytest.approx(8e4)
 
+    def test_twice_the_volume_past_the_float_range(self):
+        assert rel.charge_density(1e300, 1e308) == 5e-9
+
     def test_zero_volume(self):
         with pytest.raises(DivisionByZeroSignal):
             rel.charge_density(1, 0)
