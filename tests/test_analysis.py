@@ -8,6 +8,7 @@ import stat
 import tempfile
 import threading
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -592,6 +593,27 @@ class TestRadarChart:
         assert hashlib.sha256(data).hexdigest() == (
             "d09d5918e1f3a635605442e2815f0438108022ea283314ca92a57d1bc8a8437f")
 
+    # Cells a CSV never holds but a caller may pass: epsilon spans more than the
+    # float range (so the span is halved), -0.0, the least subnormal, ints and a
+    # Fraction; names the XML escapes or that read as % directives; int progress.
+    def test_edge_cell_chart_bytes(self, tmp_path):
+        stamp = Timestamp(12, 0, 0)
+        records = [
+            LinkRecord("A & B", 0, "f", stamp, 1e308, 60.0, DIV0, 0.1),
+            LinkRecord("<tag>", 12.5, "f", stamp, -1e308, -0.0, 0.5, DIVERGES),
+            LinkRecord("100%s", 25, "f", stamp, -0.0, 5e-324, 2, 0.3),
+            LinkRecord("%d %%", 50.0, "f", stamp, 5e-324, Fraction(1, 3), Fraction(7, 2), 0.2),
+            LinkRecord("A & B", 100, "f", stamp, 3, 1, DIV0, 0.4),
+        ]
+        path = tmp_path / "edge.svg"
+        assert analysis.render_radar_chart(Sheet(records=records), path) == []
+        data = path.read_bytes()
+        assert b"A &amp; B 0%" in data and b"&lt;tag&gt; 12.5%" in data
+        assert b"100%s 25%" in data and b"%d %% 50%" in data
+        assert data.count(b'class="sentinel"') == 3
+        assert hashlib.sha256(data).hexdigest() == (
+            "44be71d2636ebada26ff0cf57f1f9477a5e6e014a979590f0bf13205a9836ac9")
+
     # Records are read in order: a bad name raises at its first record, before
     # that record's progress is formatted, and after the records before it.
     def test_first_bad_record_decides_the_error(self, tmp_path):
@@ -604,6 +626,17 @@ class TestRadarChart:
             analysis.render_radar_chart(Sheet(records=[
                 good, good._replace(progress_pct="<abc"), good._replace(target_name="A\x01")]),
                 path)
+        assert not path.exists()
+
+    # Spokes are drawn before the attributes: a bad name in record 1 raises
+    # before a bad epsilon cell in record 0.
+    def test_names_checked_before_attribute_cells(self, tmp_path):
+        good = LinkRecord("A", 1.0, "f", Timestamp(12, 0, 0), 1.0, 60.0, 0.1, 0.2)
+        path = tmp_path / "chart.svg"
+        with pytest.raises(DomainError, match="XML cannot carry"):
+            analysis.render_radar_chart(Sheet(records=[
+                good._replace(epsilon_lm=math.inf), good._replace(target_name="A\x01"),
+                good]), path)
         assert not path.exists()
 
     # A lone surrogate cannot come from a UTF-8 file, nor a name that is no text
