@@ -10,6 +10,7 @@ import math
 import os
 import re
 import stat
+from operator import attrgetter
 
 from . import linkmodel
 from .errors import (DivergenceSignal, DivisionByZeroSignal, DomainError, finite, finite_float,
@@ -224,6 +225,10 @@ _RADIUS = 240
 MAX_SPOKES = 1500
 # Characters XML 1.0 forbids, which no escaping can carry into a label.
 _NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# One spoke's line and label from 6 cells: x2, y2, label x, label y, name, progress.
+_SPOKE = (f'<line x1="{_CENTER}" y1="{_CENTER}" x2="%.2f" y2="%.2f" stroke="#cccccc" '
+          'stroke-width="1"/>\n<text x="%.2f" y="%.2f" font-size="11" '
+          'text-anchor="middle">%s %s%%</text>')
 
 _ATTRIBUTES = (  # field, legend label, colour, sentinels it may hold (as in the CSV)
     ("epsilon_lm", "epsilon (Lm)", "#1f77b4", ()),
@@ -234,6 +239,7 @@ _ATTRIBUTES = (  # field, legend label, colour, sentinels it may hold (as in the
 
 
 def _normalize(cells, sentinels):
+    """Radius fractions and checked cells, a sentinel as 0.0 and None; None if all are."""
     values = [None if v in sentinels else finite(v, "result") for v in cells]
     if not (numeric := [v for v in values if v is not None]):
         return None
@@ -242,9 +248,8 @@ def _normalize(cells, sentinels):
     # subnormal cells, so only such spans are halved.
     k = 0.5 if math.isinf(hi - lo) else 1.0
     span = k * hi - k * lo
-    return [(0.0, True) if v is None
-            else ((k * v - k * lo) / span if span else 1.0, False)
-            for v in values]
+    return [0.0 if v is None else (k * v - k * lo) / span if span else 1.0
+            for v in values], values
 
 
 def render_radar_chart(sheet: Sheet, path) -> list[str]:
@@ -254,15 +259,15 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
     Per-attribute min-max normalization to radius [0, 1]; sentinel cells
     sit at radius 0 with a marker. Output bytes are deterministic.
     """
-    n = len(sheet.records)
+    n = len(records := sheet.records)
     if n < 3:
         raise DomainError(f"radar chart needs >= 3 records, got {n}")
     if n > MAX_SPOKES:
         raise DomainError(f"radar chart takes <= {MAX_SPOKES} records, got {n}")
 
-    # (cos, sin) of each spoke; a point at radius frac is _CENTER + _RADIUS * frac * cos.
-    spokes = [(math.cos(angle), math.sin(angle))
-              for angle in (-math.pi / 2 + 2 * math.pi * i / n for i in range(n))]
+    # cos and sin of each spoke; a point at radius frac is _CENTER + _RADIUS * frac * cos.
+    angles = [-math.pi / 2 + 2 * math.pi * i / n for i in range(n)]
+    cos, sin = list(map(math.cos, angles)), list(map(math.sin, angles))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -270,42 +275,45 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
         f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}" version="1.1">',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
-    # Spokes and record labels; each distinct name is checked for XML and escaped once.
-    escaped = {}
-    for record, (c, s) in zip(sheet.records, spokes):
-        if not isinstance(record.target_name, str):  # before the lookup: a list has no hash
-            raise DomainError(f"target name must be text, got {record.target_name!r}")
-        if (name := escaped.get(record.target_name)) is None:
-            if _NOT_XML.search(record.target_name):
-                raise DomainError(f"target name {record.target_name!r} holds a "
-                                  "character XML cannot carry")
-            name = escaped[record.target_name] = html.escape(record.target_name, quote=False)
-        parts.append(
-            f'<line x1="{_CENTER}" y1="{_CENTER}" x2="{_CENTER + _RADIUS * c:.2f}" '
-            f'y2="{_CENTER + _RADIUS * s:.2f}" stroke="#cccccc" stroke-width="1"/>')
-        parts.append(
-            f'<text x="{_CENTER + _RADIUS * 1.08 * c:.2f}" '
-            f'y="{_CENTER + _RADIUS * 1.08 * s:.2f}" font-size="11" '
-            f'text-anchor="middle">{name} {finite_text(record.progress_pct)}%</text>')
+    # Record labels in record order, a name before its progress; each distinct
+    # name is checked for XML and escaped once. %s inserts them as data.
+    escaped, names, labels = {}, [], []
+    for name, progress in map(attrgetter("target_name", "progress_pct"), records):
+        if not isinstance(name, str):  # before the lookup: a list has no hash
+            raise DomainError(f"target name must be text, got {name!r}")
+        if (text := escaped.get(name)) is None:
+            if _NOT_XML.search(name):
+                raise DomainError(f"target name {name!r} holds a character XML cannot carry")
+            text = escaped[name] = html.escape(name, quote=False)
+        names.append(text)
+        labels.append(finite_text(progress))
+    cells = [None] * (6 * n)
+    cells[0::6] = [_CENTER + _RADIUS * c for c in cos]
+    cells[1::6] = [_CENTER + _RADIUS * s for s in sin]
+    cells[2::6] = [_CENTER + _RADIUS * 1.08 * c for c in cos]
+    cells[3::6] = [_CENTER + _RADIUS * 1.08 * s for s in sin]
+    cells[4::6], cells[5::6] = names, labels
+    parts.append("\n".join([_SPOKE] * n) % tuple(cells))
 
+    points = " ".join(["%.2f,%.2f"] * (n + 1))  # closed: the first point again
     legend_y = 20
     omitted = []
     for attr, label, color, sentinels in _ATTRIBUTES:
-        normalized = _normalize([getattr(r, attr) for r in sheet.records], sentinels)
+        normalized = _normalize(map(attrgetter(attr), records), sentinels)
         if normalized is None:
             omitted.append(attr)
             continue
-        points = [(_CENTER + _RADIUS * frac * c, _CENTER + _RADIUS * frac * s)
-                  for (frac, _), (c, s) in zip(normalized, spokes)]
-        point_text = " ".join(f"{x:.2f},{y:.2f}" for x, y in points + points[:1])  # closed
+        fracs, values = normalized
+        xy = [0.0] * (2 * n + 2)
+        xy[0:-2:2] = [_CENTER + _RADIUS * frac * c for frac, c in zip(fracs, cos)]
+        xy[1:-2:2] = [_CENTER + _RADIUS * frac * s for frac, s in zip(fracs, sin)]
+        xy[-2:] = xy[:2]
         parts.append(
-            f'<polyline points="{point_text}" fill="none" stroke="{color}" '
+            f'<polyline points="{points % tuple(xy)}" fill="none" stroke="{color}" '
             'stroke-width="2"/>')
-        for (x, y), (_, is_sentinel) in zip(points, normalized):
-            if is_sentinel:
-                parts.append(
-                    f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="{color}" '
-                    'class="sentinel"/>')
+        parts += [f'<circle cx="{xy[2 * i]:.2f}" cy="{xy[2 * i + 1]:.2f}" r="4" '
+                  f'fill="{color}" class="sentinel"/>'
+                  for i, v in enumerate(values) if v is None]
         parts.append(
             f'<rect x="16" y="{legend_y - 10}" width="12" height="12" '
             f'fill="{color}"/>')
