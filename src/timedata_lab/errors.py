@@ -9,6 +9,8 @@ from collections import namedtuple
 
 LARGEST = math.nextafter(math.inf, 0.0)  # sys.float_info.max
 TINY = math.ulp(0.0)  # the least positive float: a low bound of TINY means > 0
+# The least positive normal float: a result below it keeps fewer than 53 bits.
+NORMAL = sys.float_info.min
 
 
 class TimedataError(Exception):

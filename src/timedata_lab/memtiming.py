@@ -5,8 +5,8 @@ efficiency and FIFO waterfall allocation."""
 import math
 from operator import attrgetter
 
-from .errors import (TINY, DivisionByZeroSignal, DomainError, finite, listed,
-                     quotient, record, within)
+from .errors import (LARGEST, NORMAL, TINY, DivisionByZeroSignal, DomainError, finite,
+                     listed, quotient, record, within)
 
 QUBIT_NORM_TOL = 1e-9
 
@@ -85,7 +85,11 @@ def bit_frequency(a_in_bits: float, b_in_qbits: float, t_s: float) -> float:
     within(a_in_bits, "bit input must be nonnegative", 0.0)
     for value in (b_in_qbits, t_s):
         within(value, "qubit input and time must be positive", TINY, error=DivisionByZeroSignal)
-    return quotient(a_in_bits, b_in_qbits * t_s, "bit frequency")
+    if NORMAL <= (denominator := b_in_qbits * t_s) <= LARGEST:
+        return quotient(a_in_bits, denominator, "bit frequency")
+    from fractions import Fraction  # beyond the normal floats: divide exactly
+    return finite(Fraction(a_in_bits) / (Fraction(b_in_qbits) * Fraction(t_s)),
+                  "bit frequency")
 
 
 def validate_qubit(q: QubitState) -> bool:
@@ -133,7 +137,12 @@ def sheet_resistance(g: ElectrodeGeometry) -> float:
 
 def resistance(g: ElectrodeGeometry) -> float:
     """Electrode resistance Z * R_s with Z = L/W; square electrodes give R_s."""
-    return finite(g.length / g.width * sheet_resistance(g), "resistance")
+    z, r_s = g.length / g.width, sheet_resistance(g)
+    if NORMAL <= z <= LARGEST and NORMAL <= r_s:
+        return finite(z * r_s, "resistance")
+    from fractions import Fraction  # a factor beyond the normal floats: take all exactly
+    length, width, resistivity, thickness = map(Fraction, g)
+    return finite(length * resistivity / (width * thickness), "resistance")
 
 
 def transconductance_baseline(d_i_ds_a: float, d_v_gs_v: float) -> float:

@@ -3,7 +3,7 @@ Snell ratio, rotation angle and thin-shell isolation geometry."""
 
 import math
 
-from .errors import TINY, DomainError, finite, quotient, record, within
+from .errors import LARGEST, NORMAL, TINY, DomainError, finite, quotient, record, within
 
 # Single-mode cutoff used by this toolkit (documented divergence from the
 # textbook 2.405).
@@ -49,7 +49,16 @@ class IsolationShell(record("IsolationShell",
 def v_number(f: FiberSpec) -> float:
     """Normalized frequency (2*pi*a/lambda) * sqrt(n1^2 - n2^2)."""
     na = math.sqrt(float(f.n1) * f.n1 - float(f.n2) * f.n2)
-    return finite(2.0 * math.pi * f.core_radius_m / f.wavelength_m * na, "V-number")
+    scaled = 2.0 * math.pi * f.core_radius_m
+    if na <= LARGEST and NORMAL <= scaled and NORMAL <= (x := scaled / f.wavelength_m) <= LARGEST:
+        return finite(x * na, "V-number")
+    # A step left the normal floats: take each value exactly, and the square root of
+    # n1^2 - n2^2 scaled by 4**-e into [0, 1), rounded twice: to within an ulp.
+    from fractions import Fraction
+    radius, wavelength, n1, n2 = map(Fraction, f)
+    e = math.frexp(f.n1)[1]
+    na = math.ldexp(math.sqrt((n1 * n1 - n2 * n2) / 4 ** e), e)
+    return finite(Fraction(2.0 * math.pi) * radius / wavelength * Fraction(na), "V-number")
 
 
 def is_single_mode(v: float) -> bool:

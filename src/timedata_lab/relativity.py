@@ -4,7 +4,8 @@ wavelength."""
 
 import math
 
-from .errors import TINY, DivisionByZeroSignal, finite, quotient, record, within
+from .errors import (LARGEST, NORMAL, TINY, DivisionByZeroSignal, finite, quotient,
+                     record, within)
 from .units import C_KM_PER_S
 
 # Stationary storage projection factor, exact cos(pi/4).
@@ -108,4 +109,8 @@ def moire_wavelength(x_delta0: float, x_delta: float, x_pattern: float) -> float
     within(x_pattern, "pattern length must be positive", TINY, error=DivisionByZeroSignal)
     for value in (x_delta0, x_delta):
         within(value, "Moire lengths must be finite numbers, got {!r}")
-    return quotient(x_delta0 * x_delta, x_pattern, "Moire wavelength")
+    if NORMAL <= abs(product := x_delta0 * x_delta) <= LARGEST or not (x_delta0 and x_delta):
+        return quotient(product, x_pattern, "Moire wavelength")
+    from fractions import Fraction  # beyond the normal floats: divide exactly
+    return finite(Fraction(x_delta0) * Fraction(x_delta) / Fraction(x_pattern),
+                  "Moire wavelength")

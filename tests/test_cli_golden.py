@@ -49,6 +49,8 @@ SUCCESS = [
       "--mean-radius", "0.05", "--circ-radius", "0.05"],
      "A = 0.00628947 m^2, V = 0.000314159 m^3\n"),
     (["mem", "bitfreq", "--bits", "1", "--qbits", "2", "--time", "1"], "0.5 Hz\n"),
+    (["mem", "bitfreq", "--bits", "1e300", "--qbits", "1e200", "--time", "1e200"],
+     "1e-100 Hz\n"),
     (["mem", "sheetres", "--length", "2e-4", "--width", "1e-4",
       "--resistivity", "1e-6", "--thickness", "1e-7"],
      "R_s = 10 Ohm/sq, R = 20 Ohm\n"),

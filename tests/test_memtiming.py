@@ -23,6 +23,14 @@ class TestBitFrequency:
     def test_unit_case(self):
         assert mt.bit_frequency(1, 2, 1) == 0.5
 
+    # qbits * time overflows, or underflows to 0, while the result is a float.
+    @pytest.mark.parametrize("a,b,t,expected", [
+        (1e300, 1e200, 1e200, Fraction(1e300) / (Fraction(1e200) * Fraction(1e200))),
+        (1e-300, 1e-200, 1e-200, Fraction(1e-300) / (Fraction(1e-200) * Fraction(1e-200))),
+    ], ids=["overflow", "underflow"])
+    def test_denominator_beyond_the_normal_floats(self, a, b, t, expected):
+        assert mt.bit_frequency(a, b, t) == float(expected)
+
     def test_zero_denominator(self):
         with pytest.raises(DivisionByZeroSignal):
             mt.bit_frequency(1, 0, 1)
@@ -118,6 +126,11 @@ class TestResistance:
     def test_two_squares(self):
         g = ElectrodeGeometry(2.0, 1.0, 2.65e-8, 1e-7)
         assert mt.resistance(g) == pytest.approx(0.53)
+
+    # length / width overflows; the result is 1e290.
+    def test_square_count_past_the_float_range(self):
+        g = ElectrodeGeometry(1e300, 1e-10, 1e-20, 1.0)
+        assert mt.resistance(g) == float(Fraction(1e300) * Fraction(1e-20) / Fraction(1e-10))
 
     @given(st.floats(min_value=1e-9, max_value=1.0),
            st.floats(min_value=1e-9, max_value=1.0),

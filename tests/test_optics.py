@@ -18,6 +18,12 @@ def test_v_number_zero_aperture():
     assert optics.v_number(FiberSpec(1e-6, 1.55e-6, 1.48, 1.48)) == 0.0
 
 
+# n1 * n1 overflows; the true V-number is about 6.28e-100.
+def test_v_number_index_squared_past_the_float_range():
+    assert optics.v_number(FiberSpec(1e-300, 1.0, 1e200, 1.0)) == pytest.approx(
+        2 * math.pi * 1e-100, rel=1e-15)
+
+
 def test_v_number_linear_in_radius():
     base = optics.v_number(FiberSpec(1e-6, 1.55e-6, 1.48, 1.46))
     doubled = optics.v_number(FiberSpec(2e-6, 1.55e-6, 1.48, 1.46))

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -163,6 +164,11 @@ class TestMoire:
 
     def test_hand_arithmetic(self):
         assert rel.moire_wavelength(2, 3, 6) == 1.0
+
+    # x_delta0 * x_delta overflows; the result is 1e100.
+    def test_product_past_the_float_range(self):
+        assert rel.moire_wavelength(1e200, 1e200, 1e300) == float(
+            Fraction(1e200) * Fraction(1e200) / Fraction(1e300))
 
     def test_zero_denominators(self):
         with pytest.raises(DivisionByZeroSignal):
