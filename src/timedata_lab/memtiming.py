@@ -137,8 +137,8 @@ def sheet_resistance(g: ElectrodeGeometry) -> float:
 
 def resistance(g: ElectrodeGeometry) -> float:
     """Electrode resistance Z * R_s with Z = L/W; square electrodes give R_s."""
-    z, r_s = g.length / g.width, sheet_resistance(g)
-    if NORMAL <= z <= LARGEST and NORMAL <= r_s:
+    z, r_s = g.length / g.width, g.resistivity / g.thickness
+    if NORMAL <= z <= LARGEST and NORMAL <= r_s <= LARGEST:
         return finite(z * r_s, "resistance")
     from fractions import Fraction  # a factor beyond the normal floats: take all exactly
     length, width, resistivity, thickness = map(Fraction, g)

@@ -127,10 +127,14 @@ class TestResistance:
         g = ElectrodeGeometry(2.0, 1.0, 2.65e-8, 1e-7)
         assert mt.resistance(g) == pytest.approx(0.53)
 
-    # length / width overflows; the result is 1e290.
-    def test_square_count_past_the_float_range(self):
-        g = ElectrodeGeometry(1e300, 1e-10, 1e-20, 1.0)
-        assert mt.resistance(g) == float(Fraction(1e300) * Fraction(1e-20) / Fraction(1e-10))
+    # length / width, or resistivity / thickness, passes the float range; the
+    # resistance is 1e290 or 1e10.
+    @pytest.mark.parametrize("g", [ElectrodeGeometry(1e300, 1e-10, 1e-20, 1.0),
+                                   ElectrodeGeometry(1e-300, 1.0, 1e300, 1e-10)],
+                             ids=["squares", "sheet resistance"])
+    def test_factor_past_the_float_range(self, g):
+        length, width, resistivity, thickness = map(Fraction, g)
+        assert mt.resistance(g) == float(length * resistivity / (width * thickness))
 
     @given(st.floats(min_value=1e-9, max_value=1.0),
            st.floats(min_value=1e-9, max_value=1.0),
