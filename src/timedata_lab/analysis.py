@@ -10,12 +10,14 @@ import math
 import os
 import re
 import stat
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 
 from . import linkmodel
-from .errors import (DivergenceSignal, DivisionByZeroSignal, DomainError, finite, finite_float,
-                     finite_text, listed, record, within)
+from .errors import (LARGEST, NORMAL, TINY, DivergenceSignal, DivisionByZeroSignal, DomainError,
+                     finite, finite_float, finite_text, listed, record, within)
 from .linkmodel import Target, Timestamp
+from .units import C_KM_PER_S
 
 DIV0 = "#Div/0!"
 DIVERGES = "#Inf!"
@@ -47,42 +49,103 @@ def build_sheet(targets: list[Target], progress_list: list[float],
     iterator, read once. More than MAX_SHEET_RECORDS raise DomainError before one is
     built: at 196 B a record, and 208 B more in emit_csv, the cap peaks at 0.40 GB traced.
 
-    The kernels check each progress value in the first row, and each range and
-    distance in the first record of its row, in their own order: the first record
-    they refuse decides the error. Division-by-zero and divergence signals from the
-    link model are captured as typed sentinel cells, never raised to the caller.
+    Each target's row is built a column at a time, with the kernels' own expressions
+    in their own float order, where a check on the row's extremes shows that the
+    kernels would refuse none of its records and keep every denominator a normal
+    float (_fits). Any other row is built record by record from the kernels, which
+    run their checks in their own order: the first record they refuse decides the
+    error. Division-by-zero and divergence signals from the link model are captured
+    as typed sentinel cells, never raised to the caller.
     """
     targets, progress_list = listed(targets, "targets"), listed(progress_list, "progress values")
     if not targets or not progress_list:
         raise DomainError("need at least one target and one progress value")
     within(len(targets) * len(progress_list),
            f"sheet takes <= {MAX_SHEET_RECORDS} records, got {{}}", high=MAX_SHEET_RECORDS)
-    records, fractions = [], []  # fractions: epsilon at range 1 per progress value
-    shifts = {}  # whole-second shift -> (its Timestamp, its float), for this call only
+    plan, records = _Plan(progress_list, base_time), []
     for target in targets:
-        name, distance, range_lm = target.name, target.distance_km, target.range_lm
-        label = f"f(x,y)|{name}"
-        first_row = not fractions
-        for i, progress in enumerate(progress_list):
-            if first_row:
-                fractions.append(linkmodel.epsilon_from_progress(progress, 1.0))
-            eps = (fractions[i] * range_lm if i
-                   else linkmodel.epsilon_from_progress(progress, range_lm))
-            if (shift := shifts.get(seconds := linkmodel._seconds(eps))) is None:
-                shift = shifts[seconds] = (linkmodel.shift_timestamp(base_time, eps),
+        records += _row(target, plan)
+    return Sheet(records=records)
+
+
+_PLAIN = (int, float)  # the types of progress values, distances and ranges _fits reads
+
+
+class _Plan:
+    """What the rows of one build_sheet call share: the progress values, the base
+    clock and shifts (whole-second shift -> its Timestamp and its float, so that
+    records share them). shares is None unless every progress value is a plain
+    number in [0, 100]; then shares and rests hold each value's p / 100 and
+    1 - p / 100 as the kernels compute them, and the edges the values at which a
+    row's denominators d * p / 100 and d * rest, each monotonic in the progress
+    value, are least and greatest (a record with a sentinel has none)."""
+
+    def __init__(self, progress, base_time):
+        self.progress, self.base_time, self.shifts, self.shares = progress, base_time, {}, None
+        if all(type(p) in _PLAIN and 0 <= p <= 100 for p in progress):
+            self.shares = [p / 100.0 for p in progress]
+            self.rests = [1.0 - share for share in self.shares]
+            nonzero = [p for p in progress if p != 0]
+            rests = [rest for p, rest in zip(progress, self.rests) if p != 100.0]
+            self.progress_edges = (min(nonzero), max(nonzero)) if nonzero else ()
+            self.rest_edges = (min(rests), max(rests)) if rests else ()
+
+
+def _fits(plan, distance, range_lm) -> bool:
+    """Whether the kernels refuse no record of a row and keep every denominator a
+    normal float, read at the row's extremes: plain numbers in range, epsilon at
+    most 1440 Lm, no shift past midnight and c over each denominator finite."""
+    if (plan.shares is None or type(distance) not in _PLAIN or type(range_lm) not in _PLAIN
+            or not (TINY <= distance <= LARGEST and TINY <= range_lm <= LARGEST)
+            or not (top := max(plan.shares) * range_lm) <= 1440.0):
+        return False
+    # The kernels read the clock once the first record's epsilon is within 1440 Lm,
+    # so an error it raises here is theirs.
+    base = plan.base_time.total_seconds()
+    denominators = ([float(distance) * p / 100.0 for p in plan.progress_edges]
+                    + [distance * rest for rest in plan.rest_edges])
+    return (type(base) is int and round(top * 60.0) <= base < 86400
+            and all(NORMAL <= den <= LARGEST and C_KM_PER_S / den <= LARGEST
+                    for den in denominators))
+
+
+def _row(target: Target, plan: _Plan) -> list[LinkRecord]:
+    """One target's records in progress order: a column at a time where _fits,
+    else record by record from the kernels."""
+    name, distance, range_lm = target.name, target.distance_km, target.range_lm
+    label, shifts = f"f(x,y)|{name}", plan.shifts
+    if not _fits(plan, distance, range_lm):
+        records = []
+        for progress in plan.progress:
+            eps = linkmodel.epsilon_from_progress(progress, range_lm)
+            if (shift := shifts.get(seconds := linkmodel.shift_seconds(eps))) is None:
+                shift = shifts[seconds] = (linkmodel.shift_timestamp(plan.base_time, eps),
                                            float(seconds))
             try:
-                nu = (linkmodel._resolution if i else linkmodel.frequency_resolution)(
-                    distance, progress)
+                nu = linkmodel.frequency_resolution(distance, progress)
             except DivisionByZeroSignal:
                 nu = DIV0
             try:
-                nu_x = linkmodel._displaced_resolution(distance, progress)
+                nu_x = linkmodel.displaced_frequency_resolution(distance, progress)
             except DivergenceSignal:
                 nu_x = DIVERGES
             records.append(LinkRecord(name, progress, label, shift[0], eps, shift[1],
                                       nu, nu_x))
-    return Sheet(records=records)
+        return records
+    eps = [share * range_lm for share in plan.shares]
+    seconds = list(map(round, [e * 60.0 for e in eps]))
+    if new := set(seconds).difference(shifts):
+        base = plan.base_time.total_seconds()
+        for s in new:  # shift_timestamp's clock, which _fits keeps in range
+            shifts[s] = (Timestamp.from_seconds(base - s), float(s))
+    shifted = list(map(shifts.__getitem__, seconds))
+    # The kernels' sentinels: #Div/0! where progress is 0, the one falsy value, and
+    # #Inf! where it is 100, whose rest is the one rest of 0 in a row that _fits.
+    c, d = C_KM_PER_S, float(distance)
+    return list(map(LinkRecord, repeat(name), plan.progress, repeat(label),
+                    map(itemgetter(0), shifted), eps, map(itemgetter(1), shifted),
+                    [c / (d * p / 100.0) if p else DIV0 for p in plan.progress],
+                    [c / (distance * rest) if rest else DIVERGES for rest in plan.rests]))
 
 
 def _write_text(path, text: str) -> None:
@@ -145,6 +208,23 @@ class _Line:
     write = staticmethod(str)
 
 
+_FLOAT_TEXT = "{:.6g}".format  # finite_text's text of a finite float
+# The record fields of epsilon_lm, nu_dw_hz and nu_dw_x_hz, and the sentinels each may hold.
+_UNSHARED_NUMBERS = ((4, ()), (6, _SENTINELS), (7, _SENTINELS))
+
+
+def _floats(records, field: int, sentinels) -> bool:
+    """Whether every record's cell at field is a float or one of sentinels, and
+    the floats' sum is finite, as it is only where each float is."""
+    zeros = dict.fromkeys(sentinels, 0.0).get
+    try:
+        cells = list(map(itemgetter(field), records))
+        return ({*map(type, cells)} <= {float, str}
+                and math.isfinite(sum(map(zeros, cells, cells))))
+    except (TypeError, LookupError):  # a record with no such cell, or text no sentinel
+        return False
+
+
 def emit_csv(sheet: Sheet, path) -> None:
     """Write the sheet as UTF-8 CSV with LF line endings, the f(x,y) label
     quoted. A record that cannot be written (a number not finite, text in a
@@ -173,17 +253,24 @@ def emit_csv(sheet: Sheet, path) -> None:
         return remember(numbers, cell, finite_text(cell) + ",")
 
     known_text, known_number = texts.get, numbers.get
+    if type(records := sheet.records) is not list:
+        records = list(records)  # read twice: by the column checks and by the loop
+    # Each unshared number column is checked once: a column _floats passes is
+    # written without the per-cell check, which none of its cells would fail.
+    eps_text, nu_text, nu_x_text = (_FLOAT_TEXT if _floats(records, field, sentinels)
+                                    else finite_text
+                                    for field, sentinels in _UNSHARED_NUMBERS)
     buffer = io.StringIO()
     write = buffer.write
     write(CSV_HEADER + "\n")
-    for name, progress, label, stamp, eps, delta_t, nu, nu_x in sheet.records:
+    for name, progress, label, stamp, eps, delta_t, nu, nu_x in records:
         write(f"{known_text(id(name)) or new_text(name)}"
               f"{known_number(id(progress)) or new_number(progress)}"
               f"{known_text(id(label)) or new_text(label)}"
               f"{known_text(id(stamp)) or new_text(stamp)}"
-              f"{finite_text(eps)},{known_number(id(delta_t)) or new_number(delta_t)}"
-              f"{nu if nu in _SENTINELS else finite_text(nu)},"
-              f"{nu_x if nu_x in _SENTINELS else finite_text(nu_x)}\n")
+              f"{eps_text(eps)},{known_number(id(delta_t)) or new_number(delta_t)}"
+              f"{nu if nu in _SENTINELS else nu_text(nu)},"
+              f"{nu_x if nu_x in _SENTINELS else nu_x_text(nu_x)}\n")
     if "\r" in (text := buffer.getvalue()):  # unquoted, a CR ends a row
         raise DomainError("a text cell holds a carriage return, which CSV cannot carry")
     _write_text(path, text)

@@ -12,6 +12,7 @@ from .units import C_KM_PER_S
 TWO_PI = 2.0 * math.pi
 _HHMMSS = re.compile(r"([0-9]{2}):([0-9]{2}):([0-9]{2})")  # int() also takes "1_3"
 _PROGRESS = "progress must be in [0, 100], got {}"
+_DISTANCE = "distance must be positive"
 _PAST_MIDNIGHT = "timestamp shift rolls back past midnight"
 _TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))  # a clock field's text, by value
 
@@ -42,6 +43,11 @@ class Timestamp(record("Timestamp", "hours minutes seconds")):
         if (match := _HHMMSS.fullmatch(text)) is None:
             raise DomainError(f"expected HH:MM:SS, got {text!r}")
         return cls(int(match[1]), int(match[2]), int(match[3]))
+
+    @classmethod
+    def from_seconds(cls, total: int) -> "Timestamp":
+        """The clock total seconds after 00:00:00, the inverse of total_seconds."""
+        return cls(total // 3600, (total % 3600) // 60, total % 60)
 
     def total_seconds(self) -> int:
         return self.hours * 3600 + self.minutes * 60 + self.seconds
@@ -77,7 +83,7 @@ def shift_seconds(epsilon_lm: float) -> int:
     """round(epsilon * 60): whole seconds of travel time in epsilon light-minutes.
     More than a day (1440 Lm) rolls any clock back past 00:00:00."""
     within(epsilon_lm, "epsilon must be nonnegative", 0.0, math.inf)
-    return _seconds(epsilon_lm)
+    return round(within(epsilon_lm, _PAST_MIDNIGHT, high=1440.0) * 60.0)
 
 
 def shift_timestamp(local: Timestamp, epsilon_lm: float) -> Timestamp:
@@ -86,15 +92,18 @@ def shift_timestamp(local: Timestamp, epsilon_lm: float) -> Timestamp:
     Subtracts shift_seconds(epsilon); no day arithmetic, rolling back
     past 00:00:00 is a range error.
     """
-    total = within(local.total_seconds() - shift_seconds(epsilon_lm), _PAST_MIDNIGHT, 0)
-    return Timestamp(total // 3600, (total % 3600) // 60, total % 60)
+    return Timestamp.from_seconds(
+        within(local.total_seconds() - shift_seconds(epsilon_lm), _PAST_MIDNIGHT, 0))
 
 
 def frequency_resolution(distance_km: float, progress_pct: float) -> float:
     """Effective frequency c / (distance * progress fraction), in Hz."""
-    _distance(distance_km)
+    within(distance_km, _DISTANCE, TINY)
     within(progress_pct, _PROGRESS, 0.0, 100.0)
-    return _resolution(distance_km, progress_pct)
+    if progress_pct == 0:
+        raise DivisionByZeroSignal("frequency resolution undefined at 0% progress")
+    return quotient(C_KM_PER_S, float(distance_km) * progress_pct / 100.0,
+                    "frequency resolution")
 
 
 def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> float:
@@ -103,31 +112,8 @@ def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> f
     Strictly increasing in progress; progress = 100 is a declared
     divergent limit, not a plain division error.
     """
-    _distance(distance_km)
+    within(distance_km, _DISTANCE, TINY)
     within(progress_pct, _PROGRESS, 0.0, 100.0)
-    return _displaced_resolution(distance_km, progress_pct)
-
-
-# The distance check and the formulas of the kernels above, apart: each kernel
-# checks every argument and evaluates its formula; analysis.build_sheet calls the
-# kernels where a check first falls due and the formulas for every other record.
-def _distance(distance_km):
-    return within(distance_km, "distance must be positive", TINY)
-
-
-def _seconds(epsilon_lm) -> int:
-    """shift_seconds of an epsilon known to be nonnegative."""
-    return round(within(epsilon_lm, _PAST_MIDNIGHT, high=1440.0) * 60.0)
-
-
-def _resolution(distance_km, progress_pct) -> float:
-    if progress_pct == 0:
-        raise DivisionByZeroSignal("frequency resolution undefined at 0% progress")
-    return quotient(C_KM_PER_S, float(distance_km) * progress_pct / 100.0,
-                    "frequency resolution")
-
-
-def _displaced_resolution(distance_km, progress_pct) -> float:
     if progress_pct == 100.0:
         raise DivergenceSignal("displaced resolution diverges at 100% progress")
     return quotient(C_KM_PER_S, distance_km * (1.0 - progress_pct / 100.0),

@@ -10,6 +10,7 @@ import threading
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -80,6 +81,43 @@ _PROGRESS = st.one_of(st.floats(-10, 110), st.integers(-10, 110),
                       st.sampled_from([-0.0, 0, 0.0, 100, 100.0]))
 
 
+# Sheets of plain rows, each with one or two faults planted in rows and progress
+# values of their own: a progress value out of range or nan late in the list, a later
+# range that takes epsilon past 1,440 Lm, a base clock the shift rolls past midnight,
+# a distance at which c / (d * p / 100) overflows, one at which a denominator
+# underflows to 0, and one at which d * p overflows (not refused: 0 Hz).
+_PLAIN_TARGET = st.builds(Target, st.sampled_from(["A", "B,"]), st.floats(1e3, 1e9),
+                          st.floats(0.5, 50.0))
+_PLAIN_PROGRESS = st.one_of(st.floats(0, 100), st.integers(0, 100),
+                            st.sampled_from([0, 0.0, -0.0, 100, 100.0]))
+
+
+@st.composite
+def _planted_sheets(draw):
+    targets = draw(st.lists(_PLAIN_TARGET, min_size=2, max_size=5))
+    progress = draw(st.lists(_PLAIN_PROGRESS, min_size=2, max_size=8))
+    base = draw(st.builds(Timestamp, st.integers(1, 23), st.integers(0, 59),
+                          st.integers(0, 59)))
+    faults = ["progress", "range", "midnight", "overflow", "underflow", "huge"]
+    for fault in draw(st.lists(st.sampled_from(faults), min_size=1, max_size=2,
+                               unique=True)):
+        row = draw(st.integers(1 if fault == "range" else 0, len(targets) - 1))
+        name, distance, range_lm = targets[row]
+        if fault == "progress":
+            late = draw(st.integers(len(progress) // 2, len(progress) - 1))
+            progress[late] = draw(st.sampled_from([-5.0, 100.5, 150, math.nan]))
+        elif fault == "range":
+            targets[row] = Target(name, distance, draw(st.floats(1.5e3, 1e300)))
+        elif fault == "midnight":
+            base = Timestamp(0, draw(st.integers(0, 1)), draw(st.integers(0, 59)))
+        else:
+            distance = draw({"overflow": st.floats(1e-315, 1e-301),
+                             "underflow": st.sampled_from([5e-324, 1e-323]),
+                             "huge": st.floats(1e306, 1.7e308)}[fault])
+            targets[row] = Target(name, distance, range_lm)
+    return targets, progress, base
+
+
 @pytest.fixture
 def sun_sheet():
     return analysis.build_sheet([SUN], PROGRESS, BASE)
@@ -145,11 +183,12 @@ class TestBuildSheet:
         with pytest.raises(DomainError, match="^need at least one target"):
             analysis.build_sheet(targets, iter([]), BASE)
 
-    # The link model raising _FirstRecord marks the first record being built.
+    # _row raising _FirstRecord marks the first record being built: each row's
+    # records, on either path, are built there.
     def test_record_cap_checked_before_the_first_record(self, monkeypatch):
         def first_record(*args):
             raise _FirstRecord
-        monkeypatch.setattr(analysis.linkmodel, "epsilon_from_progress", first_record)
+        monkeypatch.setattr(analysis, "_row", first_record)
         with pytest.raises(_FirstRecord):  # the cap itself is allowed
             analysis.build_sheet([SUN] * 1000, [16.0] * 1000, BASE)
         with pytest.raises(DomainError, match="^sheet takes <= 1000000 records, got 1001000$"):
@@ -201,6 +240,50 @@ class TestBuildSheet:
         assert sheet.records == one_by_one
         clocks = {r.t_stamp for r in sheet.records}
         assert len({id(r.t_stamp) for r in sheet.records}) == len(clocks) < len(sheet.records)
+
+    # Rows built a column at a time and rows built record by record from the kernels
+    # give the same cells, bit for bit, or the same first error.
+    @example(sheet=([SUN, Target("Far", 1.46e8, 2e3)], [16.0, 99.0], BASE))
+    @example(sheet=([SUN], [16.0, 50.0, math.nan], BASE))
+    @example(sheet=([SUN, Target("X", 5e-324, 1.0)], [0, 50.0], Timestamp(0, 0, 30)))
+    @example(sheet=([Target("X", 1e-300, 1.0)], [50.0, 99.99], BASE))
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(sheet=_planted_sheets())
+    def test_rows_equal_rows_built_by_the_kernels(self, sheet):
+        def build():
+            try:
+                return list(map(_bits, analysis.build_sheet(*sheet).records))
+            except TimedataError as exc:
+                return type(exc), str(exc)
+
+        by_rows = build()
+        with mock.patch.object(analysis, "_fits", lambda *args: False):
+            assert build() == by_rows
+
+    # A plain sheet, sentinels included, calls no kernel for its cells.
+    def test_plain_rows_are_built_without_the_kernels(self, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("kernel called")
+        targets, progress = [SUN, Target("Moon", 384400, 0.0214)], PROGRESS + [100]
+        for name in ("epsilon_from_progress", "shift_seconds", "shift_timestamp",
+                     "frequency_resolution", "displaced_frequency_resolution"):
+            monkeypatch.setattr(linkmodel, name, kernel)
+        sheet = analysis.build_sheet(targets, progress, BASE)
+        monkeypatch.undo()
+        assert list(map(_bits, sheet.records)) == [
+            _bits(_kernel_record(t, p, BASE)) for t in targets for p in progress]
+
+    # d * p overflows at 1e308 km and 50%, so the row is the kernels': the sheet
+    # writes what frequency_resolution returns, whatever rule it follows.
+    def test_a_row_the_check_refuses_is_the_kernels(self, monkeypatch):
+        calls, kernel = [], linkmodel.frequency_resolution
+        monkeypatch.setattr(linkmodel, "frequency_resolution",
+                            lambda *args: calls.append(args) or kernel(*args))
+        record, = analysis.build_sheet([Target("X", 1e308, 1.0)], [50.0], BASE).records
+        assert calls == [(1e308, 50.0)]
+        assert record.nu_delta_omega_hz.hex() == kernel(1e308, 50.0).hex()
+        assert record.nu_displaced_hz.hex() == (
+            linkmodel.displaced_frequency_resolution(1e308, 50.0).hex())
 
 
 class TestCsv:
@@ -289,6 +372,41 @@ class TestCsv:
                 '1,1,"f(x,y)|1","(12, 0, 0)",1,1,0,-0',
                 '1.0,1,"f(x,y)|1.0",12:00:00,1,1,-0,0',
                 '"a,""b""",-0,"f(x,y)|a,""b""","(12, 0, 0)",-0,0,#Div/0!,2.5'))
+
+    # Each number column is checked before the first row: the first bad record
+    # still decides the error, here an epsilon at record 1 before text at record 3.
+    @pytest.mark.parametrize("eps,message", [
+        (math.inf, "result not finite: inf"), (DIV0, "result not a number: '#Div/0!'")])
+    def test_first_bad_record_decides_the_error_across_columns(self, tmp_path, sun_sheet,
+                                                               eps, message):
+        records = list(sun_sheet.records)
+        records[1] = records[1]._replace(epsilon_lm=eps)
+        records[3] = records[3]._replace(nu_delta_omega_hz="x")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            analysis.emit_csv(Sheet(records=records), tmp_path / "bad.csv")
+        assert os.listdir(tmp_path) == []
+
+    # A float subclass may format itself otherwise: its column is written cell by
+    # cell, as the float it equals.
+    def test_float_subclass_cells_written_as_floats(self, tmp_path):
+        class Loud(float):
+            def __format__(self, spec):
+                return "loud"
+
+        records = [LinkRecord("X", 1.0, "f", "12:00:00", Loud(e), 60.0, Loud(0.1), Loud(n))
+                   for e, n in ((1.5, 2.5), (-0.0, 1e-7))]
+        path = tmp_path / "loud.csv"
+        analysis.emit_csv(Sheet(records=records), path)
+        assert path.read_text() == analysis.CSV_HEADER + "\n" + (
+            "X,1,f,12:00:00,1.5,60,0.1,2.5\n" "X,1,f,12:00:00,-0,60,0.1,1e-07\n")
+
+    # Records given as an iterator or a tuple write the bytes the list writes.
+    def test_records_not_a_list_write_the_same_bytes(self, tmp_path, sun_sheet):
+        want, got = tmp_path / "list.csv", tmp_path / "other.csv"
+        analysis.emit_csv(sun_sheet, want)
+        for records in (iter(sun_sheet.records), tuple(sun_sheet.records)):
+            analysis.emit_csv(Sheet(records=records), got)
+            assert got.read_bytes() == want.read_bytes()
 
     # A memo with room for a few cells starts over often, and writes the same bytes.
     @pytest.mark.parametrize("cells", [0, 1, 2, 5])

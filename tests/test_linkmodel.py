@@ -70,6 +70,13 @@ class TestTimestamp:
                     assert str(t) == f"{h:02d}:{m:02d}:{s:02d}"
                     assert Timestamp.parse(str(t)) == t
 
+    def test_from_seconds_inverts_total_seconds(self):
+        for total in range(86400):
+            assert Timestamp.from_seconds(total).total_seconds() == total
+        for total in (-1, 86400):
+            with pytest.raises(DomainError, match="^timestamp fields out of range: "):
+                Timestamp.from_seconds(total)
+
     @pytest.mark.parametrize("text", ["ab:cd:ef", "13:35", "13:35:00:00", "",
                                       "13:35:0.5", "1_3:35:00", "١٣:٣٥:٠٠",
                                       " 13:35:00", "13:35:00\n", "+1:35:00",
