@@ -76,15 +76,17 @@ class _Plan:
     clock and shifts (whole-second shift -> its Timestamp and its float, so that
     records share them). shares is None unless every progress value is a plain
     number in [0, 100]; then shares and rests hold each value's p / 100 and
-    1 - p / 100 as the kernels compute them, and the edges the values at which a
-    row's denominators d * p / 100 and d * rest, each monotonic in the progress
-    value, are least and greatest (a record with a sentinel has none)."""
+    1 - p / 100 as the kernels compute them, top_share the largest share, and the
+    edges the values at which a row's denominators d * p / 100 and d * rest, each
+    monotonic in the progress value, are least and greatest (a record with a
+    sentinel has none)."""
 
     def __init__(self, progress, base_time):
         self.progress, self.base_time, self.shifts, self.shares = progress, base_time, {}, None
         if all(type(p) in _PLAIN and 0 <= p <= 100 for p in progress):
             self.shares = [p / 100.0 for p in progress]
             self.rests = [1.0 - share for share in self.shares]
+            self.top_share = max(self.shares)
             nonzero = [p for p in progress if p != 0]
             rests = [rest for p, rest in zip(progress, self.rests) if p != 100.0]
             self.progress_edges = (min(nonzero), max(nonzero)) if nonzero else ()
@@ -97,7 +99,7 @@ def _fits(plan, distance, range_lm) -> bool:
     most 1440 Lm, no shift past midnight and c over each denominator finite."""
     if (plan.shares is None or type(distance) not in _PLAIN or type(range_lm) not in _PLAIN
             or not (TINY <= distance <= LARGEST and TINY <= range_lm <= LARGEST)
-            or not (top := max(plan.shares) * range_lm) <= 1440.0):
+            or not (top := plan.top_share * range_lm) <= 1440.0):
         return False
     # The kernels read the clock once the first record's epsilon is within 1440 Lm,
     # so an error it raises here is theirs.
