@@ -101,8 +101,9 @@ def _fits(plan, distance, range_lm) -> bool:
             or not (TINY <= distance <= LARGEST and TINY <= range_lm <= LARGEST)
             or not (top := plan.top_share * range_lm) <= 1440.0):
         return False
-    # The kernels read the clock once the first record's epsilon is within 1440 Lm,
-    # so an error it raises here is theirs.
+    # The 1440 Lm bound keeps top * 60.0 finite, so round() below cannot raise
+    # OverflowError, and the kernels read the clock once the first record's epsilon
+    # is within it, so an error the clock raises here is theirs.
     base = plan.base_time.total_seconds()
     denominators = ([float(distance) * p / 100.0 for p in plan.progress_edges]
                     + [distance * rest for rest in plan.rest_edges])
@@ -210,23 +211,6 @@ class _Line:
     write = staticmethod(str)
 
 
-_FLOAT_TEXT = "{:.6g}".format  # finite_text's text of a finite float
-# The record fields of epsilon_lm, nu_dw_hz and nu_dw_x_hz, and the sentinels each may hold.
-_UNSHARED_NUMBERS = ((4, ()), (6, _SENTINELS), (7, _SENTINELS))
-
-
-def _floats(records, field: int, sentinels) -> bool:
-    """Whether every record's cell at field is a float or one of sentinels, and
-    the floats' sum is finite, as it is only where each float is."""
-    zeros = dict.fromkeys(sentinels, 0.0).get
-    try:
-        cells = list(map(itemgetter(field), records))
-        return ({*map(type, cells)} <= {float, str}
-                and math.isfinite(sum(map(zeros, cells, cells))))
-    except (TypeError, LookupError):  # a record with no such cell, or text no sentinel
-        return False
-
-
 def emit_csv(sheet: Sheet, path) -> None:
     """Write the sheet as UTF-8 CSV with LF line endings, the f(x,y) label
     quoted. A record that cannot be written (a number not finite, text in a
@@ -255,24 +239,17 @@ def emit_csv(sheet: Sheet, path) -> None:
         return remember(numbers, cell, finite_text(cell) + ",")
 
     known_text, known_number = texts.get, numbers.get
-    if type(records := sheet.records) is not list:
-        records = list(records)  # read twice: by the column checks and by the loop
-    # Each unshared number column is checked once: a column _floats passes is
-    # written without the per-cell check, which none of its cells would fail.
-    eps_text, nu_text, nu_x_text = (_FLOAT_TEXT if _floats(records, field, sentinels)
-                                    else finite_text
-                                    for field, sentinels in _UNSHARED_NUMBERS)
     buffer = io.StringIO()
     write = buffer.write
     write(CSV_HEADER + "\n")
-    for name, progress, label, stamp, eps, delta_t, nu, nu_x in records:
+    for name, progress, label, stamp, eps, delta_t, nu, nu_x in sheet.records:
         write(f"{known_text(id(name)) or new_text(name)}"
               f"{known_number(id(progress)) or new_number(progress)}"
               f"{known_text(id(label)) or new_text(label)}"
               f"{known_text(id(stamp)) or new_text(stamp)}"
-              f"{eps_text(eps)},{known_number(id(delta_t)) or new_number(delta_t)}"
-              f"{nu if nu in _SENTINELS else nu_text(nu)},"
-              f"{nu_x if nu_x in _SENTINELS else nu_x_text(nu_x)}\n")
+              f"{finite_text(eps)},{known_number(id(delta_t)) or new_number(delta_t)}"
+              f"{nu if nu in _SENTINELS else finite_text(nu)},"
+              f"{nu_x if nu_x in _SENTINELS else finite_text(nu_x)}\n")
     if "\r" in (text := buffer.getvalue()):  # unquoted, a CR ends a row
         raise DomainError("a text cell holds a carriage return, which CSV cannot carry")
     _write_text(path, text)

@@ -373,8 +373,8 @@ class TestCsv:
                 '1.0,1,"f(x,y)|1.0",12:00:00,1,1,-0,0',
                 '"a,""b""",-0,"f(x,y)|a,""b""","(12, 0, 0)",-0,0,#Div/0!,2.5'))
 
-    # Each number column is checked before the first row: the first bad record
-    # still decides the error, here an epsilon at record 1 before text at record 3.
+    # The first bad record decides the error, whatever its column: here an
+    # epsilon at record 1 before text in nu_dw_hz at record 3.
     @pytest.mark.parametrize("eps,message", [
         (math.inf, "result not finite: inf"), (DIV0, "result not a number: '#Div/0!'")])
     def test_first_bad_record_decides_the_error_across_columns(self, tmp_path, sun_sheet,
@@ -385,28 +385,6 @@ class TestCsv:
         with pytest.raises(DomainError, match=f"^{message}$"):
             analysis.emit_csv(Sheet(records=records), tmp_path / "bad.csv")
         assert os.listdir(tmp_path) == []
-
-    # A float subclass may format itself otherwise: its column is written cell by
-    # cell, as the float it equals.
-    def test_float_subclass_cells_written_as_floats(self, tmp_path):
-        class Loud(float):
-            def __format__(self, spec):
-                return "loud"
-
-        records = [LinkRecord("X", 1.0, "f", "12:00:00", Loud(e), 60.0, Loud(0.1), Loud(n))
-                   for e, n in ((1.5, 2.5), (-0.0, 1e-7))]
-        path = tmp_path / "loud.csv"
-        analysis.emit_csv(Sheet(records=records), path)
-        assert path.read_text() == analysis.CSV_HEADER + "\n" + (
-            "X,1,f,12:00:00,1.5,60,0.1,2.5\n" "X,1,f,12:00:00,-0,60,0.1,1e-07\n")
-
-    # Records given as an iterator or a tuple write the bytes the list writes.
-    def test_records_not_a_list_write_the_same_bytes(self, tmp_path, sun_sheet):
-        want, got = tmp_path / "list.csv", tmp_path / "other.csv"
-        analysis.emit_csv(sun_sheet, want)
-        for records in (iter(sun_sheet.records), tuple(sun_sheet.records)):
-            analysis.emit_csv(Sheet(records=records), got)
-            assert got.read_bytes() == want.read_bytes()
 
     # A memo with room for a few cells starts over often, and writes the same bytes.
     @pytest.mark.parametrize("cells", [0, 1, 2, 5])
