@@ -10,7 +10,7 @@ import math
 import os
 import re
 import stat
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import attrgetter, itemgetter
 
 from . import linkmodel
@@ -22,11 +22,6 @@ from .units import C_KM_PER_S
 DIV0 = "#Div/0!"
 DIVERGES = "#Inf!"
 _SENTINELS = (DIV0, DIVERGES)
-
-
-def _resolution(cell: str) -> float | str:
-    return cell if cell in _SENTINELS else finite_float(cell)
-
 
 # The CSV header, one name per LinkRecord field in field order.
 _COLUMNS = ("target", "progress_pct", "f_xy", "t", "epsilon_lm", "delta_t_s",
@@ -47,7 +42,8 @@ def build_sheet(targets: list[Target], progress_list: list[float],
                 base_time: Timestamp) -> Sheet:
     """One record per (target, progress) in declared order; either may be an
     iterator, read once. More than MAX_SHEET_RECORDS raise DomainError before one is
-    built: at 196 B a record, and 208 B more in emit_csv, the cap peaks at 0.40 GB traced.
+    built: at 196 B a record, and 208 B more in emit_csv, the cap peaks at 0.40 GB
+    under tracemalloc (measured at 1e5 records; emit_csv's check copies no column).
 
     Each target's row is built a column at a time, with the kernels' own expressions
     in their own float order, where a check on the row's extremes shows that the
@@ -144,11 +140,13 @@ def _row(target: Target, plan: _Plan) -> list[LinkRecord]:
     shifted = list(map(shifts.__getitem__, seconds))
     # The kernels' sentinels: #Div/0! where progress is 0, the one falsy value, and
     # #Inf! where it is 100, whose rest is the one rest of 0 in a row that _fits.
+    # LinkRecord checks nothing, so tuple.__new__ builds the same records as its class.
     c, d = C_KM_PER_S, float(distance)
-    return list(map(LinkRecord, repeat(name), plan.progress, repeat(label),
-                    map(itemgetter(0), shifted), eps, map(itemgetter(1), shifted),
-                    [c / (d * p / 100.0) if p else DIV0 for p in plan.progress],
-                    [c / (distance * rest) if rest else DIVERGES for rest in plan.rests]))
+    return list(map(tuple.__new__, repeat(LinkRecord), zip(
+        repeat(name), plan.progress, repeat(label), map(itemgetter(0), shifted), eps,
+        map(itemgetter(1), shifted),
+        [c / (d * p / 100.0) if p else DIV0 for p in plan.progress],
+        [c / (distance * rest) if rest else DIVERGES for rest in plan.rests])))
 
 
 def _write_text(path, text: str) -> None:
@@ -211,6 +209,43 @@ class _Line:
     write = staticmethod(str)
 
 
+# The cells emit_csv formats unchecked where _plain_floats holds: per column, the
+# getter of its cell and the text cells it may hold.
+_UNSHARED = ((itemgetter(4), frozenset()), (itemgetter(6), frozenset(_SENTINELS)),
+             (itemgetter(7), frozenset(_SENTINELS)))
+
+
+def _plain_floats(records) -> bool:
+    """Whether each epsilon_lm cell is an exact float and each resolution cell an
+    exact float or a sentinel, and the sum of those floats is finite, so that each
+    is: then emit_csv formats them unchecked. A column at a time, copying none, with
+    one Python step per run of cells of one type."""
+    total = 0.0
+    try:
+        for column, sentinels in _UNSHARED:
+            for kind, cells in groupby(map(column, records), type):
+                if kind is float:
+                    total += sum(cells)
+                elif kind is not str or not sentinels.issuperset(cells):
+                    return False
+    except (LookupError, TypeError):  # a record of fewer than 8 cells, or none at all
+        return False
+    return math.isfinite(total)
+
+
+def _checked(record) -> tuple:
+    """The record's cells, each number cell checked in column order as finite_text
+    checks it, so that the first bad cell raises, with the epsilon and resolution
+    cells as the floats finite_text would write."""
+    name, progress, label, stamp, eps, delta_t, nu, nu_x = record
+    finite(progress, "result")
+    eps = finite(eps, "result")
+    finite(delta_t, "result")
+    return (name, progress, label, stamp, eps, delta_t,
+            nu if nu in _SENTINELS else finite(nu, "result"),
+            nu_x if nu_x in _SENTINELS else finite(nu_x, "result"))
+
+
 def emit_csv(sheet: Sheet, path) -> None:
     """Write the sheet as UTF-8 CSV with LF line endings, the f(x,y) label
     quoted. A record that cannot be written (a number not finite, text in a
@@ -239,17 +274,22 @@ def emit_csv(sheet: Sheet, path) -> None:
         return remember(numbers, cell, finite_text(cell) + ",")
 
     known_text, known_number = texts.get, numbers.get
+    # Each record of a sheet whose cells do not all pass one check is checked as it
+    # is written; records that are not a list or tuple are read once.
+    records = sheet.records
+    if not (isinstance(records, (list, tuple)) and _plain_floats(records)):
+        records = map(_checked, records)
     buffer = io.StringIO()
     write = buffer.write
     write(CSV_HEADER + "\n")
-    for name, progress, label, stamp, eps, delta_t, nu, nu_x in sheet.records:
+    for name, progress, label, stamp, eps, delta_t, nu, nu_x in records:
         write(f"{known_text(id(name)) or new_text(name)}"
               f"{known_number(id(progress)) or new_number(progress)}"
               f"{known_text(id(label)) or new_text(label)}"
               f"{known_text(id(stamp)) or new_text(stamp)}"
-              f"{finite_text(eps)},{known_number(id(delta_t)) or new_number(delta_t)}"
-              f"{nu if nu in _SENTINELS else finite_text(nu)},"
-              f"{nu_x if nu_x in _SENTINELS else finite_text(nu_x)}\n")
+              f"{eps:.6g},{known_number(id(delta_t)) or new_number(delta_t)}"
+              f"{f'{nu:.6g}' if type(nu) is float else nu},"
+              f"{f'{nu_x:.6g}' if type(nu_x) is float else nu_x}\n")
     if "\r" in (text := buffer.getvalue()):  # unquoted, a CR ends a row
         raise DomainError("a text cell holds a carriage return, which CSV cannot carry")
     _write_text(path, text)
@@ -260,6 +300,16 @@ def parse_csv(path) -> Sheet:
     names the file line on which the offending row ends."""
     records = []
     clocks = {}  # HH:MM:SS text -> its Timestamp, for this call only
+    # progress or delta-t text -> its float, for up to _MEMO_CELLS texts ("-0" and
+    # "0" are two texts); a zero, being falsy, is parsed again each time it is read
+    floats = {}
+
+    def new_float(text):
+        if len(floats) >= _MEMO_CELLS:
+            floats.clear()
+        value = floats[text] = finite_float(text)
+        return value
+
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -270,11 +320,12 @@ def parse_csv(path) -> Sheet:
                     raise ValueError(f"expected {len(_COLUMNS)} columns, got {len(cells)}")
                 name, progress, label, clock, eps, delta_t, nu, nu_x = cells
                 # Arguments run left to right: the first bad cell in column order raises.
-                records.append(LinkRecord(
-                    name, finite_float(progress), label,
+                records.append(tuple.__new__(LinkRecord, (
+                    name, floats.get(progress) or new_float(progress), label,
                     clocks.get(clock) or clocks.setdefault(clock, Timestamp.parse(clock)),
-                    finite_float(eps), finite_float(delta_t), _resolution(nu),
-                    _resolution(nu_x)))
+                    finite_float(eps), floats.get(delta_t) or new_float(delta_t),
+                    nu if nu in _SENTINELS else finite_float(nu),
+                    nu_x if nu_x in _SENTINELS else finite_float(nu_x))))
         except UnicodeDecodeError:
             raise  # not a CSV fault: the file is not UTF-8
         except (csv.Error, ValueError, DomainError) as exc:  # their messages quote the cell

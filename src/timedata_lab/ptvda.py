@@ -2,6 +2,7 @@
 classification."""
 
 import math
+import operator
 import random
 import statistics
 import time
@@ -46,13 +47,25 @@ def parallel_sort(instance: SortInstance) -> list:
     list, so that is what runs. Sorting the partitions on threads would
     not be faster: the interpreter lock serialises them, and a merge in
     Python costs more than the sort it saves. Elements that do not order
-    against each other (1 and "a", None and None) raise DomainError. nan
-    compares false with everything, so it passes unrefused and the result is
-    not sorted around it: [3.0, nan, 1.0, 2.0] comes back as it is. Refusing it
-    would cost a scan of every element; `sort run` reads no nan (finite_float).
+    against each other (1 and "a", None and None) raise DomainError, as does
+    nan, which compares false with everything, so that no order holds around
+    it. The elements are scanned for nan only where their sum is nan (a nan, or
+    inf beside -inf) or cannot be taken as a float; elements that do not add
+    (text) are not scanned.
     """
+    elements = instance.elements
     try:
-        return sorted(instance.elements)
+        total = sum(elements, 0.0)  # a float, so that Fractions add in constant time
+    except TypeError:  # text, which holds no nan
+        total = 0
+    except OverflowError:  # an int beyond the float range beside a float
+        total = math.nan
+    # x != x is math.isnan(x) for a float, and false for any int, which isnan
+    # cannot take beyond the float range.
+    if total != total and any(map(operator.ne, elements, elements)):
+        raise DomainError("sort elements hold nan, which orders against nothing")
+    try:
+        return sorted(elements)
     except TypeError as exc:
         raise DomainError(f"sort elements do not order: {exc}") from None
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import math
 import os
+import pickle
 import random
 import stat
 import tempfile
@@ -17,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from timedata_lab import analysis, linkmodel
 from timedata_lab.analysis import DIV0, DIVERGES, LinkRecord, Sheet
-from timedata_lab.errors import DivergenceSignal, DivisionByZeroSignal, DomainError, TimedataError
+from timedata_lab.errors import (DivergenceSignal, DivisionByZeroSignal, DomainError,
+                                 TimedataError, finite_text)
 from timedata_lab.linkmodel import Target, Timestamp
 
 SUN = Target("Sun", 1.46e8, 8.3)
@@ -285,6 +287,23 @@ class TestBuildSheet:
         assert record.nu_displaced_hz.hex() == (
             linkmodel.displaced_frequency_resolution(1e308, 50.0).hex())
 
+    # The column path, the kernel path and parse_csv build records without calling
+    # LinkRecord: each is one, equal to and pickled as the LinkRecord of its fields.
+    def test_records_are_link_records_however_built(self, tmp_path):
+        targets, progress = [SUN, Target("Moon", 384400, 0.0214)], PROGRESS + [100]
+        columns = analysis.build_sheet(targets, progress, BASE)
+        with mock.patch.object(analysis, "_fits", lambda *args: False):
+            kernels = analysis.build_sheet(targets, progress, BASE)
+        path = tmp_path / "sheet.csv"
+        analysis.emit_csv(columns, path)
+        parsed = analysis.parse_csv(path)
+        assert _sentinels(parsed) == _sentinels(kernels) == 4
+        for record in columns.records + kernels.records + parsed.records:
+            built = LinkRecord(*record)
+            assert type(record) is LinkRecord
+            assert record == built
+            assert pickle.dumps(record) == pickle.dumps(built)
+
 
 class TestCsv:
     def test_header_only(self, tmp_path):
@@ -386,6 +405,67 @@ class TestCsv:
             analysis.emit_csv(Sheet(records=records), tmp_path / "bad.csv")
         assert os.listdir(tmp_path) == []
 
+    # More cases of the same rule: a sentinel or text in a column that cannot hold it,
+    # an inf nu_dw_x_hz before a later record's bad progress value (and after its own
+    # record's), and a bad cell before a record too short to be unpacked (None).
+    @pytest.mark.parametrize("first,later,message", [
+        ({"epsilon_lm": DIVERGES}, {"progress_pct": math.nan}, "result not a number: '#Inf!'"),
+        ({"nu_delta_omega_hz": "x"}, {"epsilon_lm": math.inf}, "result not a number: 'x'"),
+        ({"nu_displaced_hz": math.inf}, {"progress_pct": "a"}, "result not finite: inf"),
+        ({"progress_pct": "a", "epsilon_lm": math.inf, "nu_displaced_hz": -math.inf}, {},
+         "result not a number: 'a'"),
+        ({"delta_t_s": math.nan}, None, "result not finite: nan"),
+    ], ids=["sentinel epsilon", "text nu", "inf nu_x before progress",
+            "progress before inf nu_x", "before a short record"])
+    def test_first_bad_cell_in_record_then_column_order_decides_the_error(
+            self, tmp_path, sun_sheet, first, later, message):
+        records = list(sun_sheet.records)
+        records[1] = records[1]._replace(**first)
+        records[3] = records[3][:5] if later is None else records[3]._replace(**later)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            analysis.emit_csv(Sheet(records=records), tmp_path / "bad.csv")
+        assert os.listdir(tmp_path) == []
+
+    # Number cells that are not plain floats are written as finite_text writes them,
+    # whatever their type formats itself as, in each column that holds them; the
+    # other records are not changed by them.
+    class _Shown(float):
+        def __format__(self, spec):
+            return "shown"
+
+    @pytest.mark.parametrize("cell", [3, True, False, _Shown(2.5), Fraction(1, 3),
+                                      Fraction(-7, 2), 10 ** 20])
+    @pytest.mark.parametrize("field", ["epsilon_lm", "nu_delta_omega_hz", "nu_displaced_hz"])
+    def test_number_cells_of_other_types_written_as_floats(self, tmp_path, sun_sheet, cell,
+                                                           field):
+        odd = LinkRecord("X", 1.0, "f", "12:00:00", 0.5, 60.0, 0.5, 0.5)
+        odd = odd._replace(**{field: cell})
+        path = tmp_path / "odd.csv"
+        analysis.emit_csv(Sheet(records=sun_sheet.records + [odd]), path)
+        analysis.emit_csv(sun_sheet, tmp_path / "plain.csv")
+        *lines, last = path.read_text().splitlines(keepends=True)
+        assert "".join(lines) == (tmp_path / "plain.csv").read_text()
+        assert last == "X,1,f,12:00:00,{},60,{},{}\n".format(*(
+            finite_text(value) for value in odd[4:5] + odd[6:]))
+        assert "shown" not in last
+
+    # A sheet whose records are written unchecked and the same records checked one by
+    # one write the same bytes, as do records given as a tuple or an iterator.
+    def test_records_checked_one_by_one_write_the_same_bytes(self, tmp_path):
+        sheet = analysis.build_sheet([SUN, Target("Moon", 384400, 0.0214)],
+                                     PROGRESS + [100, -0.0], BASE)
+        path = tmp_path / "sheet.csv"
+        analysis.emit_csv(sheet, path)
+        written = path.read_bytes()
+        analysis.emit_csv(analysis.parse_csv(path), path)
+        assert path.read_bytes() == written
+        with mock.patch.object(analysis, "_plain_floats", lambda records: False):
+            analysis.emit_csv(sheet, path)
+        assert path.read_bytes() == written
+        for records in (tuple(sheet.records), iter(sheet.records)):
+            analysis.emit_csv(Sheet(records=records), path)
+            assert path.read_bytes() == written
+
     # A memo with room for a few cells starts over often, and writes the same bytes.
     @pytest.mark.parametrize("cells", [0, 1, 2, 5])
     def test_memo_starting_over_writes_the_same_bytes(self, tmp_path, monkeypatch, cells):
@@ -395,6 +475,29 @@ class TestCsv:
         monkeypatch.setattr(analysis, "_MEMO_CELLS", cells)
         analysis.emit_csv(sheet, small)
         assert small.read_bytes() == full.read_bytes()
+
+    # The parse memo of progress and delta t texts, starting over as often, gives
+    # the same records, bit for bit.
+    @pytest.mark.parametrize("cells", [0, 1, 2, 5])
+    def test_memo_starting_over_parses_the_same_records(self, tmp_path, monkeypatch, cells):
+        sheet = analysis.build_sheet([SUN, Target("Moon", 384400, 0.0214)], PROGRESS, BASE)
+        path = tmp_path / "sheet.csv"
+        analysis.emit_csv(sheet, path)
+        full = list(map(_bits, analysis.parse_csv(path).records))
+        monkeypatch.setattr(analysis, "_MEMO_CELLS", cells)
+        assert list(map(_bits, analysis.parse_csv(path).records)) == full
+
+    # "-0" and "0" are parsed to -0.0 and 0.0 in every number column, however often
+    # either text repeats, and written back as they were read.
+    def test_signed_zero_cells_keep_their_signs(self, tmp_path):
+        rows = [f"X,{z},f,12:00:00,{z},{z},{z},{z}\n" for z in ("-0", "0", "-0", "0", "-0")]
+        path = tmp_path / "zeros.csv"
+        path.write_text(analysis.CSV_HEADER + "\n" + "".join(rows))
+        records = analysis.parse_csv(path).records
+        assert [{math.copysign(1.0, cell) for cell in record[4:] + record[1:2]}
+                for record in records] == [{-1.0}, {1.0}, {-1.0}, {1.0}, {-1.0}]
+        analysis.emit_csv(Sheet(records=records), tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_text() == path.read_text()
 
     def test_sentinel_literal_in_file(self, tmp_path, sun_sheet):
         path = tmp_path / "sheet.csv"

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +36,29 @@ class TestParallelSort:
 
     def test_identical_keys(self):
         assert ptvda.parallel_sort(SortInstance([7] * 100, 8)) == [7] * 100
+
+    # nan orders against nothing, so no result is sorted around it; an int beyond
+    # the float range beside a float leaves the sum no float, and is scanned too.
+    @pytest.mark.parametrize("elements", [
+        [3.0, math.nan, 1.0, 2.0], [math.nan], [math.inf, -math.inf, math.nan],
+        [10 ** 400, 1.5, math.nan], [Fraction(1, 3), math.nan]])
+    def test_nan_refused(self, elements):
+        with pytest.raises(DomainError, match="^sort elements hold nan, which orders "
+                                              "against nothing$"):
+            ptvda.parallel_sort(SortInstance(elements, 1))
+
+    # inf and -inf sum to nan, but order; text adds to nothing and is not scanned.
+    @pytest.mark.parametrize("elements,expected", [
+        ([math.inf, -math.inf, 1.0], [-math.inf, 1.0, math.inf]),
+        ([10 ** 400, 1.5], [1.5, 10 ** 400]),
+        (["nan", "10:00:00", "09:59:59"], ["09:59:59", "10:00:00", "nan"])])
+    def test_elements_that_sum_to_no_float_sorted(self, elements, expected):
+        assert ptvda.parallel_sort(SortInstance(elements, 1)) == expected
+
+    @pytest.mark.parametrize("elements", [[1, "a"], [None, None]])
+    def test_elements_that_do_not_order_refused(self, elements):
+        with pytest.raises(DomainError, match="^sort elements do not order: "):
+            ptvda.parallel_sort(SortInstance(elements, 1))
 
     def test_too_many_partitions(self):
         with pytest.raises(DomainError):
