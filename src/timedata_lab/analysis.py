@@ -72,8 +72,8 @@ class _Plan:
     clock and shifts (whole-second shift -> its Timestamp and its float, so that
     records share them). shares is None unless every progress value is a plain
     number in [0, 100]; then shares and rests hold each value's p / 100 and
-    1 - p / 100 as the kernels compute them, top_share the largest share, and the
-    edges the values at which a row's denominators d * p / 100 and d * rest, each
+    100 - p as the kernels compute them, top_share the largest share, and the
+    edges the values at which a row's denominators d * p and d * rest, each
     monotonic in the progress value, are least and greatest (a record with a
     sentinel has none)."""
 
@@ -81,30 +81,30 @@ class _Plan:
         self.progress, self.base_time, self.shifts, self.shares = progress, base_time, {}, None
         if all(type(p) in _PLAIN and 0 <= p <= 100 for p in progress):
             self.shares = [p / 100.0 for p in progress]
-            self.rests = [1.0 - share for share in self.shares]
+            self.rests = [100.0 - p for p in progress]
             self.top_share = max(self.shares)
             nonzero = [p for p in progress if p != 0]
-            rests = [rest for p, rest in zip(progress, self.rests) if p != 100.0]
+            rests = [rest for rest in self.rests if rest]
             self.progress_edges = (min(nonzero), max(nonzero)) if nonzero else ()
             self.rest_edges = (min(rests), max(rests)) if rests else ()
 
 
 def _fits(plan, distance, range_lm) -> bool:
-    """Whether the kernels refuse no record of a row and keep every denominator a
-    normal float, read at the row's extremes: plain numbers in range, epsilon at
-    most 1440 Lm, no shift past midnight and c over each denominator finite."""
+    """Whether the kernels refuse no record of a row and keep errors.ratio's float path,
+    read at the row's extremes: plain numbers in range, epsilon at most 1440 Lm, no shift
+    past midnight, and a normal distance and denominators with c * 100 over each finite."""
     if (plan.shares is None or type(distance) not in _PLAIN or type(range_lm) not in _PLAIN
-            or not (TINY <= distance <= LARGEST and TINY <= range_lm <= LARGEST)
+            or not (NORMAL <= distance <= LARGEST and TINY <= range_lm <= LARGEST)
             or not (top := plan.top_share * range_lm) <= 1440.0):
         return False
     # The 1440 Lm bound keeps top * 60.0 finite, so round() below cannot raise
     # OverflowError, and the kernels read the clock once the first record's epsilon
     # is within it, so an error the clock raises here is theirs.
     base = plan.base_time.total_seconds()
-    denominators = ([float(distance) * p / 100.0 for p in plan.progress_edges]
+    denominators = ([float(distance) * p for p in plan.progress_edges]
                     + [distance * rest for rest in plan.rest_edges])
     return (type(base) is int and round(top * 60.0) <= base < 86400
-            and all(NORMAL <= den <= LARGEST and C_KM_PER_S / den <= LARGEST
+            and all(NORMAL <= den <= LARGEST and C_KM_PER_S * 100.0 / den <= LARGEST
                     for den in denominators))
 
 
@@ -139,14 +139,14 @@ def _row(target: Target, plan: _Plan) -> list[LinkRecord]:
             shifts[s] = (Timestamp.from_seconds(base - s), float(s))
     shifted = list(map(shifts.__getitem__, seconds))
     # The kernels' sentinels: #Div/0! where progress is 0, the one falsy value, and
-    # #Inf! where it is 100, whose rest is the one rest of 0 in a row that _fits.
+    # #Inf! where it is 100, whose rest is the one rest of 0.
     # LinkRecord checks nothing, so tuple.__new__ builds the same records as its class.
-    c, d = C_KM_PER_S, float(distance)
+    c, d = C_KM_PER_S * 100.0, float(distance)
     return list(map(tuple.__new__, repeat(LinkRecord), zip(
         repeat(name), plan.progress, repeat(label), map(itemgetter(0), shifted), eps,
         map(itemgetter(1), shifted),
-        [c / (d * p / 100.0) if p else DIV0 for p in plan.progress],
-        [c / (distance * rest) if rest else DIVERGES for rest in plan.rests])))
+        [c / (d * p) if p else DIV0 for p in plan.progress],
+        [c / (d * rest) if rest else DIVERGES for rest in plan.rests])))
 
 
 def _write_text(path, text: str) -> None:

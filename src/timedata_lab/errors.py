@@ -1,7 +1,7 @@
 """Exception types of timedata-lab, the record base of its value types, the one
 reader of list arguments (`listed`), and its one rule for numbers: each is finite
-and in its declared range, and text is a number only to the readers
-`finite_float`, `plain_float` and `plain_int`."""
+and in its declared range, text is a number only to `finite_float`, `plain_float`
+and `plain_int`, and a product or quotient leaves the normal floats only exactly."""
 
 import math
 import sys
@@ -128,23 +128,46 @@ def finite(value, what: str) -> float:
         raise DomainError(f"{what} not finite: {shown}") from None
 
 
-def quotient(numerator, denominator, what: str) -> float:
-    """finite(numerator / denominator, what), also where a denominator
-    underflowed to 0 or an int operand is beyond the float range."""
+def ratio(factors, divisors, what: str) -> float:
+    """finite(product of factors / product of divisors, what): the factors multiplied
+    left to right, then the divisors, and divided, while each partial product is a
+    normal float, or 0 as a factor is 0; else, or for an int beyond the float range,
+    a Decimal or a zero divisor, exact_ratio's value."""
     try:
-        try:
-            value = numerator / denominator
-        except OverflowError:  # an int beyond the float range: divide exactly
-            from fractions import Fraction  # imported at start, it would cost 3-4 ms
-            value = Fraction(numerator) / Fraction(denominator)
-    except ZeroDivisionError:
-        value = _sign(numerator) * math.inf  # nan for 0 / 0
-    except (OverflowError, ValueError):  # no Fraction of an inf or nan operand:
-        # beside one, only the sign of the int beyond the float range counts
-        value = ((numerator if isinstance(numerator, float) else _sign(numerator))
-                 / (denominator if isinstance(denominator, float) else _sign(denominator)))
+        return finite(_product(factors) / _product(divisors), what)
+    except (OverflowError, TypeError, ZeroDivisionError):
+        return exact_ratio(factors, divisors, what)
+
+
+def exact_ratio(factors, divisors, what: str) -> float:
+    """finite(product of factors / product of divisors, what), rounded once from
+    the exact value: the products of the operands' ratios of ints, divided as ints.
+    A zero divisor gives a signed inf (nan for 0 / 0), and beside an inf or nan
+    operand the others count only by their signs."""
+    try:
+        ratios = ([x.as_integer_ratio() for x in factors]
+                  + [x.as_integer_ratio()[::-1] for x in divisors])
+    except (OverflowError, ValueError):  # no ratio of ints is an inf or nan
+        ratios = [(_sign(x), 1) for x in factors] + [(1, _sign(x)) for x in divisors]
+    numerator, denominator = math.prod(r[0] for r in ratios), math.prod(r[1] for r in ratios)
+    try:
+        value = numerator / denominator
+    except (ZeroDivisionError, OverflowError):  # OverflowError: past the float range
+        value = _sign(numerator) * _sign(denominator or 1) * math.inf  # nan for 0 / 0
     return finite(value, what)
 
 
-def _sign(number) -> int:
-    return (number > 0) - (number < 0)
+def _product(values) -> float:
+    """The float product of values, left to right; OverflowError once a partial
+    product leaves the normal floats, unless it is 0 as a value is 0."""
+    product = 1.0
+    for value in values:
+        product *= value
+        if not NORMAL <= abs(product) <= LARGEST and (product or 0 not in values):
+            raise OverflowError
+    return product
+
+
+def _sign(number):
+    """The sign of number, or number itself where it is an inf or nan."""
+    return number if abs(number) == math.inf or number != number else (number > 0) - (number < 0)

@@ -5,7 +5,8 @@ import itertools
 import math
 from collections.abc import Callable
 
-from .errors import TINY, DomainError, finite, listed, quotient, record, within, within_int
+from .errors import (TINY, DomainError, exact_ratio, finite, listed, ratio, record, within,
+                     within_int)
 
 FOLD_TOL = 1e-12
 ARC_TOL = 1e-9
@@ -52,10 +53,15 @@ class PlanarMotion(record("PlanarMotion", "displacement t_s t_parallel_s")):
 
 
 def slope(p1: Point2, p2: Point2) -> float:
-    """Segment slope (y2 - y1)/(x2 - x1); vertical segments are excluded."""
+    """Segment slope (y2 - y1)/(x2 - x1); vertical segments are excluded. Where a
+    difference leaves the float range, both are taken exactly."""
     if p2.x == p1.x:
         raise DomainError("slope undefined for vertical segment")
-    return quotient(p2.y - p1.y, p2.x - p1.x, "slope")
+    dy, dx = p2.y - p1.y, p2.x - p1.x
+    if math.inf in (abs(dy), abs(dx)):  # y2 - y1 = (c*b - a*d) / (b*d), x2 - x1 likewise
+        (a, b), (c, d), (e, f), (g, h) = (v.as_integer_ratio() for v in (p1.y, p2.y, p1.x, p2.x))
+        return exact_ratio((c * b - a * d, f * h), (b * d, g * f - e * h), "slope")
+    return ratio((dy,), (dx,), "slope")
 
 
 def segment_length(p1: Point2, p2: Point2) -> float:
@@ -101,10 +107,8 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
                 infs += value  # nan for inf - inf
             else:
                 total += Fraction(value)
-        if infs or math.inf in map(abs, steps):  # beside an inf, only signs count
-            return finite(math.prod(steps, start=infs or (total > 0) - (total < 0)), "integral")
-        return finite(math.prod(map(Fraction, steps), start=total), "integral")
-    return finite(math.prod(steps, start=finite(total, "integral")), "integral")
+        return exact_ratio((infs or total, *steps), (), "integral")
+    return ratio((finite(total, "integral"), *steps), (), "integral")
 
 
 def riemann_area(f: Callable[[float, float], float],
@@ -139,6 +143,5 @@ def planar_kinematics(m: PlanarMotion) -> tuple[float, float, float]:
     to the synchronization displacement, identical here by construction.
     """
     d = math.hypot(*m.displacement)
-    v = quotient(d, m.t_s, "speed")
-    a = quotient(v, m.t_parallel_s, "acceleration")
-    return (v, a, v)
+    v = ratio((d,), (m.t_s,), "speed")
+    return (v, ratio((d,), (m.t_s, m.t_parallel_s), "acceleration"), v)

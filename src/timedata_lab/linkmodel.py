@@ -6,7 +6,7 @@ import math
 import re
 
 from .errors import (TINY, DivergenceSignal, DivisionByZeroSignal, DomainError, finite,
-                     quotient, record, within, within_int)
+                     ratio, record, within, within_int)
 from .units import C_KM_PER_S
 
 TWO_PI = 2.0 * math.pi
@@ -62,13 +62,11 @@ class AmplitudeOverlap(record("AmplitudeOverlap", "re im")):
 
     __slots__ = ()
 
-    def modulus_squared(self) -> float:
-        return float(self.re) * self.re + float(self.im) * self.im
-
     def __init__(self, re: float, im: float):
         for part in (re, im):
             within(part, "overlap parts must be finite numbers, got {!r}")
-        within(self.modulus_squared(), "overlap modulus squared {} exceeds 1", high=1 + 1e-12)
+        within(float(re) * re + float(im) * im, "overlap modulus squared {} exceeds 1",
+               high=1 + 1e-12)
 
 
 def epsilon_from_progress(progress_pct: float, range_lm: float) -> float:
@@ -97,17 +95,17 @@ def shift_timestamp(local: Timestamp, epsilon_lm: float) -> Timestamp:
 
 
 def frequency_resolution(distance_km: float, progress_pct: float) -> float:
-    """Effective frequency c / (distance * progress fraction), in Hz."""
+    """Effective frequency c / (distance * progress fraction), in Hz: c * 100 / (d * p)."""
     within(distance_km, _DISTANCE, TINY)
     within(progress_pct, _PROGRESS, 0.0, 100.0)
     if progress_pct == 0:
         raise DivisionByZeroSignal("frequency resolution undefined at 0% progress")
-    return quotient(C_KM_PER_S, float(distance_km) * progress_pct / 100.0,
-                    "frequency resolution")
+    return ratio((C_KM_PER_S, 100.0), (distance_km, progress_pct), "frequency resolution")
 
 
 def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> float:
-    """Displaced resolution c / (distance * remaining fraction), in Hz.
+    """Displaced resolution c / (distance * remaining fraction), in Hz: c * 100 /
+    (d * (100 - p)), where 100 - p is exact from 50% up and 1 - p / 100 would cancel.
 
     Strictly increasing in progress; progress = 100 is a declared
     divergent limit, not a plain division error.
@@ -116,8 +114,8 @@ def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> f
     within(progress_pct, _PROGRESS, 0.0, 100.0)
     if progress_pct == 100.0:
         raise DivergenceSignal("displaced resolution diverges at 100% progress")
-    return quotient(C_KM_PER_S, distance_km * (1.0 - progress_pct / 100.0),
-                    "displaced frequency resolution")
+    return ratio((C_KM_PER_S, 100.0), (distance_km, 100.0 - progress_pct),
+                 "displaced frequency resolution")
 
 
 def uncertainty_satisfied(delta_omega: float, delta_t: float) -> bool:
@@ -129,7 +127,10 @@ def uncertainty_satisfied(delta_omega: float, delta_t: float) -> bool:
 
 def timedata_probability(t_s: float, delta_bits: float,
                          overlap: AmplitudeOverlap) -> float:
-    """Jump probability t * delta * |overlap|^2."""
+    """Jump probability t * delta * |overlap|^2, as t * delta * re^2 + t * delta * im^2:
+    no square underflows before the product."""
     for value in (t_s, delta_bits):
         within(value, "time and bit count must be nonnegative", 0.0)
-    return finite(float(t_s) * delta_bits * overlap.modulus_squared(), "jump probability")
+    return finite(ratio((t_s, delta_bits, overlap.re, overlap.re), (), "jump probability")
+                  + ratio((t_s, delta_bits, overlap.im, overlap.im), (), "jump probability"),
+                  "jump probability")

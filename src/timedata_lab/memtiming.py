@@ -5,8 +5,8 @@ efficiency and FIFO waterfall allocation."""
 import math
 from operator import attrgetter
 
-from .errors import (LARGEST, NORMAL, TINY, DivisionByZeroSignal, DomainError, finite,
-                     listed, quotient, record, within)
+from .errors import (TINY, DivisionByZeroSignal, DomainError, exact_ratio, finite, listed,
+                     ratio, record, within)
 
 QUBIT_NORM_TOL = 1e-9
 
@@ -85,11 +85,7 @@ def bit_frequency(a_in_bits: float, b_in_qbits: float, t_s: float) -> float:
     within(a_in_bits, "bit input must be nonnegative", 0.0)
     for value in (b_in_qbits, t_s):
         within(value, "qubit input and time must be positive", TINY, error=DivisionByZeroSignal)
-    if NORMAL <= (denominator := b_in_qbits * t_s) <= LARGEST:
-        return quotient(a_in_bits, denominator, "bit frequency")
-    from fractions import Fraction  # beyond the normal floats: divide exactly
-    return finite(Fraction(a_in_bits) / (Fraction(b_in_qbits) * Fraction(t_s)),
-                  "bit frequency")
+    return ratio((a_in_bits,), (b_in_qbits, t_s), "bit frequency")
 
 
 def validate_qubit(q: QubitState) -> bool:
@@ -132,24 +128,20 @@ def phase_ratio_means(alpha: list[tuple[float, float]],
 
 def sheet_resistance(g: ElectrodeGeometry) -> float:
     """Sheet resistance resistivity / thickness, in ohms per square."""
-    return quotient(g.resistivity, g.thickness, "sheet resistance")
+    return ratio((g.resistivity,), (g.thickness,), "sheet resistance")
 
 
 def resistance(g: ElectrodeGeometry) -> float:
-    """Electrode resistance Z * R_s with Z = L/W; square electrodes give R_s."""
-    z, r_s = g.length / g.width, g.resistivity / g.thickness
-    if NORMAL <= z <= LARGEST and NORMAL <= r_s <= LARGEST:
-        return finite(z * r_s, "resistance")
-    from fractions import Fraction  # a factor beyond the normal floats: take all exactly
-    length, width, resistivity, thickness = map(Fraction, g)
-    return finite(length * resistivity / (width * thickness), "resistance")
+    """Electrode resistance Z * R_s with Z = L/W, rounded once from the exact value:
+    square electrodes give R_s, and Z or R_s beyond the normal floats costs nothing."""
+    return exact_ratio((g.length, g.resistivity), (g.width, g.thickness), "resistance")
 
 
 def transconductance_baseline(d_i_ds_a: float, d_v_gs_v: float) -> float:
     """Field-effect transconductance dI_ds / dV_gs, in siemens."""
     if finite(d_v_gs_v, "gate-source voltage step") == 0:
         raise DivisionByZeroSignal("zero gate-source voltage step")
-    return quotient(finite(d_i_ds_a, "drain current step"), d_v_gs_v, "transconductance")
+    return ratio((finite(d_i_ds_a, "drain current step"),), (d_v_gs_v,), "transconductance")
 
 
 def quantum_efficiency(n_collected: int, n_entangled_storable: int) -> float:
@@ -157,7 +149,7 @@ def quantum_efficiency(n_collected: int, n_entangled_storable: int) -> float:
     within(n_entangled_storable, "storable carrier count must be positive", TINY, math.inf,
            DivisionByZeroSignal)
     within(n_collected, "collected count must be nonnegative", 0, math.inf)
-    return quotient(n_collected, n_entangled_storable, "quantum efficiency")
+    return ratio((n_collected,), (n_entangled_storable,), "quantum efficiency")
 
 
 def waterfall_allocate(carriers: list[Carrier], cells: CellMap) -> dict[int, int]:

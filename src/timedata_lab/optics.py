@@ -3,7 +3,7 @@ Snell ratio, rotation angle and thin-shell isolation geometry."""
 
 import math
 
-from .errors import LARGEST, NORMAL, TINY, DomainError, finite, quotient, record, within
+from .errors import TINY, DomainError, finite, ratio, record, within
 
 # Single-mode cutoff used by this toolkit (documented divergence from the
 # textbook 2.405).
@@ -47,18 +47,10 @@ class IsolationShell(record("IsolationShell",
 
 
 def v_number(f: FiberSpec) -> float:
-    """Normalized frequency (2*pi*a/lambda) * sqrt(n1^2 - n2^2)."""
-    na = math.sqrt(float(f.n1) * f.n1 - float(f.n2) * f.n2)
-    scaled = 2.0 * math.pi * f.core_radius_m
-    if na <= LARGEST and NORMAL <= scaled and NORMAL <= (x := scaled / f.wavelength_m) <= LARGEST:
-        return finite(x * na, "V-number")
-    # A step left the normal floats: take each value exactly, and the square root of
-    # n1^2 - n2^2 scaled by 4**-e into [0, 1), rounded twice: to within an ulp.
-    from fractions import Fraction
-    radius, wavelength, n1, n2 = map(Fraction, f)
-    e = math.frexp(f.n1)[1]
-    na = math.ldexp(math.sqrt((n1 * n1 - n2 * n2) / 4 ** e), e)
-    return finite(Fraction(2.0 * math.pi) * radius / wavelength * Fraction(na), "V-number")
+    """Normalized frequency (2*pi*a/lambda) * sqrt(n1^2 - n2^2), with the root taken
+    as n1 * sqrt((n1 - n2) / n1 * (1 + n2 / n1)), which neither overflows nor cancels."""
+    root = math.sqrt((f.n1 - f.n2) / f.n1 * (1.0 + f.n2 / f.n1))
+    return ratio((math.tau, f.core_radius_m, f.n1, root), (f.wavelength_m,), "V-number")
 
 
 def is_single_mode(v: float) -> bool:
@@ -71,17 +63,16 @@ def snell_refracted_angle(theta1_rad: float, n1: float, n2: float) -> float:
 
     Raises DomainError when the Snell ratio exceeds 1 (total internal reflection).
     """
-    ratio = quotient(math.sin(finite(theta1_rad, "incidence angle")) * finite(n1, "n1"),
-                     finite(n2, "n2"), "Snell ratio")
-    if abs(ratio) > 1.0:
-        raise DomainError(f"sin(theta1)*n1/n2 = {ratio:.6g} outside [-1, 1]")
-    return math.asin(ratio)
+    sine = ratio((math.sin(finite(theta1_rad, "incidence angle")), finite(n1, "n1")),
+                 (finite(n2, "n2"),), "Snell ratio")
+    if abs(sine) > 1.0:
+        raise DomainError(f"sin(theta1)*n1/n2 = {sine:.6g} outside [-1, 1]")
+    return math.asin(sine)
 
 
 def faraday_rotation(cell: FaradayCell) -> float:
     """Polarization rotation angle verdet * B * path, in radians."""
-    return finite(float(cell.verdet_rad_per_T_m) * cell.b_field_T * cell.path_m,
-                  "Faraday rotation")
+    return ratio((cell.verdet_rad_per_T_m, cell.b_field_T, cell.path_m), (), "Faraday rotation")
 
 
 def isolation_geometry(s: IsolationShell) -> tuple[float, float]:
@@ -91,6 +82,5 @@ def isolation_geometry(s: IsolationShell) -> tuple[float, float]:
     """
     b = within(s.shell_thickness_m, _THIN_SHELL,
                high=math.nextafter(THIN_SHELL_FACTOR * s.circular_radius_m, 0.0))
-    area = 2.0 * math.pi * b * (b + s.length_m)
-    volume = 2.0 * math.pi * s.mean_radius_m * s.length_m * b
-    return (finite(area, "shell area"), finite(volume, "shell volume"))
+    return (ratio((math.tau, b, b + s.length_m), (), "shell area"),
+            ratio((math.tau, s.mean_radius_m, s.length_m, b), (), "shell volume"))

@@ -7,7 +7,7 @@ import random
 import statistics
 import time
 
-from .errors import TINY, DomainError, listed, quotient, record, within, within_int
+from .errors import TINY, DomainError, listed, ratio, record, within, within_int
 
 # Default asymptotic-ratio bound M.
 DEFAULT_RATIO_BOUND = 1e6
@@ -51,7 +51,7 @@ def parallel_sort(instance: SortInstance) -> list:
     nan, which compares false with everything, so that no order holds around
     it. The elements are scanned for nan only where their sum is nan (a nan, or
     inf beside -inf) or cannot be taken as a float; elements that do not add
-    (text) are not scanned.
+    (text, Decimals) are not scanned, and sorted() signals a Decimal nan.
     """
     elements = instance.elements
     try:
@@ -62,12 +62,14 @@ def parallel_sort(instance: SortInstance) -> list:
         total = math.nan
     # x != x is math.isnan(x) for a float, and false for any int, which isnan
     # cannot take beyond the float range.
-    if total != total and any(map(operator.ne, elements, elements)):
-        raise DomainError("sort elements hold nan, which orders against nothing")
     try:
+        if total != total and any(map(operator.ne, elements, elements)):
+            raise ArithmeticError  # a float nan, around which sorted() would not fail
         return sorted(elements)
     except TypeError as exc:
         raise DomainError(f"sort elements do not order: {exc}") from None
+    except ArithmeticError:  # decimal.InvalidOperation too: a Decimal nan ordered
+        raise DomainError("sort elements hold nan, which orders against nothing") from None
 
 
 def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> str:
@@ -87,10 +89,9 @@ def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> str:
         return "Vanishing"
     if n == n_prime:
         return "Unit"
-    # A ratio beyond the float range is refused: quotient keeps every other exact.
-    if quotient(n, n_prime, "size ratio") > m_bound:
+    if ratio((n,), (n_prime,), "size ratio") > m_bound:
         return "Diverging"
-    if quotient(n_prime, n, "size ratio") > m_bound:
+    if ratio((n_prime,), (n,), "size ratio") > m_bound:
         return "Vanishing"
     return "Unit"
 

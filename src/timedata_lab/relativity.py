@@ -4,8 +4,7 @@ wavelength."""
 
 import math
 
-from .errors import (LARGEST, NORMAL, TINY, DivisionByZeroSignal, finite, quotient,
-                     record, within)
+from .errors import TINY, DivisionByZeroSignal, finite, ratio, record, within
 from .units import C_KM_PER_S
 
 # Stationary storage projection factor, exact cos(pi/4).
@@ -101,7 +100,7 @@ def charge_balance_inverse(q_t2, q_in: float, q_out: float):
 def charge_density(q_total_c: float, volume_m3: float) -> float:
     """Plate charge density Q / (2 * V); the factor 2 is part of the model."""
     within(volume_m3, "volume must be positive", TINY, error=DivisionByZeroSignal)
-    return quotient(finite(q_total_c, "charge") / 2.0, volume_m3, "charge density")
+    return ratio((finite(q_total_c, "charge"),), (2.0, volume_m3), "charge density")
 
 
 def moire_wavelength(x_delta0: float, x_delta: float, x_pattern: float) -> float:
@@ -109,8 +108,4 @@ def moire_wavelength(x_delta0: float, x_delta: float, x_pattern: float) -> float
     within(x_pattern, "pattern length must be positive", TINY, error=DivisionByZeroSignal)
     for value in (x_delta0, x_delta):
         within(value, "Moire lengths must be finite numbers, got {!r}")
-    if NORMAL <= abs(product := x_delta0 * x_delta) <= LARGEST or not (x_delta0 and x_delta):
-        return quotient(product, x_pattern, "Moire wavelength")
-    from fractions import Fraction  # beyond the normal floats: divide exactly
-    return finite(Fraction(x_delta0) * Fraction(x_delta) / Fraction(x_pattern),
-                  "Moire wavelength")
+    return ratio((x_delta0, x_delta), (x_pattern,), "Moire wavelength")

@@ -35,6 +35,10 @@ SUCCESS = [
     (["link", "shift", "--time", "13:35:00", "--epsilon", "1.33"], "13:33:40\n"),
     (["link", "fres", "--distance", "1.46e8", "--progress", "16"], "0.0128425 Hz\n"),
     (["link", "fdisp", "--distance", "1.46e8", "--progress", "16"], "0.00244618 Hz\n"),
+    (["link", "fres", "--distance", "1e308", "--progress", "50"], "6e-303 Hz\n"),
+    # 100 - p is exact here, where 1 - p / 100 cancelled to 2.70216e+21.
+    (["link", "fdisp", "--distance", "1", "--progress", "99.99999999999999"],
+     "2.11106e+21 Hz\n"),
     (["link", "unc", "--domega", "2", "--dt", "4"], "satisfied\n"),
     (["link", "unc", "--domega", "1", "--dt", "1"], "violated\n"),
     (["optics", "vnum", "--radius", "1e-6", "--wavelength", "1.55e-6",
@@ -48,6 +52,14 @@ SUCCESS = [
     (["optics", "shell", "--thickness", "0.001", "--length", "1",
       "--mean-radius", "0.05", "--circ-radius", "0.05"],
      "A = 0.00628947 m^2, V = 0.000314159 m^3\n"),
+    # Each product below leaves the normal floats on its way to a finite result.
+    (["optics", "faraday", "--verdet", "1e-200", "--bfield", "1e-200", "--path", "1e300"],
+     "1e-100 rad\n"),
+    (["optics", "shell", "--thickness", "1e-300", "--length", "1e300",
+      "--mean-radius", "1e10", "--circ-radius", "1e10"],
+     "A = 6.28319 m^2, V = 6.28319e+10 m^3\n"),
+    (["optics", "vnum", "--radius", "1e-6", "--wavelength", "1.55e-6",
+      "--n1", "1.4500000000000001", "--n2", "1.45"], "V = 1.02865e-07 (single-mode)\n"),
     (["mem", "bitfreq", "--bits", "1", "--qbits", "2", "--time", "1"], "0.5 Hz\n"),
     (["mem", "bitfreq", "--bits", "1e300", "--qbits", "1e200", "--time", "1e200"],
      "1e-100 Hz\n"),
@@ -154,8 +166,9 @@ TYPED_ERRORS = [
     (["optics", "shell", "--thickness", "1", "--length", "1e308",
       "--mean-radius", "1e308", "--circ-radius", "1e308"],
      "error: shell area not finite: inf\n"),
+    # The slope is 1, the differences taken exactly; the length, 2.8e308, is not.
     (["geom", "slope", "--x1=-1e308", "--y1=-1e308", "--x2=1e308", "--y2=1e308"],
-     "error: slope not finite: nan\n"),
+     "error: segment length not finite: inf\n"),
     (["mem", "eta", "--collected", "1" + "0" * 400, "--storable", "1"],
      "error: quantum efficiency not finite: inf\n"),
     (["rel", "charge", "--q1", "1e308", "--qin", "1e308"],

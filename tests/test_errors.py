@@ -1,5 +1,5 @@
 """The one number rule: finite_float(), plain_float(), plain_int(), within(),
-within_int(), finite(), quotient() and finite_text(); and record(), whose
+within_int(), finite(), ratio() and finite_text(); and record(), whose
 checked records check a replaced field as the constructor does and keep no
 instance dict."""
 
@@ -10,6 +10,7 @@ import pickle
 import pkgutil
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 import timedata_lab
 from timedata_lab import (analysis, errors, geomlink, linkmodel, memtiming, optics, ptvda,
                           relativity)
-from timedata_lab.errors import (DomainError, TimedataError, finite, quotient, within,
+from timedata_lab.errors import (DomainError, TimedataError, finite, ratio, within,
                                  within_int)
 
 
@@ -26,6 +27,7 @@ def test_the_sheet_pipeline_reads_and_prints_numbers_through_errors():
     assert analysis.finite_text is errors.finite_text
 
 
+# ratio's two-operand case, a quotient.
 @pytest.mark.parametrize("numerator,denominator,message", [
     (1.0, 0.0, "q not finite: inf"),
     (-1.0, 0.0, "q not finite: -inf"),
@@ -36,7 +38,7 @@ def test_the_sheet_pipeline_reads_and_prints_numbers_through_errors():
 ])
 def test_quotient_out_of_range(numerator, denominator, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
-        quotient(numerator, denominator, "q")
+        ratio((numerator,), (denominator,), "q")
 
 
 @pytest.mark.parametrize("value,message", [
@@ -57,7 +59,7 @@ def test_finite_text_prints_numbers_only():
 def test_finite_passes_floats_ints_and_fractions_in_range():
     assert finite(Fraction(1, 3), "x") == 1 / 3
     assert finite(10**300, "x") == 1e300
-    assert quotient(1, 4, "x") == 0.25
+    assert ratio((1,), (4,), "x") == 0.25
     with pytest.raises(DomainError, match="^x not finite: -inf$"):
         finite(-Fraction(10**400), "x")
 
@@ -75,18 +77,23 @@ def test_finite_passes_floats_ints_and_fractions_in_range():
 ], ids=["big/2.0", "-big/2.0", "big/0", "big/0.0", "-big/0", "inf/-big", "nan/big", "big/nan"])
 def test_quotient_of_a_huge_int_is_a_domain_error(numerator, denominator, message):
     with pytest.raises(DomainError, match=f"^{message}$"):
-        quotient(numerator, denominator, "x")
+        ratio((numerator,), (denominator,), "x")
 
 
 def test_quotient_of_a_huge_int_is_exact_when_it_fits():
-    assert quotient(10**400, 1e300, "x") == 1e100
-    assert quotient(10**400, 10**399, "x") == 10.0
-    assert quotient(1.0, 10**400, "x") == 0.0
-    assert quotient(10**400, Fraction(10**398), "x") == 100.0
+    assert ratio((10**400,), (1e300,), "x") == 1e100
+    assert ratio((10**400,), (10**399,), "x") == 10.0
+    assert ratio((1.0,), (10**400,), "x") == 0.0
+    assert ratio((10**400,), (Fraction(10**398),), "x") == 100.0
     # As for 1e300 / inf, the quotient of a finite operand by inf is zero.
     for denominator in (math.inf, -math.inf):
-        value = quotient(10**400, denominator, "x")
+        value = ratio((10**400,), (denominator,), "x")
         assert (value, math.copysign(1.0, value)) == (0.0, math.copysign(1.0, denominator))
+
+
+# No float multiplies a Decimal; its exact value is rounded once, as an int's is.
+def test_ratio_takes_a_decimal_operand_exactly():
+    assert ratio((Decimal("0.1"), 3), (Decimal("0.7"),), "x") == float(Fraction(3, 7))
 
 
 def test_within_returns_a_number_in_range_unchanged():

@@ -35,6 +35,14 @@ class TestSlope:
         with pytest.raises(DomainError):
             gl.slope(Point2(2, 0), Point2(2, 5))
 
+    # y2 - y1 overflows, and x2 - x1 with it in the second: both are taken exactly.
+    @pytest.mark.parametrize("p1,p2,expected", [
+        (Point2(0, -1e308), Point2(1e300, 1e308), 2e8),
+        (Point2(-1e308, -1e308), Point2(1e308, 1e308), 1.0),
+        (Point2(-1e308, 1.5), Point2(1e308, 2.5), 5e-309)])
+    def test_difference_past_the_float_range(self, p1, p2, expected):
+        assert gl.slope(p1, p2) == expected
+
 
 class TestSegmentLength:
     def test_identical_points(self):
@@ -390,9 +398,11 @@ class TestPlanarKinematics:
         with pytest.raises(DomainError):
             PlanarMotion((1, 1), 0, 1)
 
+    # 1e300 / (1e200 * 1e200), the floats' exact value rounded once; dividing by
+    # each time in turn rounds it twice, to 1e-100.
     def test_acceleration_where_t_times_t_parallel_overflows(self):
         assert gl.planar_kinematics(PlanarMotion((1e300, 0), 1e200, 1e200)) == \
-            (1e100, 1e-100, 1e100)
+            (1e100, 1.0000000000000001e-100, 1e100)
 
     @pytest.mark.parametrize("displacement", [(3, 4, 12), (), (5,), 5, None, iter((3, 4))])
     def test_displacement_must_be_two_parts(self, displacement):

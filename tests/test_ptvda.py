@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -38,10 +39,12 @@ class TestParallelSort:
         assert ptvda.parallel_sort(SortInstance([7] * 100, 8)) == [7] * 100
 
     # nan orders against nothing, so no result is sorted around it; an int beyond
-    # the float range beside a float leaves the sum no float, and is scanned too.
+    # the float range beside a float leaves the sum no float, and is scanned too. A
+    # Decimal adds to no float, so is not scanned: a Decimal nan signals when sorted.
     @pytest.mark.parametrize("elements", [
         [3.0, math.nan, 1.0, 2.0], [math.nan], [math.inf, -math.inf, math.nan],
-        [10 ** 400, 1.5, math.nan], [Fraction(1, 3), math.nan]])
+        [10 ** 400, 1.5, math.nan], [Fraction(1, 3), math.nan],
+        [Decimal("NaN"), Decimal(1)], [Decimal(1), math.nan, 2.0]])
     def test_nan_refused(self, elements):
         with pytest.raises(DomainError, match="^sort elements hold nan, which orders "
                                               "against nothing$"):
