@@ -1,17 +1,13 @@
 """Command-line front end exposing every toolkit module as a subcommand.
 
-The whole command line is declared in ``COMMANDS``: ``build_parser``
-turns it into the argparse tree; ``main`` reads a leaf's flags straight from
-its row and calls that leaf's runner. Any other argv, help and usage errors
-included, goes to the argparse tree.
+The whole command line is declared in ``COMMANDS``: ``main`` reads argv from it,
+as argparse would read the tree ``build_parser`` makes of it, and calls the
+runner of the leaf argv names. argparse only formats the help and usage text.
 """
 
 import argparse
-import contextlib
 import importlib.util
-import io
 import os
-import re
 import sys
 
 from .errors import TimedataError, finite_float, finite_text, plain_float, plain_int
@@ -34,20 +30,12 @@ def _lazy(name):
 analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity = map(_lazy, (
     "analysis", "geomlink", "linkmodel", "memtiming", "optics", "ptvda", "relativity"))
 
-# argparse reads `-1e5` as an option, as its negative numbers are -1 and -1.5
-# only; _parse joins `--flag -1e5` into `--flag=-1e5` when this matches the value.
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?(,|$)", re.I)
-
 
 def _csv_of(convert):
-    """argparse type for a comma-separated list, read as a tuple; empty items
-    are skipped."""
+    """Flag type for a comma-separated list, read as a tuple; empty items are skipped."""
     def parse(text: str) -> tuple:
-        try:
-            return tuple(convert(part) for part in text.split(",") if part != "")
-        except ValueError:
-            message = f"expected comma-separated {convert.__name__}s, got {text!r}"
-            raise argparse.ArgumentTypeError(message) from None
+        return tuple(convert(part) for part in text.split(",") if part != "")
+    parse.__name__ = f"{convert.__name__} list"
     return parse
 
 
@@ -157,7 +145,7 @@ def _floats(*names):
 # the command itself. A flag is (name, type, default); a _REQUIRED default makes it
 # mandatory. A runner takes the parsed arguments and returns its text, or its text
 # and its warning lines, writing each result number with finite_text. --time stays
-# a string so the DomainError of Timestamp.parse reaches main instead of argparse,
+# a string so the DomainError of Timestamp.parse is a typed error, not a usage one,
 # and sort classify takes plain floats because inf is its infinity marker.
 COMMANDS = {
     "link": ("comlink time-data model", {
@@ -238,86 +226,97 @@ COMMANDS = {
 }
 
 
-class _Value(argparse.Action):
-    """Stores a flag's value. The argparse of Python 3.10 to 3.12 reads
-    `--flag=--` as no value: it stores [] and never calls the flag's type.
-    That of 3.13 reads it as the value `--`, which a text flag's type keeps.
-    Both are refused like `--flag --`; no type returns a list."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if values in ([], "--"):
-            raise argparse.ArgumentError(self, "expected one argument")
-        setattr(namespace, self.dest, values)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The whole argparse tree of ``COMMANDS``."""
-    parser = argparse.ArgumentParser(
+def build_parser() -> dict:
+    """The argparse tree of ``COMMANDS`` as {path: parser}, the path being () for
+    the whole command line and (command,) or (command, action) below it. It formats
+    each level's help and usage text; _parse reads argv."""
+    tree = {(): argparse.ArgumentParser(
         prog="timedata-lab",
         description="Comlink latency, optics, memory-timing, relativity, "
-                    "sorting and spreadsheet toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+                    "sorting and spreadsheet toolkit")}
+    sub = tree[()].add_subparsers(dest="command", required=True)
     for command, (help_text, actions) in COMMANDS.items():
-        command_parser = sub.add_parser(command, help=help_text)
+        tree[command,] = sub.add_parser(command, help=help_text)
         if None not in actions:  # the action None is the command itself
-            action_sub = command_parser.add_subparsers(dest="action", required=True)
-        for action, (flags, runner) in actions.items():
-            leaf = command_parser if action is None else action_sub.add_parser(action)
-            for name, type_, default in flags:
-                leaf.add_argument("--" + name, type=type_, default=default,
-                                  required=default is _REQUIRED, action=_Value)
-            leaf.set_defaults(run=runner)
-    return parser
+            action_sub = tree[command,].add_subparsers(dest="action", required=True)
+        for action, (flags, _) in actions.items():
+            leaf = tree[command,] if action is None else action_sub.add_parser(action)
+            tree[(command, action) if action else (command,)] = leaf
+            for name, _, default in flags:
+                leaf.add_argument("--" + name, required=default is _REQUIRED)
+    return tree
 
 
-def _read(argv, unread, runner):
-    """The namespace argparse would make of argv, the tokens after a leaf's path,
-    read against unread, that leaf's {"--flag": (dest, type, default)}; None unless
-    they are `--flag value` or `--flag=value` pairs of its full flag names, each
-    once, with every required flag given and every value read by its type."""
-    args = argparse.Namespace(run=runner)
-    tokens = iter(argv)
+def _exit(path, message="") -> SystemExit:
+    """SystemExit whose args are _write's for the level at path: its help for stdout
+    and code 0, or given a message, its usage and `<prog>: error:` line for stderr, 2."""
+    parser = build_parser()[tuple(path)]
+    if message:
+        return SystemExit([f"{parser.format_usage()}{parser.prog}: error: {message}"], "", 2)
+    return SystemExit([], parser.format_help()[:-1], 0)
+
+
+def _option(token, path, flags):
+    """The one flag of flags that token, up to any `=`, is a prefix of, or None; it names
+    none in full. `-h` and a prefix of --help raise help; a prefix of two, a usage error."""
+    name, eq, text = token.partition("=")
+    options = ([flag for flag in ("--help", *flags) if flag.startswith(name)]
+               if name[:2] == "--" else ["--help"] if name == "-h" else [])
+    if options[1:]:
+        raise _exit(path, f"ambiguous option: {token} could match {', '.join(options)}")
+    if options == ["--help"]:
+        raise _exit(path, eq and f"argument -h/--help: ignored explicit argument {text!r}")
+    return options[0] if options else None
+
+
+def _choose(tokens, path, choices, leftover):
+    """The entry of choices named by the next token that argparse reads as no option,
+    which is appended to path. An option before it is help, or else left over."""
+    for token in tokens:
+        # argparse's negative numbers, digits with at most one point, are no options
+        if token[:1] != "-" or token in ("-", "--") or token[1:].replace(".", "", 1).isdecimal():
+            if token not in choices:
+                raise _exit(path, f"argument {('command', 'action')[len(path)]}: invalid "
+                            f"choice: {token!r} (choose from {', '.join(map(repr, choices))})")
+            path.append(token)
+            return choices[token]
+        _option(token, path, ())  # raises for help; no other option is known here
+        leftover.append(token)
+    raise _exit(path, f"the following arguments are required: {('command', 'action')[len(path)]}")
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of the leaf argv names, read from COMMANDS as argparse reads its
+    tree, with the leaf's runner as .run; help and usage errors raise _exit's SystemExit."""
+    tokens, path, leftover = iter(argv), [], []
+    _, actions = _choose(tokens, path, COMMANDS, leftover)
+    flags, runner = actions[None] if None in actions else _choose(tokens, path, actions, leftover)
+    args, declared = argparse.Namespace(run=runner), {}
+    for name, type_, default in flags:
+        setattr(args, dest := name.replace("-", "_"), default)
+        declared["--" + name] = dest, type_
     for token in tokens:
         flag, eq, text = token.partition("=")
-        text = text if eq else next(tokens, "-")  # a missing value reads as "-"
-        # argparse reads a value token such as `--` or `-h` as an option (_parse has
-        # joined each negative number to its flag); _Value refuses `--flag=--`
-        if flag not in unread or (text == "--" if eq else text[:1] == "-"):
-            return None
-        dest, type_, _ = unread.pop(flag)
+        # a token that names no flag is left over, as is each one from `--` on
+        if token == "--" or flag not in declared and not (flag := _option(token, path, declared)):
+            leftover += [token, *tokens] if token == "--" else [token]
+            continue
+        if not eq:  # the next token, which `--`, `-h` and each `--name` cannot be
+            text = next(tokens, "--")
+        if text == "--" or not eq and (text[:2] == "--" or text == "-h"):
+            raise _exit(path, f"argument {flag}: expected one argument")
+        dest, type_ = declared[flag]
         try:
             setattr(args, dest, type_(text))
-        except (TypeError, ValueError, argparse.ArgumentTypeError):  # as argparse catches
-            return None
-    for dest, _, default in unread.values():
-        if default is _REQUIRED:
-            return None
-        setattr(args, dest, default)
+        except (TypeError, ValueError):
+            raise _exit(path, f"argument {flag}: invalid {type_.__name__} value: "
+                        f"{text!r}") from None
+    if _REQUIRED in vars(args).values():
+        raise _exit(path, "the following arguments are required: " + ", ".join(
+            flag for flag, (dest, _) in declared.items() if getattr(args, dest) is _REQUIRED))
+    if leftover:
+        raise _exit([], "unrecognized arguments: " + " ".join(leftover))
     return args
-
-
-def _parse(argv: list) -> argparse.Namespace:
-    """argv read by _read from the row of the leaf it names, or by the whole tree
-    where it names none or _read declines it. The tree's SystemExit carries the text
-    argparse formatted as its .out and .err. Joins the leaf's negative values in place."""
-    _, actions = COMMANDS.get(argv[0] if argv else "", ("", {}))
-    path = argv[:1] if None in actions else argv[:2]
-    if (action := path[1] if path[1:] else None) in actions:
-        flags, runner = actions[action]
-        unread = {"--" + name: (name.replace("-", "_"), type_, default)
-                  for name, type_, default in flags}
-        for i in range(len(argv) - 1, 0, -1):
-            if argv[i - 1] in unread and _NEGATIVE_NUMBER.match(argv[i]):
-                argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
-        if (args := _read(argv[len(path):], unread, runner)) is not None:
-            return args
-    out, err = io.StringIO(), io.StringIO()  # set up only when argparse runs
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return build_parser().parse_args(argv)
-    except SystemExit as exc:
-        exc.out, exc.err = out.getvalue(), err.getvalue()
-        raise
 
 
 def _write(lines, text, code) -> int:
@@ -342,10 +341,10 @@ def _write(lines, text, code) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        args = _parse(sys.argv[1:] if argv is None else argv)
         out = args.run(args)
-    except SystemExit as exc:  # argparse's help or usage text, each ending in "\n"
-        return _write([exc.err[:-1]] if exc.err else [], exc.out[:-1], exc.code)
+    except SystemExit as exc:  # help or a usage error, as _exit formats it
+        return _write(*exc.args)
     except TimedataError as exc:
         return _write([f"error: {exc}"], "", 1)
     except (OSError, UnicodeDecodeError) as exc:

@@ -60,7 +60,7 @@ def _ungrouped(text: str) -> str:
     return text
 
 
-# argparse names the type in its messages
+# a usage error names a flag's type, as argparse does
 finite_float.__name__, plain_float.__name__, plain_int.__name__ = "finite float", "float", "int"
 
 

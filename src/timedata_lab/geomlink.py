@@ -83,7 +83,8 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
     be an iterator, read once. Where fsum cannot add the values, f runs a second
     time over the grid, so that an error of its own passes through, and the finite
     values and the volume are taken exactly as Fractions (some microseconds a
-    cell) and rounded once."""
+    cell) and rounded once. Where a side hi - lo overflows, each midpoint of its
+    axis weighs lo and hi, and the volume is taken from the exact sides."""
     bounds = listed(bounds, "integration bounds")
     if len(bounds) != 2 * len(counts):
         raise DomainError(f"need {2 * len(counts)} bounds (lo, hi per axis), got {bounds!r}")
@@ -92,11 +93,16 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
     within(math.prod(counts), f"grid must have <= {MAX_GRID_CELLS} cells", high=MAX_GRID_CELLS)
     for bound in bounds:
         within(bound, "integration bounds must be finite, got {!r}")
-    lows = bounds[::2]
-    steps = [(hi - lo) / n for lo, hi, n in zip(lows, bounds[1::2], counts)]
+    lows, highs = bounds[::2], bounds[1::2]
+    steps = [(hi - lo) / n for lo, hi, n in zip(lows, highs, counts)]
     if 0 in steps:
         return 0.0
-    axes = [[lo + (i + 0.5) * h for i in range(n)] for lo, h, n in zip(lows, steps, counts)]
+    axes = [[lo + (i + 0.5) * h for i in range(n)] if abs(h) != math.inf else
+            [lo * ((n - i - 0.5) / n) + hi * ((i + 0.5) / n) for i in range(n)]
+            for lo, hi, h, n in zip(lows, highs, steps, counts)]
+    if wide := math.inf in map(abs, steps):  # hi - lo overflows: every side taken exactly
+        from fractions import Fraction  # imported at start, it would cost 3-4 ms
+        steps = [(Fraction(hi) - Fraction(lo)) / n for lo, hi, n in zip(lows, highs, counts)]
     try:  # fsum rounds once, so the sum is the same on every Python version
         total = math.fsum(itertools.starmap(f, itertools.product(*axes)))
     except (OverflowError, TypeError, ValueError):  # f's own errors too: raised again below
@@ -108,7 +114,7 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
             else:
                 total += Fraction(value)
         return exact_ratio((infs or total, *steps), (), "integral")
-    return ratio((finite(total, "integral"), *steps), (), "integral")
+    return (exact_ratio if wide else ratio)((finite(total, "integral"), *steps), (), "integral")
 
 
 def riemann_area(f: Callable[[float, float], float],
@@ -142,6 +148,8 @@ def planar_kinematics(m: PlanarMotion) -> tuple[float, float, float]:
     v = |d|/t, a = |d|/(t*t_parallel); v_sync is the same speed law applied
     to the synchronization displacement, identical here by construction.
     """
-    d = math.hypot(*m.displacement)
-    v = ratio((d,), (m.t_s,), "speed")
-    return (v, ratio((d,), (m.t_s, m.t_parallel_s), "acceleration"), v)
+    d, twice = math.hypot(*m.displacement), ()
+    if d == math.inf:  # |d| overflows where |d| / 2 does not; the 2 is a factor of ratio's
+        d, twice = math.hypot(*(part / 2 for part in m.displacement)), (2.0,)
+    v = ratio((*twice, d), (m.t_s,), "speed")
+    return (v, ratio((*twice, d), (m.t_s, m.t_parallel_s), "acceleration"), v)

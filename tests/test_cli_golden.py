@@ -5,8 +5,8 @@ any change to what a command prints or returns fails here. ``sort probe``
 prints wall-clock timings: its text is pinned under a fake clock, and on the
 real clock only its exit code and line shapes are.
 Property tests run generated argv through every other leaf, `sheet` and
-`chart` with generated input files, and check that the one parser of the
-leaf an argv names reads it as the whole tree does.
+`chart` with generated input files, and check that each argv read ends in a
+runner, in help, or in one usage error.
 """
 
 import argparse
@@ -35,6 +35,10 @@ SUCCESS = [
     (["link", "shift", "--time", "13:35:00", "--epsilon", "1.33"], "13:33:40\n"),
     (["link", "fres", "--distance", "1.46e8", "--progress", "16"], "0.0128425 Hz\n"),
     (["link", "fdisp", "--distance", "1.46e8", "--progress", "16"], "0.00244618 Hz\n"),
+    # A unique prefix names its flag, with `=` too, and the last value given counts.
+    (["link", "fres", "--dist=1.46e8", "--progress", "16"], "0.0128425 Hz\n"),
+    (["link", "eps", "--progress", "1", "--progress", "16", "--range", "8.3"],
+     "1.328000 Lm\n"),
     (["link", "fres", "--distance", "1e308", "--progress", "50"], "6e-303 Hz\n"),
     # 100 - p is exact here, where 1 - p / 100 cancelled to 2.70216e+21.
     (["link", "fdisp", "--distance", "1", "--progress", "99.99999999999999"],
@@ -276,20 +280,6 @@ options:
 """
 
 
-def _argparse_quotes_choices():
-    """Whether argparse quotes the choices an invalid-choice error lists. It does
-    on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0, and does not on 3.13.13; other
-    patch releases were not checked, so the running argparse is asked."""
-    parser = argparse.ArgumentParser(exit_on_error=False)
-    parser.add_argument("x", choices=["a"])
-    try:
-        parser.parse_args(["b"])
-    except argparse.ArgumentError as exc:
-        return "'a'" in str(exc)
-
-
-QUOTED = _argparse_quotes_choices()
-
 # (argv, exit code, stdout, stderr) of help and usage output, byte for byte.
 HELP_AND_USAGE = [
     ("", 2, "", TOP_USAGE
@@ -298,15 +288,28 @@ HELP_AND_USAGE = [
     ("--help", 0, TOP_HELP, ""),
     ("frobnicate", 2, "", TOP_USAGE
      + "timedata-lab: error: argument command: invalid choice: 'frobnicate' (choose "
-     + ("from 'link', 'optics', 'mem', 'rel', 'sort', 'geom', 'sheet', 'chart')\n"
-        if QUOTED else "from link, optics, mem, rel, sort, geom, sheet, chart)\n")),
+     "from 'link', 'optics', 'mem', 'rel', 'sort', 'geom', 'sheet', 'chart')\n"),
+    # argparse reads `-1` as no option, and so as a command, but `-1e5` as an option.
+    ("-1", 2, "", TOP_USAGE
+     + "timedata-lab: error: argument command: invalid choice: '-1' (choose "
+     "from 'link', 'optics', 'mem', 'rel', 'sort', 'geom', 'sheet', 'chart')\n"),
+    ("-1e5", 2, "", TOP_USAGE
+     + "timedata-lab: error: the following arguments are required: command\n"),
+    ("link -1e5 eps --progress 1 --range 2", 2, "", TOP_USAGE
+     + "timedata-lab: error: unrecognized arguments: -1e5\n"),
+    ("--help=x", 2, "", TOP_USAGE
+     + "timedata-lab: error: argument -h/--help: ignored explicit argument 'x'\n"),
+    ("link eps --help=x", 2, "", EPS_USAGE
+     + "timedata-lab link eps: error: argument -h/--help: ignored explicit argument 'x'\n"),
     ("link", 2, "", LINK_USAGE
      + "timedata-lab link: error: the following arguments are required: action\n"),
     ("link -h", 0, LINK_HELP, ""),
     ("link bogus", 2, "", LINK_USAGE
      + "timedata-lab link: error: argument action: invalid choice: 'bogus' (choose "
-     + ("from 'eps', 'shift', 'fres', 'fdisp', 'unc')\n"
-        if QUOTED else "from eps, shift, fres, fdisp, unc)\n")),
+     "from 'eps', 'shift', 'fres', 'fdisp', 'unc')\n"),
+    ("link -1", 2, "", LINK_USAGE
+     + "timedata-lab link: error: argument action: invalid choice: '-1' (choose "
+     "from 'eps', 'shift', 'fres', 'fdisp', 'unc')\n"),
     ("link -h eps", 0, LINK_HELP, ""),
     ("link eps -h", 0, EPS_HELP, ""),
     ("link eps", 2, "", EPS_USAGE + "timedata-lab link eps: error: the following "
@@ -322,9 +325,15 @@ HELP_AND_USAGE = [
      + "timedata-lab: error: unrecognized arguments: -- extra\n"),
     ("link eps --bogus", 2, "", EPS_USAGE + "timedata-lab link eps: error: the "
      "following arguments are required: --progress, --range\n"),
-    # Read as no value before Python 3.13 and as the text `--` from 3.13 on.
+    # `--` given with `=` is no value, as `--flag --` is.
     ("link shift --time=-- --epsilon 1", 2, "", SHIFT_USAGE
      + "timedata-lab link shift: error: argument --time: expected one argument\n"),
+    ("optics vnum --n 1", 2, "", "usage: timedata-lab optics vnum [-h] --radius RADIUS "
+     "--wavelength WAVELENGTH\n                                --n1 N1 --n2 N2\n"
+     "timedata-lab optics vnum: error: ambiguous option: --n could match --n1, --n2\n"),
+    ("mem waterfall --arrivals 1,x", 2, "", "usage: timedata-lab mem waterfall [-h] "
+     "--arrivals ARRIVALS\ntimedata-lab mem waterfall: error: argument --arrivals: "
+     "invalid finite float list value: '1,x'\n"),
     # argparse echoes the token raw; str.splitlines would break it at \x1c and U+2028.
     ("link eps --progress 1 --range 2 a\x1cb\u2028c", 2, "", TOP_USAGE
      + "timedata-lab: error: unrecognized arguments: a\x1cb\u2028c\n"),
@@ -361,43 +370,34 @@ def _parser_argv(draw):
         st.lists(st.sampled_from(tokens), max_size=4))
 
 
-def _parsed(parse, argv):
-    """The namespace without `command` and `action`, or the exit code, and
-    what parse wrote to stdout and stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = vars(parse(argv))
-            result.pop("command", None)
-            result.pop("action", None)
-        except SystemExit as exc:
-            result = exc.code
-    return result, out.getvalue(), err.getvalue()
-
-
-def _written(argv):
-    """The exit code main hands to _write for argv, and the stdout and stderr text
-    it hands over, as _write prints them."""
-    calls = []
-    with mock.patch.object(cli, "_write", lambda *call: calls.append(call)):
-        main(argv)
-    [(lines, text, code)] = calls
-    return code, text and text + "\n", "".join(line + "\n" for line in lines)
-
-
-# The reference tree, built once: an argparse parser reads any number of argvs.
-WHOLE_TREE = build_parser()
+# The help and the head of a usage error of each level of the command line (the
+# whole of it, each command and each action), as argparse formats them at 80 columns.
+with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+    LEVELS = [(level.format_help(), level.format_usage() + level.prog + ": error: ")
+              for level in build_parser().values()]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(_parser_argv())
-def test_parser_built_for_argv_reads_it_as_the_whole_tree(argv):
-    joined = list(argv)  # _parse joins the leaf's negative values in place
-    leaf, *printed = _parsed(cli._parse, joined)
-    assert printed == ["", ""]  # argparse's text goes to main, not to the streams
-    if not isinstance(leaf, dict):  # an exit: the text main hands to _write
-        leaf, *printed = _written(argv)
-    assert (leaf, *printed) == _parsed(WHOLE_TREE.parse_args, joined)
+def test_each_argv_ends_in_a_runner_help_or_one_usage_error(argv):
+    try:
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            args = cli._parse(argv)
+    except SystemExit as exc:  # main hands its args to _write
+        lines, out, code = exc.args
+        out, err = out and out + "\n", "".join(line + "\n" for line in lines)
+        if code == 0:  # help on stdout alone
+            assert (out, err) in [(help_text, "") for help_text, _ in LEVELS]
+        else:  # a level's usage lines and one error line of its own, on stderr alone
+            assert (code, out) == (2, "")
+            [message] = [err[len(head):] for _, head in LEVELS if err.startswith(head)]
+            assert message.index("\n") == len(message) - 1
+        return
+    _, actions = COMMANDS[argv[0]]
+    flags, runner = actions[None] if None in actions else actions[argv[1]]
+    assert args.run is runner
+    assert vars(args).keys() == {"run"} | {name.replace("-", "_") for name, _, _ in flags}
+    assert cli._REQUIRED not in vars(args).values()
 
 
 def test_leaf_argv_builds_no_parser_unless_argparse_reads_it(capsys, monkeypatch):
@@ -412,10 +412,12 @@ def test_leaf_argv_builds_no_parser_unless_argparse_reads_it(capsys, monkeypatch
     assert capsys.readouterr().out == "1.328000 Lm\n"
     assert main("geom slope --x1=-1e3 --y1 0 --x2 1 --y2 -1e0".split()) == 0
     assert capsys.readouterr().out == "slope = -0.000999001, length = 1001\n"
-    assert built == []
-    # An abbreviated flag is read by the whole tree, built once and alone.
     assert main(["link", "eps", "--prog", "16", "--range", "8.3"]) == 0
     assert capsys.readouterr().out == "1.328000 Lm\n"
+    assert built == []
+    # A usage error builds the whole tree, once and alone, to format its text.
+    assert main(["link", "eps", "--prog", "16"]) == 2
+    assert capsys.readouterr().err.endswith("required: --range\n")
     tree = list(built)
     built.clear()
     build_parser()
@@ -616,9 +618,13 @@ def test_chart_refuses_target_names_xml_cannot_carry(capsys, tmp_path):
     assert not svg_path.exists()
 
 
-def test_file_error_transcript(capsys, tmp_path):
+def test_file_error_transcript(capsys, tmp_path, monkeypatch):
     config, csv_path, svg_path = (tmp_path / n for n in ("t.ini", "t.csv", "t.svg"))
     config.write_text(SUN_MOON_INI)
+    monkeypatch.chdir(tmp_path)  # `-` is a value, the name of a file load_config opens
+    assert _run(capsys, ["sheet", "--config", "-", "--progress", "16",
+                         "--out", str(csv_path)]) == (
+        1, "", "file error: [Errno 2] No such file or directory: '-'\n")
     missing = tmp_path / "nope.csv"
     assert _run(capsys, ["chart", "--in", str(missing), "--out", str(svg_path)]) == (
         1, "", f"file error: [Errno 2] No such file or directory: {str(missing)!r}\n")
@@ -727,7 +733,7 @@ def _argv(draw, directory):
                 with open(value, "w", encoding="utf-8") as fh:
                     fh.write(draw(_FILE_TEXT[name]))
         elif draw(st.integers(0, 9)) == 0:
-            value = "--"  # argparse reads `--flag=--` as no value before Python 3.13
+            value = "--"  # no value, given with `=` or not
         else:
             value = draw(_FLAG_TEXT.get(type_, _FLOAT_LIST))
         argv += [f"--{name}", value] if draw(st.booleans()) else [f"--{name}={value}"]

@@ -6,11 +6,12 @@ the normal floats (errors.ratio's exact path); where the exact value rounds past
 the float range, the kernel raises DomainError.
 
 The oracle is a Fraction of the drawn inputs in the kernel's own formula, with its
-float constants (c, 2 * pi); the V-number's square root is taken in decimal at 60
-digits. Three values are the kernel's own floats, as they are no product: sin(theta)
-in the Snell ratio, hypot(dx, dy) in planar kinematics, and a midpoint sum's cell
-sides (hi - lo) / n. Each @example is a case some version of the toolkit lost or
-refused."""
+float constants (c, 2 * pi); the square roots of the V-number and of a planar
+displacement's length are taken in decimal at 60 digits. Three values are the
+kernel's own floats, as they are no product: sin(theta) in the Snell ratio, the
+length of a planar displacement, checked against its exact root on its own, and the
+cell sides (hi - lo) / n of a midpoint sum whose sides are all finite. Each @example
+is a case some version of the toolkit lost or refused."""
 
 import math
 from decimal import Decimal, localcontext
@@ -142,12 +143,16 @@ def test_isolation_geometry(b, length, mean_radius, circular_radius):
     _check(_returned(results[1]), (), volume, 3, ((math.tau, mean_radius, length, b), ()))
 
 
-def _v_number(radius, wavelength, n1, n2) -> Fraction:
+def _root(x: Fraction) -> Fraction:
+    """The square root of x, taken in decimal at 60 digits."""
     with localcontext() as context:
         context.prec = 60
-        squares = Fraction(n1) ** 2 - Fraction(n2) ** 2
-        root = (Decimal(squares.numerator) / Decimal(squares.denominator)).sqrt()
-    return _exact((math.tau, radius), (wavelength,)) * Fraction(root)
+        return Fraction((Decimal(x.numerator) / Decimal(x.denominator)).sqrt())
+
+
+def _v_number(radius, wavelength, n1, n2) -> Fraction:
+    return _exact((math.tau, radius), (wavelength,)) * _root(
+        Fraction(n1) ** 2 - Fraction(n2) ** 2)
 
 
 # The float steps round up to 8 times (about 7.25 ulp at most).
@@ -215,35 +220,46 @@ def test_timedata_probability(t, delta, re, im):
            _exact((t, delta)) * (Fraction(re) ** 2 + Fraction(im) ** 2), 4)
 
 
-# A refusal of either result refuses both.
+# The length is hypot(dx, dy), or where that overflows, 2 * hypot(dx / 2, dy / 2):
+# within 1 ulp of the exact root (hypot's bound from Python 3.10 on), and each result
+# that length's quotient. A refusal of either result refuses both.
 @EXACT
 @given(F, F, POSITIVE, POSITIVE)
 @example(1e300, 0.0, 1e200, 1e200)
+@example(1.5e308, 1.5e308, 1e10, 1.0)
 def test_planar_kinematics(dx, dy, t, t_parallel):
-    d = math.hypot(dx, dy)
-    speed, acceleration = _exact((d,), (t,)), _exact((d,), (t, t_parallel))
+    d, twice = math.hypot(dx, dy), ()
+    if d == math.inf:
+        d, twice = math.hypot(dx / 2, dy / 2), (2.0,)
+    length = _exact((*twice, d))
+    assert abs(length - _root(Fraction(dx) ** 2 + Fraction(dy) ** 2)) <= _exact(
+        (*twice, math.ulp(d))), (dx, dy, d)
+    speed, acceleration = length / Fraction(t), length / _exact((t, t_parallel))
     try:
         v, a, v_sync = geomlink.planar_kinematics(geomlink.PlanarMotion((dx, dy), t, t_parallel))
     except DomainError:
         assert max(speed, acceleration) > LARGEST - 2 * math.ulp(LARGEST)
         return
     assert v_sync == v
-    _check(_returned(v), (), speed, 0.5, ((d,), (t,)))
-    _check(_returned(a), (), acceleration, 2, ((d,), (t, t_parallel)))
+    _check(_returned(v), (), speed, 0.5, ((*twice, d), (t,)))
+    _check(_returned(a), (), acceleration, 2, ((*twice, d), (t, t_parallel)))
 
 
 # A constant integrand on one cell: the sum is the value, and its product with the
-# cell's sides is errors.ratio's.
+# cell's sides is errors.ratio's; where a side overflows, that with the exact sides,
+# rounded once.
 @EXACT
 @given(F, F, F, F, F)
 @example(1e-300, 0.0, 1e-20, 0.0, 1e20)
+@example(1e-300, -1e308, 1e308, 0.0, 1.0)
 def test_midpoint_sum_product(value, x0, x1, y0, y1):
     sides = (x1 - x0, y1 - y0)
     if 0 in sides or all(map(math.isfinite, sides)):  # a side of 0 gives 0, as in the kernel
-        exact, parts = _exact((value, *sides)), ((value, *sides), ())
+        exact, ulps, parts = _exact((value, *sides)), 2, ((value, *sides), ())
     else:
-        exact, parts = math.inf, None
-    _check(geomlink.riemann_area, (lambda x, y: value, (x0, x1, y0, y1), 1, 1), exact, 2,
+        exact, ulps, parts = Fraction(value) * (Fraction(x1) - Fraction(x0)) * (
+            Fraction(y1) - Fraction(y0)), 0.5, None
+    _check(geomlink.riemann_area, (lambda x, y: value, (x0, x1, y0, y1), 1, 1), exact, ulps,
            parts)
 
 
