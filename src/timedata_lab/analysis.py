@@ -10,7 +10,7 @@ import math
 import os
 import re
 import stat
-from itertools import groupby, repeat
+from itertools import repeat
 from operator import attrgetter, itemgetter
 
 from . import linkmodel
@@ -27,15 +27,43 @@ _SENTINELS = (DIV0, DIVERGES)
 _COLUMNS = ("target", "progress_pct", "f_xy", "t", "epsilon_lm", "delta_t_s",
             "nu_dw_hz", "nu_dw_x_hz")
 CSV_HEADER = ",".join(_COLUMNS)
-
-
-# One CSV row. Field types: str, float, str, Timestamp, float, float, and a float
-# or a sentinel cell for each of the two resolutions.
-LinkRecord = record("LinkRecord", "target_name progress_pct f_xy_label t_stamp epsilon_lm "
-                                  "delta_t_s nu_delta_omega_hz nu_displaced_hz")
-
-Sheet = record("Sheet", "records")  # records: list[LinkRecord]
 MAX_SHEET_RECORDS = 10 ** 6
+
+
+class LinkRecord(record("LinkRecord", "target_name progress_pct f_xy_label t_stamp epsilon_lm "
+                                       "delta_t_s nu_delta_omega_hz nu_displaced_hz")):
+    """One CSV row, its cells checked in column order; the numbers but progress_pct as floats."""
+
+    __slots__ = ()
+
+    def __new__(cls, target_name, progress_pct, f_xy_label, t_stamp, epsilon_lm, delta_t_s,
+                nu_delta_omega_hz, nu_displaced_hz):
+        if not isinstance(target_name, str):
+            raise DomainError(f"target_name must be text, got {target_name!r}")
+        finite(progress_pct, "progress_pct")
+        if not isinstance(f_xy_label, str):
+            raise DomainError(f"f_xy_label must be text, got {f_xy_label!r}")
+        if not isinstance(t_stamp, Timestamp):
+            raise DomainError(f"t_stamp must be a Timestamp, got {t_stamp!r}")
+        return tuple.__new__(cls, (  # the cells run left to right, as the columns do
+            target_name, progress_pct, f_xy_label, t_stamp, finite(epsilon_lm, "epsilon_lm"),
+            finite(delta_t_s, "delta_t_s"),
+            nu_delta_omega_hz if nu_delta_omega_hz in _SENTINELS
+            else finite(nu_delta_omega_hz, "nu_delta_omega_hz"),
+            nu_displaced_hz if nu_displaced_hz in _SENTINELS
+            else finite(nu_displaced_hz, "nu_displaced_hz")))
+
+
+class Sheet(record("Sheet", "records")):
+    """The records, read once into a tuple; each must be a LinkRecord."""
+
+    __slots__ = ()
+
+    def __new__(cls, records):
+        records = tuple(listed(records, "records"))
+        if others := [rec for rec in records if not isinstance(rec, LinkRecord)]:
+            raise DomainError(f"sheet records must be LinkRecords, got {others[0]!r}")
+        return tuple.__new__(cls, (records,))
 
 
 def build_sheet(targets: list[Target], progress_list: list[float],
@@ -43,7 +71,7 @@ def build_sheet(targets: list[Target], progress_list: list[float],
     """One record per (target, progress) in declared order; either may be an
     iterator, read once. More than MAX_SHEET_RECORDS raise DomainError before one is
     built: at 196 B a record, and 208 B more in emit_csv, the cap peaks at 0.40 GB
-    under tracemalloc (measured at 1e5 records; emit_csv's check copies no column).
+    under tracemalloc (measured at 1e5 records).
 
     Each target's row is built a column at a time, with the kernels' own expressions
     in their own float order, where a check on the row's extremes shows that the
@@ -61,7 +89,7 @@ def build_sheet(targets: list[Target], progress_list: list[float],
     plan, records = _Plan(progress_list, base_time), []
     for target in targets:
         records += _row(target, plan)
-    return Sheet(records=records)
+    return tuple.__new__(Sheet, (tuple(records),))  # each record built from checked cells
 
 
 _PLAIN = (int, float)  # the types of progress values, distances and ranges _fits reads
@@ -112,6 +140,8 @@ def _row(target: Target, plan: _Plan) -> list[LinkRecord]:
     """One target's records in progress order: a column at a time where _fits,
     else record by record from the kernels."""
     name, distance, range_lm = target.name, target.distance_km, target.range_lm
+    if not isinstance(name, str):  # a Target that pickle rebuilt is unchecked
+        raise DomainError(f"target name must be text, got {name!r}")
     label, shifts = f"f(x,y)|{name}", plan.shifts
     if not _fits(plan, distance, range_lm):
         records = []
@@ -140,7 +170,7 @@ def _row(target: Target, plan: _Plan) -> list[LinkRecord]:
     shifted = list(map(shifts.__getitem__, seconds))
     # The kernels' sentinels: #Div/0! where progress is 0, the one falsy value, and
     # #Inf! where it is 100, whose rest is the one rest of 0.
-    # LinkRecord checks nothing, so tuple.__new__ builds the same records as its class.
+    # Each cell is one LinkRecord takes, so tuple.__new__ builds the records its class would.
     c, d = C_KM_PER_S * 100.0, float(distance)
     return list(map(tuple.__new__, repeat(LinkRecord), zip(
         repeat(name), plan.progress, repeat(label), map(itemgetter(0), shifted), eps,
@@ -209,85 +239,41 @@ class _Line:
     write = staticmethod(str)
 
 
-# The cells emit_csv formats unchecked where _plain_floats holds: per column, the
-# getter of its cell and the text cells it may hold.
-_UNSHARED = ((itemgetter(4), frozenset()), (itemgetter(6), frozenset(_SENTINELS)),
-             (itemgetter(7), frozenset(_SENTINELS)))
-
-
-def _plain_floats(records) -> bool:
-    """Whether each epsilon_lm cell is an exact float and each resolution cell an
-    exact float or a sentinel, and the sum of those floats is finite, so that each
-    is: then emit_csv formats them unchecked. A column at a time, copying none, with
-    one Python step per run of cells of one type."""
-    total = 0.0
-    try:
-        for column, sentinels in _UNSHARED:
-            for kind, cells in groupby(map(column, records), type):
-                if kind is float:
-                    total += sum(cells)
-                elif kind is not str or not sentinels.issuperset(cells):
-                    return False
-    except (LookupError, TypeError):  # a record of fewer than 8 cells, or none at all
-        return False
-    return math.isfinite(total)
-
-
-def _checked(record) -> tuple:
-    """The record's cells, each number cell checked in column order as finite_text
-    checks it, so that the first bad cell raises, with the epsilon and resolution
-    cells as the floats finite_text would write."""
-    name, progress, label, stamp, eps, delta_t, nu, nu_x = record
-    finite(progress, "result")
-    eps = finite(eps, "result")
-    finite(delta_t, "result")
-    return (name, progress, label, stamp, eps, delta_t,
-            nu if nu in _SENTINELS else finite(nu, "result"),
-            nu_x if nu_x in _SENTINELS else finite(nu_x, "result"))
-
-
 def emit_csv(sheet: Sheet, path) -> None:
     """Write the sheet as UTF-8 CSV with LF line endings, the f(x,y) label
-    quoted. A record that cannot be written (a number not finite, text in a
-    numeric cell, a sentinel outside the two resolution columns, a CR in a
-    text cell) raises before an existing file is touched."""
+    quoted. A text cell that holds a CR or that UTF-8 cannot encode raises before
+    an existing file is touched; LinkRecord has checked every other cell."""
     line = csv.writer(_Line(), lineterminator="\n").writerow
-    # id of a cell object -> its CSV text and the comma after it, made once per
-    # object, as a sheet from build_sheet shares names, labels, progress values,
-    # clocks and shifts between records. A held object keeps its id, and equal
-    # objects that print differently (0.0 and -0.0) never share a text. Past
-    # _MEMO_CELLS objects the memo starts over: fresh objects in every record (a
-    # sheet parse_csv read) cost bounded memory.
-    texts, numbers, held = {}, {}, []
+    # id of a cell object -> its CSV text and the comma after it, made once per object,
+    # as a sheet from build_sheet shares names, labels, progress values, clocks and
+    # shifts between records. The sheet's tuple keeps each cell, and so its id, alive:
+    # two cells, equal (0.0 and -0.0) or not, never share an entry. Past _MEMO_CELLS
+    # objects the memo starts over: fresh objects in every record (a sheet parse_csv
+    # read) cost bounded memory.
+    memo = {}
 
-    def remember(memo, cell, cell_text):
-        if len(held) >= _MEMO_CELLS:
-            texts.clear(), numbers.clear(), held.clear()
-        held.append(cell)
+    def remember(cell, cell_text):
+        if len(memo) >= _MEMO_CELLS:
+            memo.clear()
         memo[id(cell)] = cell_text
         return cell_text
 
     def new_text(cell):  # quoted by csv; not a lone empty cell, which it writes as ""
-        return remember(texts, cell, line((str(cell), ""))[:-1])
+        return remember(cell, line((str(cell), ""))[:-1])
 
     def new_number(cell):
-        return remember(numbers, cell, finite_text(cell) + ",")
+        return remember(cell, finite_text(cell) + ",")
 
-    known_text, known_number = texts.get, numbers.get
-    # Each record of a sheet whose cells do not all pass one check is checked as it
-    # is written; records that are not a list or tuple are read once.
-    records = sheet.records
-    if not (isinstance(records, (list, tuple)) and _plain_floats(records)):
-        records = map(_checked, records)
+    known = memo.get
     buffer = io.StringIO()
     write = buffer.write
     write(CSV_HEADER + "\n")
-    for name, progress, label, stamp, eps, delta_t, nu, nu_x in records:
-        write(f"{known_text(id(name)) or new_text(name)}"
-              f"{known_number(id(progress)) or new_number(progress)}"
-              f"{known_text(id(label)) or new_text(label)}"
-              f"{known_text(id(stamp)) or new_text(stamp)}"
-              f"{eps:.6g},{known_number(id(delta_t)) or new_number(delta_t)}"
+    for name, progress, label, stamp, eps, delta_t, nu, nu_x in sheet.records:
+        write(f"{known(id(name)) or new_text(name)}"
+              f"{known(id(progress)) or new_number(progress)}"
+              f"{known(id(label)) or new_text(label)}"
+              f"{known(id(stamp)) or new_text(stamp)}"
+              f"{eps:.6g},{known(id(delta_t)) or new_number(delta_t)}"
               f"{f'{nu:.6g}' if type(nu) is float else nu},"
               f"{f'{nu_x:.6g}' if type(nu_x) is float else nu_x}\n")
     if "\r" in (text := buffer.getvalue()):  # unquoted, a CR ends a row
@@ -330,7 +316,7 @@ def parse_csv(path) -> Sheet:
             raise  # not a CSV fault: the file is not UTF-8
         except (csv.Error, ValueError, DomainError) as exc:  # their messages quote the cell
             raise DomainError(f"line {reader.line_num or 1}: {exc}") from None  # 0: empty file
-    return Sheet(records=records)
+    return tuple.__new__(Sheet, (tuple(records),))  # each record built from checked cells
 
 
 # Radar chart layout constants.
@@ -347,17 +333,17 @@ _SPOKE = (f'<line x1="{_CENTER}" y1="{_CENTER}" x2="%.2f" y2="%.2f" stroke="#ccc
           'stroke-width="1"/>\n<text x="%.2f" y="%.2f" font-size="11" '
           'text-anchor="middle">%s %s%%</text>')
 
-_ATTRIBUTES = (  # field, legend label, colour, sentinels it may hold (as in the CSV)
-    ("epsilon_lm", "epsilon (Lm)", "#1f77b4", ()),
-    ("delta_t_s", "delta t (s)", "#ff7f0e", ()),
-    ("nu_delta_omega_hz", "nu_dw (Hz)", "#2ca02c", _SENTINELS),
-    ("nu_displaced_hz", "nu_dw_x (Hz)", "#d62728", _SENTINELS),
+_ATTRIBUTES = (  # field, legend label, colour
+    ("epsilon_lm", "epsilon (Lm)", "#1f77b4"),
+    ("delta_t_s", "delta t (s)", "#ff7f0e"),
+    ("nu_delta_omega_hz", "nu_dw (Hz)", "#2ca02c"),
+    ("nu_displaced_hz", "nu_dw_x (Hz)", "#d62728"),
 )
 
 
-def _normalize(cells, sentinels):
-    """Radius fractions and checked cells, a sentinel as 0.0 and None; None if all are."""
-    values = [None if v in sentinels else finite(v, "result") for v in cells]
+def _normalize(cells):
+    """Radius fractions and the cells, a sentinel (text) as 0.0 and None; None if all are."""
+    values = [None if isinstance(v, str) else v for v in cells]
     if not (numeric := [v for v in values if v is not None]):
         return None
     lo, hi = min(numeric), max(numeric)
@@ -396,8 +382,6 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
     # name is checked for XML and escaped once. %s inserts them as data.
     escaped, names, labels = {}, [], []
     for name, progress in map(attrgetter("target_name", "progress_pct"), records):
-        if not isinstance(name, str):  # before the lookup: a list has no hash
-            raise DomainError(f"target name must be text, got {name!r}")
         if (text := escaped.get(name)) is None:
             if _NOT_XML.search(name):
                 raise DomainError(f"target name {name!r} holds a character XML cannot carry")
@@ -415,8 +399,8 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
     points = " ".join(["%.2f,%.2f"] * (n + 1))  # closed: the first point again
     legend_y = 20
     omitted = []
-    for attr, label, color, sentinels in _ATTRIBUTES:
-        normalized = _normalize(map(attrgetter(attr), records), sentinels)
+    for attr, label, color in _ATTRIBUTES:
+        normalized = _normalize(map(attrgetter(attr), records))
         if normalized is None:
             omitted.append(attr)
             continue

@@ -102,13 +102,13 @@ def listed(values, name: str) -> list:
 
 
 def record(name: str, fields: str, defaults=()):
-    """The namedtuple base of an immutable record class: it builds every record but
-    analysis.LinkRecord, which checks nothing, so that tuple.__new__ builds the same
-    record without a Python call. A record that only checks its fields checks them
-    in __init__; one that normalises its input (CellMap) builds itself in __new__.
-    _make calls the class, so _replace and copy.replace check too, where
-    namedtuple's _make calls tuple.__new__ alone."""
-    # the caller's module, not this one, so that pickle finds an unchecked record
+    """The namedtuple base of an immutable record class. A record that only checks its
+    fields checks them in __init__; one that normalises its input (CellMap,
+    analysis.LinkRecord and analysis.Sheet) builds itself in __new__, which copy and
+    pickle call too. analysis.build_sheet and parse_csv build LinkRecord and Sheet with
+    tuple.__new__, from cells they have checked. _make calls the class, so _replace
+    and copy.replace check too, where namedtuple's _make calls tuple.__new__ alone."""
+    # the caller's module, not this one, so that pickle finds the record's class
     base = namedtuple(name, fields, defaults=defaults,
                       module=sys._getframe(1).f_globals["__name__"])
     base._make = classmethod(lambda cls, iterable: cls(*iterable))

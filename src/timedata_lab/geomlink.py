@@ -5,8 +5,8 @@ import itertools
 import math
 from collections.abc import Callable
 
-from .errors import (TINY, DomainError, exact_ratio, finite, listed, ratio, record, within,
-                     within_int)
+from .errors import (LARGEST, TINY, DomainError, exact_ratio, finite, listed, ratio, record,
+                     within, within_int)
 
 FOLD_TOL = 1e-12
 ARC_TOL = 1e-9
@@ -83,7 +83,8 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
     be an iterator, read once. Where fsum cannot add the values, f runs a second
     time over the grid, so that an error of its own passes through, and the finite
     values and the volume are taken exactly as Fractions (some microseconds a
-    cell) and rounded once. Where a side hi - lo overflows, each midpoint of its
+    cell) and rounded once. Where a side hi - lo is past the float range (as floats it
+    overflows; as ints or Fractions its step would not convert), each midpoint of its
     axis weighs lo and hi, and the volume is taken from the exact sides."""
     bounds = listed(bounds, "integration bounds")
     if len(bounds) != 2 * len(counts):
@@ -94,7 +95,8 @@ def _midpoint_sum(f: Callable[..., float], bounds: tuple[float, ...],
     for bound in bounds:
         within(bound, "integration bounds must be finite, got {!r}")
     lows, highs = bounds[::2], bounds[1::2]
-    steps = [(hi - lo) / n for lo, hi, n in zip(lows, highs, counts)]
+    steps = [(hi - lo) / n if abs(hi - lo) <= LARGEST else math.inf
+             for lo, hi, n in zip(lows, highs, counts)]
     if 0 in steps:
         return 0.0
     axes = [[lo + (i + 0.5) * h for i in range(n)] if abs(h) != math.inf else
@@ -148,8 +150,11 @@ def planar_kinematics(m: PlanarMotion) -> tuple[float, float, float]:
     v = |d|/t, a = |d|/(t*t_parallel); v_sync is the same speed law applied
     to the synchronization displacement, identical here by construction.
     """
-    d, twice = math.hypot(*m.displacement), ()
-    if d == math.inf:  # |d| overflows where |d| / 2 does not; the 2 is a factor of ratio's
-        d, twice = math.hypot(*(part / 2 for part in m.displacement)), (2.0,)
-    v = ratio((*twice, d), (m.t_s,), "speed")
-    return (v, ratio((*twice, d), (m.t_s, m.t_parallel_s), "acceleration"), v)
+    # |d| = h * 2**e: e the larger frexp exponent of the parts, h the hypot of the parts
+    # scaled by 2**-e, and 2**e two normal factors of ratio's, so that |d| keeps the bits
+    # of hypot(dx, dy) where that is a normal float, and is rounded once where it is not.
+    e = max(math.frexp(part)[1] for part in m.displacement)
+    length = (math.hypot(*(math.ldexp(part, -e) for part in m.displacement)),
+              2.0 ** (e // 2), 2.0 ** (e - e // 2))
+    v = ratio(length, (m.t_s,), "speed")
+    return (v, ratio(length, (m.t_s, m.t_parallel_s), "acceleration"), v)

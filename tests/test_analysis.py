@@ -1,3 +1,4 @@
+import copy
 import errno
 import hashlib
 import io
@@ -6,6 +7,7 @@ import os
 import pickle
 import random
 import stat
+import sys
 import tempfile
 import threading
 import xml.etree.ElementTree as ET
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from timedata_lab import analysis, linkmodel
 from timedata_lab.analysis import DIV0, DIVERGES, LinkRecord, Sheet
-from timedata_lab.errors import (DivergenceSignal, DivisionByZeroSignal, DomainError,
+from timedata_lab.errors import (LARGEST, DivergenceSignal, DivisionByZeroSignal, DomainError,
                                  TimedataError, finite_text)
 from timedata_lab.linkmodel import Target, Timestamp
 
@@ -31,6 +33,46 @@ PROGRESS = [0, 8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 88, 96]
 # the comma, the quote and the LF.
 _NAME = st.text(st.one_of(st.characters(exclude_categories=("Cc", "Cs")),
                           st.sampled_from(',"\n')), min_size=1, max_size=8)
+
+
+_TEXT = st.one_of(st.just(""), _NAME)
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**6, 10**6),
+                    st.booleans(), st.fractions())
+_CLOCK = st.builds(Timestamp, st.integers(0, 23), st.integers(0, 59), st.integers(0, 59))
+_RESOLUTION = st.one_of(_NUMBER, st.sampled_from([DIV0, DIVERGES]))
+# A cell of any kind a caller may pass: text (sentinels and numeric text too), ints
+# past the float range, floats with +-0.0, inf and nan, Fractions, and clocks as
+# Timestamps and as plain tuples.
+_CELL = st.one_of(
+    _TEXT, st.sampled_from([DIV0, DIVERGES, "1.5", "12:00:00"]), st.integers(),
+    st.sampled_from([10**400, -(10**309), 0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.floats(), st.fractions(), _CLOCK,
+    st.tuples(st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)))
+
+
+@st.composite
+def _record_cells(draw):
+    """Eight cells, each of its column's kind, up to three of them then replaced by a
+    cell of any kind."""
+    cells = [draw(kind) for kind in (_TEXT, _NUMBER, _TEXT, _CLOCK, _NUMBER, _NUMBER,
+                                     _RESOLUTION, _RESOLUTION)]
+    for column in draw(st.lists(st.integers(0, 7), max_size=3, unique=True)):
+        cells[column] = draw(_CELL)
+    return cells
+
+
+def _takes(column, cell) -> bool:
+    """Whether LinkRecord takes cell in column: text, a finite number, text, a
+    Timestamp, then finite numbers, where either resolution may be a sentinel."""
+    if column in (0, 2):
+        return isinstance(cell, str)
+    if column == 3:
+        return isinstance(cell, Timestamp)
+    if column >= 6 and cell in (DIV0, DIVERGES):
+        return True
+    if isinstance(cell, float):
+        return math.isfinite(cell)
+    return isinstance(cell, (int, Fraction)) and abs(cell) <= LARGEST
 
 
 def _sentinels(sheet):
@@ -239,7 +281,7 @@ class TestBuildSheet:
         sheet = analysis.build_sheet(targets, progress, BASE)
         one_by_one = [analysis.build_sheet([t], [p], BASE).records[0]
                       for t in targets for p in progress]
-        assert sheet.records == one_by_one
+        assert sheet.records == tuple(one_by_one)
         clocks = {r.t_stamp for r in sheet.records}
         assert len({id(r.t_stamp) for r in sheet.records}) == len(clocks) < len(sheet.records)
 
@@ -287,6 +329,14 @@ class TestBuildSheet:
         assert record.nu_displaced_hz.hex() == (
             linkmodel.displaced_frequency_resolution(1e308, 50.0).hex())
 
+    # A Target that pickle rebuilt is unchecked: a name that is no text is refused for
+    # its row before the kernels or the column path read it.
+    @pytest.mark.parametrize("target", [_unchecked(5, 1e8, 8.3), _unchecked(["A"], 1e308, 1e300)],
+                             ids=["column path", "kernel path"])
+    def test_unchecked_target_name_refused(self, target):
+        with pytest.raises(DomainError, match=r"^target name must be text, got (5|\['A'\])$"):
+            analysis.build_sheet([SUN, target], [16.0, 32.0], BASE)
+
     # The column path, the kernel path and parse_csv build records without calling
     # LinkRecord: each is one, equal to and pickled as the LinkRecord of its fields.
     def test_records_are_link_records_however_built(self, tmp_path):
@@ -303,6 +353,71 @@ class TestBuildSheet:
             assert type(record) is LinkRecord
             assert record == built
             assert pickle.dumps(record) == pickle.dumps(built)
+
+
+class TestRecords:
+    # A record refuses its first bad cell in column order, naming the field; a record
+    # it makes holds each number but progress_pct as a float, and comes back from a CSV
+    # of its own within 6 digits, its text, clock and sentinels exact.
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(cells=_record_cells())
+    def test_a_record_refuses_its_first_bad_cell_or_round_trips(self, cells):
+        bad = [field for column, (field, cell) in enumerate(zip(LinkRecord._fields, cells))
+               if not _takes(column, cell)]
+        if bad:
+            with pytest.raises(DomainError) as exc:
+                LinkRecord(*cells)
+            assert str(exc.value).startswith(f"{bad[0]} "), (cells, str(exc.value))
+            return
+        record = LinkRecord(*cells)
+        assert record[:4] == tuple(cells[:4]) and record.progress_pct is cells[1]
+        for made, cell in zip(record[4:], cells[4:]):
+            if isinstance(cell, str):
+                assert made is cell
+            else:
+                assert type(made) is float and made.hex() == float(cell).hex()
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory, "one.csv")
+            analysis.emit_csv(Sheet(records=[record]), path)
+            back, = analysis.parse_csv(path).records
+        for column, (made, read) in enumerate(zip(record, back)):
+            if column in (0, 2, 3) or isinstance(made, str):
+                assert read == made, (column, made, read)
+            else:
+                assert finite_text(read) == finite_text(made), (column, made, read)
+
+    # A Sheet reads its records once into a tuple and refuses any that is not a
+    # LinkRecord: a plain tuple of the same cells, a short tuple, or no iterable at all.
+    def test_sheet_takes_link_records_only(self, sun_sheet):
+        record = sun_sheet.records[1]
+        for others in ([tuple(record)], [record, tuple(record)[:5]]):
+            with pytest.raises(DomainError) as exc:
+                Sheet(records=others)
+            assert str(exc.value) == f"sheet records must be LinkRecords, got {others[-1]!r}"
+        with pytest.raises(DomainError, match="^records must be iterable, got 5$"):
+            Sheet(records=5)
+        once = iter(sun_sheet.records)
+        assert Sheet(records=once) == sun_sheet and next(once, None) is None
+        assert type(Sheet(records=list(sun_sheet.records)).records) is tuple
+
+    # _replace, copy.replace (Python 3.13 on), copy and pickle all make a record
+    # through its class, so each refuses a bad cell; a record with a bad cell made
+    # with tuple.__new__ does not survive a copy.
+    def test_every_copy_checks_the_cells(self, sun_sheet):
+        record = sun_sheet.records[1]
+        with pytest.raises(DomainError, match="^epsilon_lm not finite: inf$"):
+            record._replace(epsilon_lm=math.inf)
+        with pytest.raises(DomainError, match="^t_stamp must be a Timestamp, got '12:00:00'$"):
+            record._replace(t_stamp="12:00:00")
+        if sys.version_info >= (3, 13):
+            with pytest.raises(DomainError, match=r"^t_stamp must be a Timestamp, got \("):
+                copy.replace(record, t_stamp=(12, 0, 0))
+        planted = tuple.__new__(LinkRecord, (*record[:4], math.inf, *record[5:]))
+        for rebuild in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            with pytest.raises(DomainError, match="^epsilon_lm not finite: inf$"):
+                rebuild(planted)
+            with pytest.raises(DomainError, match="^sheet records must be LinkRecords, got "):
+                rebuild(tuple.__new__(Sheet, ((tuple(record),),)))
 
 
 class TestCsv:
@@ -342,17 +457,8 @@ class TestCsv:
         for record in sheet.records:
             analysis.emit_csv(Sheet(records=[record]), path)
             one_by_one += analysis.parse_csv(path).records
-        assert parsed == one_by_one
+        assert parsed == tuple(one_by_one)
         assert len({id(r.t_stamp) for r in parsed}) == len({r.t_stamp for r in parsed}) == 3
-
-    # A library caller may hand a clock in as its text.
-    def test_clock_given_as_text_writes_the_same_bytes(self, tmp_path):
-        records = [LinkRecord("X", 1.0, "f", clock, 1.0, 60.0, 0.1, DIV0)
-                   for clock in ("12:00:00", Timestamp(12, 0, 0), "12:00:00")]
-        path = tmp_path / "text.csv"
-        analysis.emit_csv(Sheet(records=records), path)
-        assert path.read_text() == (analysis.CSV_HEADER + "\n"
-                                    + 3 * "X,1,f,12:00:00,1,60,0.1,#Div/0!\n")
 
     # The bytes of a seeded 50 x 200 sheet with 0% and 100% rows, as the bulk-sheet
     # benchmark builds one: a change to how emit_csv writes must keep them.
@@ -371,16 +477,15 @@ class TestCsv:
             "a3890026819f6a053a5cf7c75e0a3e550119373cd698995a75ff50b9e664c195")
 
     # Cells that compare equal but print differently, some of them the same object
-    # in several rows: -0.0 and 0.0, 1 and True, the names 1 and 1.0, and a clock
-    # given as a Timestamp, as its text and as the plain tuple.
+    # in several rows or columns: -0.0 and 0.0, 1 and True, and the names "1" and "1.0".
     def test_equal_cells_that_print_differently(self, tmp_path):
         minus_zero, zero, clock = -0.0, 0.0, Timestamp(12, 0, 0)
         records = [
             LinkRecord('a,"b"', minus_zero, 'f(x,y)|a,"b"', clock, zero, minus_zero, 1, True),
-            LinkRecord("", zero, "", "12:00:00", minus_zero, zero, DIV0, DIVERGES),
-            LinkRecord(1, True, "f(x,y)|1", (12, 0, 0), 1, True, zero, minus_zero),
-            LinkRecord(1.0, 1, "f(x,y)|1.0", clock, True, 1, float("-0"), 0),
-            LinkRecord('a,"b"', 0.0 * -1, 'f(x,y)|a,"b"', (12, 0, 0), -0.0, 0.0, DIV0, 2.5),
+            LinkRecord("", zero, "", clock, minus_zero, zero, DIV0, DIVERGES),
+            LinkRecord("1", True, "f(x,y)|1", clock, 1, True, zero, minus_zero),
+            LinkRecord("1.0", 1, "f(x,y)|1.0", clock, True, 1, float("-0"), 0),
+            LinkRecord('a,"b"', 0.0 * -1, 'f(x,y)|a,"b"', clock, -0.0, 0.0, DIV0, 2.5),
         ]
         path = tmp_path / "equal.csv"
         analysis.emit_csv(Sheet(records=records), path)
@@ -388,69 +493,73 @@ class TestCsv:
             f"{line}\n" for line in (
                 '"a,""b""",-0,"f(x,y)|a,""b""",12:00:00,0,-0,1,1',
                 ",0,,12:00:00,-0,0,#Div/0!,#Inf!",
-                '1,1,"f(x,y)|1","(12, 0, 0)",1,1,0,-0',
+                '1,1,"f(x,y)|1",12:00:00,1,1,0,-0',
                 '1.0,1,"f(x,y)|1.0",12:00:00,1,1,-0,0',
-                '"a,""b""",-0,"f(x,y)|a,""b""","(12, 0, 0)",-0,0,#Div/0!,2.5'))
+                '"a,""b""",-0,"f(x,y)|a,""b""",12:00:00,-0,0,#Div/0!,2.5'))
 
-    # The first bad record decides the error, whatever its column: here an
-    # epsilon at record 1 before text in nu_dw_hz at record 3.
+    # A bad cell is refused when its record is made, so no sheet holding it is ever
+    # written: here an epsilon at record 1 before text in nu_dw_hz at record 3.
     @pytest.mark.parametrize("eps,message", [
-        (math.inf, "result not finite: inf"), (DIV0, "result not a number: '#Div/0!'")])
+        (math.inf, "epsilon_lm not finite: inf"), (DIV0, "epsilon_lm not a number: '#Div/0!'")])
     def test_first_bad_record_decides_the_error_across_columns(self, tmp_path, sun_sheet,
                                                                eps, message):
         records = list(sun_sheet.records)
-        records[1] = records[1]._replace(epsilon_lm=eps)
-        records[3] = records[3]._replace(nu_delta_omega_hz="x")
         with pytest.raises(DomainError, match=f"^{message}$"):
+            records[1] = records[1]._replace(epsilon_lm=eps)
+            records[3] = records[3]._replace(nu_delta_omega_hz="x")
             analysis.emit_csv(Sheet(records=records), tmp_path / "bad.csv")
         assert os.listdir(tmp_path) == []
 
-    # More cases of the same rule: a sentinel or text in a column that cannot hold it,
-    # an inf nu_dw_x_hz before a later record's bad progress value (and after its own
-    # record's), and a bad cell before a record too short to be unpacked (None).
+    # More cases of the same rule, each refused in its record's column order: a
+    # sentinel or text in a column that cannot hold it, an inf nu_dw_x_hz before a
+    # later record's bad progress value (and after its own record's), and a bad cell
+    # before a record too short to be one (None), which Sheet would refuse.
     @pytest.mark.parametrize("first,later,message", [
-        ({"epsilon_lm": DIVERGES}, {"progress_pct": math.nan}, "result not a number: '#Inf!'"),
-        ({"nu_delta_omega_hz": "x"}, {"epsilon_lm": math.inf}, "result not a number: 'x'"),
-        ({"nu_displaced_hz": math.inf}, {"progress_pct": "a"}, "result not finite: inf"),
+        ({"epsilon_lm": DIVERGES}, {"progress_pct": math.nan},
+         "epsilon_lm not a number: '#Inf!'"),
+        ({"nu_delta_omega_hz": "x"}, {"epsilon_lm": math.inf},
+         "nu_delta_omega_hz not a number: 'x'"),
+        ({"nu_displaced_hz": math.inf}, {"progress_pct": "a"}, "nu_displaced_hz not finite: inf"),
         ({"progress_pct": "a", "epsilon_lm": math.inf, "nu_displaced_hz": -math.inf}, {},
-         "result not a number: 'a'"),
-        ({"delta_t_s": math.nan}, None, "result not finite: nan"),
+         "progress_pct not a number: 'a'"),
+        ({"delta_t_s": math.nan}, None, "delta_t_s not finite: nan"),
     ], ids=["sentinel epsilon", "text nu", "inf nu_x before progress",
             "progress before inf nu_x", "before a short record"])
     def test_first_bad_cell_in_record_then_column_order_decides_the_error(
             self, tmp_path, sun_sheet, first, later, message):
         records = list(sun_sheet.records)
-        records[1] = records[1]._replace(**first)
-        records[3] = records[3][:5] if later is None else records[3]._replace(**later)
         with pytest.raises(DomainError, match=f"^{message}$"):
+            records[1] = records[1]._replace(**first)
+            records[3] = records[3][:5] if later is None else records[3]._replace(**later)
             analysis.emit_csv(Sheet(records=records), tmp_path / "bad.csv")
         assert os.listdir(tmp_path) == []
 
-    # Number cells that are not plain floats are written as finite_text writes them,
-    # whatever their type formats itself as, in each column that holds them; the
-    # other records are not changed by them.
+    # Number cells other than progress_pct are stored as floats, so cells of other
+    # types are written as finite_text writes them, whatever their type formats itself
+    # as, in each column that holds them; the other records are not changed by them.
     class _Shown(float):
         def __format__(self, spec):
             return "shown"
 
     @pytest.mark.parametrize("cell", [3, True, False, _Shown(2.5), Fraction(1, 3),
                                       Fraction(-7, 2), 10 ** 20])
-    @pytest.mark.parametrize("field", ["epsilon_lm", "nu_delta_omega_hz", "nu_displaced_hz"])
+    @pytest.mark.parametrize("field", ["epsilon_lm", "nu_delta_omega_hz", "nu_displaced_hz",
+                                       "delta_t_s"])
     def test_number_cells_of_other_types_written_as_floats(self, tmp_path, sun_sheet, cell,
                                                            field):
-        odd = LinkRecord("X", 1.0, "f", "12:00:00", 0.5, 60.0, 0.5, 0.5)
+        odd = LinkRecord("X", 1.0, "f", Timestamp(12, 0, 0), 0.5, 60.0, 0.5, 0.5)
         odd = odd._replace(**{field: cell})
+        assert type(getattr(odd, field)) is float
         path = tmp_path / "odd.csv"
-        analysis.emit_csv(Sheet(records=sun_sheet.records + [odd]), path)
+        analysis.emit_csv(Sheet(records=sun_sheet.records + (odd,)), path)
         analysis.emit_csv(sun_sheet, tmp_path / "plain.csv")
         *lines, last = path.read_text().splitlines(keepends=True)
         assert "".join(lines) == (tmp_path / "plain.csv").read_text()
-        assert last == "X,1,f,12:00:00,{},60,{},{}\n".format(*(
-            finite_text(value) for value in odd[4:5] + odd[6:]))
+        assert last == "X,1,f,12:00:00,{},{},{},{}\n".format(*map(finite_text, odd[4:]))
         assert "shown" not in last
 
-    # A sheet whose records are written unchecked and the same records checked one by
-    # one write the same bytes, as do records given as a tuple or an iterator.
+    # A sheet build_sheet made with tuple.__new__ and the same records checked one by
+    # one through LinkRecord and Sheet, from a list or an iterator, write the same bytes.
     def test_records_checked_one_by_one_write_the_same_bytes(self, tmp_path):
         sheet = analysis.build_sheet([SUN, Target("Moon", 384400, 0.0214)],
                                      PROGRESS + [100, -0.0], BASE)
@@ -459,11 +568,11 @@ class TestCsv:
         written = path.read_bytes()
         analysis.emit_csv(analysis.parse_csv(path), path)
         assert path.read_bytes() == written
-        with mock.patch.object(analysis, "_plain_floats", lambda records: False):
-            analysis.emit_csv(sheet, path)
-        assert path.read_bytes() == written
-        for records in (tuple(sheet.records), iter(sheet.records)):
-            analysis.emit_csv(Sheet(records=records), path)
+        for records in ([LinkRecord(*r) for r in sheet.records],
+                        map(LinkRecord._make, sheet.records)):
+            checked = Sheet(records=records)
+            assert checked == sheet
+            analysis.emit_csv(checked, path)
             assert path.read_bytes() == written
 
     # A memo with room for a few cells starts over often, and writes the same bytes.
@@ -505,20 +614,22 @@ class TestCsv:
         first_data_row = path.read_text().splitlines()[1]
         assert "#Div/0!" in first_data_row
 
-    # A lone surrogate fails to encode; an inf cell, text in a numeric cell and
-    # a sentinel outside the two resolution columns fail to format.
+    # A lone surrogate fails to encode when the CSV is written; an inf cell, text in a
+    # numeric cell and a sentinel outside the two resolution columns are refused when
+    # the record is made. Either way the old file stays.
     @pytest.mark.parametrize("spoil,message", [
         (lambda r: r._replace(target_name="A\udc80B"),
          r"text cannot be encoded as UTF-8: '\\udc80'"),
-        (lambda r: r._replace(epsilon_lm=math.inf), "result not finite: inf"),
-        (lambda r: r._replace(progress_pct="abc"), "result not a number: 'abc'"),
-        (lambda r: r._replace(epsilon_lm="abc"), "result not a number: 'abc'"),
-        (lambda r: r._replace(delta_t_s="abc"), "result not a number: 'abc'"),
-        (lambda r: r._replace(nu_delta_omega_hz="#What!"), "result not a number: '#What!'"),
-        (lambda r: r._replace(nu_displaced_hz="abc"), "result not a number: 'abc'"),
-        (lambda r: r._replace(progress_pct=DIV0), "result not a number: '#Div/0!'"),
-        (lambda r: r._replace(delta_t_s=DIVERGES), "result not a number: '#Inf!'"),
-        (lambda r: r._replace(epsilon_lm="1.5"), "result not a number: '1.5'"),
+        (lambda r: r._replace(epsilon_lm=math.inf), "epsilon_lm not finite: inf"),
+        (lambda r: r._replace(progress_pct="abc"), "progress_pct not a number: 'abc'"),
+        (lambda r: r._replace(epsilon_lm="abc"), "epsilon_lm not a number: 'abc'"),
+        (lambda r: r._replace(delta_t_s="abc"), "delta_t_s not a number: 'abc'"),
+        (lambda r: r._replace(nu_delta_omega_hz="#What!"),
+         "nu_delta_omega_hz not a number: '#What!'"),
+        (lambda r: r._replace(nu_displaced_hz="abc"), "nu_displaced_hz not a number: 'abc'"),
+        (lambda r: r._replace(progress_pct=DIV0), "progress_pct not a number: '#Div/0!'"),
+        (lambda r: r._replace(delta_t_s=DIVERGES), "delta_t_s not a number: '#Inf!'"),
+        (lambda r: r._replace(epsilon_lm="1.5"), "epsilon_lm not a number: '1.5'"),
     ], ids=["surrogate name", "inf cell", "text progress", "text epsilon", "text delta t",
             "unknown sentinel", "text nu_x", "sentinel progress", "sentinel delta t",
             "numeric text"])
@@ -526,8 +637,8 @@ class TestCsv:
         path = tmp_path / "sheet.csv"
         analysis.emit_csv(sun_sheet, path)
         old = path.read_bytes()
-        records = sun_sheet.records[:-1] + [spoil(sun_sheet.records[-1])]
         with pytest.raises(DomainError, match=f"^{message}$"):
+            records = sun_sheet.records[:-1] + (spoil(sun_sheet.records[-1]),)
             analysis.emit_csv(Sheet(records=records), path)
         assert path.read_bytes() == old
 
@@ -813,69 +924,54 @@ class TestRadarChart:
         assert hashlib.sha256(data).hexdigest() == (
             "44be71d2636ebada26ff0cf57f1f9477a5e6e014a979590f0bf13205a9836ac9")
 
-    # Records are read in order: a bad name raises at its first record, before
-    # that record's progress is formatted, and after the records before it.
+    # Records are read in order: the first name XML cannot carry decides the error,
+    # after the records before it. A progress cell of text, which could break the
+    # XML, is refused when its record is made.
     def test_first_bad_record_decides_the_error(self, tmp_path):
         good = LinkRecord("A", 1.0, "f", Timestamp(12, 0, 0), 1.0, 60.0, 0.1, 0.2)
         path = tmp_path / "chart.svg"
-        with pytest.raises(DomainError, match="XML cannot carry"):
+        with pytest.raises(DomainError, match=r"^target name 'A\\x01' holds a character XML"):
             analysis.render_radar_chart(Sheet(records=[
-                good, good, good._replace(target_name="A\x01", progress_pct="<abc")]), path)
-        with pytest.raises(DomainError, match="^result not a number: '<abc'$"):
-            analysis.render_radar_chart(Sheet(records=[
-                good, good._replace(progress_pct="<abc"), good._replace(target_name="A\x01")]),
-                path)
+                good, good, good._replace(target_name="A\x01"),
+                good._replace(target_name="B\x02")]), path)
+        with pytest.raises(DomainError, match="^progress_pct not a number: '<abc'$"):
+            good._replace(target_name="A\x01", progress_pct="<abc")
         assert not path.exists()
 
-    # Spokes are drawn before the attributes: a bad name in record 1 raises
-    # before a bad epsilon cell in record 0.
-    def test_names_checked_before_attribute_cells(self, tmp_path):
-        good = LinkRecord("A", 1.0, "f", Timestamp(12, 0, 0), 1.0, 60.0, 0.1, 0.2)
-        path = tmp_path / "chart.svg"
-        with pytest.raises(DomainError, match="XML cannot carry"):
-            analysis.render_radar_chart(Sheet(records=[
-                good._replace(epsilon_lm=math.inf), good._replace(target_name="A\x01"),
-                good]), path)
-        assert not path.exists()
-
-    # A lone surrogate cannot come from a UTF-8 file, nor a name that is no text
-    # (a list has no hash), only from a caller.
+    # A lone surrogate cannot come from a UTF-8 file, only from a caller; a name that
+    # is no text is refused when its record is made.
     @pytest.mark.parametrize("name,message", [
         ("A\x01B", "XML cannot carry"), ("\ufffe", "XML cannot carry"),
-        ("A\udc80B", "XML cannot carry"), (5, "^target name must be text, got 5$"),
-        (["A"], r"^target name must be text, got \['A'\]$")],
+        ("A\udc80B", "XML cannot carry"), (5, "^target_name must be text, got 5$"),
+        (["A"], r"^target_name must be text, got \['A'\]$")],
         ids=["A\x01B", "\ufffe", "A\udc80B", "5", "['A']"])
     def test_name_xml_cannot_carry(self, tmp_path, name, message):
-        records = [LinkRecord(name, float(p), "f", Timestamp(12, 0, 0),
-                              1.0, 60.0, 0.1, 0.2) for p in range(3)]
         path = tmp_path / "chart.svg"
         with pytest.raises(DomainError, match=message):
+            records = [LinkRecord(name, float(p), "f", Timestamp(12, 0, 0),
+                                  1.0, 60.0, 0.1, 0.2) for p in range(3)]
             analysis.render_radar_chart(Sheet(records=records), path)
         assert not path.exists()
 
-    # Passed through, a label's text could break the XML.
-    def test_text_progress_refused(self, tmp_path, sun_sheet):
-        records = sun_sheet.records[:-1] + [sun_sheet.records[-1]._replace(
-            progress_pct="<abc")]
-        path = tmp_path / "chart.svg"
-        with pytest.raises(DomainError, match="^result not a number: '<abc'$"):
-            analysis.render_radar_chart(Sheet(records=records), path)
-        assert not path.exists()
+    # Passed through, a label's text could break the XML: its record refuses it.
+    def test_text_progress_refused(self, sun_sheet):
+        with pytest.raises(DomainError, match="^progress_pct not a number: '<abc'$"):
+            sun_sheet.records[-1]._replace(progress_pct="<abc")
 
-    # Cells are read as emit_csv writes them: an inf cell would give nan
-    # points, and other text, or a sentinel outside the two resolution fields,
-    # would be drawn as a sentinel.
+    # An inf cell would give nan points, and other text, or a sentinel outside the
+    # two resolution fields, would be drawn as a sentinel: each is refused when its
+    # record is made, so no chart is drawn and the old file stays.
     @pytest.mark.parametrize("value,message", [
-        (math.inf, "result not finite: inf"), ("abc", "result not a number: 'abc'"),
-        (DIV0, "result not a number: '#Div/0!'"),
+        (math.inf, "epsilon_lm not finite: inf"), ("abc", "epsilon_lm not a number: 'abc'"),
+        (DIV0, "epsilon_lm not a number: '#Div/0!'"),
     ], ids=["inf epsilon", "text epsilon", "sentinel epsilon"])
     def test_cell_not_a_finite_number_keeps_old_file(self, tmp_path, sun_sheet, value,
                                                      message):
         path = tmp_path / "chart.svg"
         analysis.render_radar_chart(sun_sheet, path)
         old = path.read_bytes()
-        records = sun_sheet.records[:-1] + [sun_sheet.records[-1]._replace(epsilon_lm=value)]
         with pytest.raises(DomainError, match=f"^{message}$"):
+            records = sun_sheet.records[:-1] + (sun_sheet.records[-1]._replace(epsilon_lm=value),)
             analysis.render_radar_chart(Sheet(records=records), path)
         assert path.read_bytes() == old
 

@@ -175,6 +175,11 @@ def test_a_value_that_is_no_finite_number_is_a_typed_error(call):
     (ptvda.SortInstance([3, 1], 2), {"partitions": 3}, "more partitions than elements"),
     (geomlink.ArcDecomposition(3, 1, 1, 3, 1, 1), {"pb": 3},
      "AB decomposition exceeds total arc length"),
+    (analysis.LinkRecord("Sun", 16.0, "f", linkmodel.Timestamp(13, 33, 40), 1.328, 80.0,
+                         0.0128425, "#Inf!"), {"nu_delta_omega_hz": "x"},
+     "nu_delta_omega_hz not a number: 'x'"),
+    (analysis.Sheet([]), {"records": [("Sun",)]},
+     "sheet records must be LinkRecords, got ('Sun',)"),
 ])
 def test_replace_checks_the_new_field(good, change, message):
     assert good._replace() == good and type(good._replace()) is type(good)

@@ -9,8 +9,9 @@ The oracle is a Fraction of the drawn inputs in the kernel's own formula, with i
 float constants (c, 2 * pi); the square roots of the V-number and of a planar
 displacement's length are taken in decimal at 60 digits. Three values are the
 kernel's own floats, as they are no product: sin(theta) in the Snell ratio, the
-length of a planar displacement, checked against its exact root on its own, and the
-cell sides (hi - lo) / n of a midpoint sum whose sides are all finite. Each @example
+hypot of a planar displacement scaled to [0.5, 1.5), checked against its exact root
+on its own, and the cell sides (hi - lo) / n of a midpoint sum whose sides are all
+within the float range. Each @example
 is a case some version of the toolkit lost or refused."""
 
 import math
@@ -220,20 +221,22 @@ def test_timedata_probability(t, delta, re, im):
            _exact((t, delta)) * (Fraction(re) ** 2 + Fraction(im) ** 2), 4)
 
 
-# The length is hypot(dx, dy), or where that overflows, 2 * hypot(dx / 2, dy / 2):
-# within 1 ulp of the exact root (hypot's bound from Python 3.10 on), and each result
-# that length's quotient. A refusal of either result refuses both.
+# The length is h * 2**e, e the larger frexp exponent of dx and dy and h the hypot of
+# both scaled by 2**-e: within 1 ulp of h, at that scale, of the exact root (hypot's
+# bound from Python 3.10 on), and each result that length's quotient. A refusal of
+# either result refuses both.
 @EXACT
 @given(F, F, POSITIVE, POSITIVE)
 @example(1e300, 0.0, 1e200, 1e200)
 @example(1.5e308, 1.5e308, 1e10, 1.0)
+@example(5e-324, 5e-324, 1e-300, 1.0)
 def test_planar_kinematics(dx, dy, t, t_parallel):
-    d, twice = math.hypot(dx, dy), ()
-    if d == math.inf:
-        d, twice = math.hypot(dx / 2, dy / 2), (2.0,)
-    length = _exact((*twice, d))
+    e = max(math.frexp(dx)[1], math.frexp(dy)[1])
+    h = math.hypot(math.ldexp(dx, -e), math.ldexp(dy, -e))
+    parts = (h, 2.0 ** (e // 2), 2.0 ** (e - e // 2))
+    length = _exact(parts)
     assert abs(length - _root(Fraction(dx) ** 2 + Fraction(dy) ** 2)) <= _exact(
-        (*twice, math.ulp(d))), (dx, dy, d)
+        (math.ulp(h), *parts[1:])), (dx, dy, h)
     speed, acceleration = length / Fraction(t), length / _exact((t, t_parallel))
     try:
         v, a, v_sync = geomlink.planar_kinematics(geomlink.PlanarMotion((dx, dy), t, t_parallel))
@@ -241,20 +244,22 @@ def test_planar_kinematics(dx, dy, t, t_parallel):
         assert max(speed, acceleration) > LARGEST - 2 * math.ulp(LARGEST)
         return
     assert v_sync == v
-    _check(_returned(v), (), speed, 0.5, ((*twice, d), (t,)))
-    _check(_returned(a), (), acceleration, 2, ((*twice, d), (t, t_parallel)))
+    _check(_returned(v), (), speed, 0.5, (parts, (t,)))
+    _check(_returned(a), (), acceleration, 2, (parts, (t, t_parallel)))
 
 
 # A constant integrand on one cell: the sum is the value, and its product with the
-# cell's sides is errors.ratio's; where a side overflows, that with the exact sides,
-# rounded once.
+# cell's sides is errors.ratio's; where a side is past the float range (an int side
+# too), that with the exact sides, rounded once.
 @EXACT
 @given(F, F, F, F, F)
 @example(1e-300, 0.0, 1e-20, 0.0, 1e20)
 @example(1e-300, -1e308, 1e308, 0.0, 1.0)
+@example(1e-300, -10**308, 10**308, 0, 1)
 def test_midpoint_sum_product(value, x0, x1, y0, y1):
     sides = (x1 - x0, y1 - y0)
-    if 0 in sides or all(map(math.isfinite, sides)):  # a side of 0 gives 0, as in the kernel
+    # a side of 0 gives 0, as in the kernel
+    if 0 in sides or all(abs(side) <= LARGEST for side in sides):
         exact, ulps, parts = _exact((value, *sides)), 2, ((value, *sides), ())
     else:
         exact, ulps, parts = Fraction(value) * (Fraction(x1) - Fraction(x0)) * (
