@@ -149,6 +149,10 @@ def planar_kinematics(m: PlanarMotion) -> tuple[float, float, float]:
 
     v = |d|/t, a = |d|/(t*t_parallel); v_sync is the same speed law applied
     to the synchronization displacement, identical here by construction.
+    |d| is rounded once, by hypot, and each quotient of it once more, past the
+    normal floats as within them, so v can sit 1 ulp and a 2 ulps from their
+    correctly rounded values: (5e-324, 5e-324) over 1e-300 s gives v =
+    6.987143370513133e-24 for ...131e-24.
     """
     # |d| = h * 2**e: e the larger frexp exponent of the parts, h the hypot of the parts
     # scaled by 2**-e, and 2**e two normal factors of ratio's, so that |d| keeps the bits

@@ -6,6 +6,8 @@ import operator
 import random
 import statistics
 import time
+from collections import Counter
+from itertools import chain, repeat
 
 from .errors import TINY, DomainError, listed, ratio, record, within, within_int
 
@@ -52,11 +54,27 @@ def parallel_sort(instance: SortInstance) -> list:
     it. The elements are scanned for nan only where their sum is nan (a nan, or
     inf beside -inf) or cannot be taken as a float; elements that do not add
     (text, Decimals) are not scanned, and sorted() signals a Decimal nan.
+
+    A list of exact str whose every 16th element holds at most half as many
+    distinct texts as elements (HH:MM:SS clocks take at most 86,400 values) is
+    sorted by counting: each distinct text is sorted once and repeated by its
+    count. The result equals sorted()'s, but equal texts come back as one
+    object, the first seen. The gate decides only the speed; it costs text
+    with few repeats 1-3%.
     """
     elements = instance.elements
     try:
         total = sum(elements, 0.0)  # a float, so that Fractions add in constant time
     except TypeError:  # text, which holds no nan
+        sample = elements[::16] if type(elements) is list else ()  # Counter reads a dict's counts
+        # The sample's types are read before its texts are hashed, so that an unhashable
+        # element goes on to sorted(), and every element's before any is counted, so
+        # that a str subclass is never merged with an equal str.
+        if ({str} == set(map(type, sample)) and 2 * len(set(sample)) <= len(sample)
+                and list(map(type, elements)).count(str) == len(elements)):
+            counts = Counter(elements)
+            keys = sorted(counts)
+            return list(chain.from_iterable(map(repeat, keys, map(counts.__getitem__, keys))))
         total = 0
     except OverflowError:  # an int beyond the float range beside a float
         total = math.nan

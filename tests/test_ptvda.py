@@ -4,10 +4,22 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from timedata_lab import ptvda
 from timedata_lab.errors import DomainError
 from timedata_lab.ptvda import SortInstance
+
+
+class S(str):
+    pass
+
+
+@st.composite
+def _repeated_text(draw):
+    pool = draw(st.lists(st.text(max_size=3), min_size=1, max_size=5))
+    data = draw(st.lists(st.sampled_from(pool), min_size=32, max_size=200))
+    return data + [S(text) for text in draw(st.lists(st.sampled_from(pool), max_size=2))]
 
 
 class TestParallelSort:
@@ -44,24 +56,49 @@ class TestParallelSort:
     @pytest.mark.parametrize("elements", [
         [3.0, math.nan, 1.0, 2.0], [math.nan], [math.inf, -math.inf, math.nan],
         [10 ** 400, 1.5, math.nan], [Fraction(1, 3), math.nan],
-        [Decimal("NaN"), Decimal(1)], [Decimal(1), math.nan, 2.0]])
+        [Decimal("NaN"), Decimal(1)], [Decimal(1), math.nan, 2.0],
+        [Decimal("NaN")] + [Decimal(1)] * 50])
     def test_nan_refused(self, elements):
         with pytest.raises(DomainError, match="^sort elements hold nan, which orders "
                                               "against nothing$"):
             ptvda.parallel_sort(SortInstance(elements, 1))
 
-    # inf and -inf sum to nan, but order; text adds to nothing and is not scanned.
+    # inf and -inf sum to nan, but order; text adds to nothing and is not scanned, nor
+    # are repeated lists, which are not counted, as they do not hash.
     @pytest.mark.parametrize("elements,expected", [
         ([math.inf, -math.inf, 1.0], [-math.inf, 1.0, math.inf]),
         ([10 ** 400, 1.5], [1.5, 10 ** 400]),
-        (["nan", "10:00:00", "09:59:59"], ["09:59:59", "10:00:00", "nan"])])
+        (["nan", "10:00:00", "09:59:59"], ["09:59:59", "10:00:00", "nan"]),
+        ([[1], [0]] * 50, [[0]] * 50 + [[1]] * 50)])
     def test_elements_that_sum_to_no_float_sorted(self, elements, expected):
         assert ptvda.parallel_sort(SortInstance(elements, 1)) == expected
 
-    @pytest.mark.parametrize("elements", [[1, "a"], [None, None]])
+    @pytest.mark.parametrize("elements", [[1, "a"], [None, None], [1, "a"] * 50, [None] * 100])
     def test_elements_that_do_not_order_refused(self, elements):
         with pytest.raises(DomainError, match="^sort elements do not order: "):
             ptvda.parallel_sort(SortInstance(elements, 1))
+
+    # Text with many repeats is sorted by counting, text with few by sorted(); either
+    # gives sorted()'s list, element types included, as a new list. A str subclass
+    # equal to a str in the list keeps the list off the counting path.
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.one_of(_repeated_text(), st.lists(st.text(), unique=True, max_size=200)))
+    def test_text_equals_sorted(self, data):
+        out = ptvda.parallel_sort(SortInstance(data, 1))
+        expected = sorted(data)
+        assert out == expected and out is not data
+        assert list(map(type, out)) == list(map(type, expected))
+
+    def test_repeated_text_comes_back_as_the_first_object_seen(self):
+        data = ["".join(("10:", f"{i % 2:02d}", ":00")) for i in range(100)]
+        out = ptvda.parallel_sort(SortInstance(data, 1))
+        assert out == sorted(data)
+        assert [id(x) for x in out] == [id(data[0])] * 50 + [id(data[1])] * 50
+
+    def test_str_subclass_kept_among_repeated_text(self):
+        data = ["a"] * 50 + [S("a")]
+        out = ptvda.parallel_sort(SortInstance(data, 1))
+        assert out == data and type(out[-1]) is S
 
     def test_too_many_partitions(self):
         with pytest.raises(DomainError):

@@ -1,9 +1,10 @@
 """Scaling gate: each leaf that takes a list runs through cli.main at n and at
-8n, and its CPU time may grow at most 20-fold. Linear work grows about 8x,
-n log n a little more, and a quadratic scan about 64x, so the wide bound
-catches a quadratic cliff without failing on a noisy machine. Each size
-takes the least of 3 runs of time.process_time(). A failure also reports the
-growth exponent log(ratio) / log(GROWTH): 1 for linear, 2 for quadratic.
+8n, and its CPU time may grow at most 20-fold; so may parallel_sort's on
+repeated text, called directly. Linear work grows about 8x, n log n a little
+more, and a quadratic scan about 64x, so the wide bound catches a quadratic
+cliff without failing on a noisy machine. Each size takes the least of 3 runs
+of time.process_time(). A failure also reports the growth exponent
+log(ratio) / log(GROWTH): 1 for linear, 2 for quadratic.
 
 This is the paper's timing probe (`ptvda.scaling_probe`) turned on the
 toolkit itself.
@@ -16,6 +17,7 @@ import time
 
 import pytest
 
+from timedata_lab import ptvda
 from timedata_lab.analysis import MAX_SPOKES
 from timedata_lab.cli import main
 
@@ -67,13 +69,23 @@ def _run(argv):
         return main(argv)
 
 
-def _least_cpu_time(argv):
+def _exits_0(argv):
+    assert _run(argv) == 0
+
+
+def _least_cpu_time(call, arg):
     times = []
     for _ in range(RUNS):
         start = time.process_time()
-        assert _run(argv) == 0
+        call(arg)
         times.append(time.process_time() - start)
     return min(times)
+
+
+def _check_growth(call, small, large):
+    ratio = _least_cpu_time(call, large) / _least_cpu_time(call, small)
+    assert ratio <= MAX_RATIO, (f"{GROWTH}x the input took {ratio:.1f}x the CPU time, "
+                                f"growth exponent {math.log(ratio) / math.log(GROWTH):.2f}")
 
 
 # (leaf, argv for a list of size n, n)
@@ -90,7 +102,20 @@ LEAVES = [
                          ids=[leaf for leaf, _, _ in LEAVES])
 def test_cpu_time_grows_less_than_quadratically(tmp_path, argv_of, n):
     small, large = argv_of(tmp_path, n), argv_of(tmp_path, GROWTH * n)
-    assert _run(small) == 0  # warm-up: the first call loads the leaf's module
-    ratio = _least_cpu_time(large) / _least_cpu_time(small)
-    assert ratio <= MAX_RATIO, (f"{GROWTH}x the input took {ratio:.1f}x the CPU time, "
-                                f"growth exponent {math.log(ratio) / math.log(GROWTH):.2f}")
+    _exits_0(small)  # warm-up: the first call loads the leaf's module
+    _check_growth(_exits_0, small, large)
+
+
+def _clocks(n):
+    # n clocks from n // 60 values, as perfbench's sort workload draws them
+    values = n // 60
+    return [f"{k // 3600:02d}:{k // 60 % 60:02d}:{k % 60:02d}"
+            for k in ((i * 7919) % values * 31 for i in range(n))]
+
+
+# `sort run` reads floats, so repeated text, which parallel_sort sorts by counting
+# its distinct values, is timed through the library. Its distinct values grow with
+# n, so a scan of the whole list per value would grow quadratically.
+def test_repeated_text_sort_grows_less_than_quadratically():
+    _check_growth(lambda data: ptvda.parallel_sort(ptvda.SortInstance(data)),
+                  _clocks(20_000), _clocks(GROWTH * 20_000))
