@@ -14,10 +14,9 @@ from itertools import repeat
 from operator import attrgetter, itemgetter
 
 from . import linkmodel
-from .errors import (LARGEST, NORMAL, TINY, DivergenceSignal, DivisionByZeroSignal, DomainError,
-                     finite, finite_float, finite_text, listed, record, within)
+from .errors import (DivergenceSignal, DivisionByZeroSignal, DomainError, finite, finite_float,
+                     finite_text, listed, record, within)
 from .linkmodel import Target, Timestamp
-from .units import C_KM_PER_S
 
 DIV0 = "#Div/0!"
 DIVERGES = "#Inf!"
@@ -48,9 +47,12 @@ class LinkRecord(record("LinkRecord", "target_name progress_pct f_xy_label t_sta
         return tuple.__new__(cls, (  # the cells run left to right, as the columns do
             target_name, progress_pct, f_xy_label, t_stamp, finite(epsilon_lm, "epsilon_lm"),
             finite(delta_t_s, "delta_t_s"),
-            nu_delta_omega_hz if nu_delta_omega_hz in _SENTINELS
+            # a resolution's type is read first, so that no foreign __eq__ runs
+            nu_delta_omega_hz if isinstance(nu_delta_omega_hz, str)
+            and nu_delta_omega_hz in _SENTINELS
             else finite(nu_delta_omega_hz, "nu_delta_omega_hz"),
-            nu_displaced_hz if nu_displaced_hz in _SENTINELS
+            nu_displaced_hz if isinstance(nu_displaced_hz, str)
+            and nu_displaced_hz in _SENTINELS
             else finite(nu_displaced_hz, "nu_displaced_hz")))
 
 
@@ -73,82 +75,39 @@ def build_sheet(targets: list[Target], progress_list: list[float],
     built: at 196 B a record, and 208 B more in emit_csv, the cap peaks at 0.40 GB
     under tracemalloc (measured at 1e5 records).
 
-    Each target's row is built a column at a time, with the kernels' own expressions
-    in their own float order, where a check on the row's extremes shows that the
-    kernels would refuse none of its records and keep every denominator a normal
-    float (_fits). Any other row is built record by record from the kernels, which
-    run their checks in their own order: the first record they refuse decides the
-    error. Division-by-zero and divergence signals from the link model are captured
-    as typed sentinel cells, never raised to the caller.
+    Each target's row is built from the columns linkmodel.row_columns gives, which equal
+    the kernels' values bit for bit. Where it gives none, the row is built record by
+    record from the kernels, which run their checks in their own order: the first
+    record they refuse decides the error. Division-by-zero and divergence signals from
+    the link model are captured as typed sentinel cells, never raised to the caller.
     """
     targets, progress_list = listed(targets, "targets"), listed(progress_list, "progress values")
     if not targets or not progress_list:
         raise DomainError("need at least one target and one progress value")
     within(len(targets) * len(progress_list),
            f"sheet takes <= {MAX_SHEET_RECORDS} records, got {{}}", high=MAX_SHEET_RECORDS)
-    plan, records = _Plan(progress_list, base_time), []
+    column, shifts, records = linkmodel.ProgressColumn(progress_list), {}, []
     for target in targets:
-        records += _row(target, plan)
+        records += _row(target, column, base_time, shifts)
     return tuple.__new__(Sheet, (tuple(records),))  # each record built from checked cells
 
 
-_PLAIN = (int, float)  # the types of progress values, distances and ranges _fits reads
-
-
-class _Plan:
-    """What the rows of one build_sheet call share: the progress values, the base
-    clock and shifts (whole-second shift -> its Timestamp and its float, so that
-    records share them). shares is None unless every progress value is a plain
-    number in [0, 100]; then shares and rests hold each value's p / 100 and
-    100 - p as the kernels compute them, top_share the largest share, and the
-    edges the values at which a row's denominators d * p and d * rest, each
-    monotonic in the progress value, are least and greatest (a record with a
-    sentinel has none)."""
-
-    def __init__(self, progress, base_time):
-        self.progress, self.base_time, self.shifts, self.shares = progress, base_time, {}, None
-        if all(type(p) in _PLAIN and 0 <= p <= 100 for p in progress):
-            self.shares = [p / 100.0 for p in progress]
-            self.rests = [100.0 - p for p in progress]
-            self.top_share = max(self.shares)
-            nonzero = [p for p in progress if p != 0]
-            rests = [rest for rest in self.rests if rest]
-            self.progress_edges = (min(nonzero), max(nonzero)) if nonzero else ()
-            self.rest_edges = (min(rests), max(rests)) if rests else ()
-
-
-def _fits(plan, distance, range_lm) -> bool:
-    """Whether the kernels refuse no record of a row and keep errors.ratio's float path,
-    read at the row's extremes: plain numbers in range, epsilon at most 1440 Lm, no shift
-    past midnight, and a normal distance and denominators with c * 100 over each finite."""
-    if (plan.shares is None or type(distance) not in _PLAIN or type(range_lm) not in _PLAIN
-            or not (NORMAL <= distance <= LARGEST and TINY <= range_lm <= LARGEST)
-            or not (top := plan.top_share * range_lm) <= 1440.0):
-        return False
-    # The 1440 Lm bound keeps top * 60.0 finite, so round() below cannot raise
-    # OverflowError, and the kernels read the clock once the first record's epsilon
-    # is within it, so an error the clock raises here is theirs.
-    base = plan.base_time.total_seconds()
-    denominators = ([float(distance) * p for p in plan.progress_edges]
-                    + [distance * rest for rest in plan.rest_edges])
-    return (type(base) is int and round(top * 60.0) <= base < 86400
-            and all(NORMAL <= den <= LARGEST and C_KM_PER_S * 100.0 / den <= LARGEST
-                    for den in denominators))
-
-
-def _row(target: Target, plan: _Plan) -> list[LinkRecord]:
-    """One target's records in progress order: a column at a time where _fits,
-    else record by record from the kernels."""
+def _row(target: Target, column: linkmodel.ProgressColumn, base_time: Timestamp,
+         shifts: dict) -> list[LinkRecord]:
+    """One target's records in progress order: from linkmodel.row_columns where it gives
+    the row's columns, else record by record from the kernels. shifts maps a whole-second
+    shift to its Timestamp and its float, so that the records of a sheet share them."""
     name, distance, range_lm = target.name, target.distance_km, target.range_lm
     if not isinstance(name, str):  # a Target that pickle rebuilt is unchecked
         raise DomainError(f"target name must be text, got {name!r}")
-    label, shifts = f"f(x,y)|{name}", plan.shifts
-    if not _fits(plan, distance, range_lm):
+    label = f"f(x,y)|{name}"
+    columns = linkmodel.row_columns(column, distance, range_lm, base_time, DIV0, DIVERGES)
+    if columns is None:
         records = []
-        for progress in plan.progress:
+        for progress in column.progress:
             eps = linkmodel.epsilon_from_progress(progress, range_lm)
             if (shift := shifts.get(seconds := linkmodel.shift_seconds(eps))) is None:
-                shift = shifts[seconds] = (linkmodel.shift_timestamp(plan.base_time, eps),
+                shift = shifts[seconds] = (linkmodel.shift_timestamp(base_time, eps),
                                            float(seconds))
             try:
                 nu = linkmodel.frequency_resolution(distance, progress)
@@ -161,22 +120,16 @@ def _row(target: Target, plan: _Plan) -> list[LinkRecord]:
             records.append(LinkRecord(name, progress, label, shift[0], eps, shift[1],
                                       nu, nu_x))
         return records
-    eps = [share * range_lm for share in plan.shares]
-    seconds = list(map(round, [e * 60.0 for e in eps]))
+    eps, seconds, nu, nu_x = columns
     if new := set(seconds).difference(shifts):
-        base = plan.base_time.total_seconds()
-        for s in new:  # shift_timestamp's clock, which _fits keeps in range
+        base = base_time.total_seconds()
+        for s in new:  # shift_timestamp's clock, which row_columns keeps in range
             shifts[s] = (Timestamp.from_seconds(base - s), float(s))
     shifted = list(map(shifts.__getitem__, seconds))
-    # The kernels' sentinels: #Div/0! where progress is 0, the one falsy value, and
-    # #Inf! where it is 100, whose rest is the one rest of 0.
     # Each cell is one LinkRecord takes, so tuple.__new__ builds the records its class would.
-    c, d = C_KM_PER_S * 100.0, float(distance)
     return list(map(tuple.__new__, repeat(LinkRecord), zip(
-        repeat(name), plan.progress, repeat(label), map(itemgetter(0), shifted), eps,
-        map(itemgetter(1), shifted),
-        [c / (d * p) if p else DIV0 for p in plan.progress],
-        [c / (d * rest) if rest else DIVERGES for rest in plan.rests])))
+        repeat(name), column.progress, repeat(label), map(itemgetter(0), shifted), eps,
+        map(itemgetter(1), shifted), nu, nu_x)))
 
 
 def _write_text(path, text: str) -> None:

@@ -1,9 +1,11 @@
 """Exception types of timedata-lab, the record base of its value types, the one
-reader of list arguments (`listed`), and its one rule for numbers: each is finite
-and in its declared range, text is a number only to `finite_float`, `plain_float`
-and `plain_int`, and a product or quotient leaves the normal floats only exactly."""
+reader of list arguments (`listed`), and its one rule for numbers: each is an int,
+a float or another numbers.Real, finite and in its declared range, text is a number
+only to `finite_float`, `plain_float` and `plain_int`, and a product or quotient
+leaves the normal floats only exactly."""
 
 import math
+import numbers
 import sys
 from collections import namedtuple
 
@@ -11,6 +13,7 @@ LARGEST = math.nextafter(math.inf, 0.0)  # sys.float_info.max
 TINY = math.ulp(0.0)  # the least positive float: a low bound of TINY means > 0
 # The least positive normal float: a result below it keeps fewer than 53 bits.
 NORMAL = sys.float_info.min
+PLAIN = {float, int}  # the plain number types, tested before the slower numbers.Real
 
 
 class TimedataError(Exception):
@@ -73,14 +76,12 @@ def finite_text(value) -> str:
 
 
 def within(value, message: str, low=-LARGEST, high=LARGEST, error=DomainError):
-    """value unchanged (ints and Fractions stay exact) if low <= value <= high, else
-    error(message.format(value)). Text, None and complex do not order against a float, so
-    fail, as nan does; the default bounds also refuse inf and ints beyond the float range."""
-    try:
-        if low <= value <= high:
-            return value
-    except TypeError:
-        pass
+    """value unchanged (ints and Fractions stay exact) if it is a number, an int, a float
+    or another numbers.Real, and low <= value <= high, else error(message.format(value)).
+    Text, None, complex, a Decimal and an array are no number, and nan fails the bounds;
+    the default bounds also refuse inf and ints beyond the float range."""
+    if (type(value) in PLAIN or isinstance(value, numbers.Real)) and low <= value <= high:
+        return value
     raise error(message.format(value))
 
 
@@ -121,10 +122,9 @@ def finite(value, what: str) -> float:
     try:
         return float(within(value, ""))
     except DomainError:
-        try:
-            shown = math.inf if value > 0 else -math.inf if value < 0 else math.nan
-        except TypeError:
+        if not isinstance(value, numbers.Real):
             raise DomainError(f"{what} not a number: {value!r}") from None
+        shown = math.inf if value > 0 else -math.inf if value < 0 else math.nan
         raise DomainError(f"{what} not finite: {shown}") from None
 
 

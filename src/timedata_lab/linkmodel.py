@@ -5,8 +5,8 @@ frequency-resolution displacement, uncertainty check and jump probability.
 import math
 import re
 
-from .errors import (TINY, DivergenceSignal, DivisionByZeroSignal, DomainError, finite,
-                     ratio, record, within, within_int)
+from .errors import (LARGEST, NORMAL, PLAIN, TINY, DivergenceSignal, DivisionByZeroSignal,
+                     DomainError, finite, ratio, record, within, within_int)
 from .units import C_KM_PER_S
 
 TWO_PI = 2.0 * math.pi
@@ -116,6 +116,59 @@ def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> f
         raise DivergenceSignal("displaced resolution diverges at 100% progress")
     return ratio((C_KM_PER_S, 100.0), (distance_km, 100.0 - progress_pct),
                  "displaced frequency resolution")
+
+
+class ProgressColumn:
+    """A sheet's progress values, a list, and what row_columns reads of them in each
+    row. shares is None unless every value is an int or float in [0, 100]; then shares
+    and rests hold each value's p / 100 and 100 - p as the kernels compute them,
+    top_share the largest share, and edges the values at which a row's denominators
+    d * p and d * rest, each monotonic in the value, are least and greatest (a record
+    with a sentinel has none)."""
+
+    def __init__(self, progress: list):
+        self.progress, self.shares = progress, None
+        if all(type(p) in PLAIN and 0 <= p <= 100 for p in progress):
+            self.shares = [p / 100.0 for p in progress]
+            self.rests = [100.0 - p for p in progress]
+            self.top_share = max(self.shares, default=0.0)
+            nonzero, rests = [p for p in progress if p], [rest for rest in self.rests if rest]
+            self.edges = ((nonzero and [min(nonzero), max(nonzero)])
+                          + (rests and [min(rests), max(rests)]))
+
+
+def row_columns(column: ProgressColumn, distance_km: float, range_lm: float,
+                local: Timestamp, div0, diverges):
+    """One row's epsilons, shift seconds, resolutions and displaced resolutions at the
+    column's progress values, as four lists: each cell bit for bit what
+    epsilon_from_progress, shift_seconds, frequency_resolution and
+    displaced_frequency_resolution return, or div0 and diverges where the last two signal.
+
+    None unless, read at the row's extremes, these kernels and shift_timestamp from local
+    refuse none of the row's records and errors.ratio keeps its float path: ints and
+    floats, progress in [0, 100], epsilon at most 1440 Lm, no shift past midnight, and a
+    normal distance and denominators with c * 100 over each finite. Each cell is then the
+    kernel's own expression, in its float order.
+    """
+    if column.shares is None or type(distance_km) not in PLAIN or type(range_lm) not in PLAIN:
+        return None
+    if not column.progress:  # no record to refuse
+        return [], [], [], []
+    # The 1440 Lm bound keeps top * 60.0 finite, so round() cannot raise OverflowError,
+    # and the kernels read the clock once the first record's epsilon is within it, so an
+    # error the clock raises here is theirs.
+    c = C_KM_PER_S * 100.0
+    if not (NORMAL <= distance_km <= LARGEST and TINY <= range_lm <= LARGEST
+            and (top := column.top_share * range_lm) <= 1440.0
+            and type(base := local.total_seconds()) is int and round(top * 60.0) <= base < 86400
+            and all(NORMAL <= (den := float(distance_km) * v) <= LARGEST and c / den <= LARGEST
+                    for v in column.edges)):
+        return None
+    eps, d = [share * range_lm for share in column.shares], float(distance_km)
+    # The signals: at progress 0, the one falsy value, and at 100, whose rest is the one 0.
+    return (eps, list(map(round, [e * 60.0 for e in eps])),
+            [c / (d * p) if p else div0 for p in column.progress],
+            [c / (d * rest) if rest else diverges for rest in column.rests])
 
 
 def uncertainty_satisfied(delta_omega: float, delta_t: float) -> bool:

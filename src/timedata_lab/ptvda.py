@@ -49,9 +49,9 @@ def parallel_sort(instance: SortInstance) -> list:
     list, so that is what runs. Sorting the partitions on threads would
     not be faster: the interpreter lock serialises them, and a merge in
     Python costs more than the sort it saves. Elements that do not order
-    against each other (1 and "a", None and None) raise DomainError, as does
-    nan, which compares false with everything, so that no order holds around
-    it. The elements are scanned for nan only where their sum is nan (a nan, or
+    against each other (1 and "a", None and None, an array and 1) raise
+    DomainError, as does nan, which compares false with everything, so that no
+    order holds around it. The elements are scanned for nan only where their sum is nan (a nan, or
     inf beside -inf) or cannot be taken as a float; elements that do not add
     (text, Decimals) are not scanned, and sorted() signals a Decimal nan.
 
@@ -65,7 +65,7 @@ def parallel_sort(instance: SortInstance) -> list:
     elements = instance.elements
     try:
         total = sum(elements, 0.0)  # a float, so that Fractions add in constant time
-    except TypeError:  # text, which holds no nan
+    except (TypeError, ValueError):  # text, which holds no nan, or arrays of other shapes
         sample = elements[::16] if type(elements) is list else ()  # Counter reads a dict's counts
         # The sample's types are read before its texts are hashed, so that an unhashable
         # element goes on to sorted(), and every element's before any is counted, so
@@ -84,7 +84,7 @@ def parallel_sort(instance: SortInstance) -> list:
         if total != total and any(map(operator.ne, elements, elements)):
             raise ArithmeticError  # a float nan, around which sorted() would not fail
         return sorted(elements)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # ValueError: an array asked for its truth
         raise DomainError(f"sort elements do not order: {exc}") from None
     except ArithmeticError:  # decimal.InvalidOperation too: a Decimal nan ordered
         raise DomainError("sort elements hold nan, which orders against nothing") from None
@@ -97,10 +97,10 @@ def classify_ratio(n, n_prime, m_bound: float = DEFAULT_RATIO_BOUND) -> str:
     (or below 1/m_bound) collapse to the corresponding limit class.
     """
     within(m_bound, "ratio bound must be positive", TINY, math.inf)
-    if n == n_prime == math.inf:
-        raise DomainError("both sizes infinite: ratio ambiguous")
     within(n, "n must be >= 1", 1, math.inf)
     within(n_prime, "n' must be >= 1", 1, math.inf)
+    if n == n_prime == math.inf:
+        raise DomainError("both sizes infinite: ratio ambiguous")
     if n == math.inf:
         return "Diverging"
     if n_prime == math.inf:

@@ -43,7 +43,7 @@ def test_quotient_out_of_range(numerator, denominator, message):
 
 @pytest.mark.parametrize("value,message", [
     (None, "x not a number: None"), ("abc", "x not a number: 'abc'"),
-    (1j, "x not a number: 1j")])
+    (1j, "x not a number: 1j"), (Decimal("1.5"), "x not a number: Decimal('1.5')")])
 def test_finite_refuses_what_float_cannot_read(value, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         finite(value, "x")
@@ -106,7 +106,8 @@ def test_within_returns_a_number_in_range_unchanged():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400,
-                                   Fraction(10**400), None, "1.5", "abc", b"1", 1j])
+                                   Fraction(10**400), None, "1.5", "abc", b"1", 1j,
+                                   Decimal("1.5")])
 def test_within_default_bounds_refuse_what_is_no_finite_number(value):
     with pytest.raises(DomainError, match=f"^got {re.escape(repr(value))}$"):
         within(value, "got {!r}")

@@ -1,15 +1,16 @@
 """Every public kernel, given finite inputs from across the float range, or
-ints beyond it, None or text, returns a finite result or raises a
-TimedataError, and nothing else."""
+ints beyond it, None, text, a Decimal or an array, returns a finite result (or
+None) or raises a TimedataError, and nothing else."""
 
 import inspect
 import itertools
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timedata_lab import geomlink, linkmodel, memtiming, optics, ptvda, relativity
+from timedata_lab import analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity
 from timedata_lab.errors import TimedataError
 
 MODULES = {m.__name__.rsplit(".", 1)[-1]: m
@@ -22,9 +23,31 @@ F = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                 for exponent in (st.integers(-323, 307),
                                  st.sampled_from([-323, -300, 300, 307]))),
               st.floats(0, 100))
-# No number to a library call: ints beyond the float range, None, and text,
-# text that float() reads included. Drawn in about one case in five.
-NOT_A_NUMBER = st.sampled_from([2**1024, -10**400, None, "abc", "1.5"])
+class _Truthless:
+    """What a comparison with an array gives: asking its truth raises ValueError."""
+
+    def __bool__(self):
+        raise ValueError("the truth value of an array with more than one element is ambiguous")
+
+
+class _ArrayLike:
+    """An array of numbers as numpy makes one, without numpy: each comparison gives
+    a _Truthless, and arithmetic with it is a TypeError."""
+
+    def _compare(self, other):
+        return _Truthless()
+
+    __lt__ = __le__ = __gt__ = __ge__ = __eq__ = __ne__ = _compare
+    __hash__ = None
+
+    def __repr__(self):
+        return "array([1e8, 2e8])"
+
+
+# No number to a library call: ints beyond the float range, None, text, text that
+# float() reads included, a Decimal and an array. Drawn in about one case in five.
+NOT_A_NUMBER = st.sampled_from([2**1024, -10**400, None, "abc", "1.5", Decimal(50),
+                                _ArrayLike()])
 # A float argument or field; an int inside the float range, whose products
 # leave it, too (not for counts: 10**300 grid cells would fill the memory).
 X = st.one_of(F, NOT_A_NUMBER, st.sampled_from([10**300, -10**308]))
@@ -72,6 +95,11 @@ KERNELS = {
     "linkmodel.frequency_resolution": st.tuples(X, X),
     "linkmodel.displaced_frequency_resolution": st.tuples(X, X),
     "linkmodel.uncertainty_satisfied": st.tuples(X, X),
+    # Empty lists, text and huge ints among the progress values: None or columns.
+    "linkmodel.row_columns": st.tuples(
+        st.builds(linkmodel.ProgressColumn, st.lists(st.one_of(X, st.floats(0, 100)), max_size=5)),
+        X, X, st.builds(linkmodel.Timestamp, _small(23), *[_small(59)] * 2),
+        st.just("#Div/0!"), st.just("#Inf!")),
     "linkmodel.timedata_probability": st.tuples(
         X, X, st.builds(linkmodel.AmplitudeOverlap, X, X)),
     "memtiming.bit_frequency": st.tuples(X, X, X),
@@ -149,3 +177,26 @@ def test_kernel_result_is_finite_or_typed_error(name):
         assert all(map(math.isfinite, _floats(result))), result
 
     check()
+
+
+
+# The calls that ended in a bare TypeError or ValueError on a Decimal or an array; the
+# sort takes a Decimal, which orders against floats, as an element.
+REFUSING = {
+    "build_sheet": lambda x: analysis.build_sheet(
+        [linkmodel.Target("A", 1e8, 8.3)], [x], linkmodel.Timestamp(13, 35, 0)),
+    "frequency_resolution": lambda x: linkmodel.frequency_resolution(x, 50),
+    "classify_ratio": lambda x: ptvda.classify_ratio(x, 2.0),
+    "LinkRecord": lambda x: analysis.LinkRecord(
+        "A", 50, "f(x,y)|A", linkmodel.Timestamp(13, 35, 0), 1.0, 1.0, x, 1.0),
+    "parallel_sort": lambda x: ptvda.parallel_sort(ptvda.SortInstance([x, 1.0])),
+}
+
+
+@pytest.mark.parametrize("name,value", [
+    pytest.param(name, value, id=f"{name}-{type(value).__name__}")
+    for name in REFUSING for value in (Decimal(50), _ArrayLike())
+    if (name, type(value)) != ("parallel_sort", Decimal)])
+def test_a_decimal_or_an_array_is_refused_by_message(name, value):
+    with pytest.raises(TimedataError):
+        REFUSING[name](value)

@@ -1,11 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from timedata_lab import linkmodel as lm
+from timedata_lab import errors, linkmodel as lm
 from timedata_lab.errors import (DivergenceSignal, DivisionByZeroSignal,
-                                 DomainError)
+                                 DomainError, TimedataError)
 from timedata_lab.linkmodel import AmplitudeOverlap, Target, Timestamp
 
 SUN_KM = 1.46e8
@@ -173,6 +173,77 @@ class TestDisplacedResolution:
         values = [lm.displaced_frequency_resolution(SUN_KM, p)
                   for p in [0, 10, 20, 50, 90, 99, 99.9]]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def _cells(p, distance, range_lm, clock):
+    """The _bits of the scalar kernels' epsilon, shift seconds and resolutions for one
+    record, a signal as "div0" or "diverges"."""
+    eps = lm.epsilon_from_progress(p, range_lm)
+    lm.shift_timestamp(clock, eps)
+    cells = [eps, lm.shift_seconds(eps)]
+    for kernel, signal, cell in ((lm.frequency_resolution, DivisionByZeroSignal, "div0"),
+                                 (lm.displaced_frequency_resolution, DivergenceSignal,
+                                  "diverges")):
+        try:
+            cells.append(kernel(distance, p))
+        except signal:
+            cells.append(cell)
+    return _bits(cells)
+
+
+def _bits(cells):
+    """Each cell with its type, a float as its bits: -0.0 is not 0.0 here."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in cells]
+
+
+def _off_the_float_path(p, distance) -> bool:
+    """Whether errors.ratio leaves its float path for a denominator of the record."""
+    try:
+        errors._product((distance, p)), errors._product((distance, 100.0 - p))
+    except OverflowError:
+        return True
+    return False
+
+
+# Ints and floats across every decimal exponent, past the float range, and not finite.
+_NUMBER = st.one_of(st.floats(), st.builds(lambda m, e: m * 10.0 ** e, st.floats(0.1, 9.99),
+                                           st.integers(-323, 307)),
+                    st.floats(0.01, 1e3), st.integers(-5, 10**6), st.just(10**400))
+_PERCENT = st.one_of(st.floats(0, 100), st.integers(0, 100),
+                     st.sampled_from([0, -0.0, 100, 100.0, 5e-324, -1e-300, 100.5, math.nan]))
+
+
+class TestRowColumns:
+    # Columns row_columns gives are the scalar kernels' cells bit for bit, signals
+    # replaced by the given cells; a row it declines has a record a kernel refuses or
+    # a denominator that takes errors.ratio off its float path. The examples: an empty
+    # row, sentinels at 0 and 100, d * p past the float range, a subnormal distance, and
+    # an epsilon whose seconds pass the float range.
+    @example(progress=[], distance=5e-324, range_lm=-1.0, clock=Timestamp(0, 0, 0))
+    @example(progress=[100.0], distance=SUN_KM, range_lm=1e308, clock=Timestamp(23, 0, 0))
+    @example(progress=[0, 100.0, -0.0, 16], distance=SUN_KM, range_lm=SUN_RANGE_LM,
+             clock=Timestamp(13, 35, 0))
+    @example(progress=[50.0], distance=1e308, range_lm=1.0, clock=Timestamp(13, 35, 0))
+    @example(progress=[0, 50.0], distance=5e-324, range_lm=1.0, clock=Timestamp(13, 35, 0))
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(progress=st.lists(_PERCENT, max_size=6), distance=_NUMBER, range_lm=_NUMBER,
+           clock=st.builds(Timestamp, st.integers(0, 23), st.integers(0, 59),
+                           st.integers(0, 59)))
+    def test_columns_are_the_kernels_or_declined_for_a_reason(self, progress, distance,
+                                                               range_lm, clock):
+        columns = lm.row_columns(lm.ProgressColumn(progress), distance, range_lm, clock,
+                                 "div0", "diverges")
+        if columns is not None:
+            assert list(map(_bits, zip(*columns))) == [
+                _cells(p, distance, range_lm, clock) for p in progress]
+            assert all(len(column) == len(progress) for column in columns)
+            return
+        for p in progress:
+            try:
+                _cells(p, distance, range_lm, clock)
+            except TimedataError:
+                return
+        assert any(_off_the_float_path(p, distance) for p in progress)
 
 
 class TestUncertainty:
