@@ -482,6 +482,26 @@ class TestCsv:
         assert hashlib.sha256(data).hexdigest() == (
             "a3890026819f6a053a5cf7c75e0a3e550119373cd698995a75ff50b9e664c195")
 
+    # The bytes of a seeded 10 x 40 sheet, the size of the benchmark's probe sheet, whose
+    # clocks are nearly all distinct (318 of 400), and of the chart drawn from its CSV as
+    # the `chart` command draws it: the 50 x 200 sheet above shares its clocks.
+    def test_seeded_small_sheet_and_chart_bytes(self, tmp_path):
+        rng = random.Random(44)
+        targets = [Target(f"T{i:03d}", rng.uniform(1e6, 1e9), rng.uniform(0.5, 50.0))
+                   for i in range(10)]
+        progress = [0.0, 100.0] + [rng.uniform(0.0, 100.0) for _ in range(38)]
+        rng.shuffle(progress)
+        base = Timestamp(rng.randrange(6, 23), rng.randrange(60), rng.randrange(60))
+        csv_path, svg_path = tmp_path / "small.csv", tmp_path / "small.svg"
+        sheet = analysis.build_sheet(targets, progress, base)
+        assert len({record.t_stamp for record in sheet.records}) == 318
+        analysis.emit_csv(sheet, csv_path)
+        assert analysis.render_radar_chart(analysis.parse_csv(csv_path), svg_path) == []
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "3e98c5d561ee7449463cb7e6b0037a6fb340ac17d358cda4f65eafe956dae5bd")
+        assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == (
+            "bbd39e55019bcc4e66643e5282e60189c39ccfa0456c564f011eee1b680902a8")
+
     # Cells that compare equal but print differently, some of them the same object
     # in several rows or columns: -0.0 and 0.0, 1 and True, and the names "1" and "1.0".
     def test_equal_cells_that_print_differently(self, tmp_path):
