@@ -86,6 +86,8 @@ def build_sheet(targets: list[Target], progress_list: list[float],
         raise DomainError("need at least one target and one progress value")
     within(len(targets) * len(progress_list),
            f"sheet takes <= {MAX_SHEET_RECORDS} records, got {{}}", high=MAX_SHEET_RECORDS)
+    if not isinstance(base_time, Timestamp):
+        raise DomainError(f"base time must be a Timestamp, got {base_time!r}")
     column, shifts, records = linkmodel.ProgressColumn(progress_list), {}, []
     for target in targets:
         records += _row(target, column, base_time, shifts)
@@ -198,11 +200,12 @@ def emit_csv(sheet: Sheet, path) -> None:
     an existing file is touched; LinkRecord has checked every other cell."""
     line = csv.writer(_Line(), lineterminator="\n").writerow
     # id of a cell object -> its CSV text and the comma after it, made once per object,
-    # as a sheet from build_sheet shares names, labels, progress values, clocks and
-    # shifts between records. The sheet's tuple keeps each cell, and so its id, alive:
-    # two cells, equal (0.0 and -0.0) or not, never share an entry. Past _MEMO_CELLS
+    # as a sheet from build_sheet shares names, labels, progress values and clocks
+    # between records. The sheet's tuple keeps each cell, and so its id, alive: two
+    # cells, equal (0.0 and -0.0) or not, never share an entry. Past _MEMO_CELLS
     # objects the memo starts over: fresh objects in every record (a sheet parse_csv
-    # read) cost bounded memory.
+    # read) cost bounded memory. The other numbers, LinkRecord's floats, are formatted
+    # inline, as finite_text would format them.
     memo = {}
 
     def remember(cell, cell_text):
@@ -217,6 +220,9 @@ def emit_csv(sheet: Sheet, path) -> None:
     def new_number(cell):
         return remember(cell, finite_text(cell) + ",")
 
+    def new_clock(cell):  # HH:MM:SS needs no quotes; a subclass's text may
+        return remember(cell, f"{cell},") if type(cell) is Timestamp else new_text(cell)
+
     known = memo.get
     buffer = io.StringIO()
     write = buffer.write
@@ -225,8 +231,8 @@ def emit_csv(sheet: Sheet, path) -> None:
         write(f"{known(id(name)) or new_text(name)}"
               f"{known(id(progress)) or new_number(progress)}"
               f"{known(id(label)) or new_text(label)}"
-              f"{known(id(stamp)) or new_text(stamp)}"
-              f"{eps:.6g},{known(id(delta_t)) or new_number(delta_t)}"
+              f"{known(id(stamp)) or new_clock(stamp)}"
+              f"{eps:.6g},{delta_t:.6g},"
               f"{f'{nu:.6g}' if type(nu) is float else nu},"
               f"{f'{nu_x:.6g}' if type(nu_x) is float else nu_x}\n")
     if "\r" in (text := buffer.getvalue()):  # unquoted, a CR ends a row
@@ -332,15 +338,18 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     # Record labels in record order, a name before its progress; each distinct
-    # name is checked for XML and escaped once. %s inserts them as data.
-    escaped, names, labels = {}, [], []
+    # name is checked for XML and escaped once, and each progress cell object
+    # formatted once. %s inserts them as data.
+    escaped, formatted, names, labels = {}, {}, [], []
     for name, progress in map(attrgetter("target_name", "progress_pct"), records):
         if (text := escaped.get(name)) is None:
             if _NOT_XML.search(name):
                 raise DomainError(f"target name {name!r} holds a character XML cannot carry")
             text = escaped[name] = html.escape(name, quote=False)
         names.append(text)
-        labels.append(finite_text(progress))
+        if (text := formatted.get(id(progress))) is None:
+            text = formatted[id(progress)] = finite_text(progress)
+        labels.append(text)
     cells = [None] * (6 * n)
     cells[0::6] = [_CENTER + _RADIUS * c for c in cos]
     cells[1::6] = [_CENTER + _RADIUS * s for s in sin]

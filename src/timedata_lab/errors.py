@@ -106,8 +106,9 @@ def record(name: str, fields: str, defaults=()):
     """The namedtuple base of an immutable record class. A record that only checks its
     fields checks them in __init__; one that normalises its input (CellMap,
     analysis.LinkRecord and analysis.Sheet) builds itself in __new__, which copy and
-    pickle call too. analysis.build_sheet and parse_csv build LinkRecord and Sheet with
-    tuple.__new__, from cells they have checked. _make calls the class, so _replace
+    pickle call too. analysis.build_sheet and parse_csv build LinkRecord and Sheet, and
+    linkmodel.Timestamp.parse and Timestamp.from_seconds build Timestamp, with
+    tuple.__new__, from fields they have checked. _make calls the class, so _replace
     and copy.replace check too, where namedtuple's _make calls tuple.__new__ alone."""
     # the caller's module, not this one, so that pickle finds the record's class
     base = namedtuple(name, fields, defaults=defaults,

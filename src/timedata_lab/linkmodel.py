@@ -15,6 +15,9 @@ _PROGRESS = "progress must be in [0, 100], got {}"
 _DISTANCE = "distance must be positive"
 _PAST_MIDNIGHT = "timestamp shift rolls back past midnight"
 _TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))  # a clock field's text, by value
+# A clock field's value by its text: finding the text is the field's range check.
+_HOURS = {text: value for value, text in enumerate(_TWO_DIGITS[:24])}
+_SIXTIETHS = {text: value for value, text in enumerate(_TWO_DIGITS)}
 
 
 class Target(record("Target", "name distance_km range_lm")):
@@ -40,14 +43,27 @@ class Timestamp(record("Timestamp", "hours minutes seconds")):
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
+        """The clock HH:MM:SS names. Its fields are read by table where each is in range,
+        else (and for a subclass) by the regex and checked by cls, for the same errors."""
+        if (cls is Timestamp and type(text) is str and len(text) == 8
+                and text[2] == text[5] == ":"):
+            hours, minutes, seconds = (_HOURS.get(text[:2]), _SIXTIETHS.get(text[3:5]),
+                                       _SIXTIETHS.get(text[6:]))
+            if hours is not None and minutes is not None and seconds is not None:
+                return tuple.__new__(cls, (hours, minutes, seconds))
         if (match := _HHMMSS.fullmatch(text)) is None:
             raise DomainError(f"expected HH:MM:SS, got {text!r}")
         return cls(int(match[1]), int(match[2]), int(match[3]))
 
     @classmethod
     def from_seconds(cls, total: int) -> "Timestamp":
-        """The clock total seconds after 00:00:00, the inverse of total_seconds."""
-        return cls(total // 3600, (total % 3600) // 60, total % 60)
+        """The clock total seconds after 00:00:00, the inverse of total_seconds. An int
+        in [0, 86400) gives fields in range, so only other totals (and a subclass's
+        clocks) are checked, by cls."""
+        fields = (total // 3600, total % 3600 // 60, total % 60)
+        if cls is Timestamp and type(total) is int and 0 <= total < 86400:
+            return tuple.__new__(cls, fields)
+        return cls(*fields)
 
     def total_seconds(self) -> int:
         return self.hours * 3600 + self.minutes * 60 + self.seconds
@@ -90,6 +106,8 @@ def shift_timestamp(local: Timestamp, epsilon_lm: float) -> Timestamp:
     Subtracts shift_seconds(epsilon); no day arithmetic, rolling back
     past 00:00:00 is a range error.
     """
+    if not isinstance(local, Timestamp):
+        raise DomainError(f"base time must be a Timestamp, got {local!r}")
     return Timestamp.from_seconds(
         within(local.total_seconds() - shift_seconds(epsilon_lm), _PAST_MIDNIGHT, 0))
 

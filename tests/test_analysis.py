@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import random
+import re
 import stat
 import sys
 import tempfile
@@ -243,6 +244,16 @@ class TestBuildSheet:
             analysis.build_sheet([SUN] * 1000, [16.0] * 1000, BASE)
         with pytest.raises(DomainError, match="^sheet takes <= 1000000 records, got 1001000$"):
             analysis.build_sheet([SUN] * 1001, [16.0] * 1000, BASE)
+
+    # The base clock is checked once, before any row is built, by whichever path.
+    @pytest.mark.parametrize("base", ["13:35:00", None, (13, 35, 0)])
+    def test_base_clock_that_is_no_timestamp(self, monkeypatch, base):
+        message = f"^base time must be a Timestamp, got {re.escape(repr(base))}$"
+        with pytest.raises(DomainError, match=message):
+            analysis.build_sheet([Target("A", 1e8, 8.3)], [50], base)
+        monkeypatch.setattr(analysis, "_row", lambda *args: pytest.fail("a row was built"))
+        with pytest.raises(DomainError, match=message):
+            analysis.build_sheet([SUN], PROGRESS, base)
 
     @pytest.mark.parametrize("targets,progress,name", [
         (None, [16.0], "targets"), ([SUN], 16.0, "progress values")])
@@ -600,6 +611,22 @@ class TestCsv:
             assert checked == sheet
             analysis.emit_csv(checked, path)
             assert path.read_bytes() == written
+
+    # A Timestamp's HH:MM:SS is written unquoted; a subclass's text keeps csv's quoting,
+    # here of a comma and of a quote.
+    def test_clock_of_a_timestamp_subclass_is_quoted(self, tmp_path):
+        class Clock(Timestamp):
+            __slots__ = ()
+
+            def __str__(self):
+                return f'{self.hours},{self.minutes}"'
+
+        records = [LinkRecord("A", 1, "f", clock, 0, 0, 1, 1)
+                   for clock in (Timestamp(13, 35, 0), Clock(13, 35, 0), Clock(13, 35, 0))]
+        path = tmp_path / "clocks.csv"
+        analysis.emit_csv(Sheet(records=records), path)
+        assert path.read_text().splitlines()[1:] == [
+            "A,1,f,13:35:00,0,0,1,1", 'A,1,f,"13,35""",0,0,1,1', 'A,1,f,"13,35""",0,0,1,1']
 
     # A memo with room for a few cells starts over often, and writes the same bytes.
     @pytest.mark.parametrize("cells", [0, 1, 2, 5])

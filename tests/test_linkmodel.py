@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -73,8 +74,9 @@ class TestTimestamp:
     def test_from_seconds_inverts_total_seconds(self):
         for total in range(86400):
             assert Timestamp.from_seconds(total).total_seconds() == total
-        for total in (-1, 86400):
-            with pytest.raises(DomainError, match="^timestamp fields out of range: "):
+        assert Timestamp.from_seconds(True) == (0, 0, 1)
+        for total, field in ((-1, "-1"), (86400, "24"), (1.0, "0.0")):
+            with pytest.raises(DomainError, match=f"^timestamp fields out of range: {field}$"):
                 Timestamp.from_seconds(total)
 
     @pytest.mark.parametrize("text", ["ab:cd:ef", "13:35", "13:35:00:00", "",
@@ -84,6 +86,41 @@ class TestTimestamp:
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(DomainError, match="expected HH:MM:SS"):
             Timestamp.parse(text)
+
+    # Clock text is read by table where each field is in range; other text, and what is
+    # no str, is read as before, for the same errors.
+    @pytest.mark.parametrize("text,field", [("24:00:00", 24), ("23:60:00", 60),
+                                            ("23:59:60", 60), ("99:99:99", 99)])
+    def test_parse_refuses_fields_out_of_range(self, text, field):
+        with pytest.raises(DomainError, match=f"^timestamp fields out of range: {field}$"):
+            Timestamp.parse(text)
+
+    def test_parse_reads_a_str_subclass(self):
+        class Text(str):
+            pass
+        clock = Timestamp.parse(Text("13:35:00"))
+        assert type(clock) is Timestamp and clock == (13, 35, 0)
+        assert {type(field) for field in clock} == {int}
+
+    @pytest.mark.parametrize("value,message", [
+        (None, "^expected string or bytes-like object"),
+        (b"13:35:00", "^cannot use a string pattern on a bytes-like object$")])
+    def test_parse_refuses_what_is_no_text(self, value, message):
+        with pytest.raises(TypeError, match=message):
+            Timestamp.parse(value)
+
+    # A subclass's own checks run for each clock it builds.
+    def test_a_subclass_builds_its_clocks_through_its_class(self):
+        built = []
+
+        class Clock(Timestamp):
+            __slots__ = ()
+
+            def __init__(self, *fields):
+                built.append(fields)
+
+        assert type(Clock.parse("13:35:00")) is type(Clock.from_seconds(3661)) is Clock
+        assert built == [(13, 35, 0), (1, 1, 1)]
 
     def test_field_ranges(self):
         # A field that is no int could not be printed as HH:MM:SS.
@@ -119,6 +156,12 @@ class TestTimestamp:
     def test_shift_seconds_rounds(self):
         assert lm.shift_seconds(1.328) == 80
         assert lm.shift_seconds(1440.0) == 86400
+
+    @pytest.mark.parametrize("local", ["13:35:00", None, (13, 35, 0)])
+    def test_shift_refuses_a_clock_that_is_no_timestamp(self, local):
+        message = f"^base time must be a Timestamp, got {re.escape(repr(local))}$"
+        with pytest.raises(DomainError, match=message):
+            lm.shift_timestamp(local, 1.0)
 
     def test_underflow_past_midnight(self):
         with pytest.raises(DomainError):
