@@ -213,6 +213,15 @@ range_lm = 0.0213
 PROGRESS = "0,8,16,24,32,40,48,56,64,72,80,88,96,100"
 CSV_SHA256 = "c04f8dcf2b3e3cf9a713102b058b3417f3b4e04be799e43eee99b6630498929e"
 SVG_SHA256 = "69da3e26094db5e8c99bb8c096f9ead253ebe882c09474e11212a28b465f3b2e"
+# Far's row is built record by record, as d * p overflows and errors.ratio takes its
+# exact path (cells such as 3e-303); Sun's from the columns. The clocks are shared.
+SUN_FAR_INI = SUN_MOON_INI.split("[target.Moon]")[0] + """\
+[target.Far]
+distance_km = 1e308
+range_lm = 8.3
+"""
+SUN_FAR_CSV_SHA256 = "f48b5e74c4e7afa0dd58513e94a0aa4299ebc6a8409969e3692c73b741ee836a"
+SUN_FAR_SVG_SHA256 = "8b67f01bf59157967b943c5d0d5d9fca8759d16c8513530304a072782e61127c"
 
 
 def _run(capsys, argv):
@@ -484,6 +493,19 @@ def test_sheet_and_chart_transcript(capsys, tmp_path):
     assert _run(capsys, ["chart", "--in", str(csv_path), "--out", str(svg_path)]) == (
         0, f"wrote radar chart to {svg_path}\n", "")
     assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == SVG_SHA256
+
+
+def test_sheet_and_chart_of_both_row_paths(capsys, tmp_path):
+    config = tmp_path / "targets.ini"
+    config.write_text(SUN_FAR_INI)
+    csv_path, svg_path = tmp_path / "t.csv", tmp_path / "t.svg"
+    assert _run(capsys, ["sheet", "--config", str(config), "--progress", "0,16,50,100",
+                         "--out", str(csv_path)]) == (
+        0, f"wrote 8 records to {csv_path}\n", "")
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == SUN_FAR_CSV_SHA256
+    assert _run(capsys, ["chart", "--in", str(csv_path), "--out", str(svg_path)]) == (
+        0, f"wrote radar chart to {svg_path}\n", "")
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == SUN_FAR_SVG_SHA256
 
 
 def test_sheet_and_chart_typed_errors(capsys, tmp_path):
