@@ -11,11 +11,10 @@ import os
 import re
 import stat
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from . import linkmodel
-from .errors import (DivergenceSignal, DivisionByZeroSignal, DomainError, finite, finite_float,
-                     finite_text, listed, record, within)
+from .errors import DomainError, finite, finite_float, finite_text, listed, record, within
 from .linkmodel import Target, Timestamp
 
 DIV0 = "#Div/0!"
@@ -75,63 +74,27 @@ def build_sheet(targets: list[Target], progress_list: list[float],
     built: at 196 B a record, and 208 B more in emit_csv, the cap peaks at 0.40 GB
     under tracemalloc (measured at 1e5 records).
 
-    Each target's row is built from the columns linkmodel.row_columns gives, which equal
-    the kernels' values bit for bit. Where it gives none, the row is built record by
-    record from the kernels, which run their checks in their own order: the first
-    record they refuse decides the error. Division-by-zero and divergence signals from
-    the link model are captured as typed sentinel cells, never raised to the caller.
+    Each target's row holds the cells linkmodel.ProgressColumn.row gives, the kernels'
+    own bit for bit, so the first record they refuse decides the error; a target that is
+    no Target, or whose name is no text, is refused when its row is reached. The kernels'
+    division-by-zero and divergence signals become typed sentinel cells, never raised.
     """
     targets, progress_list = listed(targets, "targets"), listed(progress_list, "progress values")
     if not targets or not progress_list:
         raise DomainError("need at least one target and one progress value")
     within(len(targets) * len(progress_list),
            f"sheet takes <= {MAX_SHEET_RECORDS} records, got {{}}", high=MAX_SHEET_RECORDS)
-    if not isinstance(base_time, Timestamp):
-        raise DomainError(f"base time must be a Timestamp, got {base_time!r}")
-    column, shifts, records = linkmodel.ProgressColumn(progress_list), {}, []
+    column, records = linkmodel.ProgressColumn(progress_list, base_time), []
     for target in targets:
-        records += _row(target, column, base_time, shifts)
+        if not isinstance(target, Target):
+            raise DomainError(f"sheet targets must be Targets, got {target!r}")
+        if not isinstance(name := target.name, str):  # a Target that pickle rebuilt is unchecked
+            raise DomainError(f"target name must be text, got {name!r}")
+        # Each cell is one LinkRecord takes, so tuple.__new__ builds the records its class would.
+        records += map(tuple.__new__, repeat(LinkRecord), zip(
+            repeat(name), column.progress, repeat(f"f(x,y)|{name}"),
+            *column.row(target.distance_km, target.range_lm, DIV0, DIVERGES)))
     return tuple.__new__(Sheet, (tuple(records),))  # each record built from checked cells
-
-
-def _row(target: Target, column: linkmodel.ProgressColumn, base_time: Timestamp,
-         shifts: dict) -> list[LinkRecord]:
-    """One target's records in progress order: from linkmodel.row_columns where it gives
-    the row's columns, else record by record from the kernels. shifts maps a whole-second
-    shift to its Timestamp and its float, so that the records of a sheet share them."""
-    name, distance, range_lm = target.name, target.distance_km, target.range_lm
-    if not isinstance(name, str):  # a Target that pickle rebuilt is unchecked
-        raise DomainError(f"target name must be text, got {name!r}")
-    label = f"f(x,y)|{name}"
-    columns = linkmodel.row_columns(column, distance, range_lm, base_time, DIV0, DIVERGES)
-    if columns is None:
-        records = []
-        for progress in column.progress:
-            eps = linkmodel.epsilon_from_progress(progress, range_lm)
-            if (shift := shifts.get(seconds := linkmodel.shift_seconds(eps))) is None:
-                shift = shifts[seconds] = (linkmodel.shift_timestamp(base_time, eps),
-                                           float(seconds))
-            try:
-                nu = linkmodel.frequency_resolution(distance, progress)
-            except DivisionByZeroSignal:
-                nu = DIV0
-            try:
-                nu_x = linkmodel.displaced_frequency_resolution(distance, progress)
-            except DivergenceSignal:
-                nu_x = DIVERGES
-            records.append(LinkRecord(name, progress, label, shift[0], eps, shift[1],
-                                      nu, nu_x))
-        return records
-    eps, seconds, nu, nu_x = columns
-    if new := set(seconds).difference(shifts):
-        base = base_time.total_seconds()
-        for s in new:  # shift_timestamp's clock, which row_columns keeps in range
-            shifts[s] = (Timestamp.from_seconds(base - s), float(s))
-    shifted = list(map(shifts.__getitem__, seconds))
-    # Each cell is one LinkRecord takes, so tuple.__new__ builds the records its class would.
-    return list(map(tuple.__new__, repeat(LinkRecord), zip(
-        repeat(name), column.progress, repeat(label), map(itemgetter(0), shifted), eps,
-        map(itemgetter(1), shifted), nu, nu_x)))
 
 
 def _write_text(path, text: str) -> None:

@@ -1,12 +1,12 @@
-"""Comlink time-data model: progress-to-reach conversion, timestamp shift,
-frequency-resolution displacement, uncertainty check and jump probability.
-"""
+"""Comlink time-data model: progress-to-reach conversion, timestamp shift, frequency
+resolution and its displacement, uncertainty check and jump probability; ProgressColumn
+gives a sheet's rows of their cells, each distinct shifted clock made once per sheet."""
 
 import math
 import re
 
 from .errors import (LARGEST, NORMAL, PLAIN, TINY, DivergenceSignal, DivisionByZeroSignal,
-                     DomainError, finite, ratio, record, within, within_int)
+                     DomainError, finite, listed, ratio, record, within, within_int)
 from .units import C_KM_PER_S
 
 TWO_PI = 2.0 * math.pi
@@ -137,15 +137,19 @@ def displaced_frequency_resolution(distance_km: float, progress_pct: float) -> f
 
 
 class ProgressColumn:
-    """A sheet's progress values, a list, and what row_columns reads of them in each
-    row. shares is None unless every value is an int or float in [0, 100]; then shares
-    and rests hold each value's p / 100 and 100 - p as the kernels compute them,
-    top_share the largest share, and edges the values at which a row's denominators
-    d * p and d * rest, each monotonic in the value, are least and greatest (a record
-    with a sentinel has none)."""
+    """A sheet's progress values, read once into a list, at its base clock local, which
+    must be a Timestamp; row gives each target's row of cells at them. shares is None
+    unless every value is an int or float in [0, 100]; then shares and rests hold each
+    value's p / 100 and 100 - p as the kernels compute them, top_share the largest share,
+    and edges the values at which a row's denominators d * p and d * rest, each monotonic
+    in the value, are least and greatest (a record with a sentinel has none)."""
 
-    def __init__(self, progress: list):
-        self.progress, self.shares = progress, None
+    def __init__(self, progress, local: Timestamp):
+        progress = self.progress = listed(progress, "progress values")
+        if not isinstance(local, Timestamp):
+            raise DomainError(f"base time must be a Timestamp, got {local!r}")
+        # a whole-second shift -> its clock and its float, which the sheet's rows share
+        self.local, self.shares, self._clocks, self._delta_ts = local, None, {}, {}
         if all(type(p) in PLAIN and 0 <= p <= 100 for p in progress):
             self.shares = [p / 100.0 for p in progress]
             self.rests = [100.0 - p for p in progress]
@@ -154,19 +158,48 @@ class ProgressColumn:
             self.edges = ((nonzero and [min(nonzero), max(nonzero)])
                           + (rests and [min(rests), max(rests)]))
 
+    def row(self, distance_km: float, range_lm: float, div0, diverges) -> tuple:
+        """A row's clocks, epsilons, delta-t, resolutions and displaced resolutions, five
+        lists in LinkRecord's field order: shift_timestamp's clocks and the kernels' floats
+        bit for bit, div0 and diverges where they signal. They are _row_columns' cells, else
+        the kernels', record by record, so that the first record they refuse decides the error."""
+        clocks, delta_ts = self._clocks, self._delta_ts
+        if (columns := _row_columns(self, distance_km, range_lm, div0, diverges)) is None:
+            columns = [], [], [], []
+            for p in self.progress:
+                e = epsilon_from_progress(p, range_lm)
+                if (s := shift_seconds(e)) not in clocks:
+                    clocks[s], delta_ts[s] = shift_timestamp(self.local, e), float(s)
+                try:
+                    f = frequency_resolution(distance_km, p)
+                except DivisionByZeroSignal:
+                    f = div0
+                try:
+                    f_x = displaced_frequency_resolution(distance_km, p)
+                except DivergenceSignal:
+                    f_x = diverges
+                for cells, cell in zip(columns, (float(e), s, f, f_x)):
+                    cells.append(cell)
+        eps, seconds, nu, nu_x = columns
+        if new := set(seconds).difference(clocks):
+            base = self.local.total_seconds()
+            for s in new:  # shift_timestamp's clock, which _row_columns keeps in range
+                clocks[s], delta_ts[s] = Timestamp.from_seconds(base - s), float(s)
+        return (list(map(clocks.__getitem__, seconds)), eps,
+                list(map(delta_ts.__getitem__, seconds)), nu, nu_x)
 
-def row_columns(column: ProgressColumn, distance_km: float, range_lm: float,
-                local: Timestamp, div0, diverges):
+
+def _row_columns(column: ProgressColumn, distance_km: float, range_lm: float, div0, diverges):
     """One row's epsilons, shift seconds, resolutions and displaced resolutions at the
     column's progress values, as four lists: each cell bit for bit what
     epsilon_from_progress, shift_seconds, frequency_resolution and
     displaced_frequency_resolution return, or div0 and diverges where the last two signal.
 
-    None unless, read at the row's extremes, these kernels and shift_timestamp from local
-    refuse none of the row's records and errors.ratio keeps its float path: ints and
-    floats, progress in [0, 100], epsilon at most 1440 Lm, no shift past midnight, and a
-    normal distance and denominators with c * 100 over each finite. Each cell is then the
-    kernel's own expression, in its float order.
+    None unless, read at the row's extremes, these kernels and shift_timestamp from the
+    column's clock refuse none of the row's records and errors.ratio keeps its float path:
+    ints and floats, progress in [0, 100], epsilon at most 1440 Lm, no shift past
+    midnight, and a normal distance and denominators with c * 100 over each finite. Each
+    cell is then the kernel's own expression, in its float order.
     """
     if column.shares is None or type(distance_km) not in PLAIN or type(range_lm) not in PLAIN:
         return None
@@ -178,7 +211,8 @@ def row_columns(column: ProgressColumn, distance_km: float, range_lm: float,
     c = C_KM_PER_S * 100.0
     if not (NORMAL <= distance_km <= LARGEST and TINY <= range_lm <= LARGEST
             and (top := column.top_share * range_lm) <= 1440.0
-            and type(base := local.total_seconds()) is int and round(top * 60.0) <= base < 86400
+            and type(base := column.local.total_seconds()) is int
+            and round(top * 60.0) <= base < 86400
             and all(NORMAL <= (den := float(distance_km) * v) <= LARGEST and c / den <= LARGEST
                     for v in column.edges)):
         return None

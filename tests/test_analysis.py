@@ -109,8 +109,8 @@ def _bits(record):
 
 def _by_the_kernels():
     """A patch under which build_sheet builds every row record by record from the
-    kernels: linkmodel.row_columns gives no row's columns."""
-    return mock.patch.object(linkmodel, "row_columns", lambda *args: None)
+    kernels: linkmodel._row_columns gives no row's columns."""
+    return mock.patch.object(linkmodel, "_row_columns", lambda *args: None)
 
 
 def _unchecked(*fields):
@@ -234,12 +234,12 @@ class TestBuildSheet:
         with pytest.raises(DomainError, match="^need at least one target"):
             analysis.build_sheet(targets, iter([]), BASE)
 
-    # _row raising _FirstRecord marks the first record being built: each row's
-    # records, on either path, are built there.
+    # ProgressColumn.row raising _FirstRecord marks the first record being built: each
+    # row's cells, on either path, are made there.
     def test_record_cap_checked_before_the_first_record(self, monkeypatch):
         def first_record(*args):
             raise _FirstRecord
-        monkeypatch.setattr(analysis, "_row", first_record)
+        monkeypatch.setattr(linkmodel.ProgressColumn, "row", first_record)
         with pytest.raises(_FirstRecord):  # the cap itself is allowed
             analysis.build_sheet([SUN] * 1000, [16.0] * 1000, BASE)
         with pytest.raises(DomainError, match="^sheet takes <= 1000000 records, got 1001000$"):
@@ -251,7 +251,8 @@ class TestBuildSheet:
         message = f"^base time must be a Timestamp, got {re.escape(repr(base))}$"
         with pytest.raises(DomainError, match=message):
             analysis.build_sheet([Target("A", 1e8, 8.3)], [50], base)
-        monkeypatch.setattr(analysis, "_row", lambda *args: pytest.fail("a row was built"))
+        monkeypatch.setattr(linkmodel.ProgressColumn, "row",
+                            lambda *args: pytest.fail("a row was built"))
         with pytest.raises(DomainError, match=message):
             analysis.build_sheet([SUN], PROGRESS, base)
 
@@ -353,6 +354,26 @@ class TestBuildSheet:
     def test_unchecked_target_name_refused(self, target):
         with pytest.raises(DomainError, match=r"^target name must be text, got (5|\['A'\])$"):
             analysis.build_sheet([SUN, target], [16.0, 32.0], BASE)
+
+    # A target that is no Target is refused when its row is reached: after the rows
+    # before it, whose first refused record still decides the error.
+    @pytest.mark.parametrize("target", [None, "Sun", ("Sun", 1.46e8, 8.3)])
+    def test_target_that_is_no_target_refused(self, target):
+        message = f"^sheet targets must be Targets, got {re.escape(repr(target))}$"
+        with pytest.raises(DomainError, match=message):
+            analysis.build_sheet([SUN, target], [16.0, 32.0], BASE)
+        with pytest.raises(DomainError, match="^range must be positive$"):
+            analysis.build_sheet([_unchecked("U", 1e8, math.nan), target], [16.0], BASE)
+
+    # A range whose type keeps its own products, as numpy's floats do, takes the kernel
+    # path, whose epsilon cells are floats still, as LinkRecord's would be.
+    def test_epsilon_cells_are_floats_for_a_range_that_keeps_its_type(self):
+        class Scaled(float):
+            def __rmul__(self, other):
+                return Scaled(float(self) * other)
+        record, = analysis.build_sheet([Target("X", 1e8, Scaled(8.3))], [16], BASE).records
+        assert type(record.epsilon_lm) is float
+        assert pickle.dumps(record) == pickle.dumps(LinkRecord(*record))
 
     # The column path, the kernel path and parse_csv build records without calling
     # LinkRecord: each is one, equal to and pickled as the LinkRecord of its fields.

@@ -95,11 +95,6 @@ KERNELS = {
     "linkmodel.frequency_resolution": st.tuples(X, X),
     "linkmodel.displaced_frequency_resolution": st.tuples(X, X),
     "linkmodel.uncertainty_satisfied": st.tuples(X, X),
-    # Empty lists, text and huge ints among the progress values: None or columns.
-    "linkmodel.row_columns": st.tuples(
-        st.builds(linkmodel.ProgressColumn, st.lists(st.one_of(X, st.floats(0, 100)), max_size=5)),
-        X, X, st.builds(linkmodel.Timestamp, _small(23), *[_small(59)] * 2),
-        st.just("#Div/0!"), st.just("#Inf!")),
     "linkmodel.timedata_probability": st.tuples(
         X, X, st.builds(linkmodel.AmplitudeOverlap, X, X)),
     "memtiming.bit_frequency": st.tuples(X, X, X),
@@ -177,6 +172,25 @@ def test_kernel_result_is_finite_or_typed_error(name):
         assert all(map(math.isfinite, _floats(result))), result
 
     check()
+
+
+# A sheet's rows, through the method that gives them: empty lists, text and huge ints
+# among the progress values, and each distance and range an X.
+ROW = st.tuples(
+    st.builds(linkmodel.ProgressColumn, st.lists(st.one_of(X, st.floats(0, 100)), max_size=5),
+              st.builds(linkmodel.Timestamp, _small(23), *[_small(59)] * 2)),
+    X, X, st.just("#Div/0!"), st.just("#Inf!"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_sheet_row_is_finite_or_typed_error(data):
+    try:
+        column, *args = data.draw(ROW)
+        result = column.row(*args)
+    except TimedataError:
+        return
+    assert all(map(math.isfinite, _floats(result))), result
 
 
 

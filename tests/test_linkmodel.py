@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 
 import pytest
@@ -256,8 +257,33 @@ _PERCENT = st.one_of(st.floats(0, 100), st.integers(0, 100),
                      st.sampled_from([0, -0.0, 100, 100.0, 5e-324, -1e-300, 100.5, math.nan]))
 
 
+class TestProgressColumn:
+    @pytest.mark.parametrize("local", ["13:35:00", None, (13, 35, 0)])
+    def test_refuses_a_clock_that_is_no_timestamp(self, local):
+        message = f"^base time must be a Timestamp, got {re.escape(repr(local))}$"
+        with pytest.raises(DomainError, match=message):
+            lm.ProgressColumn([50], local)
+
+    def test_progress_not_iterable(self):
+        with pytest.raises(DomainError, match="^progress values must be iterable, got None$"):
+            lm.ProgressColumn(None, Timestamp(13, 35, 0))
+
+    # Sun's row takes the column path and Far's, where d * p overflows, the kernels':
+    # the same shift gives one clock object and one delta-t float in both.
+    def test_rows_share_one_clock_and_delta_t_per_shift(self):
+        clock = Timestamp(13, 35, 0)
+        column = lm.ProgressColumn(iter([0, 16, 50, 100]), clock)
+        assert lm._row_columns(column, SUN_KM, SUN_RANGE_LM, "a", "b") is not None
+        assert lm._row_columns(column, 1e308, SUN_RANGE_LM, "a", "b") is None
+        sun = column.row(SUN_KM, SUN_RANGE_LM, "div0", "diverges")
+        far = column.row(1e308, SUN_RANGE_LM, "div0", "diverges")
+        assert far[:3] == sun[:3] and len(set(sun[0])) == 4
+        for shared in (sun[0], far[0]), (sun[2], far[2]):  # the clocks, the delta-t floats
+            assert all(map(operator.is_, *shared))
+
+
 class TestRowColumns:
-    # Columns row_columns gives are the scalar kernels' cells bit for bit, signals
+    # Columns _row_columns gives are the scalar kernels' cells bit for bit, signals
     # replaced by the given cells; a row it declines has a record a kernel refuses or
     # a denominator that takes errors.ratio off its float path. The examples: an empty
     # row, sentinels at 0 and 100, d * p past the float range, a subnormal distance, and
@@ -274,8 +300,8 @@ class TestRowColumns:
                            st.integers(0, 59)))
     def test_columns_are_the_kernels_or_declined_for_a_reason(self, progress, distance,
                                                                range_lm, clock):
-        columns = lm.row_columns(lm.ProgressColumn(progress), distance, range_lm, clock,
-                                 "div0", "diverges")
+        columns = lm._row_columns(lm.ProgressColumn(progress, clock), distance, range_lm,
+                                  "div0", "diverges")
         if columns is not None:
             assert list(map(_bits, zip(*columns))) == [
                 _cells(p, distance, range_lm, clock) for p in progress]
