@@ -1,14 +1,16 @@
 """Command-line front end exposing every toolkit module as a subcommand.
 
-The whole command line is declared in ``COMMANDS``: ``main`` reads argv from it,
-as argparse would read the tree ``build_parser`` makes of it, and calls the
-runner of the leaf argv names. argparse only formats the help and usage text.
+The whole command line is declared in ``COMMANDS``: ``main`` reads argv against each
+leaf's table of it, built once at import, as argparse would read the tree ``build_parser``
+makes of it, into a ``types.SimpleNamespace``, and calls the runner of the leaf argv
+names. argparse only formats the help and usage text.
 """
 
 import argparse
 import importlib.util
 import os
 import sys
+import types
 
 from .errors import TimedataError, finite_float, finite_text, plain_float, plain_int
 
@@ -226,6 +228,20 @@ COMMANDS = {
 }
 
 
+def _leaf(flags, runner):
+    """A leaf's table: its defaults, runner as run, and {--name: (attribute, type)}."""
+    defaults, declared = {"run": runner}, {}
+    for name, type_, default in flags:
+        defaults[dest := name.replace("-", "_")] = default
+        declared["--" + name] = dest, type_
+    return defaults, declared
+
+
+# command -> {action -> table}: COMMANDS as _parse reads it, built once at import
+_LEAVES = {command: {action: _leaf(*leaf) for action, leaf in actions.items()}
+           for command, (_, actions) in COMMANDS.items()}
+
+
 def build_parser() -> dict:
     """The argparse tree of ``COMMANDS`` as {path: parser}, the path being () for
     the whole command line and (command,) or (command, action) below it. It formats
@@ -285,16 +301,13 @@ def _choose(tokens, path, choices, leftover):
     raise _exit(path, f"the following arguments are required: {('command', 'action')[len(path)]}")
 
 
-def _parse(argv) -> argparse.Namespace:
-    """The namespace of the leaf argv names, read from COMMANDS as argparse reads its
-    tree, with the leaf's runner as .run; help and usage errors raise _exit's SystemExit."""
+def _parse(argv) -> types.SimpleNamespace:
+    """A types.SimpleNamespace of the leaf's defaults, from its table built once at import,
+    and each value argv gives, read as argparse reads its tree; help and usage raise _exit."""
     tokens, path, leftover = iter(argv), [], []
-    _, actions = _choose(tokens, path, COMMANDS, leftover)
-    flags, runner = actions[None] if None in actions else _choose(tokens, path, actions, leftover)
-    args, declared = argparse.Namespace(run=runner), {}
-    for name, type_, default in flags:
-        setattr(args, dest := name.replace("-", "_"), default)
-        declared["--" + name] = dest, type_
+    actions = _choose(tokens, path, _LEAVES, leftover)
+    defaults, declared = actions[None] if None in actions else _choose(tokens, path, actions, leftover)
+    values = defaults.copy()
     for token in tokens:
         flag, eq, text = token.partition("=")
         # a token that names no flag is left over, as is each one from `--` on
@@ -307,16 +320,16 @@ def _parse(argv) -> argparse.Namespace:
             raise _exit(path, f"argument {flag}: expected one argument")
         dest, type_ = declared[flag]
         try:
-            setattr(args, dest, type_(text))
+            values[dest] = type_(text)
         except (TypeError, ValueError):
             raise _exit(path, f"argument {flag}: invalid {type_.__name__} value: "
                         f"{text!r}") from None
-    if _REQUIRED in vars(args).values():
+    if _REQUIRED in values.values():
         raise _exit(path, "the following arguments are required: " + ", ".join(
-            flag for flag, (dest, _) in declared.items() if getattr(args, dest) is _REQUIRED))
+            flag for flag, (dest, _) in declared.items() if values[dest] is _REQUIRED))
     if leftover:
         raise _exit([], "unrecognized arguments: " + " ".join(leftover))
-    return args
+    return types.SimpleNamespace(**values)
 
 
 def _write(lines, text, code) -> int:

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
 import pytest
 
 import timedata_lab
-from timedata_lab import analysis, ptvda
+from timedata_lab import analysis, cli, ptvda
 from timedata_lab.cli import load_config, main
 
 SUN_INI = """\
@@ -48,6 +49,41 @@ def test_chart_reports_an_omitted_attribute_on_one_line(tmp_path, capsys):
     assert main(["chart", "--in", str(path), "--out", str(tmp_path / "c.svg")]) == 0
     assert capsys.readouterr().err == (
         "warning: attribute nu_displaced_hz is all sentinels; omitted\n")
+
+
+def test_each_leaf_table_reads_the_flags_argparse_declares_in_order():
+    tree = cli.build_parser()
+    for command, (_, actions) in cli.COMMANDS.items():
+        assert list(cli._LEAVES[command]) == list(actions)
+        for action, (flags, runner) in actions.items():
+            defaults, declared = cli._LEAVES[command][action]
+            leaf = tree[(command, action) if action else (command,)]
+            # name, attribute, type and whether required, against argparse's own actions
+            assert [(flag, dest, type_, defaults[dest] is cli._REQUIRED)
+                    for flag, (dest, type_) in declared.items()] == [
+                (option.option_strings[0], option.dest, type_, option.required)
+                for option, (_, type_, _) in zip(leaf._actions[1:], flags, strict=True)]
+            assert defaults == {"run": runner, **{
+                dest: default for (dest, _), (*_, default) in zip(declared.values(), flags)}}
+
+
+def test_parse_returns_a_new_namespace_each_call():
+    argv = ["rel", "proper", "--dt", "2"]
+    first, second = cli._parse(argv), cli._parse(argv)
+    assert type(first) is types.SimpleNamespace and first is not second
+    assert vars(first) == vars(second) == {
+        "run": cli.COMMANDS["rel"][1]["proper"][1], "dt": 2.0, "vx": 0.0, "vy": 0.0, "vz": 0.0}
+
+
+def test_a_runner_that_changes_its_namespace_leaves_the_defaults():
+    argv = ["sort", "probe", "--sizes", "10,20"]
+    expected = vars(cli._parse(argv)).copy()
+    args = cli._parse(argv)
+    args.trials, args.extra = 99, 1  # as a runner could
+    del args.seed, args.run
+    assert vars(cli._parse(argv)) == expected
+    assert cli._LEAVES["sort"]["probe"][0] == {
+        "run": expected["run"], "sizes": cli._REQUIRED, "trials": 3, "seed": None}
 
 
 def test_sort_probe_runs_without_numpy():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from timedata_lab import analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity
-from timedata_lab.errors import TimedataError
+from timedata_lab.errors import LARGEST, TimedataError
 
 MODULES = {m.__name__.rsplit(".", 1)[-1]: m
            for m in (geomlink, linkmodel, memtiming, optics, ptvda, relativity)}
@@ -192,6 +192,38 @@ def test_sheet_row_is_finite_or_typed_error(data):
         return
     assert all(map(math.isfinite, _floats(result))), result
 
+
+# A sheet's rows in its domain: one to three progress values in [0, 100], a clock in
+# range, and each distance and range positive, a percentage or spread over every decimal
+# exponent up to LARGEST. sampled_from leans to the lower exponents, where st.integers
+# would not; a range past about 1e3 Lm shifts a clock back past midnight.
+POSITIVE = st.one_of(st.builds(lambda m, e: min(m * 10.0 ** e, LARGEST),
+                               st.floats(1, 9.99), st.sampled_from(range(-323, 309))),
+                     st.floats(0, 100, exclude_min=True))
+IN_DOMAIN_ROW = st.tuples(
+    st.builds(linkmodel.ProgressColumn, st.lists(st.floats(0, 100), min_size=1, max_size=3),
+              st.builds(linkmodel.Timestamp, st.integers(0, 23), *[st.integers(0, 59)] * 2)),
+    POSITIVE, POSITIVE, st.just("#Div/0!"), st.just("#Inf!"))
+
+
+def test_in_domain_sheet_row_is_finite_or_typed_error():
+    rows = []
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(IN_DOMAIN_ROW)
+    def check(drawn):
+        column, *args = drawn
+        try:
+            result = column.row(*args)
+        except TimedataError:
+            rows.append(False)
+            return
+        assert all(map(math.isfinite, _floats(result))), result
+        rows.append(bool(result[0]))
+
+    check()
+    # else the property above rests on the few draws that reach a row
+    assert 2 * sum(rows) >= len(rows), f"{sum(rows)} of {len(rows)} draws gave a nonempty row"
 
 
 # The calls that ended in a bare TypeError or ValueError on a Decimal or an array; the

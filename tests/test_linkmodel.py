@@ -83,7 +83,8 @@ class TestTimestamp:
     @pytest.mark.parametrize("text", ["ab:cd:ef", "13:35", "13:35:00:00", "",
                                       "13:35:0.5", "1_3:35:00", "١٣:٣٥:٠٠",
                                       " 13:35:00", "13:35:00\n", "+1:35:00",
-                                      "13:35:0"])
+                                      "13:35:0", "13a35:00", "13:35a00", "13-35-00",
+                                      "13:35;00"])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(DomainError, match="expected HH:MM:SS"):
             Timestamp.parse(text)
