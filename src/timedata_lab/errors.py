@@ -104,9 +104,11 @@ def listed(values, name: str) -> list:
 
 def record(name: str, fields: str, defaults=()):
     """The namedtuple base of an immutable record class. A record that only checks its
-    fields checks them in __init__; one that normalises its input (CellMap,
-    analysis.LinkRecord and analysis.Sheet) builds itself in __new__, which copy and
-    pickle call too. analysis.build_sheet and parse_csv build LinkRecord and Sheet, and
+    fields checks them in __init__, but memtiming.Carrier, of which an allocation builds
+    thousands, checks them in __new__, in one frame. It and the records that normalise
+    their input (CellMap, analysis.LinkRecord and analysis.Sheet) build themselves in
+    __new__, which copy and pickle call too, so a copy of one is checked again.
+    analysis.build_sheet and parse_csv build LinkRecord and Sheet, and
     linkmodel.Timestamp.parse and Timestamp.from_seconds build Timestamp, with
     tuple.__new__, from fields they have checked. _make calls the class, so _replace
     and copy.replace check too, where namedtuple's _make calls tuple.__new__ alone."""

@@ -1,12 +1,16 @@
 import cmath
+import copy
+import math
+import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from timedata_lab import memtiming as mt
-from timedata_lab.errors import DivisionByZeroSignal, DomainError
+from timedata_lab import errors, memtiming as mt
+from timedata_lab.errors import LARGEST, DivisionByZeroSignal, DomainError
 from timedata_lab.memtiming import (Carrier, CellMap, ElectrodeGeometry,
                                     QubitState)
 
@@ -177,6 +181,22 @@ def make_cells(n, shuffle_seed=None):
     return CellMap(cells=list(zip(addresses, ranks)))
 
 
+class _Float(float):
+    pass
+
+
+# Plain floats in [0, LARGEST], the only arrivals Carrier checks without errors.within,
+# and 20 arrivals it hands to within: each side of both bounds, no float, a float subclass.
+INLINE_ARRIVALS = [0.0, -0.0, 5e-324, LARGEST]
+OTHER_ARRIVALS = [-5e-324, -LARGEST, math.inf, -math.inf, math.nan, 0, 1, -1, True, False,
+                  10**400, Fraction(1, 2), -Fraction(1, 2), Decimal("1.5"), None, "1", 1j,
+                  _Float(2.0), _Float(-1.0), _Float("nan")]
+
+
+def _arrival_id(value):
+    return f"{type(value).__name__}-{value!r:.12}"
+
+
 class TestWaterfall:
     def test_single_carrier_nearest_cell(self):
         cells = make_cells(3, shuffle_seed=1)
@@ -202,6 +222,41 @@ class TestWaterfall:
     def test_arrival_not_nonnegative_rejected(self, arrival):
         with pytest.raises(DomainError, match="^arrival time must be nonnegative$"):
             Carrier(0, arrival)
+
+    # Carrier takes a plain float in [0, LARGEST] inline and hands every other arrival
+    # to errors.within; either way it accepts and refuses as within does, with within's
+    # text, and keeps the very object it was given.
+    @pytest.mark.parametrize("arrival", INLINE_ARRIVALS + OTHER_ARRIVALS, ids=_arrival_id)
+    def test_arrival_checked_as_within_checks_it(self, arrival, monkeypatch):
+        message = "arrival time must be nonnegative"
+        try:
+            expected = errors.within(arrival, message, 0.0)
+        except DomainError as exc:
+            expected = exc
+        calls = []
+        monkeypatch.setattr(mt, "within", lambda *args: calls.append(args) or errors.within(*args))
+        if isinstance(expected, DomainError):
+            with pytest.raises(DomainError) as exc:
+                Carrier(0, arrival)
+            assert str(exc.value) == str(expected) == message
+        else:
+            assert Carrier(0, arrival).arrival_time_s is arrival is expected
+        inline = any(arrival is value for value in INLINE_ARRIVALS)
+        assert calls == ([] if inline else [(arrival, message, 0.0)])
+
+    # copy, deepcopy and pickle rebuild a record through its __new__, so a carrier
+    # planted with tuple.__new__ and a bad field survives none of them.
+    def test_every_copy_checks_the_fields(self):
+        rebuilds = (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c)))
+        for fields, message in [((0, -1.0), "^arrival time must be nonnegative$"),
+                                (("a", 1.0), "^carrier id must be an int, got 'a'$")]:
+            planted = tuple.__new__(Carrier, fields)
+            for rebuild in rebuilds:
+                with pytest.raises(DomainError, match=message):
+                    rebuild(planted)
+        carrier = Carrier(3, 0.5)
+        for rebuild in rebuilds:
+            assert rebuild(carrier) == carrier and type(rebuild(carrier)) is Carrier
 
     # Tied arrivals are ordered by id, and "a" and 1 do not order.
     @pytest.mark.parametrize("carrier_id", ["a", 1.5, None])
