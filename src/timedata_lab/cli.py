@@ -12,7 +12,7 @@ import os
 import sys
 import types
 
-from .errors import TimedataError, finite_float, finite_text, plain_float, plain_int
+from .errors import TimedataError, finite_float, finite_floats, finite_text, plain_float, plain_int
 
 
 def _lazy(name):
@@ -34,7 +34,7 @@ analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity = map(_lazy,
 
 
 def _csv_of(convert):
-    """Flag type for a comma-separated list, read as a tuple; empty items are skipped."""
+    """A list flag's type, read as a tuple, empty items skipped; floats: errors.finite_floats."""
     def parse(text: str) -> tuple:
         return tuple(convert(part) for part in text.split(",") if part != "")
     parse.__name__ = f"{convert.__name__} list"
@@ -84,12 +84,10 @@ def _sheetres(a) -> str:
 
 
 def _waterfall(a) -> str:
-    carriers = [memtiming.Carrier(i, t) for i, t in enumerate(a.arrivals)]
-    cells = memtiming.CellMap(
-        cells=[(addr, addr) for addr in range(len(carriers))])
-    alloc = memtiming.waterfall_allocate(carriers, cells)
-    return "\n".join(f"carrier {carrier_id} -> cell {alloc[carrier_id]}"
-                     for carrier_id in sorted(alloc))
+    """Carrier i arrives at arrivals[i], read by finite_floats, built by carriers in one pass."""
+    cells = memtiming.CellMap(enumerate(range(len(a.arrivals))))  # cell i: address i, rank i
+    alloc = memtiming.waterfall_allocate(memtiming.carriers(a.arrivals), cells)
+    return "\n".join(f"carrier {i} -> cell {alloc[i]}" for i in sorted(alloc))
 
 
 def _polar(a) -> str:
@@ -185,7 +183,7 @@ COMMANDS = {
         "eta": ([("collected", plain_int, _REQUIRED), ("storable", plain_int, _REQUIRED)],
                 lambda a: finite_text(
                     memtiming.quantum_efficiency(a.collected, a.storable))),
-        "waterfall": ([("arrivals", _csv_of(finite_float), _REQUIRED)], _waterfall),
+        "waterfall": ([("arrivals", finite_floats, _REQUIRED)], _waterfall),
     }),
     "rel": ("relativistic timing", {
         "gamma": (_floats("beta"), lambda a: finite_text(
@@ -201,7 +199,7 @@ COMMANDS = {
                        relativity.ChargeLedger(a.q1, a.qin, a.qout))) + " C"),
     }),
     "sort": ("partitioned parallel sort harness", {
-        "run": ([("values", _csv_of(finite_float), _REQUIRED), ("partitions", plain_int, 1)],
+        "run": ([("values", finite_floats, _REQUIRED), ("partitions", plain_int, 1)],
                 lambda a: ",".join(map(finite_text, ptvda.parallel_sort(
                     ptvda.SortInstance(a.values, a.partitions))))),
         "classify": ([("n", plain_float, _REQUIRED), ("nprime", plain_float, _REQUIRED),
@@ -219,7 +217,7 @@ COMMANDS = {
     }),
     "sheet": ("build the link spreadsheet CSV", {
         None: ([("config", str, _REQUIRED),
-                ("progress", _csv_of(finite_float), _REQUIRED),
+                ("progress", finite_floats, _REQUIRED),
                 ("out", str, _REQUIRED)], _sheet),
     }),
     "chart": ("render the radar chart SVG", {

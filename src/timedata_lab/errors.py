@@ -1,8 +1,8 @@
 """Exception types of timedata-lab, the record base of its value types, the one
 reader of list arguments (`listed`), and its one rule for numbers: each is an int,
 a float or another numbers.Real, finite and in its declared range, text is a number
-only to `finite_float`, `plain_float` and `plain_int`, and a product or quotient
-leaves the normal floats only exactly."""
+only to `finite_float`, `finite_floats`, `plain_float` and `plain_int`, and a
+product or quotient leaves the normal floats only exactly."""
 
 import math
 import numbers
@@ -43,6 +43,17 @@ def finite_float(text: str) -> float:
     return value
 
 
+def finite_floats(text: str) -> tuple:
+    """finite_float of each comma-separated item but empty ones: one check a list, else each."""
+    items = list(filter(None, text.split(",")))
+    try:  # an inf or nan item makes the sum one
+        if "_" not in text and math.isfinite(sum(values := tuple(map(float, items)))):
+            return values
+    except ValueError:
+        pass
+    return tuple(map(finite_float, items))  # the first bad item's error, or a sum that overflows
+
+
 def plain_float(text: str) -> float:
     """float(text), inf and nan included (sort classify's infinity marker), but not
     the `_` digit grouping Python reads (`1_0` is 10), which no toolkit output writes."""
@@ -65,14 +76,16 @@ def _ungrouped(text: str) -> str:
 
 # a usage error names a flag's type, as argparse does
 finite_float.__name__, plain_float.__name__, plain_int.__name__ = "finite float", "float", "int"
+finite_floats.__name__ = "finite float list"
 
 
 def finite_text(value) -> str:
-    """The one formatter of result numbers (CLI output, CSV cells, chart
-    labels): 6 significant digits, never nan or inf. Outputs that keep their
-    own format: `link eps` at 6 decimals, the probe's log-log slope at 4
+    """The one formatter of result numbers (CLI output, CSV cells, chart labels): 6
+    significant digits, never nan or inf, an exact float in range tested inline. Outputs
+    that keep their own format: `link eps` at 6 decimals, the probe's log-log slope at 4
     and SVG coordinates at 2."""
-    return f"{finite(value, 'result'):.6g}"
+    inline = type(value) is float and -LARGEST <= value <= LARGEST
+    return f"{value if inline else finite(value, 'result'):.6g}"
 
 
 def within(value, message: str, low=-LARGEST, high=LARGEST, error=DomainError):

@@ -3,6 +3,7 @@ validation, phase ratios, sheet resistance, transconductance, quantum
 efficiency and FIFO waterfall allocation."""
 
 import math
+from itertools import repeat
 from operator import attrgetter
 
 from .errors import (LARGEST, TINY, DivisionByZeroSignal, DomainError, exact_ratio, finite,
@@ -33,6 +34,14 @@ class Carrier(record("Carrier", "id arrival_time_s")):
         if not (type(arrival_time_s) is float and 0.0 <= arrival_time_s <= LARGEST):
             within(arrival_time_s, "arrival time must be nonnegative", 0.0)
         return tuple.__new__(cls, (id, arrival_time_s))
+
+
+def carriers(arrivals) -> list[Carrier]:
+    """[Carrier(i, t) for i, t in enumerate(arrivals)], at once for finite plain floats >= 0."""
+    times = listed(arrivals, "arrivals")  # the sum, unlike min and max, sees every nan
+    if {*map(type, times)} <= {float} and math.isfinite(sum(times)) and min(times, default=0) >= 0:
+        return list(map(tuple.__new__, repeat(Carrier), enumerate(times)))
+    return list(map(Carrier, range(len(times)), times))
 
 
 def _int_sum(values) -> int | None:

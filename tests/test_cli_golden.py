@@ -77,6 +77,10 @@ SUCCESS = [
     (["mem", "waterfall", "--arrivals", "1,1,0.5,"],
      "carrier 0 -> cell 1\ncarrier 1 -> cell 2\ncarrier 2 -> cell 0\n"),
     (["mem", "waterfall", "--arrivals", ""], ""),
+    # The sum of the arrivals overflows, so the list is read value by value, and
+    # the carriers are built one by one: both are still accepted.
+    (["mem", "waterfall", "--arrivals", "1e308,1e308,0"],
+     "carrier 0 -> cell 1\ncarrier 1 -> cell 2\ncarrier 2 -> cell 0\n"),
     (["rel", "gamma", "--beta", "0.6"], "1.25\n"),
     (["rel", "tau", "--tdot", "-2"], "1.41421\n"),
     (["rel", "proper", "--dt", "10"], "10 s\n"),
@@ -91,6 +95,8 @@ SUCCESS = [
     (["sort", "run", "--values", "3,1,2", "--partitions", "2"], "1,2,3\n"),
     (["sort", "run", "--values", "5,-1.5,2e3,0,2"], "-1.5,0,2,5,2000\n"),
     (["sort", "run", "--values", "3,1,2"], "1,2,3\n"),
+    # a list whose sum overflows is read value by value, and is accepted
+    (["sort", "run", "--values", "1e308,1e308,-1e308"], "-1e+308,1e+308,1e+308\n"),
     (["sort", "classify", "--n", "inf", "--nprime", "10"], "Diverging\n"),
     (["sort", "classify", "--n", "10", "--nprime", "20"], "Unit\n"),
     (["sort", "classify", "--n", "10", "--nprime", "1e8"], "Vanishing\n"),
@@ -343,6 +349,10 @@ HELP_AND_USAGE = [
     ("mem waterfall --arrivals 1,x", 2, "", "usage: timedata-lab mem waterfall [-h] "
      "--arrivals ARRIVALS\ntimedata-lab mem waterfall: error: argument --arrivals: "
      "invalid finite float list value: '1,x'\n"),
+    # a list that float() cannot read whole is read value by value, and refused
+    ("sort run --values inf,abc", 2, "", "usage: timedata-lab sort run [-h] --values "
+     "VALUES [--partitions PARTITIONS]\ntimedata-lab sort run: error: argument --values: "
+     "invalid finite float list value: 'inf,abc'\n"),
     # argparse echoes the token raw; str.splitlines would break it at \x1c and U+2028.
     ("link eps --progress 1 --range 2 a\x1cb\u2028c", 2, "", TOP_USAGE
      + "timedata-lab: error: unrecognized arguments: a\x1cb\u2028c\n"),
@@ -682,7 +692,7 @@ _FINITE = st.one_of(
               st.floats(-9.99, 9.99), st.integers(-323, 307)))
 _STAMP = st.times().map(lambda t: t.strftime("%H:%M:%S"))
 # Flag type -> strategy for its text; every other type is a list of finite
-# floats (`_csv_of(finite_float)`), half the time all of them in [0, 100].
+# floats (`errors.finite_floats`), half the time all of them in [0, 100].
 _FLAG_TEXT = {
     finite_float: _FINITE.map(repr),
     plain_float: st.floats().map(repr),

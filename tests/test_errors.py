@@ -1,5 +1,5 @@
-"""The one number rule: finite_float(), plain_float(), plain_int(), within(),
-within_int(), finite(), ratio() and finite_text(); and record(), whose
+"""The one number rule: finite_float(), finite_floats(), plain_float(), plain_int(),
+within(), within_int(), finite(), ratio() and finite_text(); and record(), whose
 checked records check a replaced field as the constructor does and keep no
 instance dict."""
 
@@ -14,12 +14,13 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import timedata_lab
 from timedata_lab import (analysis, errors, geomlink, linkmodel, memtiming, optics, ptvda,
                           relativity)
-from timedata_lab.errors import (DomainError, TimedataError, finite, ratio, within,
-                                 within_int)
+from timedata_lab.errors import (LARGEST, DomainError, TimedataError, finite, finite_float,
+                                 ratio, within, within_int)
 
 
 def test_the_sheet_pipeline_reads_and_prints_numbers_through_errors():
@@ -54,6 +55,74 @@ def test_finite_text_prints_numbers_only():
     for sentinel in (analysis.DIV0, analysis.DIVERGES):
         with pytest.raises(DomainError, match="^result not a number: '#"):
             errors.finite_text(sentinel)
+
+
+class _Float(float):
+    pass
+
+
+# finite_text formats a plain float in [-LARGEST, LARGEST] inline and hands every other
+# value to finite; either way it prints, or refuses with the text, that finite gives.
+@pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -5e-324, LARGEST, -LARGEST, math.inf,
+                                   -math.inf, math.nan, _Float(2.5), 1, 10**400,
+                                   Fraction(1, 3), Decimal("1"), None, "1"],
+                         ids=lambda v: f"{type(v).__name__}-{v!r:.12}")
+def test_finite_text_formats_as_finite_checks(value, monkeypatch):
+    try:
+        expected = f"{finite(value, 'result'):.6g}"
+    except DomainError as exc:
+        expected = exc
+    calls = []
+    monkeypatch.setattr(errors, "finite", lambda *args: calls.append(args) or finite(*args))
+    if isinstance(expected, DomainError):
+        with pytest.raises(DomainError) as exc:
+            errors.finite_text(value)
+        assert str(exc.value) == str(expected)
+    else:
+        assert errors.finite_text(value) == expected
+    inline = type(value) is float and math.isfinite(value)
+    assert calls == ([] if inline else [(value, "result")])
+
+
+def _read(read, text):
+    """read(text)'s values by float.hex, which tells -0.0 from 0.0, or its error."""
+    try:
+        values = read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    assert type(values) is tuple and all(type(value) is float for value in values)
+    return [value.hex() for value in values]
+
+
+def _each_item(text):
+    return tuple(map(finite_float, [item for item in text.split(",") if item]))
+
+
+# finite_floats reads a list whole where float() reads every item, no item holds `_`
+# and the sum is finite, and else item by item: the values or the error are those of
+# finite_float on each item either way, a first bad item and an overflowing sum too.
+@pytest.mark.parametrize("text", ["", ",,", " 1, 2", "-0.0", "1,,2,", "1e308,1e308", "1,nan",
+                                  "1,inf", "inf,-inf", "inf,abc", "abc,inf", "1_0,2", "2,1_0",
+                                  "5e-324,-5e-324", "3,1.5,-0.0"])
+def test_finite_floats_reads_as_finite_float_reads_each_item(text):
+    assert _read(errors.finite_floats, text) == _read(_each_item, text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.floats().map(repr), st.sampled_from(
+    ["", " 1", "1_0", "abc", "1e308", "-1e308", "5e-324"])), max_size=6).map(",".join))
+def test_finite_floats_reads_any_list_as_finite_float_reads_each_item(text):
+    assert _read(errors.finite_floats, text) == _read(_each_item, text)
+
+
+def test_finite_floats_reads_a_plain_list_without_finite_float(monkeypatch):
+    calls = []
+    monkeypatch.setattr(errors, "finite_float", lambda text: calls.append(text) or finite_float(text))
+    assert errors.finite_floats("3,1.5,-0.0") == (3.0, 1.5, -0.0)
+    assert calls == []
+    assert errors.finite_floats("1e308,1e308") == (1e308, 1e308)  # the sum overflows
+    assert calls == ["1e308", "1e308"]
+    assert errors.finite_floats.__name__ == "finite float list"  # as usage errors name it
 
 
 def test_finite_passes_floats_ints_and_fractions_in_range():

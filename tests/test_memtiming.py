@@ -258,6 +258,51 @@ class TestWaterfall:
         for rebuild in rebuilds:
             assert rebuild(carrier) == carrier and type(rebuild(carrier)) is Carrier
 
+    # carriers builds the list [Carrier(i, t) ...] builds, or refuses it with its text:
+    # plain floats with a finite sum and none below 0 in one pass, any other list one
+    # carrier at a time. min and max both skip the nan of [1.0, nan, 2.0]; the sum does not.
+    @pytest.mark.parametrize("arrivals", [
+        [], [-0.0], [LARGEST], [LARGEST, LARGEST], [0.5, 2.0, 0.5], [1.0, math.nan, 2.0],
+        [math.nan, 1.0], [1.0, math.inf], [1.0, -1e-3], [True], [1], [Fraction(1, 2)],
+        [Decimal("1.5")], [None], ["1"], [_Float(2.0)], [1.0, _Float(-1.0)],
+    ], ids=repr)
+    def test_carriers_built_as_carrier_builds_each(self, arrivals):
+        try:
+            expected = [Carrier(i, t) for i, t in enumerate(arrivals)]
+        except DomainError as exc:
+            expected = exc
+        for given in (arrivals, iter(arrivals)):
+            if isinstance(expected, DomainError):
+                with pytest.raises(DomainError) as exc:
+                    mt.carriers(given)
+                assert str(exc.value) == str(expected)
+                continue
+            built = mt.carriers(given)
+            assert built == expected and type(built) is list
+            assert [type(c) for c in built] == [Carrier] * len(arrivals)
+            assert [c.id for c in built] == list(range(len(arrivals)))
+            assert all(c.arrival_time_s is t for c, t in zip(built, arrivals))
+
+    def test_carriers_not_iterable(self):
+        with pytest.raises(DomainError, match="^arrivals must be iterable, got None$"):
+            mt.carriers(None)
+
+    def test_carriers_of_plain_floats_skip_the_per_carrier_check(self, monkeypatch):
+        built = []
+
+        class Counted(Carrier):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                built.append(fields)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(mt, "Carrier", Counted)
+        assert mt.carriers([0.5, 2.0, -0.0]) == [(0, 0.5), (1, 2.0), (2, -0.0)]
+        assert built == []
+        assert mt.carriers([0.5, 2]) == [(0, 0.5), (1, 2)]  # an int: one at a time
+        assert built == [(0, 0.5), (1, 2)]
+
     # Tied arrivals are ordered by id, and "a" and 1 do not order.
     @pytest.mark.parametrize("carrier_id", ["a", 1.5, None])
     def test_id_not_an_int_rejected(self, carrier_id):
