@@ -152,6 +152,14 @@ def _replace_file(path, data: bytes) -> bool:
 _MEMO_CELLS = 2 ** 16  # about 3 MB of remembered cells, traced
 
 
+def _remember(memo: dict, key, value):
+    """value, stored in memo under key; a full memo starts over: every CSV memo is bounded."""
+    if len(memo) >= _MEMO_CELLS:
+        memo.clear()
+    memo[key] = value
+    return value
+
+
 class _Line:
     """The file of a csv writer whose writerow returns the line, written nowhere."""
     write = staticmethod(str)
@@ -165,36 +173,27 @@ def emit_csv(sheet: Sheet, path) -> None:
     # id of a cell object -> its CSV text and the comma after it, made once per object,
     # as a sheet from build_sheet shares names, labels, progress values and clocks
     # between records. The sheet's tuple keeps each cell, and so its id, alive: two
-    # cells, equal (0.0 and -0.0) or not, never share an entry. Past _MEMO_CELLS
-    # objects the memo starts over: fresh objects in every record (a sheet parse_csv
-    # read) cost bounded memory. The other numbers, LinkRecord's floats, are formatted
-    # inline, as finite_text would format them.
+    # cells, equal (0.0 and -0.0) or not, never share an entry. The memo starts over
+    # (_remember), so fresh objects in every record (a sheet parse_csv read) cost
+    # bounded memory. The other numbers, LinkRecord's floats, are formatted inline,
+    # as finite_text would format them.
     memo = {}
 
-    def remember(cell, cell_text):
-        if len(memo) >= _MEMO_CELLS:
-            memo.clear()
-        memo[id(cell)] = cell_text
-        return cell_text
-
-    def new_text(cell):  # quoted by csv; not a lone empty cell, which it writes as ""
-        return remember(cell, line((str(cell), ""))[:-1])
-
-    def new_number(cell):
-        return remember(cell, finite_text(cell) + ",")
-
-    def new_clock(cell):  # HH:MM:SS needs no quotes; a subclass's text may
-        return remember(cell, f"{cell},") if type(cell) is Timestamp else new_text(cell)
+    def new(cell):  # HH:MM:SS needs no quotes; text, a Timestamp subclass's too, csv quotes
+        return _remember(memo, id(cell), f"{cell}," if type(cell) is Timestamp
+                         # two cells, so that an empty one is not written as ""
+                         else line((str(cell), ""))[:-1] if isinstance(cell, (str, Timestamp))
+                         else finite_text(cell) + ",")
 
     known = memo.get
     buffer = io.StringIO()
     write = buffer.write
     write(CSV_HEADER + "\n")
     for name, progress, label, stamp, eps, delta_t, nu, nu_x in sheet.records:
-        write(f"{known(id(name)) or new_text(name)}"
-              f"{known(id(progress)) or new_number(progress)}"
-              f"{known(id(label)) or new_text(label)}"
-              f"{known(id(stamp)) or new_clock(stamp)}"
+        write(f"{known(id(name)) or new(name)}"
+              f"{known(id(progress)) or new(progress)}"
+              f"{known(id(label)) or new(label)}"
+              f"{known(id(stamp)) or new(stamp)}"
               f"{eps:.6g},{delta_t:.6g},"
               f"{f'{nu:.6g}' if type(nu) is float else nu},"
               f"{f'{nu_x:.6g}' if type(nu_x) is float else nu_x}\n")
@@ -206,18 +205,10 @@ def emit_csv(sheet: Sheet, path) -> None:
 def parse_csv(path) -> Sheet:
     """Inverse of emit_csv, up to 6-significant-digit rounding. An error
     names the file line on which the offending row ends."""
-    records = []
-    clocks = {}  # HH:MM:SS text -> its Timestamp, for this call only
-    # progress or delta-t text -> its float, for up to _MEMO_CELLS texts ("-0" and
-    # "0" are two texts); a zero, being falsy, is parsed again each time it is read
-    floats = {}
-
-    def new_float(text):
-        if len(floats) >= _MEMO_CELLS:
-            floats.clear()
-        value = floats[text] = finite_float(text)
-        return value
-
+    # HH:MM:SS text -> its Timestamp, and progress or delta-t text -> its float ("-0" and
+    # "0" are two texts; a zero, being falsy, is parsed again each time it is read), for
+    # this call only, each memo starting over as _remember does
+    records, clocks, floats = [], {}, {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -229,9 +220,11 @@ def parse_csv(path) -> Sheet:
                 name, progress, label, clock, eps, delta_t, nu, nu_x = cells
                 # Arguments run left to right: the first bad cell in column order raises.
                 records.append(tuple.__new__(LinkRecord, (
-                    name, floats.get(progress) or new_float(progress), label,
-                    clocks.get(clock) or clocks.setdefault(clock, Timestamp.parse(clock)),
-                    finite_float(eps), floats.get(delta_t) or new_float(delta_t),
+                    name,
+                    floats.get(progress) or _remember(floats, progress, finite_float(progress)),
+                    label, clocks.get(clock) or _remember(clocks, clock, Timestamp.parse(clock)),
+                    finite_float(eps),
+                    floats.get(delta_t) or _remember(floats, delta_t, finite_float(delta_t)),
                     nu if nu in _SENTINELS else finite_float(nu),
                     nu_x if nu_x in _SENTINELS else finite_float(nu_x))))
         except UnicodeDecodeError:

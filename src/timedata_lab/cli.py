@@ -12,7 +12,8 @@ import os
 import sys
 import types
 
-from .errors import TimedataError, finite_float, finite_floats, finite_text, plain_float, plain_int
+from .errors import (TimedataError, finite_float, finite_floats, finite_text, plain_float,
+                     plain_int, plain_ints)
 
 
 def _lazy(name):
@@ -31,14 +32,6 @@ def _lazy(name):
 
 analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity = map(_lazy, (
     "analysis", "geomlink", "linkmodel", "memtiming", "optics", "ptvda", "relativity"))
-
-
-def _csv_of(convert):
-    """A list flag's type, read as a tuple, empty items skipped; floats: errors.finite_floats."""
-    def parse(text: str) -> tuple:
-        return tuple(convert(part) for part in text.split(",") if part != "")
-    parse.__name__ = f"{convert.__name__} list"
-    return parse
 
 
 def load_config(path: str) -> "tuple[list[linkmodel.Target], linkmodel.Timestamp]":
@@ -204,7 +197,7 @@ COMMANDS = {
                     ptvda.SortInstance(a.values, a.partitions))))),
         "classify": ([("n", plain_float, _REQUIRED), ("nprime", plain_float, _REQUIRED),
                       ("bound", plain_float, None)], _classify),
-        "probe": ([("sizes", _csv_of(plain_int), _REQUIRED), ("trials", plain_int, 3),
+        "probe": ([("sizes", plain_ints, _REQUIRED), ("trials", plain_int, 3),
                    ("seed", plain_int, None)], _probe),
     }),
     "geom": ("comlink plane geometry", {

@@ -1,8 +1,8 @@
 """Exception types of timedata-lab, the record base of its value types, the one
 reader of list arguments (`listed`), and its one rule for numbers: each is an int,
 a float or another numbers.Real, finite and in its declared range, text is a number
-only to `finite_float`, `finite_floats`, `plain_float` and `plain_int`, and a
-product or quotient leaves the normal floats only exactly."""
+only to `finite_float`, `finite_floats`, `plain_float`, `plain_int` and `plain_ints`,
+and a product or quotient leaves the normal floats only exactly."""
 
 import math
 import numbers
@@ -65,6 +65,11 @@ def plain_int(text: str) -> int:
     return int(_ungrouped(text))
 
 
+def plain_ints(text: str) -> tuple:
+    """plain_int of each comma-separated item but empty ones: the int list flag's type."""
+    return tuple(map(plain_int, filter(None, text.split(","))))
+
+
 _GROUPED = "digit grouping in number: {!r}"
 
 
@@ -76,7 +81,7 @@ def _ungrouped(text: str) -> str:
 
 # a usage error names a flag's type, as argparse does
 finite_float.__name__, plain_float.__name__, plain_int.__name__ = "finite float", "float", "int"
-finite_floats.__name__ = "finite float list"
+finite_floats.__name__, plain_ints.__name__ = "finite float list", "int list"
 
 
 def finite_text(value) -> str:

@@ -44,14 +44,15 @@ class Timestamp(record("Timestamp", "hours minutes seconds")):
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
         """The clock HH:MM:SS names. Its fields are read by table where each is in range,
-        else (and for a subclass) by the regex and checked by cls, for the same errors."""
+        else (and for a subclass) by the regex and checked by cls, for the same errors;
+        a value that is no text (None, bytes, a number) is refused as malformed text is."""
         if (cls is Timestamp and type(text) is str and len(text) == 8
                 and text[2] == text[5] == ":"):
             hours, minutes, seconds = (_HOURS.get(text[:2]), _SIXTIETHS.get(text[3:5]),
                                        _SIXTIETHS.get(text[6:]))
             if hours is not None and minutes is not None and seconds is not None:
                 return tuple.__new__(cls, (hours, minutes, seconds))
-        if (match := _HHMMSS.fullmatch(text)) is None:
+        if not isinstance(text, str) or (match := _HHMMSS.fullmatch(text)) is None:
             raise DomainError(f"expected HH:MM:SS, got {text!r}")
         return cls(int(match[1]), int(match[2]), int(match[3]))
 

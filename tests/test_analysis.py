@@ -118,6 +118,38 @@ def _unchecked(*fields):
     return tuple.__new__(Target, fields)
 
 
+def _seeded_sheet(seed, targets, progress):
+    """A sheet of targets x progress records with 0% and 100% rows, built from seed as
+    the bulk-sheet benchmark builds one."""
+    rng = random.Random(seed)
+    targets = [Target(f"T{i:03d}", rng.uniform(1e6, 1e9), rng.uniform(0.5, 50.0))
+               for i in range(targets)]
+    progress = [0.0, 100.0] + [rng.uniform(0.0, 100.0) for _ in range(progress - 2)]
+    rng.shuffle(progress)
+    base = Timestamp(rng.randrange(6, 23), rng.randrange(60), rng.randrange(60))
+    return analysis.build_sheet(targets, progress, base)
+
+
+def _memo_sheets():
+    """The Sun/Moon sheet, whose records share their cells, and the seeded 10 x 40 sheet,
+    whose clocks are nearly all distinct."""
+    return [analysis.build_sheet([SUN, Target("Moon", 384400, 0.0214)], PROGRESS, BASE),
+            _seeded_sheet(44, 10, 40)]
+
+
+def _small_memo(monkeypatch, cells):
+    """Give every CSV memo room for cells entries, and check after each entry that the
+    memo holds no more (one at 0 cells: the entry just made)."""
+    remember = analysis._remember
+
+    def checked(memo, key, value):
+        assert remember(memo, key, value) is value is memo[key]
+        assert len(memo) <= max(cells, 1)
+        return value
+    monkeypatch.setattr(analysis, "_MEMO_CELLS", cells)
+    monkeypatch.setattr(analysis, "_remember", checked)
+
+
 # Targets as Target builds them, and unchecked (a distance or range out of range).
 # Ranges reach past 1,440 Lm, where a shift rolls back past midnight; distances reach
 # down to where c / distance is inf.
@@ -501,14 +533,8 @@ class TestCsv:
     # The bytes of a seeded 50 x 200 sheet with 0% and 100% rows, as the bulk-sheet
     # benchmark builds one: a change to how emit_csv writes must keep them.
     def test_seeded_sheet_bytes(self, tmp_path):
-        rng = random.Random(32)
-        targets = [Target(f"T{i:03d}", rng.uniform(1e6, 1e9), rng.uniform(0.5, 50.0))
-                   for i in range(50)]
-        progress = [0.0, 100.0] + [rng.uniform(0.0, 100.0) for _ in range(198)]
-        rng.shuffle(progress)
-        base = Timestamp(rng.randrange(6, 23), rng.randrange(60), rng.randrange(60))
         path = tmp_path / "seeded.csv"
-        analysis.emit_csv(analysis.build_sheet(targets, progress, base), path)
+        analysis.emit_csv(_seeded_sheet(32, 50, 200), path)
         data = path.read_bytes()
         assert (data.count(DIV0.encode()), data.count(DIVERGES.encode())) == (50, 50)
         assert hashlib.sha256(data).hexdigest() == (
@@ -518,14 +544,8 @@ class TestCsv:
     # clocks are nearly all distinct (318 of 400), and of the chart drawn from its CSV as
     # the `chart` command draws it: the 50 x 200 sheet above shares its clocks.
     def test_seeded_small_sheet_and_chart_bytes(self, tmp_path):
-        rng = random.Random(44)
-        targets = [Target(f"T{i:03d}", rng.uniform(1e6, 1e9), rng.uniform(0.5, 50.0))
-                   for i in range(10)]
-        progress = [0.0, 100.0] + [rng.uniform(0.0, 100.0) for _ in range(38)]
-        rng.shuffle(progress)
-        base = Timestamp(rng.randrange(6, 23), rng.randrange(60), rng.randrange(60))
         csv_path, svg_path = tmp_path / "small.csv", tmp_path / "small.svg"
-        sheet = analysis.build_sheet(targets, progress, base)
+        sheet = _seeded_sheet(44, 10, 40)
         assert len({record.t_stamp for record in sheet.records}) == 318
         analysis.emit_csv(sheet, csv_path)
         assert analysis.render_radar_chart(analysis.parse_csv(csv_path), svg_path) == []
@@ -652,23 +672,27 @@ class TestCsv:
     # A memo with room for a few cells starts over often, and writes the same bytes.
     @pytest.mark.parametrize("cells", [0, 1, 2, 5])
     def test_memo_starting_over_writes_the_same_bytes(self, tmp_path, monkeypatch, cells):
-        sheet = analysis.build_sheet([SUN, Target("Moon", 384400, 0.0214)], PROGRESS, BASE)
-        full, small = tmp_path / "full.csv", tmp_path / "small.csv"
-        analysis.emit_csv(sheet, full)
-        monkeypatch.setattr(analysis, "_MEMO_CELLS", cells)
-        analysis.emit_csv(sheet, small)
-        assert small.read_bytes() == full.read_bytes()
+        sheets, paths = _memo_sheets(), [tmp_path / "sun_moon.csv", tmp_path / "seeded.csv"]
+        for sheet, path in zip(sheets, paths):
+            analysis.emit_csv(sheet, path)
+        full = [path.read_bytes() for path in paths]
+        _small_memo(monkeypatch, cells)
+        for sheet, path in zip(sheets, paths):
+            analysis.emit_csv(sheet, path)
+        assert [path.read_bytes() for path in paths] == full
 
-    # The parse memo of progress and delta t texts, starting over as often, gives
-    # the same records, bit for bit.
+    # The parse memos of clocks and of progress and delta t texts, starting over as
+    # often, give the same records, bit for bit, and every clock an exact Timestamp.
     @pytest.mark.parametrize("cells", [0, 1, 2, 5])
     def test_memo_starting_over_parses_the_same_records(self, tmp_path, monkeypatch, cells):
-        sheet = analysis.build_sheet([SUN, Target("Moon", 384400, 0.0214)], PROGRESS, BASE)
-        path = tmp_path / "sheet.csv"
-        analysis.emit_csv(sheet, path)
-        full = list(map(_bits, analysis.parse_csv(path).records))
-        monkeypatch.setattr(analysis, "_MEMO_CELLS", cells)
-        assert list(map(_bits, analysis.parse_csv(path).records)) == full
+        paths = [tmp_path / "sun_moon.csv", tmp_path / "seeded.csv"]
+        for sheet, path in zip(_memo_sheets(), paths):
+            analysis.emit_csv(sheet, path)
+        full = [list(map(_bits, analysis.parse_csv(path).records)) for path in paths]
+        _small_memo(monkeypatch, cells)
+        parsed = [analysis.parse_csv(path).records for path in paths]
+        assert [list(map(_bits, records)) for records in parsed] == full
+        assert {type(record.t_stamp) for records in parsed for record in records} == {Timestamp}
 
     # "-0" and "0" are parsed to -0.0 and 0.0 in every number column, however often
     # either text repeats, and written back as they were read.

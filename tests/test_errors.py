@@ -1,6 +1,6 @@
 """The one number rule: finite_float(), finite_floats(), plain_float(), plain_int(),
-within(), within_int(), finite(), ratio() and finite_text(); and record(), whose
-checked records check a replaced field as the constructor does and keep no
+plain_ints(), within(), within_int(), finite(), ratio() and finite_text(); and record(),
+whose checked records check a replaced field as the constructor does and keep no
 instance dict."""
 
 import copy
@@ -206,6 +206,18 @@ def test_readers_refuse_digit_grouping(read):
     assert read("10") == 10
     with pytest.raises(ValueError, match="^digit grouping in number: '1_0'$"):
         read("1_0")
+
+
+# plain_ints reads each item as plain_int does, empty items skipped, and the first
+# bad item's error is plain_int's.
+def test_plain_ints_reads_each_item_as_plain_int():
+    assert errors.plain_ints(",10,-3,,7,") == (10, -3, 7)
+    assert errors.plain_ints(",") == ()
+    with pytest.raises(ValueError, match="^digit grouping in number: '2_0'$"):
+        errors.plain_ints("1,2_0,x")
+    with pytest.raises(ValueError, match="^invalid literal for int"):
+        errors.plain_ints("1,x,2_0")
+    assert errors.plain_ints.__name__ == "int list"  # as usage errors name it
 
 
 # Each raised a bare OverflowError or TypeError, or (Point2) took text.
