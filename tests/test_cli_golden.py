@@ -97,6 +97,8 @@ SUCCESS = [
     (["sort", "run", "--values", "3,1,2"], "1,2,3\n"),
     # a list whose sum overflows is read value by value, and is accepted
     (["sort", "run", "--values", "1e308,1e308,-1e308"], "-1e+308,1e+308,1e+308\n"),
+    # subnormals and both zeros, each printed by its own digits
+    (["sort", "run", "--values", "1e-320,-0.0,0,5e-324"], "-0,0,4.94066e-324,9.99989e-321\n"),
     (["sort", "classify", "--n", "inf", "--nprime", "10"], "Diverging\n"),
     (["sort", "classify", "--n", "10", "--nprime", "20"], "Unit\n"),
     (["sort", "classify", "--n", "10", "--nprime", "1e8"], "Vanishing\n"),
@@ -183,6 +185,8 @@ TYPED_ERRORS = [
      "error: quantum efficiency not finite: inf\n"),
     (["rel", "charge", "--q1", "1e308", "--qin", "1e308"],
      "error: result not finite: inf\n"),
+    (["rel", "charge", "--q1", "-1.7976931348623157e308", "--qout", "1e308"],
+     "error: result not finite: -inf\n"),
     (["mem", "bitfreq", "--bits", "1", "--qbits", "1e-200", "--time", "1e-200"],
      "error: bit frequency not finite: inf\n"),
     (["geom", "kin", "--dx", "3", "--dy", "4", "--t", "1e-200", "--tpar", "1e-200"],
@@ -240,6 +244,24 @@ def _run(capsys, argv):
                          ids=[" ".join(a) for a, _ in SUCCESS])
 def test_success_transcript(capsys, argv, stdout):
     assert _run(capsys, argv) == (0, stdout, "")
+
+
+# 64 carriers at 16 arrival times, up to 7 at one time, drawn as the benchmark's
+# `mem waterfall` draws them (random.Random(50)), and the cell each carrier gets.
+TIED_ARRIVALS = (
+    "3.75,2.0,2.75,1.75,3.75,2.5,0.5,2.5,1.75,0.5,1.0,2.75,0.75,2.75,2.5,1.75,1.5,0.5,2.5,"
+    "3.25,0.5,0.5,2.5,3.25,0.0,1.75,2.5,2.0,3.25,0.75,1.5,3.5,2.0,3.5,1.0,2.0,1.5,0.75,3.25,"
+    "0.75,3.75,3.25,1.0,3.75,2.25,0.5,2.75,1.0,0.0,2.75,0.0,3.25,3.75,1.75,1.25,0.75,1.0,2.0,"
+    "3.0,1.75,2.5,0.25,0.25,0.5")
+TIED_CELLS = [59, 32, 45, 26, 60, 38, 5, 39, 27, 6, 17, 46, 12, 47, 40, 28, 23, 7, 41, 51,
+              8, 9, 42, 52, 0, 29, 43, 33, 53, 13, 24, 57, 34, 58, 18, 35, 25, 14, 54, 15,
+              61, 55, 19, 62, 37, 10, 48, 20, 1, 49, 2, 56, 63, 30, 22, 16, 21, 36, 50, 31,
+              44, 3, 4, 11]
+
+
+def test_waterfall_of_64_tied_carriers(capsys):
+    stdout = "".join(f"carrier {i} -> cell {cell}\n" for i, cell in enumerate(TIED_CELLS))
+    assert _run(capsys, ["mem", "waterfall", "--arrivals", TIED_ARRIVALS]) == (0, stdout, "")
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda v: " ".join(v) or "none")
