@@ -12,8 +12,8 @@ import os
 import sys
 import types
 
-from .errors import (TimedataError, finite_float, finite_floats, finite_text, plain_float,
-                     plain_int, plain_ints)
+from .errors import (TimedataError, finite_float, finite_floats, finite_text, finite_texts,
+                     plain_float, plain_int, plain_ints)
 
 
 def _lazy(name):
@@ -77,10 +77,12 @@ def _sheetres(a) -> str:
 
 
 def _waterfall(a) -> str:
-    """Carrier i arrives at arrivals[i], read by finite_floats, built by carriers in one pass."""
-    cells = memtiming.CellMap(enumerate(range(len(a.arrivals))))  # cell i: address i, rank i
-    alloc = memtiming.waterfall_allocate(memtiming.carriers(a.arrivals), cells)
-    return "\n".join(f"carrier {i} -> cell {alloc[i]}" for i in sorted(alloc))
+    """Carrier i arrives at arrivals[i], read by finite_floats, built by carriers in one
+    pass. Cell i has address i and distance rank i, so each carrier's cell is its place
+    in fifo_order, and no cell map is built or checked."""
+    order = memtiming.fifo_order(memtiming.carriers(a.arrivals))
+    cell = {carrier.id: rank for rank, carrier in enumerate(order)}
+    return "\n".join(f"carrier {i} -> cell {cell[i]}" for i in range(len(order)))
 
 
 def _polar(a) -> str:
@@ -137,9 +139,10 @@ def _floats(*names):
 # command -> (help, {action -> (flags, runner)}); the action None puts the flags on
 # the command itself. A flag is (name, type, default); a _REQUIRED default makes it
 # mandatory. A runner takes the parsed arguments and returns its text, or its text
-# and its warning lines, writing each result number with finite_text. --time stays
-# a string so the DomainError of Timestamp.parse is a typed error, not a usage one,
-# and sort classify takes plain floats because inf is its infinity marker.
+# and its warning lines, writing each result number with finite_text, or a list of
+# them with finite_texts. --time stays a string so the DomainError of Timestamp.parse
+# is a typed error, not a usage one, and sort classify takes plain floats because inf
+# is its infinity marker.
 COMMANDS = {
     "link": ("comlink time-data model", {
         "eps": (_floats("progress", "range"), lambda a: (
@@ -193,8 +196,8 @@ COMMANDS = {
     }),
     "sort": ("partitioned parallel sort harness", {
         "run": ([("values", finite_floats, _REQUIRED), ("partitions", plain_int, 1)],
-                lambda a: ",".join(map(finite_text, ptvda.parallel_sort(
-                    ptvda.SortInstance(a.values, a.partitions))))),
+                lambda a: finite_texts(ptvda.parallel_sort(
+                    ptvda.SortInstance(a.values, a.partitions)))),
         "classify": ([("n", plain_float, _REQUIRED), ("nprime", plain_float, _REQUIRED),
                       ("bound", plain_float, None)], _classify),
         "probe": ([("sizes", plain_ints, _REQUIRED), ("trials", plain_int, 3),

@@ -86,11 +86,24 @@ finite_floats.__name__, plain_ints.__name__ = "finite float list", "int list"
 
 def finite_text(value) -> str:
     """The one formatter of result numbers (CLI output, CSV cells, chart labels): 6
-    significant digits, never nan or inf, an exact float in range tested inline. Outputs
-    that keep their own format: `link eps` at 6 decimals, the probe's log-log slope at 4
-    and SVG coordinates at 2."""
+    significant digits of the number's correctly rounded float, never nan or inf, so an
+    exact result just beyond LARGEST that rounds to it prints. A float in range is tested
+    inline, and every other value is finite's to refuse. Outputs that keep their own
+    format: `link eps` at 6 decimals, the probe's log-log slope at 4 and SVG coordinates
+    at 2."""
+    if type(value) is not float and isinstance(value, numbers.Real):
+        value = _rounded(value)
     inline = type(value) is float and -LARGEST <= value <= LARGEST
     return f"{value if inline else finite(value, 'result'):.6g}"
+
+
+def finite_texts(values) -> str:
+    """",".join(map(finite_text, values)): one check a list, exact floats with a finite
+    sum formatted by one format, else value by value (an inf or nan makes the sum one)."""
+    values = tuple(values)
+    if {*map(type, values)} <= {float} and math.isfinite(sum(values)):
+        return ("%.6g," * len(values))[:-1] % values
+    return ",".join(map(finite_text, values))  # the first bad value's error, or an overflow
 
 
 def within(value, message: str, low=-LARGEST, high=LARGEST, error=DomainError):
@@ -139,7 +152,14 @@ def record(name: str, fields: str, defaults=()):
 
 def finite(value, what: str) -> float:
     """within(value) with the default bounds, as a float; the DomainError names
-    what, and shows a number beyond the float range as the inf it rounds to."""
+    what, and shows a number beyond the float range as the inf it rounds to. A Real
+    that is no plain number (a Fraction) is rounded first: rounding is monotonic, so
+    one whose float is below LARGEST in size is exactly within the bounds, with no
+    exact compare against a float; one that rounds to +-LARGEST or past it, or to nan,
+    is left to within."""
+    if type(value) not in PLAIN and isinstance(value, numbers.Real):
+        if abs(rounded := _rounded(value)) < LARGEST:
+            return rounded
     try:
         return float(within(value, ""))
     except DomainError:
@@ -147,6 +167,14 @@ def finite(value, what: str) -> float:
             raise DomainError(f"{what} not a number: {value!r}") from None
         shown = math.inf if value > 0 else -math.inf if value < 0 else math.nan
         raise DomainError(f"{what} not finite: {shown}") from None
+
+
+def _rounded(real):
+    """float(real), correctly rounded, or real itself where that float overflows."""
+    try:
+        return float(real)
+    except OverflowError:
+        return real
 
 
 def ratio(factors, divisors, what: str) -> float:

@@ -164,20 +164,26 @@ def quantum_efficiency(n_collected: int, n_entangled_storable: int) -> float:
     return ratio((n_collected,), (n_entangled_storable,), "quantum efficiency")
 
 
-def waterfall_allocate(carriers: list[Carrier], cells: CellMap) -> dict[int, int]:
-    """FIFO allocation: earliest arrival gets the nearest cell.
-
-    Ties break by ascending carrier id. Returns carrier id -> cell address,
-    inserted in rank order; the input CellMap is not mutated. `carriers` is
-    read once (an iterator serves), and the allocation costs n log n.
-    """
+def fifo_order(carriers: list[Carrier]) -> list[Carrier]:
+    """The carriers in FIFO order, earliest arrival first and ties by ascending id, as a
+    new list: `carriers` is read once (an iterator serves), and the order costs n log n."""
     carriers = listed(carriers, "carriers")
-    if len(carriers) > len(cells.cells):
-        raise DomainError(f"{len(carriers)} carriers exceed {len(cells.cells)} cells")
     # Two stable sorts, by id and then by arrival, give the order of (arrival, id);
     # a one-field key compares faster than a tuple.
     carriers.sort(key=attrgetter("id"))
     carriers.sort(key=attrgetter("arrival_time_s"))
+    return carriers
+
+
+def waterfall_allocate(carriers: list[Carrier], cells: CellMap) -> dict[int, int]:
+    """FIFO allocation: earliest arrival gets the nearest cell.
+
+    The carriers in fifo_order take the cells in rank order. Returns carrier id ->
+    cell address, inserted in rank order; the input CellMap is not mutated.
+    """
+    carriers = fifo_order(carriers)
+    if len(carriers) > len(cells.cells):
+        raise DomainError(f"{len(carriers)} carriers exceed {len(cells.cells)} cells")
     by_rank = cells._address_by_rank  # ranks 0..N-1 for N cells, and N >= len(carriers)
     alloc = {c.id: by_rank[rank] for rank, c in enumerate(carriers)}
     if len(alloc) < len(carriers):  # a repeated id kept only its last cell

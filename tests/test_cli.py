@@ -6,10 +6,12 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import timedata_lab
-from timedata_lab import analysis, cli, ptvda
+from timedata_lab import analysis, cli, memtiming, ptvda
 from timedata_lab.cli import load_config, main
+from timedata_lab.errors import LARGEST, DomainError
 
 SUN_INI = """\
 [defaults]
@@ -29,6 +31,29 @@ def test_load_config(tmp_path):
     assert targets[0].name == "Sun"
     assert targets[0].distance_km == 1.46e8
     assert str(base_time) == "13:35:00"
+
+
+def _allocated_text(arrivals):
+    """mem waterfall's text through an identity cell map (cell i at address i and
+    rank i), or the DomainError's text."""
+    try:
+        cells = memtiming.CellMap(enumerate(range(len(arrivals))))
+        alloc = memtiming.waterfall_allocate(memtiming.carriers(arrivals), cells)
+    except DomainError as exc:
+        return str(exc)
+    return "\n".join(f"carrier {i} -> cell {alloc[i]}" for i in sorted(alloc))
+
+
+# Arrivals as --arrivals gives them: a tuple of floats, which tie often here.
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 5e-324, LARGEST]),
+                          st.floats(0), st.floats()), max_size=70).map(tuple))
+def test_waterfall_prints_the_identity_cell_map_allocation(arrivals):
+    try:
+        text = cli._waterfall(types.SimpleNamespace(arrivals=arrivals))
+    except DomainError as exc:
+        text = str(exc)
+    assert text == _allocated_text(arrivals)
 
 
 def test_sort_probe_warns_once(capsys, monkeypatch):

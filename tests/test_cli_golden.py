@@ -92,6 +92,9 @@ SUCCESS = [
     (["rel", "charge", "--q1", "1e-6", "--qin", "3e-7"], "1.3e-06 C\n"),
     (["rel", "charge", "--q1", "0.1", "--qin", "0.2", "--qout", "0.3"],
      "2.77556e-17 C\n"),
+    # The exact sum is just past LARGEST and rounds to it: a result prints as its float.
+    (["rel", "charge", "--q1", "1.7976931348623157e308", "--qin", "5e-324"],
+     "1.79769e+308 C\n"),
     (["sort", "run", "--values", "3,1,2", "--partitions", "2"], "1,2,3\n"),
     (["sort", "run", "--values", "5,-1.5,2e3,0,2"], "-1.5,0,2,5,2000\n"),
     (["sort", "run", "--values", "3,1,2"], "1,2,3\n"),

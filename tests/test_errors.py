@@ -1,11 +1,13 @@
 """The one number rule: finite_float(), finite_floats(), plain_float(), plain_int(),
-plain_ints(), within(), within_int(), finite(), ratio() and finite_text(); and record(),
+plain_ints(), within(), within_int(), finite(), ratio(), finite_text() and finite_texts();
+and record(),
 whose checked records check a replaced field as the constructor does and keep no
 instance dict."""
 
 import copy
 import importlib
 import math
+import numbers
 import pickle
 import pkgutil
 import re
@@ -61,15 +63,31 @@ class _Float(float):
     pass
 
 
-# finite_text formats a plain float in [-LARGEST, LARGEST] inline and hands every other
-# value to finite; either way it prints, or refuses with the text, that finite gives.
+# Just beyond LARGEST, an exact number that rounds to it: finite refuses it, as within
+# does, and finite_text prints it, as its correctly rounded float.
+BAND = int(LARGEST) + 1
+
+
+def _rounded(value):
+    """value's correctly rounded float where it is a number that has one, else value."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) else value
+    except OverflowError:
+        return value
+
+
+# finite_text prints a number by its correctly rounded float, inline where that is a
+# float in [-LARGEST, LARGEST], and hands every other value to finite; either way it
+# prints, or refuses with the text, that finite gives for the rounded value.
 @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -5e-324, LARGEST, -LARGEST, math.inf,
                                    -math.inf, math.nan, _Float(2.5), 1, 10**400,
-                                   Fraction(1, 3), Decimal("1"), None, "1"],
+                                   Fraction(1, 3), Decimal("1"), None, "1",
+                                   BAND, -BAND, Fraction(BAND), Fraction(-BAND)],
                          ids=lambda v: f"{type(v).__name__}-{v!r:.12}")
 def test_finite_text_formats_as_finite_checks(value, monkeypatch):
+    rounded = _rounded(value)
     try:
-        expected = f"{finite(value, 'result'):.6g}"
+        expected = f"{finite(rounded, 'result'):.6g}"
     except DomainError as exc:
         expected = exc
     calls = []
@@ -80,8 +98,110 @@ def test_finite_text_formats_as_finite_checks(value, monkeypatch):
         assert str(exc.value) == str(expected)
     else:
         assert errors.finite_text(value) == expected
-    inline = type(value) is float and math.isfinite(value)
-    assert calls == ([] if inline else [(value, "result")])
+    inline = type(rounded) is float and math.isfinite(rounded)
+    assert calls == ([] if inline else [(rounded, "result")])
+
+
+def test_a_result_that_rounds_to_largest_prints_and_an_argument_is_refused():
+    charge = Fraction(LARGEST) + Fraction(5e-324)  # rel charge --q1 LARGEST --qin 5e-324
+    assert errors.exact_ratio((BAND,), (), "x") == LARGEST
+    for value in (charge, BAND, Fraction(BAND)):
+        assert errors.finite_text(value) == "1.79769e+308"
+        assert errors.finite_text(-value) == "-1.79769e+308"
+        with pytest.raises(DomainError, match="^x not finite: inf$"):
+            finite(value, "x")
+    with pytest.raises(DomainError, match="^point x not finite: inf$"):
+        geomlink.Point2(BAND, 0)
+    with pytest.raises(DomainError, match="^result not finite: -inf$"):  # -LARGEST - 1e308
+        errors.finite_text(Fraction(-LARGEST) - Fraction(1e308))
+
+
+def _grid():
+    """(id, value) of Fractions around +-LARGEST, +-NORMAL and 0: each centre, a half
+    ulp off (LARGEST's rounds to 2**1024), just inside and outside it, an ulp, a tiny
+    step and 1 off either way; and ints around +-LARGEST and 0."""
+    tiny, half = Fraction(1, 2**1200), 2**970  # half an ulp of LARGEST
+    centres = {"LARGEST": LARGEST, "-LARGEST": -LARGEST, "NORMAL": errors.NORMAL,
+               "-NORMAL": -errors.NORMAL, "0": 0.0}
+    for name, centre in centres.items():
+        exact, ulp = Fraction(centre), Fraction(math.ulp(centre))
+        steps = {"0": 0, "half-ulp": ulp / 2, "half-ulp-tiny": ulp / 2 - tiny,
+                 "half-ulp+tiny": ulp / 2 + tiny, "ulp": ulp, "tiny": tiny, "1": 1}
+        for step_name, step in steps.items():
+            yield f"Fraction-{name}+{step_name}", exact + step
+            yield f"Fraction-{name}-{step_name}", exact - step
+    for sign in (1, -1):
+        for step_name, step in {"+0": 0, "-1": -1, "+1": 1, "+half-ulp-1": half - 1,
+                                "+half-ulp": half}.items():
+            yield f"int-{'+-'[sign < 0]}(LARGEST{step_name})", sign * (int(LARGEST) + step)
+    for name, value in {"0": 0, "1": 1, "-1": -1, "10**400": 10**400, "-10**400": -10**400}.items():
+        yield f"int-{name}", value
+
+
+def _finite_by_within(value):
+    """float(within(value, "")), or finite's text for the value within refuses."""
+    try:
+        return float(within(value, ""))
+    except DomainError:
+        return f"x not finite: {'inf' if value > 0 else '-inf'}"
+
+
+# finite is within with the default bounds, as a float: a Fraction is rounded first and
+# left to within only where it rounds to +-LARGEST or past it, an int always is.
+@pytest.mark.parametrize("value", [pytest.param(v, id=i) for i, v in _grid()])
+def test_finite_is_float_of_within_exactly(value, monkeypatch):
+    expected = _finite_by_within(value)
+    calls = []
+    monkeypatch.setattr(errors, "within", lambda *args: calls.append(args) or within(*args))
+    try:
+        got = finite(value, "x")
+    except DomainError as exc:
+        got = str(exc)
+    assert got == expected and type(got) is type(expected)
+    rounded = _rounded(value)
+    inline = type(value) is Fraction and type(rounded) is float and abs(rounded) < LARGEST
+    assert calls == ([] if inline else [(value, "")])
+
+
+# finite_texts prints a list as finite_text prints each value, joined by commas, or
+# refuses it with the text finite_text gives for its first bad value.
+def _printed(texts, values):
+    """texts(values), or its DomainError's type and message."""
+    try:
+        return texts(values)
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
+def _each_value(values):
+    return ",".join(map(errors.finite_text, values))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.lists(st.one_of(
+    st.floats(), st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, LARGEST, -LARGEST, 1e308, -1e308,
+                     math.nan, BAND, 1, 10**400, Fraction(1, 3), Fraction(BAND), "1", None]),
+    st.integers(), st.fractions(), st.builds(_Float, st.floats())), max_size=8))
+def test_finite_texts_prints_as_finite_text_prints_each(values):
+    expected = _printed(_each_value, values)
+    assert _printed(errors.finite_texts, values) == expected
+    assert _printed(errors.finite_texts, iter(values)) == expected
+
+
+@pytest.mark.parametrize("values", [[], [-0.0], [5e-324, -0.0, 0.0, 1e-320], [LARGEST, -LARGEST],
+                                    [1e308, 1e308], [1.0, math.nan], [1.0, math.inf], [1.0, 2],
+                                    [1.0, _Float(2.0)], [1.0, "1"], [BAND, 1.0]],
+                         ids=lambda values: ",".join(f"{v!r:.12}" for v in values) or "[]")
+def test_finite_texts_prints_a_plain_list_without_finite_text(values, monkeypatch):
+    expected, finite_text = _printed(_each_value, values), errors.finite_text
+    calls = []
+    monkeypatch.setattr(errors, "finite_text", lambda v: calls.append(v) or finite_text(v))
+    assert _printed(errors.finite_texts, values) == expected
+    if all(type(v) is float for v in values) and math.isfinite(sum(values)):
+        assert calls == []
+    else:  # value by value, up to the first bad one
+        assert calls and calls == values[:len(calls)]
 
 
 def _read(read, text):

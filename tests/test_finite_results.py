@@ -68,8 +68,12 @@ def _small(high):
     return st.one_of(st.integers(0, high), NOT_A_NUMBER)
 
 
+def _carriers(arrivals):
+    return [memtiming.Carrier(i, t) for i, t in enumerate(arrivals)]
+
+
 def _allocation(arrivals):
-    return st.tuples(st.just([memtiming.Carrier(i, t) for i, t in enumerate(arrivals)]),
+    return st.tuples(st.just(_carriers(arrivals)),
                      st.builds(lambda n: memtiming.CellMap([(a, a) for a in range(n)]),
                                st.integers(0, 5)))
 
@@ -107,6 +111,7 @@ KERNELS = {
     "memtiming.transconductance_baseline": st.tuples(X, X),
     "memtiming.quantum_efficiency": st.tuples(INT, INT),
     "memtiming.carriers": st.tuples(st.lists(X, max_size=8)),
+    "memtiming.fifo_order": st.lists(X, max_size=4).map(lambda arrivals: (_carriers(arrivals),)),
     "memtiming.waterfall_allocate": st.lists(X, max_size=4).flatmap(_allocation),
     "optics.v_number": st.tuples(st.builds(optics.FiberSpec, X, X, X, X)),
     "optics.is_single_mode": st.tuples(X),

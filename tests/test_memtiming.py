@@ -413,6 +413,16 @@ class TestWaterfall:
     def test_carriers_not_iterable(self, carriers):
         with pytest.raises(DomainError, match="^carriers must be iterable, got "):
             mt.waterfall_allocate(carriers, make_cells(2))
+        with pytest.raises(DomainError, match="^carriers must be iterable, got "):
+            mt.fifo_order(carriers)
+
+    def test_allocation_copies_the_carriers_once(self, monkeypatch):
+        copies = []
+        monkeypatch.setattr(mt, "listed",
+                            lambda values, name: copies.append(name) or errors.listed(values, name))
+        assert mt.waterfall_allocate([Carrier(1, 0.5), Carrier(0, 0.5)], make_cells(2)) == {
+            0: 100, 1: 101}
+        assert copies == ["carriers"]
 
 
 def _reference_allocation(carriers, cells):
@@ -442,3 +452,17 @@ def test_allocation_matches_tuple_key_reference(data):
     assert list(alloc.items()) == list(expected.items())  # equal, and inserted in rank order
     assert list(alloc.values()) == [cells.address_at_rank(r) for r in range(len(carriers))]
     assert carriers == given_carriers  # the caller's list keeps its order
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_fifo_order_is_the_tuple_key_order(data):
+    arrivals = data.draw(st.lists(ARRIVALS, max_size=12), label="arrivals")
+    ids = data.draw(st.permutations(range(-4, 16)), label="ids")  # distinct, shuffled
+    carriers = [Carrier(i, t) for i, t in zip(ids, arrivals)]
+    given_carriers = list(carriers)
+    as_iterator = data.draw(st.booleans(), label="iterator")
+    order = mt.fifo_order(iter(carriers) if as_iterator else carriers)
+    assert order == sorted(carriers, key=lambda c: (c.arrival_time_s, c.id))
+    assert type(order) is list and order is not carriers
+    assert carriers == given_carriers  # a new list: the caller's keeps its order
