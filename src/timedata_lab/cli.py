@@ -12,7 +12,7 @@ import os
 import sys
 import types
 
-from .errors import (TimedataError, finite_float, finite_floats, finite_text, finite_texts,
+from .errors import (TimedataError, finite_float, finite_floats, finite_text,
                      plain_float, plain_int, plain_ints)
 
 
@@ -77,10 +77,10 @@ def _sheetres(a) -> str:
 
 
 def _waterfall(a) -> str:
-    """Carrier i arrives at arrivals[i], read by finite_floats, built by carriers in one
-    pass. Cell i has address i and distance rank i, so each carrier's cell is its place
-    in fifo_order, and no cell map is built or checked."""
-    order = memtiming.fifo_order(memtiming.carriers(a.arrivals))
+    """Carrier i arrives at arrivals[i], read by finite_floats and checked by Carrier.
+    Cell i has address i and distance rank i, so each carrier's cell is its place in
+    fifo_order, and no cell map is built or checked."""
+    order = memtiming.fifo_order(map(memtiming.Carrier, range(len(a.arrivals)), a.arrivals))
     cell = {carrier.id: rank for rank, carrier in enumerate(order)}
     return "\n".join(f"carrier {i} -> cell {cell[i]}" for i in range(len(order)))
 
@@ -97,6 +97,13 @@ def _probe(a) -> tuple[str, list[str]]:
     if probe.loglog_slope is None:
         return "\n".join(lines), ["warning: timing below clock resolution; fit skipped"]
     return "\n".join(lines + [f"log-log slope: {probe.loglog_slope:.4f}"]), []
+
+
+def _sort(a) -> str:
+    """The sorted values by finite_text's format, all in one: finite_floats read them
+    as finite floats, and parallel_sort only reorders them, so none needs a check."""
+    values = tuple(ptvda.parallel_sort(ptvda.SortInstance(a.values, a.partitions)))
+    return ("%.6g," * len(values))[:-1] % values
 
 
 def _classify(a) -> str:
@@ -139,10 +146,10 @@ def _floats(*names):
 # command -> (help, {action -> (flags, runner)}); the action None puts the flags on
 # the command itself. A flag is (name, type, default); a _REQUIRED default makes it
 # mandatory. A runner takes the parsed arguments and returns its text, or its text
-# and its warning lines, writing each result number with finite_text, or a list of
-# them with finite_texts. --time stays a string so the DomainError of Timestamp.parse
-# is a typed error, not a usage one, and sort classify takes plain floats because inf
-# is its infinity marker.
+# and its warning lines, writing each result number with finite_text (sort run its
+# finite floats by that format, all in one). --time stays a string so the DomainError
+# of Timestamp.parse is a typed error, not a usage one, and sort classify takes plain
+# floats because inf is its infinity marker.
 COMMANDS = {
     "link": ("comlink time-data model", {
         "eps": (_floats("progress", "range"), lambda a: (
@@ -195,9 +202,7 @@ COMMANDS = {
                        relativity.ChargeLedger(a.q1, a.qin, a.qout))) + " C"),
     }),
     "sort": ("partitioned parallel sort harness", {
-        "run": ([("values", finite_floats, _REQUIRED), ("partitions", plain_int, 1)],
-                lambda a: finite_texts(ptvda.parallel_sort(
-                    ptvda.SortInstance(a.values, a.partitions)))),
+        "run": ([("values", finite_floats, _REQUIRED), ("partitions", plain_int, 1)], _sort),
         "classify": ([("n", plain_float, _REQUIRED), ("nprime", plain_float, _REQUIRED),
                       ("bound", plain_float, None)], _classify),
         "probe": ([("sizes", plain_ints, _REQUIRED), ("trials", plain_int, 3),

@@ -2,7 +2,8 @@
 reader of list arguments (`listed`), and its one rule for numbers: each is an int,
 a float or another numbers.Real, finite and in its declared range, text is a number
 only to `finite_float`, `finite_floats`, `plain_float`, `plain_int` and `plain_ints`,
-and a product or quotient leaves the normal floats only exactly."""
+a result number becomes text by `finite_text`'s format, and a product or quotient
+leaves the normal floats only exactly."""
 
 import math
 import numbers
@@ -44,14 +45,14 @@ def finite_float(text: str) -> float:
 
 
 def finite_floats(text: str) -> tuple:
-    """finite_float of each comma-separated item but empty ones: one check a list, else each."""
-    items = list(filter(None, text.split(",")))
-    try:  # an inf or nan item makes the sum one
-        if "_" not in text and math.isfinite(sum(values := tuple(map(float, items)))):
-            return values
-    except ValueError:
-        pass
-    return tuple(map(finite_float, items))  # the first bad item's error, or a sum that overflows
+    """float() of each comma-separated item but empty ones, refusing `_` and an inf
+    or nan item as finite_float does; the error names the whole list."""
+    if "_" in text:
+        raise ValueError(_GROUPED.format(text))
+    values = tuple(map(float, filter(None, text.split(","))))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"not finite: {text!r}")
+    return values
 
 
 def plain_float(text: str) -> float:
@@ -87,23 +88,13 @@ finite_floats.__name__, plain_ints.__name__ = "finite float list", "int list"
 def finite_text(value) -> str:
     """The one formatter of result numbers (CLI output, CSV cells, chart labels): 6
     significant digits of the number's correctly rounded float, never nan or inf, so an
-    exact result just beyond LARGEST that rounds to it prints. A float in range is tested
-    inline, and every other value is finite's to refuse. Outputs that keep their own
-    format: `link eps` at 6 decimals, the probe's log-log slope at 4 and SVG coordinates
-    at 2."""
+    exact result just beyond LARGEST that rounds to it prints. Outputs that keep their
+    own format: `link eps` at 6 decimals, the probe's log-log slope at 4 and SVG
+    coordinates at 2; `sort run` writes its values, finite floats already, by this
+    format itself, all in one."""
     if type(value) is not float and isinstance(value, numbers.Real):
         value = _rounded(value)
-    inline = type(value) is float and -LARGEST <= value <= LARGEST
-    return f"{value if inline else finite(value, 'result'):.6g}"
-
-
-def finite_texts(values) -> str:
-    """",".join(map(finite_text, values)): one check a list, exact floats with a finite
-    sum formatted by one format, else value by value (an inf or nan makes the sum one)."""
-    values = tuple(values)
-    if {*map(type, values)} <= {float} and math.isfinite(sum(values)):
-        return ("%.6g," * len(values))[:-1] % values
-    return ",".join(map(finite_text, values))  # the first bad value's error, or an overflow
+    return f"{finite(value, 'result'):.6g}"
 
 
 def within(value, message: str, low=-LARGEST, high=LARGEST, error=DomainError):

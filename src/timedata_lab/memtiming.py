@@ -3,7 +3,6 @@ validation, phase ratios, sheet resistance, transconductance, quantum
 efficiency and FIFO waterfall allocation."""
 
 import math
-from itertools import repeat
 from operator import attrgetter
 
 from .errors import (LARGEST, TINY, DivisionByZeroSignal, DomainError, exact_ratio, finite,
@@ -34,14 +33,6 @@ class Carrier(record("Carrier", "id arrival_time_s")):
         if not (type(arrival_time_s) is float and 0.0 <= arrival_time_s <= LARGEST):
             within(arrival_time_s, "arrival time must be nonnegative", 0.0)
         return tuple.__new__(cls, (id, arrival_time_s))
-
-
-def carriers(arrivals) -> list[Carrier]:
-    """[Carrier(i, t) for i, t in enumerate(arrivals)], at once for finite plain floats >= 0."""
-    times = listed(arrivals, "arrivals")  # the sum, unlike min and max, sees every nan
-    if {*map(type, times)} <= {float} and math.isfinite(sum(times)) and min(times, default=0) >= 0:
-        return list(map(tuple.__new__, repeat(Carrier), enumerate(times)))
-    return list(map(Carrier, range(len(times)), times))
 
 
 def _int_sum(values) -> int | None:
@@ -166,12 +157,19 @@ def quantum_efficiency(n_collected: int, n_entangled_storable: int) -> float:
 
 def fifo_order(carriers: list[Carrier]) -> list[Carrier]:
     """The carriers in FIFO order, earliest arrival first and ties by ascending id, as a
-    new list: `carriers` is read once (an iterator serves), and the order costs n log n."""
+    new list: `carriers` is read once (an iterator serves), and the order costs n log n.
+    An item that is no Carrier raises DomainError."""
     carriers = listed(carriers, "carriers")
     # Two stable sorts, by id and then by arrival, give the order of (arrival, id);
     # a one-field key compares faster than a tuple.
-    carriers.sort(key=attrgetter("id"))
-    carriers.sort(key=attrgetter("arrival_time_s"))
+    try:
+        carriers.sort(key=attrgetter("id"))
+        carriers.sort(key=attrgetter("arrival_time_s"))
+    except AttributeError:  # no id or arrival: the first item that is no Carrier, if any
+        for item in carriers:
+            if not isinstance(item, Carrier):
+                raise DomainError(f"carriers must be Carriers, got {item!r}") from None
+        raise
     return carriers
 
 

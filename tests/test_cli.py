@@ -6,12 +6,12 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import timedata_lab
 from timedata_lab import analysis, cli, memtiming, ptvda
 from timedata_lab.cli import load_config, main
-from timedata_lab.errors import LARGEST, DomainError
+from timedata_lab.errors import LARGEST, DomainError, finite_text
 
 SUN_INI = """\
 [defaults]
@@ -38,7 +38,8 @@ def _allocated_text(arrivals):
     rank i), or the DomainError's text."""
     try:
         cells = memtiming.CellMap(enumerate(range(len(arrivals))))
-        alloc = memtiming.waterfall_allocate(memtiming.carriers(arrivals), cells)
+        carriers = [memtiming.Carrier(i, t) for i, t in enumerate(arrivals)]
+        alloc = memtiming.waterfall_allocate(carriers, cells)
     except DomainError as exc:
         return str(exc)
     return "\n".join(f"carrier {i} -> cell {alloc[i]}" for i in sorted(alloc))
@@ -54,6 +55,30 @@ def test_waterfall_prints_the_identity_cell_map_allocation(arrivals):
     except DomainError as exc:
         text = str(exc)
     assert text == _allocated_text(arrivals)
+
+
+# sort run prints its values as finite_text prints each, in order. Values as --values
+# gives them, written by repr, which reads back to the same float: subnormals, signed
+# zeros and +-LARGEST, often with a sum that overflows.
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, LARGEST,
+                                           -LARGEST, 1e308, -1e308]),
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307)),
+                max_size=100), st.integers(1, 4))
+@example([1e308, 1e308, -0.0, 0.0, 5e-324], 2)
+def test_sort_run_prints_each_value_as_finite_text(capsys, values, partitions):
+    argv = ["sort", "run", "--values", ",".join(map(repr, values)),
+            "--partitions", str(partitions)]
+    try:
+        ptvda.SortInstance(values, partitions)
+    except DomainError as exc:  # more partitions than values
+        expected = 1, ("", f"error: {exc}\n")
+    else:
+        text = ",".join(map(finite_text, sorted(values)))
+        expected = 0, (text and text + "\n", "")  # an empty result prints no line
+    assert (main(argv), capsys.readouterr()) == expected
 
 
 def test_sort_probe_warns_once(capsys, monkeypatch):

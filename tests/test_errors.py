@@ -1,6 +1,5 @@
 """The one number rule: finite_float(), finite_floats(), plain_float(), plain_int(),
-plain_ints(), within(), within_int(), finite(), ratio(), finite_text() and finite_texts();
-and record(),
+plain_ints(), within(), within_int(), finite(), ratio() and finite_text(); and record(),
 whose checked records check a replaced field as the constructor does and keep no
 instance dict."""
 
@@ -76,30 +75,24 @@ def _rounded(value):
         return value
 
 
-# finite_text prints a number by its correctly rounded float, inline where that is a
-# float in [-LARGEST, LARGEST], and hands every other value to finite; either way it
+# finite_text prints a number by its correctly rounded float, through finite: it
 # prints, or refuses with the text, that finite gives for the rounded value.
 @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -5e-324, LARGEST, -LARGEST, math.inf,
                                    -math.inf, math.nan, _Float(2.5), 1, 10**400,
                                    Fraction(1, 3), Decimal("1"), None, "1",
                                    BAND, -BAND, Fraction(BAND), Fraction(-BAND)],
                          ids=lambda v: f"{type(v).__name__}-{v!r:.12}")
-def test_finite_text_formats_as_finite_checks(value, monkeypatch):
-    rounded = _rounded(value)
+def test_finite_text_formats_as_finite_checks(value):
     try:
-        expected = f"{finite(rounded, 'result'):.6g}"
+        expected = f"{finite(_rounded(value), 'result'):.6g}"
     except DomainError as exc:
         expected = exc
-    calls = []
-    monkeypatch.setattr(errors, "finite", lambda *args: calls.append(args) or finite(*args))
     if isinstance(expected, DomainError):
         with pytest.raises(DomainError) as exc:
             errors.finite_text(value)
         assert str(exc.value) == str(expected)
     else:
         assert errors.finite_text(value) == expected
-    inline = type(rounded) is float and math.isfinite(rounded)
-    assert calls == ([] if inline else [(rounded, "result")])
 
 
 def test_a_result_that_rounds_to_largest_prints_and_an_argument_is_refused():
@@ -163,47 +156,6 @@ def test_finite_is_float_of_within_exactly(value, monkeypatch):
     assert calls == ([] if inline else [(value, "")])
 
 
-# finite_texts prints a list as finite_text prints each value, joined by commas, or
-# refuses it with the text finite_text gives for its first bad value.
-def _printed(texts, values):
-    """texts(values), or its DomainError's type and message."""
-    try:
-        return texts(values)
-    except DomainError as exc:
-        return DomainError, str(exc)
-
-
-def _each_value(values):
-    return ",".join(map(errors.finite_text, values))
-
-
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(st.lists(st.one_of(
-    st.floats(), st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, LARGEST, -LARGEST, 1e308, -1e308,
-                     math.nan, BAND, 1, 10**400, Fraction(1, 3), Fraction(BAND), "1", None]),
-    st.integers(), st.fractions(), st.builds(_Float, st.floats())), max_size=8))
-def test_finite_texts_prints_as_finite_text_prints_each(values):
-    expected = _printed(_each_value, values)
-    assert _printed(errors.finite_texts, values) == expected
-    assert _printed(errors.finite_texts, iter(values)) == expected
-
-
-@pytest.mark.parametrize("values", [[], [-0.0], [5e-324, -0.0, 0.0, 1e-320], [LARGEST, -LARGEST],
-                                    [1e308, 1e308], [1.0, math.nan], [1.0, math.inf], [1.0, 2],
-                                    [1.0, _Float(2.0)], [1.0, "1"], [BAND, 1.0]],
-                         ids=lambda values: ",".join(f"{v!r:.12}" for v in values) or "[]")
-def test_finite_texts_prints_a_plain_list_without_finite_text(values, monkeypatch):
-    expected, finite_text = _printed(_each_value, values), errors.finite_text
-    calls = []
-    monkeypatch.setattr(errors, "finite_text", lambda v: calls.append(v) or finite_text(v))
-    assert _printed(errors.finite_texts, values) == expected
-    if all(type(v) is float for v in values) and math.isfinite(sum(values)):
-        assert calls == []
-    else:  # value by value, up to the first bad one
-        assert calls and calls == values[:len(calls)]
-
-
 def _read(read, text):
     """read(text)'s values by float.hex, which tells -0.0 from 0.0, or its error."""
     try:
@@ -218,31 +170,41 @@ def _each_item(text):
     return tuple(map(finite_float, [item for item in text.split(",") if item]))
 
 
-# finite_floats reads a list whole where float() reads every item, no item holds `_`
-# and the sum is finite, and else item by item: the values or the error are those of
-# finite_float on each item either way, a first bad item and an overflowing sum too.
+def _list_refusal(text):
+    """finite_floats' refusal of a list finite_float refuses an item of: `_` anywhere,
+    else the first item float() cannot read, which names itself, else an inf or nan
+    item, which names the whole list."""
+    if "_" in text:
+        return ValueError, f"digit grouping in number: {text!r}"
+    for item in filter(None, text.split(",")):
+        try:
+            float(item)
+        except ValueError as exc:
+            return ValueError, str(exc)
+    return ValueError, f"not finite: {text!r}"
+
+
+def _read_as_each_item(text):
+    """_read of _each_item, with the list's refusal in place of the first bad item's."""
+    read = _read(_each_item, text)
+    return _list_refusal(text) if type(read) is tuple else read
+
+
+# finite_floats reads a list as finite_float reads each item but empty ones: the same
+# values bit for bit, -0.0 and a list whose sum overflows included, and a refusal for
+# the same lists, whose text names the list where finite_float's names the item.
 @pytest.mark.parametrize("text", ["", ",,", " 1, 2", "-0.0", "1,,2,", "1e308,1e308", "1,nan",
                                   "1,inf", "inf,-inf", "inf,abc", "abc,inf", "1_0,2", "2,1_0",
                                   "5e-324,-5e-324", "3,1.5,-0.0"])
 def test_finite_floats_reads_as_finite_float_reads_each_item(text):
-    assert _read(errors.finite_floats, text) == _read(_each_item, text)
+    assert _read(errors.finite_floats, text) == _read_as_each_item(text)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.lists(st.one_of(st.floats().map(repr), st.sampled_from(
     ["", " 1", "1_0", "abc", "1e308", "-1e308", "5e-324"])), max_size=6).map(",".join))
 def test_finite_floats_reads_any_list_as_finite_float_reads_each_item(text):
-    assert _read(errors.finite_floats, text) == _read(_each_item, text)
-
-
-def test_finite_floats_reads_a_plain_list_without_finite_float(monkeypatch):
-    calls = []
-    monkeypatch.setattr(errors, "finite_float", lambda text: calls.append(text) or finite_float(text))
-    assert errors.finite_floats("3,1.5,-0.0") == (3.0, 1.5, -0.0)
-    assert calls == []
-    assert errors.finite_floats("1e308,1e308") == (1e308, 1e308)  # the sum overflows
-    assert calls == ["1e308", "1e308"]
-    assert errors.finite_floats.__name__ == "finite float list"  # as usage errors name it
+    assert _read(errors.finite_floats, text) == _read_as_each_item(text)
 
 
 def test_finite_passes_floats_ints_and_fractions_in_range():

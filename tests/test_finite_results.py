@@ -110,7 +110,6 @@ KERNELS = {
     "memtiming.resistance": st.tuples(ELECTRODE),
     "memtiming.transconductance_baseline": st.tuples(X, X),
     "memtiming.quantum_efficiency": st.tuples(INT, INT),
-    "memtiming.carriers": st.tuples(st.lists(X, max_size=8)),
     "memtiming.fifo_order": st.lists(X, max_size=4).map(lambda arrivals: (_carriers(arrivals),)),
     "memtiming.waterfall_allocate": st.lists(X, max_size=4).flatmap(_allocation),
     "optics.v_number": st.tuples(st.builds(optics.FiberSpec, X, X, X, X)),

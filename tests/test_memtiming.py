@@ -258,9 +258,8 @@ class TestWaterfall:
         for rebuild in rebuilds:
             assert rebuild(carrier) == carrier and type(rebuild(carrier)) is Carrier
 
-    # carriers builds the list [Carrier(i, t) ...] builds, or refuses it with its text:
-    # plain floats with a finite sum and none below 0 in one pass, any other list one
-    # carrier at a time. min and max both skip the nan of [1.0, nan, 2.0]; the sum does not.
+    # mem waterfall orders the carriers Carrier builds of its arrivals, one by one as
+    # fifo_order reads them: the order of [Carrier(i, t) ...], or Carrier's refusal.
     @pytest.mark.parametrize("arrivals", [
         [], [-0.0], [LARGEST], [LARGEST, LARGEST], [0.5, 2.0, 0.5], [1.0, math.nan, 2.0],
         [math.nan, 1.0], [1.0, math.inf], [1.0, -1e-3], [True], [1], [Fraction(1, 2)],
@@ -268,40 +267,43 @@ class TestWaterfall:
     ], ids=repr)
     def test_carriers_built_as_carrier_builds_each(self, arrivals):
         try:
-            expected = [Carrier(i, t) for i, t in enumerate(arrivals)]
+            expected = sorted([Carrier(i, t) for i, t in enumerate(arrivals)],
+                              key=lambda c: (c.arrival_time_s, c.id))
         except DomainError as exc:
             expected = exc
-        for given in (arrivals, iter(arrivals)):
-            if isinstance(expected, DomainError):
-                with pytest.raises(DomainError) as exc:
-                    mt.carriers(given)
-                assert str(exc.value) == str(expected)
-                continue
-            built = mt.carriers(given)
-            assert built == expected and type(built) is list
-            assert [type(c) for c in built] == [Carrier] * len(arrivals)
-            assert [c.id for c in built] == list(range(len(arrivals)))
-            assert all(c.arrival_time_s is t for c, t in zip(built, arrivals))
+        built = map(Carrier, range(len(arrivals)), arrivals)
+        if isinstance(expected, DomainError):
+            with pytest.raises(DomainError) as exc:
+                mt.fifo_order(built)
+            assert str(exc.value) == str(expected)
+            return
+        order = mt.fifo_order(built)
+        assert order == expected and type(order) is list
+        assert [type(c) for c in order] == [Carrier] * len(arrivals)
+        assert all(arrivals[c.id] is c.arrival_time_s for c in order)
 
-    def test_carriers_not_iterable(self):
-        with pytest.raises(DomainError, match="^arrivals must be iterable, got None$"):
-            mt.carriers(None)
+    # An item that is no Carrier has no id to sort by: fifo_order names the first such
+    # item, before waterfall_allocate counts the carriers against the cells.
+    @pytest.mark.parametrize("carriers,shown", [
+        ([1, 2], "1"), ([(0, 1.0)], r"\(0, 1\.0\)"), ([None], "None"),
+        ([Carrier(0, 0.0), Carrier(1, 1.0), None], "None")])
+    def test_an_item_that_is_no_carrier_is_refused(self, carriers, shown):
+        message = f"^carriers must be Carriers, got {shown}$"
+        with pytest.raises(DomainError, match=message):
+            mt.fifo_order(carriers)
+        with pytest.raises(DomainError, match=message):  # 3 items for 1 cell, too
+            mt.waterfall_allocate(carriers, CellMap([(0, 0)]))
 
-    def test_carriers_of_plain_floats_skip_the_per_carrier_check(self, monkeypatch):
-        built = []
-
-        class Counted(Carrier):
+    def test_a_carrier_whose_field_fails_is_not_renamed(self):
+        class Broken(Carrier):
             __slots__ = ()
 
-            def __new__(cls, *fields):
-                built.append(fields)
-                return super().__new__(cls, *fields)
+            @property
+            def arrival_time_s(self):
+                raise AttributeError("broken")
 
-        monkeypatch.setattr(mt, "Carrier", Counted)
-        assert mt.carriers([0.5, 2.0, -0.0]) == [(0, 0.5), (1, 2.0), (2, -0.0)]
-        assert built == []
-        assert mt.carriers([0.5, 2]) == [(0, 0.5), (1, 2)]  # an int: one at a time
-        assert built == [(0, 0.5), (1, 2)]
+        with pytest.raises(AttributeError, match="^broken$"):
+            mt.fifo_order([Carrier(0, 0.0), Broken(1, 1.0)])
 
     # Tied arrivals are ordered by id, and "a" and 1 do not order.
     @pytest.mark.parametrize("carrier_id", ["a", 1.5, None])
