@@ -3,11 +3,9 @@
 The whole command line is declared in ``COMMANDS``: ``main`` reads argv against each
 leaf's table of it, built once at import, as argparse would read the tree ``build_parser``
 makes of it, into a ``types.SimpleNamespace``, and calls the runner of the leaf argv
-names. argparse only formats the help and usage text.
+names. argparse, imported by ``build_parser`` alone, only formats help and usage text.
 """
 
-import argparse
-import importlib.util
 import os
 import sys
 import types
@@ -16,21 +14,20 @@ from .errors import (TimedataError, finite_float, finite_floats, finite_text,
                      plain_float, plain_int, plain_ints)
 
 
-def _lazy(name):
-    """The module timedata_lab.<name>, run on its first attribute access: a leaf
-    loads only the kernel it calls. One already imported is used as it is."""
-    fullname = f"{__package__}.{name}"
-    if (module := sys.modules.get(fullname)) is None:
-        spec = importlib.util.find_spec(fullname)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        # as the import system does, so that `import timedata_lab.optics` finds it
-        setattr(sys.modules[__package__], name, module)
-    return module
+class _Lazy:
+    """The module timedata_lab.<name>, imported on its first attribute read, which writes
+    it over this proxy in cli's globals: a leaf loads only the kernel it runs."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __getattr__(self, attr):
+        name = self._name
+        module = globals()[name] = getattr(__import__(__package__, fromlist=[name]), name)
+        return getattr(module, attr)
 
 
-analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity = map(_lazy, (
+analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity = map(_Lazy, (
     "analysis", "geomlink", "linkmodel", "memtiming", "optics", "ptvda", "relativity"))
 
 
@@ -244,7 +241,8 @@ _LEAVES = {command: {action: _leaf(*leaf) for action, leaf in actions.items()}
 def build_parser() -> dict:
     """The argparse tree of ``COMMANDS`` as {path: parser}, the path being () for
     the whole command line and (command,) or (command, action) below it. It formats
-    each level's help and usage text; _parse reads argv."""
+    each level's help and usage text; _parse reads argv. It alone imports argparse."""
+    import argparse  # imported at start, it would cost every leaf about 3 ms
     tree = {(): argparse.ArgumentParser(
         prog="timedata-lab",
         description="Comlink latency, optics, memory-timing, relativity, "

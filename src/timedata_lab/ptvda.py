@@ -3,8 +3,6 @@ classification."""
 
 import math
 import operator
-import random
-import statistics
 import time
 from collections import Counter
 from itertools import chain, repeat
@@ -131,6 +129,7 @@ def scaling_probe(sizes: list[int], trials: int = 3,
     for a, b in zip(sizes, sizes[1:]):
         within(b, "probe sizes must be strictly increasing", a + 1)
     within(trials * sum(sizes), _WORK, high=MAX_PROBE_WORK)
+    import random, statistics  # imported at start, sort run and classify would pay 4-5 ms
     rng = random.Random(seed)
     measured = {}
     for n in sizes:

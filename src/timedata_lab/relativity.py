@@ -4,7 +4,7 @@ wavelength."""
 
 import math
 
-from .errors import TINY, DivisionByZeroSignal, finite, ratio, record, within
+from .errors import TINY, DivisionByZeroSignal, _rounded, finite, ratio, record, within
 from .units import C_KM_PER_S
 
 # Stationary storage projection factor, exact cos(pi/4).
@@ -80,21 +80,23 @@ def jacobian_polar(p: PolarPoint) -> float:
 
 
 def charge_balance(ledger: ChargeLedger):
-    """Charge at t2: Q(t1) + Q_in - Q_out.
-
-    Computed as an exact Fraction so conservation holds to the
-    last bit; the result compares and mixes transparently with floats.
-    """
+    """Charge at t2, Q(t1) + Q_in - Q_out, as an exact Fraction, so that conservation
+    holds to the last bit; it compares and mixes with floats. A balance whose correctly
+    rounded float overflows is refused; one past LARGEST that rounds to it is returned."""
     from fractions import Fraction  # imported at start, every `rel` leaf would pay 5-7 ms
-    return Fraction(ledger.q_t1) + Fraction(ledger.q_in) - Fraction(ledger.q_out)
+    balance = Fraction(ledger.q_t1) + Fraction(ledger.q_in) - Fraction(ledger.q_out)
+    finite(_rounded(balance), "charge balance")
+    return balance
 
 
 def charge_balance_inverse(q_t2, q_in: float, q_out: float):
     """Recover Q(t1) from the balance output and the same flows, as an exact Fraction."""
     from fractions import Fraction
     for value in (q_t2, q_in, q_out):
-        within(value, "charge must be a finite number, got {!r}")
-    return Fraction(q_t2) - Fraction(q_in) + Fraction(q_out)
+        finite(value, "charge")
+    q_t1 = Fraction(q_t2) - Fraction(q_in) + Fraction(q_out)
+    finite(_rounded(q_t1), "charge")  # refused, as a balance is, where its float overflows
+    return q_t1
 
 
 def charge_density(q_total_c: float, volume_m3: float) -> float:

@@ -146,34 +146,61 @@ def test_sort_probe_runs_without_numpy():
     assert proc.stdout.startswith("n = 1000: ")
 
 
-# A module the lazy loader has not run yet is of the loader's own subclass of
-# ModuleType; one that has run, or was imported as usual, is a plain module.
-# A `rel` leaf loads none of the costly modules the kernels once imported.
-LAZY_CODE = """\
-import sys, types
-PRELOADED = set(sys.modules)  # `site` may load some of them first, through a .pth file
+# What a fresh process imports, under -S so that no .pth file loads a module first:
+# each of names that is in sys.modules after the code and was not before it.
+LOADED_CODE = """\
+import sys
+PRELOADED = set(sys.modules)
+def ran(names):
+    return [name for name in names if name in sys.modules and name not in PRELOADED]
+"""
 KERNELS = ["configparser"] + ["timedata_lab." + name for name in (
     "analysis", "geomlink", "linkmodel", "memtiming", "optics", "ptvda", "relativity")]
-def ran():
-    return [name for name in KERNELS if type(sys.modules.get(name)) is types.ModuleType]
-from timedata_lab import cli
-cli.build_parser()
-print(ran())
-cli.main(["rel", "gamma", "--beta", "0.6"])
-print(ran())
-print([name for name in ("dataclasses", "inspect", "fractions")
-       if name in sys.modules and name not in PRELOADED])
-import timedata_lab.optics
-print(timedata_lab.optics.v_number.__name__, cli.optics is sys.modules["timedata_lab.optics"])
-"""
+# Modules that a `rel` leaf loads none of: costly ones the package once imported at start.
+COSTLY = ["argparse", "dataclasses", "fractions", "importlib.util", "inspect", "random",
+          "statistics"]
+
+
+def _loaded(code):
+    proc = subprocess.run([sys.executable, "-S", "-c", LOADED_CODE + code],
+                          capture_output=True, text=True, timeout=120, env=_cli_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def test_a_leaf_loads_only_the_kernel_it_runs():
-    proc = subprocess.run([sys.executable, "-c", LAZY_CODE], capture_output=True,
-                          text=True, timeout=120, env=_cli_env())
-    assert (proc.stderr, proc.returncode) == ("", 0)
-    assert proc.stdout.splitlines() == [
-        "[]", "1.25", "['timedata_lab.relativity']", "[]", "v_number True"]
+    # cli binds each kernel module to a proxy that imports it on the first attribute
+    # read and writes the module itself over the proxy in cli's globals.
+    assert _loaded(f"""\
+from timedata_lab import cli
+print(ran({KERNELS!r}))
+cli.main(["rel", "gamma", "--beta", "0.6"])
+print(ran({KERNELS!r}))
+print(ran({COSTLY!r}))
+import timedata_lab.optics
+print(cli.optics.v_number is timedata_lab.optics.v_number,
+      cli.optics is sys.modules["timedata_lab.optics"])
+""") == ["[]", "1.25", "['timedata_lab.relativity']", "[]", "True True"]
+
+
+# argv -> its exit code and what it loads of argparse, the probe's modules and the
+# kernels: only help and usage errors build the argparse tree, which loads no kernel,
+# and only `sort probe` draws and fits.
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["sort", "run", "--values", "3,1,2"], 0, ["timedata_lab.ptvda"]),
+    (["sort", "classify", "--n", "5", "--nprime", "7"], 0, ["timedata_lab.ptvda"]),
+    (["sort", "probe", "--sizes", "100,200", "--seed", "1"], 0,
+     ["random", "statistics", "timedata_lab.ptvda"]),
+    (["-h"], 0, ["argparse"]),
+    (["rel", "gamma"], 2, ["argparse"]),
+], ids=["sort-run", "sort-classify", "sort-probe", "help", "usage-error"])
+def test_argparse_random_and_statistics_load_only_where_used(argv, code, loaded):
+    names = ["argparse", "random", "statistics"] + KERNELS
+    assert _loaded(f"""\
+from timedata_lab.cli import main
+code = main({argv!r})
+print(code, ran({names!r}))
+""")[-1] == f"{code} {loaded}"
 
 
 def _cli_env(unbuffered=True):

@@ -187,9 +187,9 @@ TYPED_ERRORS = [
     (["mem", "eta", "--collected", "1" + "0" * 400, "--storable", "1"],
      "error: quantum efficiency not finite: inf\n"),
     (["rel", "charge", "--q1", "1e308", "--qin", "1e308"],
-     "error: result not finite: inf\n"),
+     "error: charge balance not finite: inf\n"),
     (["rel", "charge", "--q1", "-1.7976931348623157e308", "--qout", "1e308"],
-     "error: result not finite: -inf\n"),
+     "error: charge balance not finite: -inf\n"),
     (["mem", "bitfreq", "--bits", "1", "--qbits", "1e-200", "--time", "1e-200"],
      "error: bit frequency not finite: inf\n"),
     (["geom", "kin", "--dx", "3", "--dy", "4", "--t", "1e-200", "--tpar", "1e-200"],

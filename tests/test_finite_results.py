@@ -6,12 +6,13 @@ import inspect
 import itertools
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from timedata_lab import analysis, geomlink, linkmodel, memtiming, optics, ptvda, relativity
-from timedata_lab.errors import LARGEST, TimedataError
+from timedata_lab.errors import LARGEST, DomainError, TimedataError
 
 MODULES = {m.__name__.rsplit(".", 1)[-1]: m
            for m in (geomlink, linkmodel, memtiming, optics, ptvda, relativity)}
@@ -138,10 +139,15 @@ KERNELS = {
 
 
 def _floats(result):
-    """Every float in a result, through tuples (records included), lists and dicts;
-    ints and Fractions are exact and never leave the float range by rounding."""
+    """Every float in a result, through tuples (records included), lists and dicts; an
+    int or Fraction as the float it rounds to, or as inf or -inf where that overflows."""
     if isinstance(result, float):
         yield result
+    elif isinstance(result, (int, Fraction)):
+        try:
+            yield float(result)
+        except OverflowError:
+            yield math.inf if result > 0 else -math.inf
     elif isinstance(result, (tuple, list)):
         for item in result:
             yield from _floats(item)
@@ -151,6 +157,34 @@ def _floats(result):
 
 def test_result_walker_reads_record_fields():
     assert list(_floats(relativity.PolarPoint(1.0, 0.5))) == [1.0, 0.5]
+
+
+def test_result_walker_rounds_exact_numbers_and_sees_them_overflow():
+    assert list(_floats([3, Fraction(1, 4), 10**400, -Fraction(2 * 10**308)])) == [
+        3.0, 0.25, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("ledger, shown", [
+    ((1e308, 1e308, 0.0), "inf"), ((-LARGEST, 0.0, 1e308), "-inf")])
+def test_charge_balance_whose_float_overflows_is_refused(ledger, shown):
+    with pytest.raises(DomainError, match=f"^charge balance not finite: {shown}$"):
+        relativity.charge_balance(relativity.ChargeLedger(*ledger))
+
+
+def test_charge_balance_that_rounds_to_the_largest_float_is_exact():
+    balance = relativity.charge_balance(relativity.ChargeLedger(LARGEST, 5e-324, 0.0))
+    assert balance == Fraction(LARGEST) + Fraction(5e-324)
+    assert float(balance) == LARGEST
+
+
+# A balance past the float range, as charge_balance once returned, and a recovered
+# charge past it: each refused on one short line, not by its 309 digits.
+@pytest.mark.parametrize("args, shown", [
+    ((Fraction(2 * 10**308), 0.0, 0.0), "inf"), ((-Fraction(2 * 10**308), 0.0, 0.0), "-inf"),
+    ((1e308, 0.0, 1e308), "inf")])
+def test_charge_balance_inverse_shows_a_charge_past_the_float_range_as_inf(args, shown):
+    with pytest.raises(DomainError, match=f"^charge not finite: {shown}$"):
+        relativity.charge_balance_inverse(*args)
 
 
 def test_table_names_every_public_kernel():
@@ -174,7 +208,12 @@ def test_kernel_result_is_finite_or_typed_error(name):
             result = kernel(*args)
         except TimedataError:
             return
-        assert all(map(math.isfinite, _floats(result))), result
+        if name == "ptvda.parallel_sort":  # it computes no number: it gives its elements back
+            elements = args[0].elements
+            assert len(result) == len(elements), result
+            assert all(any(x is e for e in elements) for x in result), result
+        else:
+            assert all(map(math.isfinite, _floats(result))), result
 
     check()
 
