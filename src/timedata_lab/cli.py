@@ -1,9 +1,10 @@
 """Command-line front end exposing every toolkit module as a subcommand.
 
-The whole command line is declared in ``COMMANDS``: ``main`` reads argv against each
-leaf's table of it, built once at import, as argparse would read the tree ``build_parser``
-makes of it, into a ``types.SimpleNamespace``, and calls the runner of the leaf argv
-names. argparse, imported by ``build_parser`` alone, only formats help and usage text.
+The whole command line is declared in ``COMMANDS``: ``main`` reads argv against the
+flags that ``COMMANDS`` gives the leaf argv names, as argparse would read the parsers
+``build_parser`` makes of it, into a ``types.SimpleNamespace``, and calls that leaf's
+runner. argparse, imported by ``build_parser`` alone, only formats help and usage text,
+building the parser of the one level that the text is about.
 """
 
 import os
@@ -224,46 +225,35 @@ COMMANDS = {
 }
 
 
-def _leaf(flags, runner):
-    """A leaf's table: its defaults, runner as run, and {--name: (attribute, type)}."""
-    defaults, declared = {"run": runner}, {}
-    for name, type_, default in flags:
-        defaults[dest := name.replace("-", "_")] = default
-        declared["--" + name] = dest, type_
-    return defaults, declared
-
-
-# command -> {action -> table}: COMMANDS as _parse reads it, built once at import
-_LEAVES = {command: {action: _leaf(*leaf) for action, leaf in actions.items()}
-           for command, (_, actions) in COMMANDS.items()}
-
-
-def build_parser() -> dict:
-    """The argparse tree of ``COMMANDS`` as {path: parser}, the path being () for
-    the whole command line and (command,) or (command, action) below it. It formats
-    each level's help and usage text; _parse reads argv. It alone imports argparse."""
+def build_parser(path=()):
+    """The argparse parser of the level of ``COMMANDS`` at path: () for the whole command
+    line, (command,) or (command, action) below it. A leaf's parser holds its flags, any
+    other one subparser of each choice, which is left empty. It formats the level's help
+    and usage text; _parse reads argv. It alone imports argparse."""
     import argparse  # imported at start, it would cost every leaf about 3 ms
-    tree = {(): argparse.ArgumentParser(
-        prog="timedata-lab",
-        description="Comlink latency, optics, memory-timing, relativity, "
-                    "sorting and spreadsheet toolkit")}
-    sub = tree[()].add_subparsers(dest="command", required=True)
-    for command, (help_text, actions) in COMMANDS.items():
-        tree[command,] = sub.add_parser(command, help=help_text)
-        if None not in actions:  # the action None is the command itself
-            action_sub = tree[command,].add_subparsers(dest="action", required=True)
-        for action, (flags, _) in actions.items():
-            leaf = tree[command,] if action is None else action_sub.add_parser(action)
-            tree[(command, action) if action else (command,)] = leaf
-            for name, _, default in flags:
-                leaf.add_argument("--" + name, required=default is _REQUIRED)
-    return tree
+    parser = argparse.ArgumentParser(prog=" ".join(["timedata-lab", *path]), description=(
+        None if path else "Comlink latency, optics, memory-timing, relativity, "
+                          "sorting and spreadsheet toolkit"))
+    actions = COMMANDS[path[0]][1] if path else {}
+    if path[1:] or None in actions:  # a leaf: the action None is the command itself
+        for name, _, default in actions[path[1] if path[1:] else None][0]:
+            parser.add_argument("--" + name, required=default is _REQUIRED)
+    elif path:
+        sub = parser.add_subparsers(dest="action", required=True)
+        for action in actions:  # no help=: even help=None adds a line to the help
+            sub.add_parser(action)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        for command, (help_text, _) in COMMANDS.items():
+            sub.add_parser(command, help=help_text)
+    return parser
 
 
 def _exit(path, message="") -> SystemExit:
-    """SystemExit whose args are _write's for the level at path: its help for stdout
-    and code 0, or given a message, its usage and `<prog>: error:` line for stderr, 2."""
-    parser = build_parser()[tuple(path)]
+    """SystemExit whose args are _write's for the level at path, whose parser alone is
+    built: its help for stdout and code 0, or given a message, its usage and
+    `<prog>: error:` line for stderr, 2."""
+    parser = build_parser(path)
     if message:
         return SystemExit([f"{parser.format_usage()}{parser.prog}: error: {message}"], "", 2)
     return SystemExit([], parser.format_help()[:-1], 0)
@@ -299,12 +289,16 @@ def _choose(tokens, path, choices, leftover):
 
 
 def _parse(argv) -> types.SimpleNamespace:
-    """A types.SimpleNamespace of the leaf's defaults, from its table built once at import,
-    and each value argv gives, read as argparse reads its tree; help and usage raise _exit."""
+    """A types.SimpleNamespace of the defaults that COMMANDS gives the leaf argv names,
+    with its runner as run, and each value argv gives, read as argparse reads the leaf's
+    parser; help and usage raise _exit."""
     tokens, path, leftover = iter(argv), [], []
-    actions = _choose(tokens, path, _LEAVES, leftover)
-    defaults, declared = actions[None] if None in actions else _choose(tokens, path, actions, leftover)
-    values = defaults.copy()
+    _, actions = _choose(tokens, path, COMMANDS, leftover)
+    flags, runner = actions[None] if None in actions else _choose(tokens, path, actions, leftover)
+    values, declared = {"run": runner}, {}  # {--name: (attribute, type)}
+    for name, type_, default in flags:
+        values[dest := name.replace("-", "_")] = default
+        declared["--" + name] = dest, type_
     for token in tokens:
         flag, eq, text = token.partition("=")
         # a token that names no flag is left over, as is each one from `--` on

@@ -3,21 +3,19 @@ resolution and its displacement, uncertainty check and jump probability; Progres
 gives a sheet's rows of their cells, each distinct shifted clock made once per sheet."""
 
 import math
-import re
 
 from .errors import (LARGEST, NORMAL, PLAIN, TINY, DivergenceSignal, DivisionByZeroSignal,
                      DomainError, finite, listed, ratio, record, within, within_int)
 from .units import C_KM_PER_S
 
 TWO_PI = 2.0 * math.pi
-_HHMMSS = re.compile(r"([0-9]{2}):([0-9]{2}):([0-9]{2})")  # int() also takes "1_3"
 _PROGRESS = "progress must be in [0, 100], got {}"
 _DISTANCE = "distance must be positive"
 _PAST_MIDNIGHT = "timestamp shift rolls back past midnight"
-_TWO_DIGITS = tuple(f"{i:02d}" for i in range(60))  # a clock field's text, by value
-# A clock field's value by its text: finding the text is the field's range check.
-_HOURS = {text: value for value, text in enumerate(_TWO_DIGITS[:24])}
-_SIXTIETHS = {text: value for value, text in enumerate(_TWO_DIGITS)}
+_TWO_DIGITS = tuple(f"{i:02d}" for i in range(100))  # a two-digit field's text, by value
+# A field's value by its text: in _HOURS and _SIXTIETHS, finding it is the range check.
+_HOURS, _SIXTIETHS, _FIELDS = ({text: value for value, text in enumerate(_TWO_DIGITS[:n])}
+                               for n in (24, 60, 100))
 
 
 class Target(record("Target", "name distance_km range_lm")):
@@ -43,18 +41,21 @@ class Timestamp(record("Timestamp", "hours minutes seconds")):
 
     @classmethod
     def parse(cls, text: str) -> "Timestamp":
-        """The clock HH:MM:SS names. Its fields are read by table where each is in range,
-        else (and for a subclass) by the regex and checked by cls, for the same errors;
-        a value that is no text (None, bytes, a number) is refused as malformed text is."""
+        """The clock HH:MM:SS names, each field two ASCII digits. A str's fields in range
+        are read by table; other clock text (a str subclass by its own characters) is read
+        as any two digits and checked by cls, for the same errors. A value that is no text
+        (None, bytes, a number) is refused as malformed text is."""
         if (cls is Timestamp and type(text) is str and len(text) == 8
                 and text[2] == text[5] == ":"):
             hours, minutes, seconds = (_HOURS.get(text[:2]), _SIXTIETHS.get(text[3:5]),
                                        _SIXTIETHS.get(text[6:]))
             if hours is not None and minutes is not None and seconds is not None:
                 return tuple.__new__(cls, (hours, minutes, seconds))
-        if not isinstance(text, str) or (match := _HHMMSS.fullmatch(text)) is None:
+        chars = str.__str__(text) if isinstance(text, str) else ""
+        fields = [_FIELDS.get(chars[i:i + 2]) for i in (0, 3, 6)]
+        if len(chars) != 8 or chars[2] != ":" or chars[5] != ":" or None in fields:
             raise DomainError(f"expected HH:MM:SS, got {text!r}")
-        return cls(int(match[1]), int(match[2]), int(match[3]))
+        return cls(*fields)
 
     @classmethod
     def from_seconds(cls, total: int) -> "Timestamp":

@@ -102,19 +102,14 @@ def test_chart_reports_an_omitted_attribute_on_one_line(tmp_path, capsys):
 
 
 def test_each_leaf_table_reads_the_flags_argparse_declares_in_order():
-    tree = cli.build_parser()
     for command, (_, actions) in cli.COMMANDS.items():
-        assert list(cli._LEAVES[command]) == list(actions)
-        for action, (flags, runner) in actions.items():
-            defaults, declared = cli._LEAVES[command][action]
-            leaf = tree[(command, action) if action else (command,)]
-            # name, attribute, type and whether required, against argparse's own actions
-            assert [(flag, dest, type_, defaults[dest] is cli._REQUIRED)
-                    for flag, (dest, type_) in declared.items()] == [
-                (option.option_strings[0], option.dest, type_, option.required)
-                for option, (_, type_, _) in zip(leaf._actions[1:], flags, strict=True)]
-            assert defaults == {"run": runner, **{
-                dest: default for (dest, _), (*_, default) in zip(declared.values(), flags)}}
+        for action, (flags, _) in actions.items():
+            leaf = cli.build_parser((command, action) if action else (command,))
+            # name, attribute and whether required, against argparse's own actions
+            assert [("--" + name, name.replace("-", "_"), default is cli._REQUIRED)
+                    for name, _, default in flags] == [
+                (option.option_strings[0], option.dest, option.required)
+                for option in leaf._actions[1:]]
 
 
 def test_parse_returns_a_new_namespace_each_call():
@@ -132,8 +127,6 @@ def test_a_runner_that_changes_its_namespace_leaves_the_defaults():
     args.trials, args.extra = 99, 1  # as a runner could
     del args.seed, args.run
     assert vars(cli._parse(argv)) == expected
-    assert cli._LEAVES["sort"]["probe"][0] == {
-        "run": expected["run"], "sizes": cli._REQUIRED, "trials": 3, "seed": None}
 
 
 def test_sort_probe_runs_without_numpy():
@@ -183,19 +176,21 @@ print(cli.optics.v_number is timedata_lab.optics.v_number,
 """) == ["[]", "1.25", "['timedata_lab.relativity']", "[]", "True True"]
 
 
-# argv -> its exit code and what it loads of argparse, the probe's modules and the
-# kernels: only help and usage errors build the argparse tree, which loads no kernel,
-# and only `sort probe` draws and fits.
+# argv -> its exit code and what it loads of argparse, re, the probe's modules and the
+# kernels: only help and usage errors build an argparse parser, which loads no kernel,
+# only `sort probe` draws and fits, and a clock is read without re.
 @pytest.mark.parametrize("argv, code, loaded", [
     (["sort", "run", "--values", "3,1,2"], 0, ["timedata_lab.ptvda"]),
     (["sort", "classify", "--n", "5", "--nprime", "7"], 0, ["timedata_lab.ptvda"]),
     (["sort", "probe", "--sizes", "100,200", "--seed", "1"], 0,
-     ["random", "statistics", "timedata_lab.ptvda"]),
-    (["-h"], 0, ["argparse"]),
-    (["rel", "gamma"], 2, ["argparse"]),
-], ids=["sort-run", "sort-classify", "sort-probe", "help", "usage-error"])
+     ["re", "random", "statistics", "timedata_lab.ptvda"]),  # re through fractions
+    (["-h"], 0, ["argparse", "re"]),
+    (["rel", "gamma"], 2, ["argparse", "re"]),
+    (["link", "shift", "--time", "13:35:00", "--epsilon", "1.33"], 0,
+     ["timedata_lab.linkmodel"]),
+], ids=["sort-run", "sort-classify", "sort-probe", "help", "usage-error", "link-shift"])
 def test_argparse_random_and_statistics_load_only_where_used(argv, code, loaded):
-    names = ["argparse", "random", "statistics"] + KERNELS
+    names = ["argparse", "re", "random", "statistics"] + KERNELS
     assert _loaded(f"""\
 from timedata_lab.cli import main
 code = main({argv!r})

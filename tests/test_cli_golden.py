@@ -416,9 +416,11 @@ def _parser_argv(draw):
 
 # The help and the head of a usage error of each level of the command line (the
 # whole of it, each command and each action), as argparse formats them at 80 columns.
+PATHS = [()] + [path for command, (_, actions) in COMMANDS.items() for path in
+                [(command,)] + [(command, action) for action in actions if action]]
 with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
     LEVELS = [(level.format_help(), level.format_usage() + level.prog + ": error: ")
-              for level in build_parser().values()]
+              for level in map(build_parser, PATHS)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -459,13 +461,18 @@ def test_leaf_argv_builds_no_parser_unless_argparse_reads_it(capsys, monkeypatch
     assert main(["link", "eps", "--prog", "16", "--range", "8.3"]) == 0
     assert capsys.readouterr().out == "1.328000 Lm\n"
     assert built == []
-    # A usage error builds the whole tree, once and alone, to format its text.
+    # A usage error builds its own level's parser alone to format its text.
     assert main(["link", "eps", "--prog", "16"]) == 2
     assert capsys.readouterr().err.endswith("required: --range\n")
-    tree = list(built)
+    assert built == ["timedata-lab link eps"]
+    # Help builds its level's parser, then one empty parser for each choice below it.
     built.clear()
-    build_parser()
-    assert tree == built and built[0] == "timedata-lab"
+    assert main(["-h"]) == 0
+    assert built == ["timedata-lab"] + [f"timedata-lab {command}" for command in COMMANDS]
+    built.clear()
+    assert main(["link", "-h"]) == 0
+    assert built == ["timedata-lab link"] + [
+        f"timedata-lab link {action}" for action in COMMANDS["link"][1]]
 
 
 @pytest.mark.parametrize("argv,stderr", TYPED_ERRORS,

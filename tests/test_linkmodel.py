@@ -104,6 +104,24 @@ class TestTimestamp:
         assert type(clock) is Timestamp and clock == (13, 35, 0)
         assert {type(field) for field in clock} == {int}
 
+    # Its own characters are read, not what its methods make of them.
+    @pytest.mark.parametrize("text,expected", [("13:35:00", (13, 35, 0)),
+                                               ("99:00:00", "timestamp fields out of range: 99"),
+                                               ("13-35-00", "expected HH:MM:SS, got '13-35-00'")])
+    def test_parse_reads_a_str_subclass_by_its_characters(self, text, expected):
+        class Text(str):
+            def __getitem__(self, index):
+                return "00:00:00"[index]
+
+            def __len__(self):
+                return 8
+
+        if isinstance(expected, tuple):
+            assert Timestamp.parse(Text(text)) == expected
+        else:
+            with pytest.raises(DomainError, match=f"^{re.escape(expected)}$"):
+                Timestamp.parse(Text(text))
+
     @pytest.mark.parametrize("value", [None, b"13:35:00", 1])
     def test_parse_refuses_what_is_no_text(self, value):
         message = f"expected HH:MM:SS, got {value!r}"
