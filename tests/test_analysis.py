@@ -137,6 +137,26 @@ def _memo_sheets():
             _seeded_sheet(44, 10, 40)]
 
 
+class _Text(str):
+    """Text that prints one way through str() and another through format()."""
+
+    def __str__(self):
+        return f"<{super().__str__()}>"
+
+    def __format__(self, spec):
+        return f"[{super().__str__()}]"
+
+
+def _text_records():
+    """Records whose name, label and sentinels are exact str or _Text, of equal values,
+    one _Text object of each value shared between rows."""
+    name, label, div0, inf = _Text("A"), _Text("f|A"), _Text(DIV0), _Text(DIVERGES)
+    return [LinkRecord(*cells[:3], Timestamp(12, 0, 0), 0.5, 60.0, *cells[3:]) for cells in [
+        ("A", 1.0, "f|A", DIV0, 2.5), (name, 1.0, label, div0, inf),
+        (_Text("B,"), 1.0, "f|A", 0.5, div0), ("A", 1.0, label, DIV0, DIVERGES),
+        (name, 1.0, "f|A", div0, 0.5)]]
+
+
 def _small_memo(monkeypatch, cells):
     """Give every CSV memo room for cells entries, and check after each entry that the
     memo holds no more (one at 0 cells: the entry just made)."""
@@ -539,6 +559,9 @@ class TestCsv:
         assert (data.count(DIV0.encode()), data.count(DIVERGES.encode())) == (50, 50)
         assert hashlib.sha256(data).hexdigest() == (
             "a3890026819f6a053a5cf7c75e0a3e550119373cd698995a75ff50b9e664c195")
+        # Read back, each record holds fresh name and label texts: the same bytes.
+        analysis.emit_csv(analysis.parse_csv(path), path)
+        assert path.read_bytes() == data
 
     # The bytes of a seeded 10 x 40 sheet, the size of the benchmark's probe sheet, whose
     # clocks are nearly all distinct (318 of 400), and of the chart drawn from its CSV as
@@ -668,6 +691,19 @@ class TestCsv:
         analysis.emit_csv(Sheet(records=records), path)
         assert path.read_text().splitlines()[1:] == [
             "A,1,f,13:35:00,0,0,1,1", 'A,1,f,"13,35""",0,0,1,1', 'A,1,f,"13,35""",0,0,1,1']
+
+    # Text cells of a str subclass: a name or label is written as its __str__ gives it,
+    # quoted as csv quotes that, and a sentinel as its __format__ gives it; exact texts of
+    # the same value, in the rows around them, are written as themselves.
+    def test_text_cells_of_a_str_subclass(self, tmp_path):
+        path = tmp_path / "text.csv"
+        analysis.emit_csv(Sheet(records=_text_records()), path)
+        assert path.read_text().splitlines()[1:] == [
+            "A,1,f|A,12:00:00,0.5,60,#Div/0!,2.5",
+            "<A>,1,<f|A>,12:00:00,0.5,60,[#Div/0!],[#Inf!]",
+            '"<B,>",1,f|A,12:00:00,0.5,60,0.5,[#Div/0!]',
+            "A,1,<f|A>,12:00:00,0.5,60,#Div/0!,#Inf!",
+            "<A>,1,f|A,12:00:00,0.5,60,[#Div/0!],0.5"]
 
     # A memo with room for a few cells starts over often, and writes the same bytes.
     @pytest.mark.parametrize("cells", [0, 1, 2, 5])
