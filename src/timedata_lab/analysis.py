@@ -5,13 +5,12 @@ with typed error sentinels, and renders the radar chart as standalone SVG.
 import contextlib
 import csv
 import html
-import io
 import math
 import os
 import re
 import stat
-from itertools import repeat
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, mod
 
 from . import linkmodel
 from .errors import DomainError, finite, finite_float, finite_text, listed, record, within
@@ -71,7 +70,7 @@ def build_sheet(targets: list[Target], progress_list: list[float],
                 base_time: Timestamp) -> Sheet:
     """One record per (target, progress) in declared order; either may be an
     iterator, read once. More than MAX_SHEET_RECORDS raise DomainError before one is
-    built: at 196 B a record, and 208 B more in emit_csv, the cap peaks at 0.40 GB
+    built: at 195 B a record, and 158 B more in emit_csv, the cap peaks at 0.35 GB
     under tracemalloc (measured at 1e5 records).
 
     Each target's row holds the cells linkmodel.ProgressColumn.row gives, the kernels'
@@ -165,39 +164,84 @@ class _Line:
     write = staticmethod(str)
 
 
+# Records whose cells are looked up together, and rows one % format writes: five rows
+# of about 70 characters stay under the 512 bytes CPython's small-object allocator
+# serves, so the pieces held until the join go back to the system with its arenas,
+# where longer ones stay in the C heap (one piece a chunk of 256 rows raised the
+# bulk-sheet benchmark's peak RSS by 0.5 MB). Constants of their own, never 0.
+_CHUNK_RECORDS = 250
+_PIECE_RECORDS = 5
+
+# A row's % template after its four memoised cells, each text ending in its comma, by
+# the types of its two resolution cells: a float as %.6g, a sentinel, exact text, as %s.
+# A row whose resolution is of another type has none.
+_ROWS = {(nu, nu_x): "%s%s%s%s%.6g,%.6g," + ("%.6g," if nu is float else "%s,")
+         + ("%.6g\n" if nu_x is float else "%s\n") for nu in (float, str) for nu_x in (float, str)}
+
+
 def emit_csv(sheet: Sheet, path) -> None:
     """Write the sheet as UTF-8 CSV with LF line endings, the f(x,y) label
     quoted. A text cell that holds a CR or that UTF-8 cannot encode raises before
-    an existing file is touched; LinkRecord has checked every other cell."""
+    an existing file is touched; LinkRecord has checked every other cell. What is
+    no Sheet raises DomainError, and nothing is written.
+
+    The records are read _CHUNK_RECORDS at a time into one flat list of cells, whose
+    name, progress, label and clock cells are replaced by their memoised texts, and
+    written _PIECE_RECORDS rows at a time by one % format over the rows' templates."""
+    if not isinstance(sheet, Sheet):
+        raise DomainError(f"sheet must be a Sheet, got {sheet!r}")
     line = csv.writer(_Line(), lineterminator="\n").writerow
-    # id of a cell object -> its CSV text and the comma after it, made once per object,
-    # as a sheet from build_sheet shares names, labels, progress values and clocks
-    # between records. The sheet's tuple keeps each cell, and so its id, alive: two
-    # cells, equal (0.0 and -0.0) or not, never share an entry. The memo starts over
-    # (_remember), so fresh objects in every record (a sheet parse_csv read) cost
-    # bounded memory. The other numbers, LinkRecord's floats, are formatted inline,
-    # as finite_text would format them.
+    # A cell's CSV text and the comma after it, made once per key: name and label cells
+    # keyed by value where a chunk's column holds only exact str (a parsed sheet's are
+    # fresh objects of a few values), else, as progress and clock cells, by the id of the
+    # cell object, which build_sheet shares between records. The sheet's tuple keeps each
+    # cell, and so its id, alive: two cells, equal (0.0 and -0.0) or not, never share an
+    # id entry. The memo starts over (_remember), so a sheet of fresh objects costs
+    # bounded memory. The other numbers, LinkRecord's floats, are formatted by the row's
+    # template, as finite_text would format them.
     memo = {}
+    known = memo.get
 
     def new(cell):  # HH:MM:SS needs no quotes; text, a Timestamp subclass's too, csv quotes
-        return _remember(memo, id(cell), f"{cell}," if type(cell) is Timestamp
-                         # two cells, so that an empty one is not written as ""
-                         else line((str(cell), ""))[:-1] if isinstance(cell, (str, Timestamp))
-                         else finite_text(cell) + ",")
+        return (f"{cell}," if type(cell) is Timestamp
+                # two cells, so that an empty one is not written as ""
+                else line((str(cell), ""))[:-1] if isinstance(cell, (str, Timestamp))
+                else finite_text(cell) + ",")
 
-    known = memo.get
-    buffer = io.StringIO()
-    write = buffer.write
-    write(CSV_HEADER + "\n")
-    for name, progress, label, stamp, eps, delta_t, nu, nu_x in sheet.records:
-        write(f"{known(id(name)) or new(name)}"
-              f"{known(id(progress)) or new(progress)}"
-              f"{known(id(label)) or new(label)}"
-              f"{known(id(stamp)) or new(stamp)}"
-              f"{eps:.6g},{delta_t:.6g},"
-              f"{f'{nu:.6g}' if type(nu) is float else nu},"
-              f"{f'{nu_x:.6g}' if type(nu_x) is float else nu_x}\n")
-    if "\r" in (text := buffer.getvalue()):  # unquoted, a CR ends a row
+    def texts(cells, by_value):
+        """Each cell's text, looked up in the memo and made where missing."""
+        found, i = list(map(known, cells if by_value else map(id, cells))), 0
+        for _ in range(found.count(None)):
+            i = found.index(None, i)
+            key = cells[i] if by_value else id(cells[i])
+            found[i] = known(key) or _remember(memo, key, new(cells[i]))
+        return found
+
+    def chunk(start):
+        """The CSV rows of the records from start on, _CHUNK_RECORDS at most, in pieces
+        of _PIECE_RECORDS rows and a last piece of the rest."""
+        cells = list(chain.from_iterable(records[start:start + _CHUNK_RECORDS]))
+        for column in range(4):  # name, progress, label, clock
+            column_cells = cells[column::8]
+            cells[column::8] = texts(column_cells, column in (0, 2)
+                                     and set(map(type, column_cells)) == {str})
+        rows = list(map(_ROWS.get, zip(map(type, cells[6::8]), map(type, cells[7::8]))))
+        # A sentinel of a str subclass: as format() gives it, as %s (str()) might not.
+        for _ in range(rows.count(None)):
+            i = rows.index(None)
+            rows[i] = _ROWS[str, str]
+            cells[8 * i + 6:8 * i + 8] = [format(nu, ".6g" if type(nu) is float else "")
+                                          for nu in cells[8 * i + 6:8 * i + 8]]
+        whole = len(rows) - len(rows) % _PIECE_RECORDS
+        pieces = list(map(mod, map("".join, zip(*[iter(rows)] * _PIECE_RECORDS)),
+                          zip(*[iter(cells)] * (8 * _PIECE_RECORDS))))
+        pieces.append("".join(rows[whole:]) % tuple(cells[8 * whole:]))
+        return pieces
+
+    records = sheet.records
+    text = "".join([CSV_HEADER + "\n", *chain.from_iterable(
+        map(chunk, range(0, len(records), _CHUNK_RECORDS)))])
+    if "\r" in text:  # unquoted, a CR ends a row
         raise DomainError("a text cell holds a carriage return, which CSV cannot carry")
     _write_text(path, text)
 
@@ -275,8 +319,11 @@ def render_radar_chart(sheet: Sheet, path) -> list[str]:
     return the fields left out as all sentinels, in _ATTRIBUTES order.
 
     Per-attribute min-max normalization to radius [0, 1]; sentinel cells
-    sit at radius 0 with a marker. Output bytes are deterministic.
+    sit at radius 0 with a marker. Output bytes are deterministic. What is no
+    Sheet raises DomainError, and nothing is written.
     """
+    if not isinstance(sheet, Sheet):
+        raise DomainError(f"sheet must be a Sheet, got {sheet!r}")
     n = len(records := sheet.records)
     if n < 3:
         raise DomainError(f"radar chart needs >= 3 records, got {n}")

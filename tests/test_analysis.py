@@ -14,6 +14,7 @@ import threading
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -705,6 +706,21 @@ class TestCsv:
             "A,1,<f|A>,12:00:00,0.5,60,#Div/0!,#Inf!",
             "<A>,1,f|A,12:00:00,0.5,60,[#Div/0!],0.5"]
 
+    # A sheet parse_csv read holds fresh name and label texts in every record; each
+    # distinct one is still made once, as for the sheet build_sheet made.
+    def test_each_name_and_label_text_made_once(self, tmp_path, monkeypatch):
+        sheet = analysis.build_sheet([SUN, Target("Moon", 384400, 0.0214)], PROGRESS, BASE)
+        path = tmp_path / "sheet.csv"
+        analysis.emit_csv(sheet, path)
+        made, remember = [], analysis._remember
+        monkeypatch.setattr(analysis, "_remember",
+                            lambda memo, key, text: made.append(text) or remember(memo, key, text))
+        for written in (sheet, analysis.parse_csv(path)):
+            made.clear()
+            analysis.emit_csv(written, path)
+            assert sorted(text for text in made if not text[0].isdigit()) == [
+                '"f(x,y)|Moon",', '"f(x,y)|Sun",', "Moon,", "Sun,"]
+
     # A memo with room for a few cells starts over often, and writes the same bytes.
     @pytest.mark.parametrize("cells", [0, 1, 2, 5])
     def test_memo_starting_over_writes_the_same_bytes(self, tmp_path, monkeypatch, cells):
@@ -729,6 +745,31 @@ class TestCsv:
         parsed = [analysis.parse_csv(path).records for path in paths]
         assert [list(map(_bits, records)) for records in parsed] == full
         assert {type(record.t_stamp) for records in parsed for record in records} == {Timestamp}
+
+    # Chunks of 1, 2, 5, 7 and 14 records, written in pieces of 5, 5, 5, 3 and 1 rows,
+    # with the memo at its size and starting over at each entry, write the bytes of the
+    # default sizes: the Sun/Moon sheets, one with a 100% row, whose sentinel rows fall
+    # at a chunk's first and at its last row, the seeded 10 x 40 sheet and the
+    # str-subclass records, whose rows key their names by value or by id.
+    @pytest.mark.parametrize("cells", [0, analysis._MEMO_CELLS])
+    @pytest.mark.parametrize("records,piece", [(1, 5), (2, 5), (5, 5), (7, 3), (14, 1)])
+    def test_chunks_write_the_same_bytes(self, tmp_path, monkeypatch, records, piece, cells):
+        sun_moon = analysis.build_sheet([SUN, Target("Moon", 384400, 0.0214)],
+                                        PROGRESS + [100], BASE)
+        sentinel_rows = {i % records for i, record in enumerate(sun_moon.records)
+                         if DIV0 in record or DIVERGES in record}
+        assert {0, records - 1} <= sentinel_rows
+        sheets = [*_memo_sheets(), sun_moon, Sheet(records=_text_records())]
+        paths = [tmp_path / f"{i}.csv" for i in range(len(sheets))]
+        for sheet, path in zip(sheets, paths):
+            analysis.emit_csv(sheet, path)
+        whole = [path.read_bytes() for path in paths]
+        _small_memo(monkeypatch, cells)
+        monkeypatch.setattr(analysis, "_CHUNK_RECORDS", records)
+        monkeypatch.setattr(analysis, "_PIECE_RECORDS", piece)
+        for sheet, path in zip(sheets, paths):
+            analysis.emit_csv(sheet, path)
+        assert [path.read_bytes() for path in paths] == whole
 
     # "-0" and "0" are parsed to -0.0 and 0.0 in every number column, however often
     # either text repeats, and written back as they were read.
@@ -879,6 +920,19 @@ class TestCsv:
         write(sun_sheet, bytes_path)
         assert (tmp_path / "bytes.out").read_bytes() == text_path.read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["bytes.out", "text.out"]
+
+    # What is no Sheet is refused before anything is written: an old file is kept and
+    # no new one made, even for an object that holds a sheet's records.
+    @pytest.mark.parametrize("write", [analysis.emit_csv, analysis.render_radar_chart])
+    def test_what_is_no_sheet_is_refused(self, tmp_path, sun_sheet, write):
+        old = tmp_path / "old.out"
+        old.write_text("old")
+        for other in (None, "x", sun_sheet.records, SimpleNamespace(records=sun_sheet.records)):
+            for path in (old, tmp_path / "new.out"):
+                with pytest.raises(DomainError) as exc:
+                    write(other, path)
+                assert str(exc.value) == f"sheet must be a Sheet, got {other!r}"
+        assert os.listdir(tmp_path) == ["old.out"] and old.read_text() == "old"
 
     def test_error_names_the_output_path(self, tmp_path, sun_sheet):
         with pytest.raises(IsADirectoryError) as exc:
