@@ -202,20 +202,11 @@ def emit_csv(sheet: Sheet, path) -> None:
     memo = {}
     known = memo.get
 
-    def new(cell):  # HH:MM:SS needs no quotes; text, a Timestamp subclass's too, csv quotes
-        return (f"{cell}," if type(cell) is Timestamp
-                # two cells, so that an empty one is not written as ""
-                else line((str(cell), ""))[:-1] if isinstance(cell, (str, Timestamp))
-                else finite_text(cell) + ",")
-
-    def texts(cells, by_value):
-        """Each cell's text, looked up in the memo and made where missing."""
-        found, i = list(map(known, cells if by_value else map(id, cells))), 0
-        for _ in range(found.count(None)):
-            i = found.index(None, i)
-            key = cells[i] if by_value else id(cells[i])
-            found[i] = known(key) or _remember(memo, key, new(cells[i]))
-        return found
+    def new(key, cell):  # HH:MM:SS needs no quotes; text, a Timestamp subclass's too, csv quotes
+        return _remember(memo, key, f"{cell}," if type(cell) is Timestamp
+                         # two cells, so that an empty one is not written as ""
+                         else line((str(cell), ""))[:-1] if isinstance(cell, (str, Timestamp))
+                         else finite_text(cell) + ",")
 
     def chunk(start):
         """The CSV rows of the records from start on, _CHUNK_RECORDS at most, in pieces
@@ -223,8 +214,10 @@ def emit_csv(sheet: Sheet, path) -> None:
         cells = list(chain.from_iterable(records[start:start + _CHUNK_RECORDS]))
         for column in range(4):  # name, progress, label, clock
             column_cells = cells[column::8]
-            cells[column::8] = texts(column_cells, column in (0, 2)
-                                     and set(map(type, column_cells)) == {str})
+            cells[column::8] = (
+                [known(cell) or new(cell, cell) for cell in column_cells]
+                if column in (0, 2) and set(map(type, column_cells)) == {str} else
+                [known(id(cell)) or new(id(cell), cell) for cell in column_cells])
         rows = list(map(_ROWS.get, zip(map(type, cells[6::8]), map(type, cells[7::8]))))
         # A sentinel of a str subclass: as format() gives it, as %s (str()) might not.
         for _ in range(rows.count(None)):
