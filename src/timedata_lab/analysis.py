@@ -190,6 +190,7 @@ def emit_csv(sheet: Sheet, path) -> None:
     written _PIECE_RECORDS rows at a time by one % format over the rows' templates."""
     if not isinstance(sheet, Sheet):
         raise DomainError(f"sheet must be a Sheet, got {sheet!r}")
+    records = sheet.records
     line = csv.writer(_Line(), lineterminator="\n").writerow
     # A cell's CSV text and the comma after it, made once per key: name and label cells
     # keyed by value where a chunk's column holds only exact str (a parsed sheet's are
@@ -231,7 +232,6 @@ def emit_csv(sheet: Sheet, path) -> None:
         pieces.append("".join(rows[whole:]) % tuple(cells[8 * whole:]))
         return pieces
 
-    records = sheet.records
     text = "".join([CSV_HEADER + "\n", *chain.from_iterable(
         map(chunk, range(0, len(records), _CHUNK_RECORDS)))])
     if "\r" in text:  # unquoted, a CR ends a row
